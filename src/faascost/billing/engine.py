@@ -1,8 +1,8 @@
-"""Cost engine: allocation normalization, billable time, and invoice math.
+"""Cost engine: allocation normalization, billable quantities, and invoice math.
 
-``compute_cost`` accepts any record object exposing the invocation-record
-protocol (``exec_duration_ms``, ``init_duration_ms``, ``alloc``,
-``cpu_usage_avg_vcpus``, ``mem_usage_mb``); see
+``compute_cost`` is :func:`billable_quantities` (granularities only), then
+:func:`price` (unit prices); the trace analytics use the first stage alone.
+Records are any object with the fields of
 :class:`faascost.traces.records.InvocationRecord`.
 """
 
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from faascost.billing.model import (
     MEMORY_GB,
@@ -33,6 +34,7 @@ from faascost.money import CONTEXT, Number, ceil_to, dec
 
 _MS_PER_S = Decimal(1000)
 _MB_PER_GB = Decimal(1024)
+_GB_PER_MB = Decimal("0.0009765625")  # 1 GB is 1024 MB; 1 / 1024 is exact
 
 # Derived vCPU counts are floor-quantized here so that re-normalizing an
 # already-normalized allocation reproduces it exactly.
@@ -104,52 +106,105 @@ def _normalize_ratio(
     raise BillingError("cannot satisfy ratio constraints with these steps")
 
 
+def rounded_time(raw_ms: Decimal, granularity_ms: Decimal, cutoff_ms: Decimal) -> Decimal:
+    """``raw_ms`` raised to the minimum cutoff, then rounded up to the granularity.
+
+    The cutoff is applied before the rounding (documented cutoffs are
+    multiples of the granularity, so the order is observationally safe).
+    """
+    return ceil_to(raw_ms if raw_ms > cutoff_ms else cutoff_ms, granularity_ms)
+
+
 def billable_time(
     raw_execution_ms: Number, init_ms: Number, config: PlatformBillingConfig
 ) -> Decimal:
     """Billable wall-clock (or CPU) time in ms: cutoff first, then rounding.
 
     For the ``cpu_time_only`` kind the caller passes consumed CPU time as
-    ``raw_execution_ms``; ``init_ms`` is ignored.  The minimum cutoff is
-    applied before granularity rounding (documented cutoffs are multiples
-    of the granularity, so the order is observationally safe).
+    ``raw_execution_ms``; ``init_ms`` is ignored.
     """
-    with decimal.localcontext(CONTEXT):
-        raw = dec(raw_execution_ms)
-        init = dec(init_ms)
-        if raw < 0 or init < 0:
-            raise BillingError("durations must be >= 0")
-        if config.billable_time_kind == "turnaround":
-            base = raw + init
-        else:
-            base = raw
-        clamped = max(base, config.time_min_cutoff_ms)
-        if config.time_granularity_ms is None:
-            raise MissingGranularityError(
-                f"{config.name}: billing granularity not documented; cannot round time"
-            )
-        if clamped == 0:
-            return Decimal(0)
-        return ceil_to(clamped, config.time_granularity_ms)
+    raw = dec(raw_execution_ms)
+    init = dec(init_ms) if init_ms else 0  # a zero needs no conversion
+    if raw < 0 or init < 0:
+        raise BillingError("durations must be >= 0")
+    if init and config.billable_time_kind == "turnaround":
+        raw = CONTEXT.add(raw, init)
+    if config.time_granularity_ms is None:
+        raise MissingGranularityError(
+            f"{config.name}: billing granularity not documented; cannot round time"
+        )
+    return rounded_time(raw, config.time_granularity_ms, config.time_min_cutoff_ms)
 
 
 def _alloc_amount(alloc: ResourceAllocation, spec: AllocResourceSpec) -> Decimal:
     if spec.resource == VCPU:
         return alloc.vcpus
     if spec.resource == MEMORY_GB:
-        return alloc.memory_gb()
+        return CONTEXT.multiply(alloc.memory_mb, _GB_PER_MB)
     return alloc.extras.get(spec.resource, Decimal(0))
 
 
 def _usage_amount(record, spec: UsageResourceSpec, raw_exec_ms: Decimal) -> Decimal:
     if spec.resource == VCPU:
         avg_vcpus = dec(record.cpu_usage_avg_vcpus)
-        if spec.billing_basis == "absolute":
-            return avg_vcpus * raw_exec_ms  # consumed vCPU-milliseconds
+        if spec.billing_basis == "absolute":  # consumed vCPU-milliseconds
+            return CONTEXT.multiply(avg_vcpus, raw_exec_ms)
         return avg_vcpus
     if spec.resource == MEMORY_GB:
-        return dec(record.mem_usage_mb) / _MB_PER_GB
+        return CONTEXT.multiply(dec(record.mem_usage_mb), _GB_PER_MB)
     return Decimal(0)  # custom usage resources are not carried by records
+
+
+class BillableQuantities(NamedTuple):
+    """What one invocation is billed for: the billable time after the cutoff
+    and the rounding, and each allocation- and usage-billed resource's amount
+    rounded up to its granularity."""
+
+    time_ms: Decimal
+    alloc: Mapping[str, Decimal]
+    usage: Mapping[str, Decimal]
+
+
+def allocation_quantities(
+    alloc: ResourceAllocation, config: PlatformBillingConfig
+) -> Mapping[str, Decimal]:
+    """Each allocation-billed resource's granted amount, rounded up; a custom
+    resource the config does not name raises :class:`UnpricedResourceError`."""
+    for name in alloc.extras:
+        if config.alloc_spec(name) is None and config.usage_spec(name) is None:
+            raise UnpricedResourceError(f"unpriced resource: {name}")
+    return MappingProxyType(
+        {
+            spec.resource: ceil_to(_alloc_amount(alloc, spec), spec.granularity)
+            for spec in config.alloc_resources
+        }
+    )
+
+
+def billable_quantities(
+    record,
+    config: PlatformBillingConfig,
+    alloc_amounts: Optional[Mapping[str, Decimal]] = None,
+) -> BillableQuantities:
+    """Billable time and rounded resource amounts of one invocation, exactly.
+
+    Needs no price.  ``alloc_amounts`` is :func:`allocation_quantities` of
+    the granted allocation, by default of ``record.alloc``; a pass over a
+    trace works it out once per distinct allocation.
+    """
+    if alloc_amounts is None:
+        alloc_amounts = allocation_quantities(record.alloc, config)
+    exec_ms = dec(record.exec_duration_ms)
+    if config.billable_time_kind == "cpu_time_only":
+        raw_time = CONTEXT.multiply(dec(record.cpu_usage_avg_vcpus), exec_ms)
+        time_ms = billable_time(raw_time, 0, config)
+    else:
+        time_ms = billable_time(exec_ms, record.init_duration_ms, config)
+    usage = {}
+    for spec in config.usage_resources:
+        usage[spec.resource] = ceil_to(_usage_amount(record, spec, exec_ms), spec.granularity)
+    # tuple.__new__ skips the named tuple's Python-level constructor.
+    return tuple.__new__(BillableQuantities, (time_ms, alloc_amounts, usage))
 
 
 def _require_price(price: Optional[Decimal], what: str, config_name: str) -> Decimal:
@@ -158,61 +213,44 @@ def _require_price(price: Optional[Decimal], what: str, config_name: str) -> Dec
     return price
 
 
-def compute_cost(record, config: PlatformBillingConfig) -> CostBreakdown:
-    """Itemized cost of one invocation under ``config``.
+def price(quantities: BillableQuantities, config: PlatformBillingConfig) -> CostBreakdown:
+    """Itemized cost of billable quantities under ``config``'s unit prices.
 
-    The record's allocation is expected to be platform-consistent already
-    (see :func:`normalize_allocation`).  Custom resources present in the
-    record but absent from the config raise :class:`UnpricedResourceError`.
+    A zero amount costs nothing, so its price may be undocumented; any
+    other missing price or fee raises :class:`MissingPriceError`.
     """
+
+    def charge(amount: Decimal, unit: Optional[Decimal], per: Decimal, what: str) -> tuple:
+        if amount == 0:
+            return amount, Decimal(0)
+        return amount, amount * per * _require_price(unit, what, config.name)
+
     with decimal.localcontext(CONTEXT):
-        for name in record.alloc.extras:
-            if config.alloc_spec(name) is None and config.usage_spec(name) is None:
-                raise UnpricedResourceError(f"unpriced resource: {name}")
-
-        exec_ms = dec(record.exec_duration_ms)
-        if config.billable_time_kind == "cpu_time_only":
-            raw_time = dec(record.cpu_usage_avg_vcpus) * exec_ms
-        else:
-            raw_time = exec_ms
-        billable_ms = billable_time(raw_time, record.init_duration_ms, config)
-        billable_s = billable_ms / _MS_PER_S
-
+        billable_s = quantities.time_ms / _MS_PER_S
         alloc_terms = {}
         for spec in config.alloc_resources:
-            amount = _alloc_amount(record.alloc, spec)
-            billable_amount = ceil_to(amount, spec.granularity)
-            if billable_amount == 0:
-                usd = Decimal(0)
-            else:
-                price = _require_price(
-                    spec.unit_price_usd_per_unit_second,
-                    f"allocation price for {spec.resource}",
-                    config.name,
-                )
-                usd = billable_amount * billable_s * price
-            alloc_terms[spec.resource] = (billable_amount, usd)
-
+            alloc_terms[spec.resource] = charge(
+                quantities.alloc[spec.resource], spec.unit_price_usd_per_unit_second,
+                billable_s, f"allocation price for {spec.resource}",
+            )
         usage_terms = {}
         for spec in config.usage_resources:
-            amount = _usage_amount(record, spec, exec_ms)
-            billable_amount = ceil_to(amount, spec.granularity)
-            if billable_amount == 0:
-                usd = Decimal(0)
-            else:
-                price = _require_price(
-                    spec.unit_price_usd_per_unit,
-                    f"usage price for {spec.resource}",
-                    config.name,
-                )
-                if spec.billing_basis == "per_billable_second":
-                    usd = billable_amount * billable_s * price
-                else:
-                    usd = billable_amount * price
-            usage_terms[spec.resource] = (billable_amount, usd)
-
+            per = billable_s if spec.billing_basis == "per_billable_second" else Decimal(1)
+            usage_terms[spec.resource] = charge(
+                quantities.usage[spec.resource], spec.unit_price_usd_per_unit,
+                per, f"usage price for {spec.resource}",
+            )
         fee = _require_price(config.invocation_fee_usd, "invocation fee", config.name)
-        return CostBreakdown(billable_ms, alloc_terms, usage_terms, fee)
+        return CostBreakdown(quantities.time_ms, alloc_terms, usage_terms, fee)
+
+
+def compute_cost(
+    record, config: PlatformBillingConfig, alloc: Optional[ResourceAllocation] = None
+) -> CostBreakdown:
+    """Itemized cost of one invocation under ``config``; ``alloc`` is the granted
+    allocation (see :func:`normalize_allocation`), by default the record's."""
+    granted = allocation_quantities(record.alloc if alloc is None else alloc, config)
+    return price(billable_quantities(record, config, granted), config)
 
 
 def fee_equivalent_walltime(
@@ -220,24 +258,15 @@ def fee_equivalent_walltime(
 ) -> Decimal:
     """Wall time (ms) whose allocation charge equals the invocation fee.
 
-    Exact division of the fee by the per-millisecond allocation cost; no
-    time rounding is applied.  Consumption-billed resources do not
-    contribute (their charge needs a usage figure, not an allocation).
+    Exact division of the fee by the price of one millisecond of the
+    allocation; no time rounding is applied.  Consumption-billed resources
+    do not contribute (their charge needs a usage figure, not an allocation).
     """
+    no_usage = {s.resource: Decimal(0) for s in config.usage_resources}
+    one_ms = BillableQuantities(Decimal(1), allocation_quantities(alloc, config), no_usage)
+    cost = price(one_ms, config)
     with decimal.localcontext(CONTEXT):
-        fee = _require_price(config.invocation_fee_usd, "invocation fee", config.name)
-        per_ms = Decimal(0)
-        for spec in config.alloc_resources:
-            amount = _alloc_amount(alloc, spec)
-            billable_amount = ceil_to(amount, spec.granularity)
-            if billable_amount == 0:
-                continue
-            price = _require_price(
-                spec.unit_price_usd_per_unit_second,
-                f"allocation price for {spec.resource}",
-                config.name,
-            )
-            per_ms += billable_amount * price / _MS_PER_S
+        per_ms = sum(usd for _, usd in cost.alloc_terms.values())
         if per_ms == 0:
             raise BillingError("fee has no time equivalent")
-        return fee / per_ms
+        return cost.fee_usd / per_ms

@@ -233,10 +233,6 @@ class ResourceAllocation:
         if self.vcpus < 0 or self.memory_mb < 0 or any(v < 0 for v in extras.values()):
             raise BillingError("allocation amounts must be >= 0")
 
-    def memory_gb(self) -> Decimal:
-        # 1 GB == 1024 MB throughout; division by 1024 is exact in decimal.
-        return self.memory_mb / Decimal(1024)
-
 
 @dataclass(frozen=True)
 class CostBreakdown:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import contextlib
 import hashlib
 import json
 import sys
 import time
 from decimal import Decimal
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import yaml
 
@@ -34,7 +34,7 @@ from faascost.billing import (
     resolve_platform,
     resolve_platform_path,
 )
-from faascost.billing.model import allocation
+from faascost.billing.model import ResourceAllocation, allocation
 from faascost.profiler import (
     ProbeConfig,
     ProfilerError,
@@ -128,33 +128,19 @@ def _write_json(doc: dict, path: Optional[Path]) -> None:
 
 
 def _write_rows(
-    rows: List[dict],
+    rows: Iterable[dict],
     fieldnames: Sequence[str],
     fmt: str,
     path: Optional[Path],
 ) -> None:
-    """Rows as CSV (header + one line each) or as a JSON array."""
+    """Rows as CSV (header + one line each, written as they come) or as a JSON array."""
     if fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        buf = []
-        sink = _StringSink(buf)
-        writer = csv.DictWriter(sink, fieldnames=list(fieldnames), lineterminator="\n")
+        _write_json(list(rows), path)
+        return
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        text = "".join(buf)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text)
-
-
-class _StringSink:
-    def __init__(self, buf: List[str]) -> None:
-        self._buf = buf
-
-    def write(self, text: str) -> None:
-        self._buf.append(text)
 
 
 def _table_path(out_dir: Optional[Path], stem: str, fmt: str) -> Optional[Path]:
@@ -203,12 +189,8 @@ def _load_schema(path: Optional[str]) -> Optional[SchemaMap]:
 # ------------------------------------------------------------------ bill
 
 
-def _bill_row(record, config, normalize: bool) -> dict:
-    if normalize:
-        record = dataclasses.replace(
-            record, alloc=normalize_allocation(record.alloc, config)
-        )
-    breakdown = compute_cost(record, config)
+def _bill_row(record, config, alloc) -> dict:
+    breakdown = compute_cost(record, config, alloc)
     doc = breakdown.as_dict()
     return {
         "function_id": record.function_id,
@@ -236,14 +218,23 @@ def cmd_bill(args: argparse.Namespace) -> int:
     if args.records is not None:
         records_path = Path(args.records)
         schema = _load_schema(args.schema)
-        rows = [
-            _bill_row(record, config, normalize)
-            for record in ingest_trace(records_path, schema)
-        ]
+        granted: Dict[tuple, ResourceAllocation] = {}
+
+        def grant(alloc: ResourceAllocation) -> ResourceAllocation:
+            # Normalized once per allocation; trace records carry no extras.
+            key = (alloc.vcpus, alloc.memory_mb)
+            if key not in granted:
+                granted[key] = normalize_allocation(alloc, config) if normalize else alloc
+            return granted[key]
+
         out_dir = Path(args.out_dir) if args.out_dir else None
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
         path = _table_path(out_dir, "bills", args.format)
+        rows = (
+            _bill_row(record, config, grant(record.alloc))
+            for record in ingest_trace(records_path, schema)
+        )
         fieldnames = [
             "function_id",
             "instance_id",
@@ -400,21 +391,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         policies = []
         for gran in _split_list(args.roundup_ms):
             name = f"{gran}ms"
-            if float(args.roundup_cutoff_ms) > 0:
+            if args.roundup_cutoff_ms > 0:
                 name += f"_min{args.roundup_cutoff_ms}ms"
             if args.roundup_mem_gb is not None:
                 name += f"_mem{args.roundup_mem_gb}gb"
             policies.append(
-                RoundingPolicy(
-                    name=name,
-                    time_granularity_ms=float(gran),
-                    time_min_cutoff_ms=float(args.roundup_cutoff_ms),
-                    mem_granularity_gb=(
-                        None
-                        if args.roundup_mem_gb is None
-                        else float(args.roundup_mem_gb)
-                    ),
-                )
+                RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
             )
         stats_rows = rounding_up_stats(records, policies)
         docs = [s.as_dict() for s in stats_rows]

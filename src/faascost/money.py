@@ -2,9 +2,9 @@
 
 Unit prices sit around 1e-7 USD and get multiplied by quantities spanning
 ten orders of magnitude, so everything here runs on :class:`decimal.Decimal`
-with a wide context instead of binary floats.  Ceiling division goes through
-:class:`fractions.Fraction` because the granularity may not divide the
-amount in any finite number of decimal digits (e.g. 1.0 / 0.3).
+with a wide context instead of binary floats.  Ceiling division takes the
+integer quotient and remainder, which stay exact where the granularity does
+not divide the amount in any finite number of decimal digits (e.g. 1.0 / 0.3).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import decimal
 import math
 from decimal import Decimal
-from fractions import Fraction
 from typing import Union
 
 #: Wide enough that products and sums of config-scale literals stay exact.
@@ -22,6 +21,7 @@ CONTEXT = decimal.Context(prec=200, rounding=decimal.ROUND_HALF_EVEN)
 USD_PLACES = 12
 
 _USD_QUANTUM = Decimal(1).scaleb(-USD_PLACES)
+_ZERO = Decimal(0)
 
 Number = Union[Decimal, int, str, float]
 
@@ -32,14 +32,14 @@ def dec(value: Number) -> Decimal:
     Floats are routed through ``repr`` so ``dec(0.1) == Decimal("0.1")``;
     ints, strings, and Decimals convert exactly.
     """
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a numeric amount")
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite amount: {value!r}")
         return Decimal(repr(value))
+    if isinstance(value, Decimal):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a numeric amount")
     if isinstance(value, (int, str)):
         return Decimal(value)
     raise TypeError(f"cannot convert {type(value).__name__} to Decimal")
@@ -48,19 +48,24 @@ def dec(value: Number) -> Decimal:
 def ceil_to(amount: Decimal, granularity: Decimal) -> Decimal:
     """Round ``amount`` up to the next multiple of ``granularity``, exactly.
 
-    The multiplier count is computed in rational arithmetic, so the result
-    is an exact integer multiple of ``granularity`` for any positive
-    decimal granularity.
+    The step count is the integer quotient, plus one when the remainder is
+    nonzero, so the result is an exact integer multiple of ``granularity``
+    for any positive decimal granularity.  It runs under :data:`CONTEXT`,
+    entered here unless the current context is already as wide.
     """
-    if granularity <= 0:
+    if granularity <= _ZERO:
         raise ValueError("granularity must be > 0")
-    if amount < 0:
+    if amount < _ZERO:
         raise ValueError("amount must be >= 0")
-    if amount == 0:
-        return Decimal(0)
-    steps = math.ceil(Fraction(amount) / Fraction(granularity))
-    with decimal.localcontext(CONTEXT):
-        return Decimal(steps) * granularity
+    if not amount:
+        return _ZERO
+    if decimal.getcontext().prec < CONTEXT.prec:
+        with decimal.localcontext(CONTEXT):
+            return ceil_to(amount, granularity)
+    steps, rest = divmod(amount, granularity)
+    if rest:
+        steps += 1
+    return steps * granularity
 
 
 def usd_string(amount: Decimal) -> str:

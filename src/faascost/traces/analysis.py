@@ -1,16 +1,21 @@
 """Trace analytics: inflation, utilization correlation, cold starts, rounding.
 
 All analyses stream over an iterable of InvocationRecord in one pass with
-O(1) or O(instances) state. Arithmetic runs in compensated floats for
-throughput; the money engine keeps its exact decimal path separately.
+O(1) or O(instances) state. Billables come from the exact quantity stage
+of the billing engine, the formula the invoice uses; they are summed
+exactly and reported as correctly rounded floats. Actual-usage totals and
+the correlation and cold-start analyses run in compensated floats.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from decimal import Decimal
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .records import InvocationRecord
 from .sketch import QuantileSketch
@@ -22,6 +27,7 @@ from ..billing.model import (
     FixedCombos,
     PlatformBillingConfig,
 )
+from ..money import CONTEXT, ceil_to, dec
 
 
 class _Sum:
@@ -43,50 +49,6 @@ class _Sum:
 
     def value(self) -> float:
         return self._total + self._comp
-
-
-def _ceil_to_f(amount: float, granularity: float) -> float:
-    if amount <= 0.0:
-        return 0.0
-    return math.ceil(amount / granularity) * granularity
-
-
-def _billable_ms_f(
-    raw_ms: float, granularity_ms: Optional[float], cutoff_ms: float
-) -> float:
-    raw_ms = max(raw_ms, cutoff_ms)
-    if raw_ms == 0.0:
-        return 0.0
-    if granularity_ms is None:
-        raise ValueError("platform does not document a time granularity")
-    return _ceil_to_f(raw_ms, granularity_ms)
-
-
-MappingT = Union[str, Callable[[InvocationRecord], Tuple[float, float]]]
-
-
-def _make_mapper(
-    config: PlatformBillingConfig, mapping: MappingT
-) -> Callable[[InvocationRecord], Tuple[float, float]]:
-    """Return record -> (vcpus, memory_mb) under the platform's knobs."""
-    if callable(mapping):
-        return mapping
-    if mapping == "direct":
-        return lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
-    if mapping == "normalize":
-        cache: Dict[Tuple[float, float], Tuple[float, float]] = {}
-
-        def mapper(r: InvocationRecord) -> Tuple[float, float]:
-            key = (r.alloc.vcpus, r.alloc.memory_mb)
-            hit = cache.get(key)
-            if hit is None:
-                norm = billing_engine.normalize_allocation(r.alloc, config)
-                hit = (float(norm.vcpus), float(norm.memory_mb))
-                cache[key] = hit
-            return hit
-
-        return mapper
-    raise ValueError(f"unknown mapping: {mapping!r}")
 
 
 @dataclass
@@ -131,11 +93,24 @@ class InflationReport:
         }
 
 
+_S_PER_MS = Decimal("0.001")
+_GB_PER_MB = Decimal("0.0009765625")  # 1 / 1024, exactly
+
+
+def _usage_s(quantities, resource: str, basis: str) -> Decimal:
+    """Billable resource-seconds of one request's usage-billed resource."""
+    amount = quantities.usage[resource]
+    if basis == "per_billable_second":
+        return amount * quantities.time_ms * _S_PER_MS
+    # Absolute: vCPU time is metered in vCPU-ms; memory is taken as GB-s.
+    return amount * _S_PER_MS if resource == VCPU else amount
+
+
 def inflation_analysis(
     records: Iterable[InvocationRecord],
     config: PlatformBillingConfig,
     *,
-    mapping: MappingT = "normalize",
+    mapping: str = "normalize",
     sketch_eps: float = 0.005,
 ) -> InflationReport:
     """Aggregate billable-to-actual resource inflation under a platform.
@@ -144,110 +119,104 @@ def inflation_analysis(
     resource-seconds, so heavy requests weigh in proportionally. Resources
     the platform does not bill are reported as None. Per-request billable
     distributions go into quantile sketches.
-    """
-    mapper = _make_mapper(config, mapping)
-    mapping_name = mapping if isinstance(mapping, str) else "custom"
 
-    alloc_vcpu = config.alloc_spec(VCPU)
-    alloc_mem = config.alloc_spec(MEMORY_GB)
+    Billables are :func:`faascost.billing.engine.billable_quantities` of the
+    granted (``mapping="normalize"``) or requested (``"direct"``) allocation.
+    """
+    if mapping not in ("normalize", "direct"):
+        raise ValueError(f"unknown mapping: {mapping!r}")
     usage_vcpu = config.usage_spec(VCPU)
     usage_mem = config.usage_spec(MEMORY_GB)
-
-    gran = float(config.time_granularity_ms) if config.time_granularity_ms is not None else None
-    cutoff = float(config.time_min_cutoff_ms)
-
-    n = 0
-    actual_cpu = _Sum()
-    actual_mem = _Sum()
-    bill_cpu = _Sum()
-    bill_mem = _Sum()
+    cpu_basis = usage_vcpu.billing_basis if usage_vcpu else None
+    mem_basis = usage_mem.billing_basis if usage_mem else None
     # CPU is billed when priced directly or when the knob coupling ties a
     # vCPU share to every billed memory size (proportional and combo plans).
     bills_cpu = (
-        alloc_vcpu is not None
+        config.alloc_spec(VCPU) is not None
         or usage_vcpu is not None
         or isinstance(config.knob_coupling, (CpuProportionalToMemory, FixedCombos))
         or config.billable_time_kind == "cpu_time_only"
     )
-    bills_mem = alloc_mem is not None or usage_mem is not None
+    bills_mem = config.alloc_spec(MEMORY_GB) is not None or usage_mem is not None
     cpu_sketch = QuantileSketch(sketch_eps) if bills_cpu else None
     mem_sketch = QuantileSketch(sketch_eps) if bills_mem else None
 
-    for record in records:
-        n += 1
-        vcpus, mem_mb = mapper(record)
-        mem_gb = mem_mb / 1024.0
-        exec_s = record.exec_duration_ms / 1000.0
-        cpu_ms = record.cpu_usage_avg_vcpus * record.exec_duration_ms
+    n = 0
+    actual_cpu = _Sum()
+    actual_mem = _Sum()
+    bill_cpu = bill_mem = Decimal(0)
+    grants: Dict[tuple, tuple] = {}
+    with decimal.localcontext(CONTEXT):  # keeps the billable sums exact
+        for record in records:
+            n += 1
+            exec_s = record.exec_duration_ms / 1000.0
+            cpu_ms = record.cpu_usage_avg_vcpus * record.exec_duration_ms
+            actual_cpu.add(cpu_ms / 1000.0)
+            actual_mem.add(record.mem_usage_mb / 1024.0 * exec_s)
 
-        if config.billable_time_kind == "cpu_time_only":
-            raw_ms = cpu_ms
-        elif config.billable_time_kind == "turnaround":
-            raw_ms = record.exec_duration_ms + record.init_duration_ms
-        else:
-            raw_ms = record.exec_duration_ms
-        billable_s = _billable_ms_f(raw_ms, gran, cutoff) / 1000.0
+            # Each distinct allocation is normalized and rounded once.
+            alloc = record.alloc
+            key = (alloc.vcpus, alloc.memory_mb)
+            if alloc.extras:
+                key += tuple(alloc.extras.items())
+            granted = grants.get(key)
+            if granted is None:
+                if mapping == "normalize":
+                    alloc = billing_engine.normalize_allocation(alloc, config)
+                amounts = billing_engine.allocation_quantities(alloc, config)
+                # A vCPU share granted but not priced is billed as granted.
+                vcpus = amounts.get(VCPU, alloc.vcpus)
+                mem_gb = amounts.get(MEMORY_GB, 0)
+                # Allocation-billed resource-seconds per billable ms.
+                granted = grants[key] = (amounts, vcpus * _S_PER_MS, mem_gb * _S_PER_MS)
+            amounts, vcpu_rate, mem_rate = granted
+            quantities = billing_engine.billable_quantities(record, config, amounts)
 
-        actual_cpu.add(cpu_ms / 1000.0)
-        actual_mem.add(record.mem_usage_mb / 1024.0 * exec_s)
-
-        if bills_cpu:
-            if usage_vcpu is not None:
-                g = float(usage_vcpu.granularity)
-                if usage_vcpu.billing_basis == "per_billable_second":
-                    vcpu_s = _ceil_to_f(record.cpu_usage_avg_vcpus, g) * billable_s
+            if bills_cpu:
+                if cpu_basis is None:
+                    vcpu_s = vcpu_rate * quantities.time_ms
                 else:
-                    vcpu_s = _ceil_to_f(cpu_ms, g) / 1000.0
-            else:
-                billed_vcpus = vcpus
-                if alloc_vcpu is not None:
-                    billed_vcpus = _ceil_to_f(vcpus, float(alloc_vcpu.granularity))
-                vcpu_s = billed_vcpus * billable_s
-            bill_cpu.add(vcpu_s)
-            cpu_sketch.insert(vcpu_s)
-
-        if bills_mem:
-            if usage_mem is not None:
-                g = float(usage_mem.granularity)
-                rounded = _ceil_to_f(record.mem_usage_mb / 1024.0, g)
-                if usage_mem.billing_basis == "per_billable_second":
-                    gb_s = rounded * billable_s
+                    vcpu_s = _usage_s(quantities, VCPU, cpu_basis)
+                bill_cpu += vcpu_s
+                cpu_sketch.insert(float(vcpu_s))
+            if bills_mem:
+                if mem_basis is None:
+                    gb_s = mem_rate * quantities.time_ms
                 else:
-                    # absolute basis: amount is charged once, taken as GB-s
-                    gb_s = rounded
-            else:
-                gb_s = _ceil_to_f(mem_gb, float(alloc_mem.granularity)) * billable_s
-            bill_mem.add(gb_s)
-            mem_sketch.insert(gb_s)
+                    gb_s = _usage_s(quantities, MEMORY_GB, mem_basis)
+                bill_mem += gb_s
+                mem_sketch.insert(float(gb_s))
 
     if n == 0:
         raise ValueError("no records")
 
     flags: List[str] = []
 
-    def ratio(bill: _Sum, actual: _Sum, label: str, billed: bool) -> Optional[float]:
-        if not billed:
+    def ratio(bill: Optional[float], actual: _Sum, label: str) -> Optional[float]:
+        if bill is None:
             return None
         a = actual.value()
         if a <= 0.0:
             flags.append(f"{label}: zero actual usage, inflation undefined")
             return None
-        r = bill.value() / a
+        r = bill / a
         if r < 1.0:
             flags.append(f"{label} < 1: billables below measured usage")
         return r
 
-    infl_cpu = ratio(bill_cpu, actual_cpu, "mean_inflation_cpu", bills_cpu)
-    infl_mem = ratio(bill_mem, actual_mem, "mean_inflation_mem", bills_mem)
+    bill_cpu_total = float(bill_cpu) if bills_cpu else None
+    bill_mem_total = float(bill_mem) if bills_mem else None
+    infl_cpu = ratio(bill_cpu_total, actual_cpu, "mean_inflation_cpu")
+    infl_mem = ratio(bill_mem_total, actual_mem, "mean_inflation_mem")
 
     return InflationReport(
         platform=config.name,
-        mapping=mapping_name,
+        mapping=mapping,
         n=n,
         actual_vcpu_s_total=actual_cpu.value(),
         actual_gb_s_total=actual_mem.value(),
-        billable_vcpu_s_total=bill_cpu.value() if bills_cpu else None,
-        billable_gb_s_total=bill_mem.value() if bills_mem else None,
+        billable_vcpu_s_total=bill_cpu_total,
+        billable_gb_s_total=bill_mem_total,
         mean_inflation_cpu=infl_cpu,
         mean_inflation_mem=infl_mem,
         vcpu_s_sketch=cpu_sketch,
@@ -501,14 +470,19 @@ def cold_start_differential(
 
 @dataclass(frozen=True)
 class RoundingPolicy:
-    """A (time granularity, cutoff, memory granularity) rounding rule."""
+    """A (time granularity, cutoff, memory granularity) rounding rule, in
+    exact decimals (numbers convert through :func:`faascost.money.dec`)."""
 
     name: str
-    time_granularity_ms: float
-    time_min_cutoff_ms: float = 0.0
-    mem_granularity_gb: Optional[float] = None
+    time_granularity_ms: Decimal
+    time_min_cutoff_ms: Decimal = Decimal(0)
+    mem_granularity_gb: Optional[Decimal] = None
 
     def __post_init__(self) -> None:
+        for name in ("time_granularity_ms", "time_min_cutoff_ms", "mem_granularity_gb"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, dec(value))
         if self.time_granularity_ms <= 0:
             raise ValueError("time granularity must be positive")
         if self.time_min_cutoff_ms < 0:
@@ -545,48 +519,50 @@ def rounding_up_stats(
 
     Requests shorter than ``min_exec_ms`` are excluded (sub-granularity
     noise dominates them). Time roundup is billable minus raw execution
-    time. Memory roundup isolates the size-granularity effect on consumed
-    memory, weighted by raw execution seconds, so it is independent of the
-    time rounding reported next to it.
+    time (:func:`faascost.billing.engine.rounded_time`). Memory roundup
+    isolates the size-granularity effect on consumed memory, weighted by raw
+    execution seconds, so it is independent of the time rounding reported
+    next to it. Sums are exact; means are correctly rounded floats.
     """
     if not policies:
         raise ValueError("no policies given")
-    time_sums = [_Sum() for _ in policies]
-    mem_sums = [_Sum() for _ in policies]
+    time_sums = [Decimal(0)] * len(policies)
+    # Policies that share a memory granularity share its sum (in GB-ms).
+    mem_sums = dict.fromkeys({pol.mem_granularity_gb for pol in policies} - {None}, Decimal(0))
     n = 0
     n_short = 0
 
-    for record in records:
-        if record.exec_duration_ms < min_exec_ms:
-            n_short += 1
-            continue
-        n += 1
-        exec_ms = record.exec_duration_ms
-        exec_s = exec_ms / 1000.0
-        mem_gb = record.mem_usage_mb / 1024.0
-        for i, pol in enumerate(policies):
-            billable = _billable_ms_f(
-                exec_ms, pol.time_granularity_ms, pol.time_min_cutoff_ms
-            )
-            time_sums[i].add(billable - exec_ms)
-            if pol.mem_granularity_gb is not None:
-                rounded = _ceil_to_f(mem_gb, pol.mem_granularity_gb)
-                mem_sums[i].add((rounded - mem_gb) * exec_s)
+    with decimal.localcontext(CONTEXT):
+        for record in records:
+            if record.exec_duration_ms < min_exec_ms:
+                n_short += 1
+                continue
+            n += 1
+            exec_ms = dec(record.exec_duration_ms)
+            for i, pol in enumerate(policies):
+                billable = billing_engine.rounded_time(
+                    exec_ms, pol.time_granularity_ms, pol.time_min_cutoff_ms
+                )
+                time_sums[i] += billable - exec_ms
+            if mem_sums:
+                mem_gb = dec(record.mem_usage_mb) * _GB_PER_MB
+                for gran in mem_sums:
+                    mem_sums[gran] += (ceil_to(mem_gb, gran) - mem_gb) * exec_ms
 
-    if n == 0:
-        raise ValueError("no records at or above the execution-time floor")
+        if n == 0:
+            raise ValueError("no records at or above the execution-time floor")
 
-    out: List[RoundingUpStats] = []
-    for i, pol in enumerate(policies):
-        out.append(
+        return [
             RoundingUpStats(
                 policy=pol,
                 n=n,
                 n_skipped_short=n_short,
-                mean_time_roundup_ms=time_sums[i].value() / n,
+                mean_time_roundup_ms=float(Fraction(time_sums[i]) / n),
                 mean_mem_roundup_gb_s=(
-                    mem_sums[i].value() / n if pol.mem_granularity_gb is not None else None
+                    float(Fraction(mem_sums[pol.mem_granularity_gb]) / (1000 * n))
+                    if pol.mem_granularity_gb is not None
+                    else None
                 ),
             )
-        )
-    return out
+            for i, pol in enumerate(policies)
+        ]

@@ -12,7 +12,7 @@ import gzip
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Dict, Iterator, Optional, Tuple, Union
 
 from .records import (
     DURATION_UNITS,
@@ -22,7 +22,7 @@ from .records import (
     InvocationRecord,
     SchemaMap,
 )
-from ..billing.model import allocation
+from ..billing.model import ResourceAllocation, allocation
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _TRUTHY = {"1", "true", "t", "yes", "y"}
@@ -73,11 +73,12 @@ def ingest_trace(
 ) -> Iterator[InvocationRecord]:
     """Yield InvocationRecords from a CSV trace.
 
-    Malformed rows (unparseable numbers, negative durations or usage) are
-    counted in ``stats.malformed_skipped`` and skipped. A missing required
-    column or an unknown unit raises immediately. With ``drop_zero_cpu``
-    set, rows whose average CPU usage is exactly zero are filtered out and
-    counted, mirroring the metering exclusion for requests that never ran.
+    Malformed rows (unparseable, NaN or infinite numbers, negative
+    durations or usage) are counted in ``stats.malformed_skipped`` and
+    skipped. A missing required column or an unknown unit raises
+    immediately. With ``drop_zero_cpu`` set, rows whose average CPU usage
+    is exactly zero are filtered out and counted, mirroring the metering
+    exclusion for requests that never ran. Equal allocations are shared.
     """
     if schema_map is None:
         from .records import default_schema_map
@@ -112,37 +113,42 @@ def ingest_trace(
         has_instance = "instance_id" in schema_map.columns
         has_init = "init_duration" in schema_map.columns
         has_cold = "is_cold_start" in schema_map.columns
+        cols = schema_map.columns
+        allocs: Dict[Tuple[float, float], ResourceAllocation] = {}
 
         for row in reader:
             stats.rows_read += 1
             try:
-                exec_ms = float(row[schema_map.column("exec_duration")]) * dur_factor
-                arrival = float(row[schema_map.column("arrival_ts")]) * ts_factor
-                vcpus = float(row[schema_map.column("alloc_vcpus")])
-                mem_mb = float(row[schema_map.column("alloc_memory_mb")]) * mem_factor
-                cpu_avg = float(row[schema_map.column("cpu_usage_avg_vcpus")])
-                mem_usage = float(row[schema_map.column("mem_usage")]) * mem_factor
+                exec_ms = float(row[cols["exec_duration"]]) * dur_factor
+                arrival = float(row[cols["arrival_ts"]]) * ts_factor
+                vcpus = float(row[cols["alloc_vcpus"]])
+                mem_mb = float(row[cols["alloc_memory_mb"]]) * mem_factor
+                cpu_avg = float(row[cols["cpu_usage_avg_vcpus"]])
+                mem_usage = float(row[cols["mem_usage"]]) * mem_factor
                 init_ms = 0.0
                 if has_init:
-                    cell = row[schema_map.column("init_duration")].strip()
+                    cell = row[cols["init_duration"]].strip()
                     init_ms = float(cell) * dur_factor if cell else 0.0
                 if has_cold:
-                    cold = _parse_bool(row[schema_map.column("is_cold_start")])
+                    cold = _parse_bool(row[cols["is_cold_start"]])
                 else:
                     cold = init_ms > 0.0
                 instance = (
-                    row[schema_map.column("instance_id")].strip()
+                    row[cols["instance_id"]].strip()
                     if has_instance
                     else ""
                 )
+                alloc = allocs.get((vcpus, mem_mb))
+                if alloc is None:
+                    alloc = allocs[vcpus, mem_mb] = allocation(vcpus=vcpus, memory_mb=mem_mb)
                 record = InvocationRecord(
-                    function_id=row[schema_map.column("function_id")].strip(),
+                    function_id=row[cols["function_id"]].strip(),
                     instance_id=instance,
                     arrival_ts_ms=arrival,
                     exec_duration_ms=exec_ms,
                     init_duration_ms=init_ms,
                     is_cold_start=cold,
-                    alloc=allocation(vcpus=vcpus, memory_mb=mem_mb),
+                    alloc=alloc,
                     cpu_usage_avg_vcpus=cpu_avg,
                     mem_usage_mb=mem_usage,
                 )

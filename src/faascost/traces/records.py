@@ -7,7 +7,8 @@ format-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from faascost.billing.model import ResourceAllocation
@@ -23,7 +24,7 @@ class InvocationRecord:
 
     ``cpu_usage_avg_vcpus`` is the mean vCPUs consumed over the execution;
     ``mem_usage_mb`` follows whatever convention (peak or mean) the trace
-    declares in its schema map.
+    declares in its schema map.  Numbers must be finite.
     """
 
     function_id: str
@@ -37,10 +38,13 @@ class InvocationRecord:
     mem_usage_mb: float
 
     def __post_init__(self) -> None:
-        if self.exec_duration_ms < 0 or self.init_duration_ms < 0:
-            raise ValueError("durations must be >= 0")
-        if self.cpu_usage_avg_vcpus < 0 or self.mem_usage_mb < 0:
-            raise ValueError("usage amounts must be >= 0")
+        # NaN fails every comparison, so each check also rejects it.
+        if not math.isfinite(self.arrival_ts_ms):
+            raise ValueError("arrival time must be finite")
+        if not (0 <= self.exec_duration_ms < math.inf and 0 <= self.init_duration_ms < math.inf):
+            raise ValueError("durations must be finite and >= 0")
+        if not (0 <= self.cpu_usage_avg_vcpus < math.inf and 0 <= self.mem_usage_mb < math.inf):
+            raise ValueError("usage amounts must be finite and >= 0")
 
 
 #: Canonical fields that must be bound by every schema map.

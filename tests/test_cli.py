@@ -153,6 +153,22 @@ def test_analyze_roundup_policies(tmp_path, trace_csv):
     assert float(rows[1]["mean_time_roundup_ms"]) > float(rows[0]["mean_time_roundup_ms"])
 
 
+def test_analyze_skips_non_finite_rows(tmp_path):
+    trace = tmp_path / "nan.csv"
+    trace.write_text(
+        "function_id,instance_id,arrival_ts_ms,exec_duration_ms,init_duration_ms,"
+        "is_cold_start,alloc_vcpus,alloc_memory_mb,cpu_usage_avg_vcpus,mem_usage_mb\n"
+        "fa,i1,0,nan,0,false,1,128,0.5,64\n"
+        "fa,i1,5,10,0,false,1,128,0.5,64\n"
+    )
+    out = tmp_path / "out"
+    assert run("analyze", "--trace", trace, "--platforms", "aws_lambda",
+               "--analyses", "inflation", "--out-dir", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_records"] == 1
+    assert report["ingest"]["malformed_skipped"] == 1
+
+
 # -------------------------------------------------------------- simulate
 
 

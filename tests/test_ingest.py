@@ -137,6 +137,31 @@ def test_malformed_rows_skipped_and_counted(tmp_path):
     assert stats.malformed_skipped == 3
 
 
+@pytest.mark.parametrize("column", [3, 4, 2, 6, 7, 8, 9])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_cells_skipped_and_counted(column, value):
+    bad = "fa,i1,0,10,0,false,1,128,0.5,64".split(",")
+    bad[column] = value
+    payload = canonical_csv(["fa,i1,0,10,0,false,1,128,0.5,64", ",".join(bad)])
+    stats = IngestStats()
+    recs = list(ingest_trace(io.BytesIO(payload), stats=stats))
+    assert len(recs) == 1
+    assert stats.malformed_skipped == 1
+
+
+def test_records_share_one_allocation_per_pair():
+    payload = canonical_csv(
+        [
+            "fa,i1,0,10,0,false,1,128,0.5,64",
+            "fb,i2,1,20,0,false,1,128,0.2,32",
+            "fc,i3,2,30,0,false,0.5,128,0.2,32",
+        ]
+    )
+    a, b, c = ingest_trace(io.BytesIO(payload))
+    assert a.alloc is b.alloc
+    assert c.alloc is not a.alloc
+
+
 def test_zero_cpu_filter(tmp_path):
     p = tmp_path / "t.csv"
     p.write_bytes(
