@@ -1,12 +1,14 @@
 """Command line front end: bill, analyze, simulate, profile.
 
-Results are plain CSV/JSON files. A run that writes into an output
-directory also writes ``run.json`` there describing the inputs: the
+Results are plain CSV/JSON files written into ``--out-dir``; without it a
+command with a single result writes it to stdout, and one with several
+(``analyze``, the ``simulate`` sweep) refuses to run. A command that
+succeeds with an output directory also writes ``run.json`` there: the
 subcommand, resolved config paths, the seed, SHA-256 digests of every
-input file, and the tool version, so a result directory is
-self-describing. Given identical inputs and seed, output files are
-byte-identical across reruns; the manifest's ``wall_time_s`` field is
-the one exception.
+input file, the output names and the tool version, so a result directory
+is self-describing. A command that fails writes no manifest. Given
+identical inputs and seed, output files are byte-identical across reruns;
+the manifest's ``wall_time_s`` field is the one exception.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from faascost.billing import (
 from faascost.billing.model import ResourceAllocation, allocation
 from faascost.profiler import (
     ProbeConfig,
-    ProfilerError,
     PUBLISHED_PLATFORM_SCHEDULERS,
     ReferenceSchedParams,
     analyze as analyze_events,
@@ -49,12 +50,12 @@ from faascost.profiler import (
 )
 from faascost.sched import (
     BandwidthControlConfig,
-    SchedulingError,
     TaskSpec,
     closed_form_duration,
     duration_curve,
     fraction_grid,
     quantization_breakpoints,
+    quota_grid,
     simulate,
 )
 from faascost.sched.types import to_us
@@ -79,13 +80,35 @@ _SCHEMA_KEYS = (
     "memory_usage_semantics",
     "delimiter",
 )
+_BILL_COLUMNS = (
+    "function_id",
+    "instance_id",
+    "arrival_ts_ms",
+    "exec_duration_ms",
+    "billable_time_ms",
+    "fee_usd",
+    "alloc_usd",
+    "usage_usd",
+    "total_usd",
+)
+_INFLATION_COLUMNS = (
+    "platform",
+    "n",
+    "mean_inflation_cpu",
+    "mean_inflation_mem",
+    "actual_vcpu_s_total",
+    "billable_vcpu_s_total",
+    "actual_gb_s_total",
+    "billable_gb_s_total",
+)
+_SKETCH_STATS = ("mean", "p50", "p90", "p99")
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Raised for usage problems detected after argument parsing."""
 
 
-# ---------------------------------------------------------------- helpers
+# ------------------------------------------------------------------- run
 
 
 def _sha256(path: Path) -> str:
@@ -96,57 +119,82 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    out_dir: Path,
-    subcommand: str,
-    *,
-    seed: int,
-    started: float,
-    config_paths: Sequence[Path] = (),
-    inputs: Sequence[Path] = (),
-    outputs: Sequence[Path] = (),
-) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "tool_version": __version__,
-        "seed": seed,
-        "config_paths": sorted(str(p) for p in config_paths),
-        "input_digests": {str(p): _sha256(p) for p in sorted(inputs)},
-        "outputs": sorted(p.name for p in outputs),
-        "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    path = out_dir / "run.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+class _Run:
+    """One command's inputs and outputs, and the ``run.json`` that lists them.
+
+    Outputs go into ``--out-dir``, made on first write, or to stdout when
+    there is none.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.started = time.monotonic()
+        self.out_dir = Path(args.out_dir) if args.out_dir else None
+        self.config_paths: List[Path] = []
+        self.inputs: List[Path] = []
+        self.outputs: List[Path] = []
+
+    def require_dir(self) -> None:
+        if self.out_dir is None:
+            raise CliError("this command writes multiple files; pass --out-dir")
+
+    def input(self, path: Optional[str]) -> Optional[Path]:
+        """Record an input file named on the command line; None passes through."""
+        if path is None:
+            return None
+        self.inputs.append(Path(path))
+        return self.inputs[-1]
+
+    def platform(self, name: str):
+        """The named platform's config; its path goes into the manifest."""
+        self.config_paths.append(resolve_platform_path(name, self.args.config_dir))
+        return resolve_platform(name, self.args.config_dir)
+
+    def target(self, name: str, path: Optional[Path] = None) -> Optional[Path]:
+        """Where output ``name`` goes: ``path``, else ``out_dir``; None is stdout."""
+        if path is None:
+            if self.out_dir is None:
+                return None
+            path = self.out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(path)
+        return path
+
+    def json(self, doc, name: str, path: Optional[Path] = None) -> None:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        path = self.target(name, path)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            path.write_text(text)
+
+    def rows(self, rows: Iterable[dict], fieldnames: Sequence[str], stem: str) -> None:
+        """Rows as CSV (a header, then each row as it comes) or as one JSON array."""
+        if self.args.format == "json":
+            self.json(list(rows), f"{stem}.json")
+            return
+        path = self.target(f"{stem}.csv")
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+
+    def write_manifest(self) -> None:
+        if self.out_dir is None:
+            return
+        manifest = {
+            "subcommand": self.args.command,
+            "tool_version": __version__,
+            "seed": self.args.seed,
+            "config_paths": sorted(str(p) for p in self.config_paths),
+            "input_digests": {str(p): _sha256(p) for p in sorted(self.inputs)},
+            "outputs": sorted(p.name for p in self.outputs),
+            "wall_time_s": round(time.monotonic() - self.started, 6),
+        }
+        self.json(manifest, "run.json")
 
 
-def _write_json(doc: dict, path: Optional[Path]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text)
-
-
-def _write_rows(
-    rows: Iterable[dict],
-    fieldnames: Sequence[str],
-    fmt: str,
-    path: Optional[Path],
-) -> None:
-    """Rows as CSV (header + one line each, written as they come) or as a JSON array."""
-    if fmt == "json":
-        _write_json(list(rows), path)
-        return
-    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _table_path(out_dir: Optional[Path], stem: str, fmt: str) -> Optional[Path]:
-    if out_dir is None:
-        return None
-    return out_dir / f"{stem}.{'json' if fmt == 'json' else 'csv'}"
+# ---------------------------------------------------------------- helpers
 
 
 def _slug(number_text: str) -> str:
@@ -164,25 +212,16 @@ def _split_list(raw: str) -> List[str]:
     return items
 
 
-def _ensure_out_dir(args: argparse.Namespace) -> Path:
-    if args.out_dir is None:
-        raise CliError("this command writes multiple files; pass --out-dir")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_schema(path: Optional[str]) -> Optional[SchemaMap]:
-    if path is None:
+def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
+    if source is None:
         return None
-    source = Path(path)
     with open(source, "rb") as fh:
         doc = json.load(fh) if source.suffix == ".json" else yaml.safe_load(fh)
     if not isinstance(doc, dict) or "columns" not in doc:
-        raise CliError(f"{path}: schema file must be a mapping with a 'columns' key")
+        raise CliError(f"{source}: schema file must be a mapping with a 'columns' key")
     unknown = sorted(set(doc) - set(_SCHEMA_KEYS))
     if unknown:
-        raise CliError(f"{path}: unknown schema keys: {unknown}")
+        raise CliError(f"{source}: unknown schema keys: {unknown}")
     return SchemaMap(**doc)
 
 
@@ -209,15 +248,13 @@ def _bill_row(record, config, alloc) -> dict:
     }
 
 
-def cmd_bill(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    config_path = resolve_platform_path(args.platform, args.config_dir)
-    config = resolve_platform(args.platform, args.config_dir)
+def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
+    config = run.platform(args.platform)
     normalize = not args.no_normalize
 
     if args.records is not None:
-        records_path = Path(args.records)
-        schema = _load_schema(args.schema)
+        records_path = run.input(args.records)
+        schema = _load_schema(run.input(args.schema))
         granted: Dict[tuple, ResourceAllocation] = {}
 
         def grant(alloc: ResourceAllocation) -> ResourceAllocation:
@@ -227,38 +264,12 @@ def cmd_bill(args: argparse.Namespace) -> int:
                 granted[key] = normalize_allocation(alloc, config) if normalize else alloc
             return granted[key]
 
-        out_dir = Path(args.out_dir) if args.out_dir else None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        path = _table_path(out_dir, "bills", args.format)
         rows = (
             _bill_row(record, config, grant(record.alloc))
             for record in ingest_trace(records_path, schema)
         )
-        fieldnames = [
-            "function_id",
-            "instance_id",
-            "arrival_ts_ms",
-            "exec_duration_ms",
-            "billable_time_ms",
-            "fee_usd",
-            "alloc_usd",
-            "usage_usd",
-            "total_usd",
-        ]
-        _write_rows(rows, fieldnames, args.format, path)
-        if out_dir is not None:
-            inputs = [records_path] + ([Path(args.schema)] if args.schema else [])
-            _write_manifest(
-                out_dir,
-                "bill",
-                seed=args.seed,
-                started=started,
-                config_paths=[config_path],
-                inputs=inputs,
-                outputs=[path],
-            )
-        return 0
+        run.rows(rows, _BILL_COLUMNS, "bills")
+        return
 
     alloc = allocation(vcpus=str(args.vcpus), memory_mb=str(args.mem_mb))
     if normalize:
@@ -282,37 +293,16 @@ def cmd_bill(args: argparse.Namespace) -> int:
         doc["fee_equivalent_walltime_ms"] = f"{fee_equivalent_walltime(config, alloc):.6f}"
     except BillingError:
         pass
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "bill.json"
-        _write_json(doc, path)
-        _write_manifest(
-            out_dir,
-            "bill",
-            seed=args.seed,
-            started=started,
-            config_paths=[config_path],
-            outputs=[path],
-        )
-    else:
-        _write_json(doc, None)
-    return 0
+    run.json(doc, "bill.json")
 
 
 # --------------------------------------------------------------- analyze
 
 
-def _flatten_sketch(prefix: str, block: Optional[dict], row: dict) -> None:
-    for stat in ("mean", "p50", "p90", "p99"):
-        row[f"{prefix}_{stat}"] = None if block is None else block.get(stat)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    out_dir = _ensure_out_dir(args)
-    trace_path = Path(args.trace)
-    schema = _load_schema(args.schema)
+def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
+    run.require_dir()
+    trace_path = run.input(args.trace)
+    schema = _load_schema(run.input(args.schema))
     analyses = _split_list(args.analyses)
     for name in analyses:
         if name not in _ANALYSES:
@@ -331,50 +321,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "zero_cpu_filtered": stats.zero_cpu_filtered,
         },
     }
-    config_paths: List[Path] = []
-    outputs: List[Path] = []
 
     if "inflation" in analyses:
         rows = []
         blocks = []
         for name in _split_list(args.platforms):
-            config_path = resolve_platform_path(name, args.config_dir)
-            config_paths.append(config_path)
-            config = resolve_platform(name, args.config_dir)
-            rep = inflation_analysis(records, config, mapping=args.mapping)
+            rep = inflation_analysis(records, run.platform(name), mapping=args.mapping)
             doc = rep.as_dict()
             blocks.append(doc)
-            row = {
-                "platform": doc["platform"],
-                "n": doc["n"],
-                "mean_inflation_cpu": doc["mean_inflation_cpu"],
-                "mean_inflation_mem": doc["mean_inflation_mem"],
-                "actual_vcpu_s_total": doc["actual_vcpu_s_total"],
-                "billable_vcpu_s_total": doc["billable_vcpu_s_total"],
-                "actual_gb_s_total": doc["actual_gb_s_total"],
-                "billable_gb_s_total": doc["billable_gb_s_total"],
-            }
-            _flatten_sketch("billable_vcpu_s", doc["billable_vcpu_s"], row)
-            _flatten_sketch("billable_gb_s", doc["billable_gb_s"], row)
+            row = {key: doc[key] for key in _INFLATION_COLUMNS}
+            for prefix in ("billable_vcpu_s", "billable_gb_s"):
+                block = doc[prefix] or {}
+                for stat in _SKETCH_STATS:
+                    row[f"{prefix}_{stat}"] = block.get(stat)
             rows.append(row)
-        path = _table_path(out_dir, "inflation", args.format)
-        _write_rows(rows, list(rows[0].keys()), args.format, path)
-        outputs.append(path)
+        run.rows(rows, list(rows[0]), "inflation")
         report["inflation"] = blocks
 
     if "correlation" in analyses:
         corr = utilization_correlation(records, seed=args.seed)
-        path = _table_path(out_dir, "utilization_correlation", args.format)
         doc = corr.as_dict()
-        _write_rows([doc], list(doc.keys()), args.format, path)
-        outputs.append(path)
+        run.rows([doc], list(doc), "utilization_correlation")
         if corr.scatter:
-            spath = _table_path(out_dir, "utilization_scatter", args.format)
-            srows = [
-                {"cpu_utilization": x, "mem_utilization": y} for x, y in corr.scatter
-            ]
-            _write_rows(srows, ["cpu_utilization", "mem_utilization"], args.format, spath)
-            outputs.append(spath)
+            fieldnames = ["cpu_utilization", "mem_utilization"]
+            srows = [dict(zip(fieldnames, point)) for point in corr.scatter]
+            run.rows(srows, fieldnames, "utilization_scatter")
         report["correlation"] = doc
 
     if "cold-start" in analyses:
@@ -382,9 +353,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         doc = cold.as_dict()
         row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
         row["flags"] = ";".join(doc["flags"])
-        path = _table_path(out_dir, "cold_start", args.format)
-        _write_rows([row], list(row.keys()), args.format, path)
-        outputs.append(path)
+        run.rows([row], list(row), "cold_start")
         report["cold_start"] = doc
 
     if "roundup" in analyses:
@@ -398,43 +367,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             policies.append(
                 RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
             )
-        stats_rows = rounding_up_stats(records, policies)
-        docs = [s.as_dict() for s in stats_rows]
-        path = _table_path(out_dir, "rounding_up", args.format)
-        _write_rows(docs, list(docs[0].keys()), args.format, path)
-        outputs.append(path)
+        docs = [s.as_dict() for s in rounding_up_stats(records, policies)]
+        run.rows(docs, list(docs[0]), "rounding_up")
         report["rounding_up"] = docs
 
-    report_path = out_dir / "report.json"
-    _write_json(report, report_path)
-    outputs.append(report_path)
-    inputs = [trace_path] + ([Path(args.schema)] if args.schema else [])
-    _write_manifest(
-        out_dir,
-        "analyze",
-        seed=args.seed,
-        started=started,
-        config_paths=config_paths,
-        inputs=inputs,
-        outputs=outputs,
-    )
-    return 0
+    run.json(report, "report.json")
 
 
 # -------------------------------------------------------------- simulate
 
 
-def _quantized_quota(fraction: float, period_us: int) -> int:
-    quota_us = round(fraction * period_us)
-    return min(max(quota_us, 1), period_us)
-
-
-def _us_str(us: int) -> str:
-    return f"{us // 1000}.{us % 1000:03d}"
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
     task = TaskSpec(cpu_time_ms=args.t)
     periods = _split_list(args.p)
     lagged = not args.exact_accounting
@@ -456,41 +399,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             task, periods[0], args.q
         )
         doc["n_throttles"] = len(timeline.throttle_durations_us)
-        out_dir = Path(args.out_dir) if args.out_dir else None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "timeline.json"
-            _write_json(doc, path)
-            _write_manifest(
-                out_dir, "simulate", seed=args.seed, started=started, outputs=[path]
-            )
-        else:
-            _write_json(doc, None)
-        return 0
+        run.json(doc, "timeline.json")
+        return
 
-    out_dir = _ensure_out_dir(args)
+    run.require_dir()
     fractions = fraction_grid(args.grid, lo=args.f_lo)
-    outputs: List[Path] = []
     for period in periods:
         stem = f"duration_curve_p{_slug(period)}"
         if args.closed_form_only:
             period_us = to_us(period, "period_ms")
-            rows = []
-            for f in fractions:
-                quota_us = _quantized_quota(f, period_us)
-                completion = closed_form_duration(task, period, _us_str(quota_us))
-                rows.append(
-                    {
-                        "f": f,
-                        "quota_ms": quota_us / 1000.0,
-                        "completion_ms": completion,
-                        "ideal_ms": float(task.cpu_time_ms) / (quota_us / period_us),
-                    }
-                )
-            fieldnames = ["f", "quota_ms", "completion_ms", "ideal_ms"]
-            path = _table_path(out_dir, stem, args.format)
-            _write_rows(rows, fieldnames, args.format, path)
-            outputs.append(path)
+            rows = [
+                {
+                    "f": f,
+                    "quota_ms": quota_us / 1000.0,
+                    "completion_ms": closed_form_duration(
+                        task, period, Decimal(quota_us) / 1000
+                    ),
+                    "ideal_ms": float(task.cpu_time_ms) / (quota_us / period_us),
+                }
+                for f, quota_us in zip(fractions, quota_grid(period, fractions))
+            ]
+            run.rows(rows, ["f", "quota_ms", "completion_ms", "ideal_ms"], stem)
             continue
         curve = duration_curve(
             task,
@@ -501,11 +430,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             flavor=args.flavor,
             lagged_accounting=lagged,
         )
-        rows = curve.csv_rows()
         fieldnames = ["f", "quota_ms", "completion_ms", "ideal_ms", "n_throttles"]
-        path = _table_path(out_dir, stem, args.format)
-        _write_rows(rows, fieldnames, args.format, path)
-        outputs.append(path)
+        run.rows(curve.csv_rows(), fieldnames, stem)
         if args.breakpoints:
             rep = quantization_breakpoints(
                 curve, mem_per_vcpu_mb=args.mem_per_vcpu_mb
@@ -518,36 +444,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 }
                 for b in rep.breakpoints
             ]
-            bpath = _table_path(out_dir, f"breakpoints_p{_slug(period)}", args.format)
-            _write_rows(
-                brows, ["fraction", "completion_drop_ms", "memory_mb"], args.format, bpath
+            run.rows(
+                brows,
+                ["fraction", "completion_drop_ms", "memory_mb"],
+                f"breakpoints_p{_slug(period)}",
             )
-            outputs.append(bpath)
             for warning in rep.warnings:
                 print(f"warning: P={period}: {warning}", file=sys.stderr)
-    _write_manifest(
-        out_dir, "simulate", seed=args.seed, started=started, outputs=outputs
-    )
-    return 0
 
 
 # --------------------------------------------------------------- profile
 
 
-def _events_out(args: argparse.Namespace) -> Optional[Path]:
-    if args.out is not None:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return out_dir / "events.csv"
-    return None
-
-
-def _write_probe_result(result, args: argparse.Namespace, started: float) -> None:
-    path = _events_out(args)
+def _write_probe_result(result, args: argparse.Namespace, run: _Run) -> None:
+    path = run.target("events.csv", None if args.out is None else Path(args.out))
     if path is None:
         events_to_csv(result.events, sys.stdout)
         return
@@ -559,15 +469,7 @@ def _write_probe_result(result, args: argparse.Namespace, started: float) -> Non
         "loop_iterations": result.loop_iterations,
         "notes": list(result.notes),
     }
-    _write_json(summary, path.with_name("probe_summary.json"))
-    if args.out_dir is not None:
-        _write_manifest(
-            Path(args.out_dir),
-            "profile",
-            seed=args.seed,
-            started=started,
-            outputs=[path, path.with_name("probe_summary.json")],
-        )
+    run.json(summary, "probe_summary.json", path.with_name("probe_summary.json"))
 
 
 def _runtime_for(events_path: Path, runtime_ms: Optional[float], events) -> float:
@@ -588,15 +490,22 @@ def _runtime_for(events_path: Path, runtime_ms: Optional[float], events) -> floa
     return fallback
 
 
-def _load_reference(path: Optional[str]) -> Dict[str, ReferenceSchedParams]:
-    if path is None:
+def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
+    if source is None:
         return PUBLISHED_PLATFORM_SCHEDULERS
-    with open(path, "rb") as fh:
+    with open(source, "rb") as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
-        raise CliError(f"{path}: reference table must map platform -> parameters")
+        raise CliError(f"{source}: reference table must map platform -> parameters")
     table = {}
     for platform, params in doc.items():
+        if not isinstance(params, dict):
+            raise CliError(
+                f"{source}: {platform}: expected a mapping with period_ms and tick_hz"
+            )
+        for key in ("period_ms", "tick_hz"):
+            if key not in params:
+                raise CliError(f"{source}: {platform}: missing {key!r}")
         table[platform] = ReferenceSchedParams(
             platform=platform,
             period_ms=float(params["period_ms"]),
@@ -606,15 +515,13 @@ def _load_reference(path: Optional[str]) -> Dict[str, ReferenceSchedParams]:
     return table
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
     if args.action == "run":
         cfg = ProbeConfig(
             exec_duration_ms=args.duration_ms, gap_threshold_us=args.gap_threshold_us
         )
-        result = probe(cfg)
-        _write_probe_result(result, args, started)
-        return 0
+        _write_probe_result(probe(cfg), args, run)
+        return
 
     if args.action == "replay":
         task = TaskSpec(cpu_time_ms=args.t)
@@ -631,40 +538,21 @@ def cmd_profile(args: argparse.Namespace) -> int:
             gap_threshold_us=args.gap_threshold_us,
         )
         result = replay_probe(timeline, cfg, step_us=args.step_us)
-        _write_probe_result(result, args, started)
-        return 0
+        _write_probe_result(result, args, run)
+        return
 
     # analyze and report both start from a saved event log.
-    events_path = Path(getattr(args, "in"))
+    events_path = run.input(getattr(args, "in"))
     events = events_from_csv(str(events_path))
     runtime_ms = _runtime_for(events_path, args.runtime_ms, events)
     fingerprint = analyze_events(
         events, runtime_ms, alignment_tol_us=args.alignment_tol_us
     )
     if args.action == "analyze":
-        doc = fingerprint.as_dict()
+        run.json(fingerprint.as_dict(), "fingerprint.json")
     else:
-        doc = fingerprint_report(fingerprint, reference=_load_reference(args.reference))
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = "fingerprint.json" if args.action == "analyze" else "report.json"
-        path = out_dir / name
-        _write_json(doc, path)
-        inputs = [events_path]
-        if args.action == "report" and args.reference:
-            inputs.append(Path(args.reference))
-        _write_manifest(
-            out_dir,
-            "profile",
-            seed=args.seed,
-            started=started,
-            inputs=inputs,
-            outputs=[path],
-        )
-    else:
-        _write_json(doc, None)
-    return 0
+        reference = _load_reference(run.input(args.reference))
+        run.json(fingerprint_report(fingerprint, reference=reference), "report.json")
 
 
 # ---------------------------------------------------------------- parser
@@ -858,16 +746,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = _Run(args)
     try:
-        return args.func(args)
-    except (BillingError, SchedulingError, ProfilerError, CliError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args.func(args, run)
+        run.write_manifest()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ def dec(value: Number) -> Decimal:
     """Convert ``value`` to a :class:`Decimal` without binary-float surprises.
 
     Floats are routed through ``repr`` so ``dec(0.1) == Decimal("0.1")``;
-    ints, strings, and Decimals convert exactly.
+    ints, strings, and Decimals convert exactly.  A string that is not a
+    finite number raises :class:`ValueError`.
     """
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -40,7 +41,15 @@ def dec(value: Number) -> Decimal:
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a numeric amount")
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        try:
+            result = Decimal(value)
+        except decimal.InvalidOperation:
+            raise ValueError(f"not a number: {value!r}") from None
+        if not result.is_finite():
+            raise ValueError(f"non-finite amount: {value!r}")
+        return result
+    if isinstance(value, int):
         return Decimal(value)
     raise TypeError(f"cannot convert {type(value).__name__} to Decimal")
 

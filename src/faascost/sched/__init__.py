@@ -11,6 +11,7 @@ from faascost.sched.sweep import (
     duration_curve,
     fraction_grid,
     quantization_breakpoints,
+    quota_grid,
 )
 from faascost.sched.types import (
     BandwidthControlConfig,
@@ -35,5 +36,6 @@ __all__ = [
     "duration_curve",
     "fraction_grid",
     "quantization_breakpoints",
+    "quota_grid",
     "simulate",
 ]

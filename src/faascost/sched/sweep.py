@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import List, Optional, Sequence, Tuple
 
 from ..money import dec
@@ -34,8 +35,24 @@ def fraction_grid(n: int, lo: float = 0.005, hi: float = 1.0) -> List[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _us_to_ms_str(us: int) -> str:
-    return f"{us // 1000}.{us % 1000:03d}"
+def quota_grid(period_ms: Number, fractions: Sequence[float]) -> List[int]:
+    """Each fraction's quota in whole us: f * period rounded, capped at the period.
+
+    A fraction outside (0, 1], or one whose quota rounds below 1 us,
+    raises :class:`SchedulingError`.
+    """
+    period_us = to_us(period_ms, "period_ms")
+    quotas: List[int] = []
+    for f in fractions:
+        if not 0.0 < f <= 1.0:
+            raise SchedulingError(f"fraction must be in (0, 1], got {f}")
+        quota_us = round(f * period_us)
+        if quota_us < 1:
+            raise SchedulingError(
+                f"fraction {f} yields a quota below 1 us at period {period_ms} ms"
+            )
+        quotas.append(min(quota_us, period_us))
+    return quotas
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,7 @@ def duration_curve(
     lagged_accounting: bool = True,
     tick_phase_ms: Number = 0,
 ) -> DurationCurve:
-    """One simulate() run per fraction; quotas quantize to whole us.
+    """One simulate() run per fraction, at the quota :func:`quota_grid` gives it.
 
     With lagged accounting the curve carries up to one tick interval of
     jitter per point, so completion is only approximately nonincreasing
@@ -99,21 +116,12 @@ def duration_curve(
     lagged accounting for the exact quota-delivery curve, which is
     provably monotone.
     """
-    period_us = to_us(period_ms, "period_ms")
     points: List[CurvePoint] = []
     t_ms = float(task.cpu_time_ms)
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise SchedulingError(f"fraction must be in (0, 1], got {f}")
-        quota_us = round(f * period_us)
-        if quota_us < 1:
-            raise SchedulingError(
-                f"fraction {f} yields a quota below 1 us at period {period_ms} ms"
-            )
-        quota_us = min(quota_us, period_us)
+    for f, quota_us in zip(fractions, quota_grid(period_ms, fractions)):
         cfg = BandwidthControlConfig(
             period_ms=float(dec(period_ms)),
-            quota_ms=_us_to_ms_str(quota_us),
+            quota_ms=Decimal(quota_us) / 1000,
             tick_hz=tick_hz,
             slice_ms=slice_ms,
             flavor=flavor,

@@ -21,6 +21,14 @@ def trace_csv(tmp_path_factory) -> Path:
     return path
 
 
+@pytest.fixture(scope="module")
+def events_csv(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("events")
+    assert main(["profile", "replay", "--t", "200", "--p", "20", "--q", "5",
+                 "--out-dir", str(out)]) == 0
+    return out / "events.csv"
+
+
 def run(*argv) -> int:
     return main([str(a) for a in argv])
 
@@ -83,6 +91,19 @@ def test_bill_manifest_records_inputs(tmp_path, trace_csv):
     digest = manifest["input_digests"][str(trace_csv)]
     assert len(digest) == 64
     assert manifest["outputs"] == ["bills.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bill", "--platform", "aws_lambda", "--vcpus", "abc", "--mem-mb", 128, "--exec-ms", 10],
+    ["bill", "--platform", "aws_lambda", "--mem-mb", "inf", "--exec-ms", 10],
+    ["bill", "--platform", "aws_lambda", "--mem-mb", "nan", "--exec-ms", 10],
+    ["simulate", "--t", "nan", "--p", "20", "--q", "5"],
+    ["simulate", "--t", "inf", "--p", "20", "--q", "5"],
+    ["simulate", "--t", "10", "--p", "20", "--q", "abc"],
+], ids=["vcpus-abc", "mem-inf", "mem-nan", "t-nan", "t-inf", "q-abc"])
+def test_bad_number_fails_cleanly(argv, capsys):
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --------------------------------------------------------------- analyze
@@ -243,6 +264,16 @@ def test_simulate_format_json(tmp_path):
     assert len(rows) == 10 and rows[-1]["f"] == 1.0
 
 
+def test_simulate_closed_form_only_rejects_sub_us_quota_like_sweep(tmp_path, capsys):
+    errors = []
+    for flag in ([], ["--closed-form-only"]):
+        assert run("simulate", "--t", "100", "--p", "0.1", "--grid", 3,
+                   "--f-lo", "0.001", *flag, "--out-dir", tmp_path / "out") == 1
+        errors.append(capsys.readouterr().err)
+    assert "fraction 0.001 yields a quota below 1 us" in errors[0]
+    assert errors[1] == errors[0]
+
+
 # --------------------------------------------------------------- profile
 
 
@@ -293,6 +324,28 @@ def test_profile_report_custom_reference(tmp_path):
     assert rep["matched_platforms"] == ["lab"]
 
 
+@pytest.mark.parametrize("table, named", [
+    ("lab:\n  tick_hz: 300\n", "period_ms"),
+    ("lab: 50\n", "mapping"),
+], ids=["missing-key", "not-a-mapping"])
+def test_profile_report_bad_reference_fails(tmp_path, events_csv, capsys, table, named):
+    reference = tmp_path / "ref.yaml"
+    reference.write_text(table)
+    assert run("profile", "report", "--in", events_csv, "--reference", reference) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lab" in err and named in err
+
+
+def test_profile_out_creates_missing_out_dir(tmp_path):
+    events = tmp_path / "events" / "events.csv"
+    out = tmp_path / "missing"
+    assert run("profile", "replay", "--t", "200", "--p", "20", "--q", "5",
+               "--out", events, "--out-dir", out) == 0
+    assert (events.parent / "probe_summary.json").exists()
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["outputs"] == ["events.csv", "probe_summary.json"]
+
+
 def test_profile_replay_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -309,6 +362,36 @@ def test_profile_run_live_smoke(tmp_path):
     summary = json.loads((out / "probe_summary.json").read_text())
     assert summary["total_runtime_ms"] >= 15.0
     assert "live" in summary["notes"]
+
+
+# -------------------------------------------------------------- manifest
+
+_MANIFEST_CASES = {
+    "bill": ["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
+    "bill-records": ["bill", "--platform", "aws_lambda", "--records", "TRACE"],
+    "analyze": ["analyze", "--trace", "TRACE", "--platforms",
+                "aws_lambda,gcp_cloudrun_functions"],
+    "simulate-sweep": ["simulate", "--t", "160", "--p", "20,100", "--grid", "60",
+                       "--breakpoints"],
+    "simulate-timeline": ["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
+    "profile-replay": ["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
+    "profile-analyze": ["profile", "analyze", "--in", "EVENTS"],
+    "profile-report": ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
+}
+
+
+@pytest.mark.parametrize("argv", _MANIFEST_CASES.values(), ids=_MANIFEST_CASES)
+def test_manifest_matches_directory(argv, tmp_path, trace_csv, events_csv):
+    reference = tmp_path / "ref.yaml"
+    reference.write_text("lab:\n  period_ms: 20\n  tick_hz: 250\n")
+    files = {"TRACE": trace_csv, "EVENTS": events_csv, "REFERENCE": reference}
+    out = tmp_path / "out"
+    assert run(*[files.get(a, a) for a in argv], "--out-dir", out) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["outputs"] == sorted(
+        p.name for p in out.iterdir() if p.name != "run.json"
+    )
+    assert set(manifest["input_digests"]) == {str(files[a]) for a in argv if a in files}
 
 
 def test_version_flag(capsys):

@@ -28,6 +28,9 @@ def test_dec_rejects_non_numbers():
         dec(True)
     with pytest.raises(ValueError):
         dec(float("nan"))
+    for text in ("abc", "nan", "inf"):
+        with pytest.raises(ValueError):
+            dec(text)
 
 
 @given(amounts, grans)
