@@ -1,7 +1,8 @@
 """Cost engine: allocation normalization, billable quantities, and invoice math.
 
 ``compute_cost`` is :func:`billable_quantities` (granularities only), then
-:func:`price` (unit prices); the trace analytics use the first stage alone.
+:func:`price` (unit prices); the trace analytics use the first stage alone,
+through :class:`StepKeys`, its integer form for a pass over a trace.
 Records are any object with the fields of
 :class:`faascost.traces.records.InvocationRecord`.
 """
@@ -30,7 +31,7 @@ from faascost.billing.model import (
     UnpricedResourceError,
     UsageResourceSpec,
 )
-from faascost.money import CONTEXT, Number, ceil_to, dec
+from faascost.money import CONTEXT, Number, ceil_to, dec, micros, whole_units
 
 _MS_PER_S = Decimal(1000)
 _MB_PER_GB = Decimal(1024)
@@ -205,6 +206,109 @@ def billable_quantities(
         usage[spec.resource] = ceil_to(_usage_amount(record, spec, exec_ms), spec.granularity)
     # tuple.__new__ skips the named tuple's Python-level constructor.
     return tuple.__new__(BillableQuantities, (time_ms, alloc_amounts, usage))
+
+
+def rounded_steps(raw: int, granularity: int, cutoff: int) -> int:
+    """:func:`rounded_time` in integer units: the whole granularity steps
+    billed for ``raw`` once raised to the cutoff."""
+    return -(-(raw if raw > cutoff else cutoff) // granularity)
+
+
+# How StepKeys reads a usage-billed resource's amount.
+_CPU, _CPU_MS, _MEM, _NONE = range(4)
+
+
+class StepKeys:
+    """:func:`billable_quantities` in integers, for a pass over a trace.
+
+    ``key(record)`` is the record's billed time and usage amounts as whole
+    granularity steps: the cutoff first, then the ceiling, on fields read
+    by :func:`faascost.money.micros`.  It is None when a field the platform
+    bills is not a whole count of millionths; that record takes
+    ``billable_quantities``.  ``quantities(key, alloc_amounts)`` is the
+    :class:`BillableQuantities` that ``billable_quantities`` gives every
+    record with that key, so the Decimal work is done once per distinct key.
+    Amounts are counted in 10^-6 ms, MB or vCPU, and in 10^-12 for products
+    of two fields (CPU-time billing, absolute vCPU-ms).
+    """
+
+    __slots__ = ("_turnaround", "_cpu_time", "_granularity", "_cutoff", "_time_ms", "_usage")
+
+    def __init__(self, config: PlatformBillingConfig, granularity: int, cutoff: int,
+                 usage: tuple) -> None:
+        self._turnaround = config.billable_time_kind == "turnaround"
+        self._cpu_time = config.billable_time_kind == "cpu_time_only"
+        self._granularity = granularity
+        self._cutoff = cutoff
+        self._time_ms = config.time_granularity_ms
+        # (resource, how to read its amount, granularity in units, in Decimal)
+        self._usage = usage
+
+    @classmethod
+    def for_config(cls, config: PlatformBillingConfig) -> Optional["StepKeys"]:
+        """None when the config has no time granularity, or a granularity or
+        cutoff is not a whole number of units: then every record of the
+        platform takes ``billable_quantities``."""
+        if config.time_granularity_ms is None:
+            return None
+        scale = 10**12 if config.billable_time_kind == "cpu_time_only" else 10**6
+        granularity = whole_units(config.time_granularity_ms, scale)
+        cutoff = whole_units(config.time_min_cutoff_ms, scale)
+        if not granularity or cutoff is None:
+            return None
+        usage = []
+        for spec in config.usage_resources:
+            if spec.resource == VCPU and spec.billing_basis == "absolute":
+                how, units = _CPU_MS, whole_units(spec.granularity, 10**12)
+            elif spec.resource == VCPU:
+                how, units = _CPU, whole_units(spec.granularity, 10**6)
+            elif spec.resource == MEMORY_GB:  # read in 10^-6 MB
+                how, units = _MEM, whole_units(spec.granularity * _MB_PER_GB, 10**6)
+            else:
+                how, units = _NONE, 1
+            if not units:
+                return None
+            usage.append((spec.resource, how, units, spec.granularity))
+        return cls(config, granularity, cutoff, tuple(usage))
+
+    def key(self, record) -> Optional[tuple]:
+        exec_units = micros(record.exec_duration_ms)
+        if exec_units is None:
+            return None
+        if self._cpu_time:
+            cpu = micros(record.cpu_usage_avg_vcpus)
+            if cpu is None:
+                return None
+            raw = cpu * exec_units
+        elif self._turnaround and record.init_duration_ms:
+            init = micros(record.init_duration_ms)
+            if init is None:
+                return None
+            raw = exec_units + init
+        else:
+            raw = exec_units
+        key = [rounded_steps(raw, self._granularity, self._cutoff)]
+        for _, how, units, _ in self._usage:
+            if how == _MEM:
+                amount = micros(record.mem_usage_mb)
+            elif how == _NONE:
+                amount = 0
+            else:
+                amount = micros(record.cpu_usage_avg_vcpus)
+                if how == _CPU_MS and amount is not None:
+                    amount *= exec_units
+            if amount is None:
+                return None
+            key.append(rounded_steps(amount, units, 0))
+        return tuple(key)
+
+    def quantities(self, key: tuple, alloc_amounts: Mapping[str, Decimal]) -> BillableQuantities:
+        time_ms = CONTEXT.multiply(key[0], self._time_ms)
+        usage = {
+            resource: CONTEXT.multiply(steps, granularity)
+            for steps, (resource, _, _, granularity) in zip(key[1:], self._usage)
+        }
+        return tuple.__new__(BillableQuantities, (time_ms, alloc_amounts, usage))
 
 
 def _require_price(price: Optional[Decimal], what: str, config_name: str) -> Decimal:

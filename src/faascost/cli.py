@@ -5,10 +5,11 @@ command with a single result writes it to stdout, and one with several
 (``analyze``, the ``simulate`` sweep) refuses to run. A command that
 succeeds with an output directory also writes ``run.json`` there: the
 subcommand, resolved config paths, the seed, SHA-256 digests of every
-input file, the output names and the tool version, so a result directory
-is self-describing. A command that fails writes no manifest. Given
-identical inputs and seed, output files are byte-identical across reruns;
-the manifest's ``wall_time_s`` field is the one exception.
+input file, the output paths relative to that directory and the tool
+version, so a result directory is self-describing. A command that fails
+writes no manifest. Given identical inputs and seed, output files are
+byte-identical across reruns; the manifest's ``wall_time_s`` field is the
+one exception.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from decimal import Decimal
@@ -188,7 +190,8 @@ class _Run:
             "seed": self.args.seed,
             "config_paths": sorted(str(p) for p in self.config_paths),
             "input_digests": {str(p): _sha256(p) for p in sorted(self.inputs)},
-            "outputs": sorted(p.name for p in self.outputs),
+            # Relative to out_dir, where run.json is: `--out` may point elsewhere.
+            "outputs": sorted(os.path.relpath(p, self.out_dir) for p in self.outputs),
             "wall_time_s": round(time.monotonic() - self.started, 6),
         }
         self.json(manifest, "run.json")
@@ -472,12 +475,12 @@ def _write_probe_result(result, args: argparse.Namespace, run: _Run) -> None:
     run.json(summary, "probe_summary.json", path.with_name("probe_summary.json"))
 
 
-def _runtime_for(events_path: Path, runtime_ms: Optional[float], events) -> float:
+def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], events) -> float:
     if runtime_ms is not None:
         return runtime_ms
     sidecar = events_path.with_name("probe_summary.json")
     if sidecar.exists():
-        doc = json.loads(sidecar.read_text())
+        doc = json.loads(run.input(str(sidecar)).read_text())
         return float(doc["total_runtime_ms"])
     if not events:
         raise CliError("--runtime-ms is required when the event log is empty")
@@ -544,7 +547,7 @@ def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
     # analyze and report both start from a saved event log.
     events_path = run.input(getattr(args, "in"))
     events = events_from_csv(str(events_path))
-    runtime_ms = _runtime_for(events_path, args.runtime_ms, events)
+    runtime_ms = _runtime_for(events_path, run, args.runtime_ms, events)
     fingerprint = analyze_events(
         events, runtime_ms, alignment_tol_us=args.alignment_tol_us
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import decimal
 import math
 from decimal import Decimal
-from typing import Union
+from typing import Optional, Union
 
 #: Wide enough that products and sums of config-scale literals stay exact.
 CONTEXT = decimal.Context(prec=200, rounding=decimal.ROUND_HALF_EVEN)
@@ -22,6 +22,8 @@ USD_PLACES = 12
 
 _USD_QUANTUM = Decimal(1).scaleb(-USD_PLACES)
 _ZERO = Decimal(0)
+# Below 2**33 adjacent floats lie less than 10^-6 apart.
+_MICROS_LIMIT = 2.0**33
 
 Number = Union[Decimal, int, str, float]
 
@@ -52,6 +54,34 @@ def dec(value: Number) -> Decimal:
     if isinstance(value, int):
         return Decimal(value)
     raise TypeError(f"cannot convert {type(value).__name__} to Decimal")
+
+
+def micros(value: float) -> Optional[int]:
+    """``value`` as an exact whole count of millionths, or None.
+
+    The count is returned only for ``0 <= value < 2**33`` and only when it
+    divides by 10^6 back to ``value``.  Floats there lie less than 10^-6
+    apart, so that multiple of 10^-6 is the one decimal of at most six
+    fractional digits that reads back as ``value``: the number ``repr``
+    prints and :func:`dec` converts.  More digits, a value out of range or
+    not finite give None, and so may, rarely, a value above 2**32, where
+    ``value * 1e6`` can round off the grid; None only means the caller
+    takes the Decimal path.
+    """
+    if 0 <= value < _MICROS_LIMIT:
+        units = round(value * 1e6)
+        if units / 1e6 == value:
+            return units
+    return None
+
+
+def whole_units(amount: Decimal, scale: int) -> Optional[int]:
+    """``amount * scale`` as an int when that is a whole number, else None."""
+    with decimal.localcontext(CONTEXT):
+        units = amount * scale
+    if units != units.to_integral_value():
+        return None
+    return int(units)
 
 
 def ceil_to(amount: Decimal, granularity: Decimal) -> Decimal:

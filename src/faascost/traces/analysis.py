@@ -2,19 +2,27 @@
 
 All analyses stream over an iterable of InvocationRecord in one pass with
 O(1) or O(instances) state. Billables come from the exact quantity stage
-of the billing engine, the formula the invoice uses; they are summed
-exactly and reported as correctly rounded floats. Actual-usage totals and
-the correlation and cold-start analyses run in compensated floats.
+of the billing engine, the formula the invoice uses. Per record, the
+inflation and roundup analyses work in integers: each record's durations
+and usage are read as whole millionths (:func:`faascost.money.micros`) and
+ceiled to whole granularity steps, and inflation prices each distinct key
+of steps once in decimals. Billable sums are exact and reported as
+correctly rounded floats, and billable percentiles are exact nearest ranks
+up to :data:`EXACT_KEYS_CAP` distinct keys, GK sketch estimates past it.
+Actual-usage totals and the correlation and cold-start analyses run in
+compensated floats.
 """
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import math
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .records import InvocationRecord
@@ -27,7 +35,7 @@ from ..billing.model import (
     FixedCombos,
     PlatformBillingConfig,
 )
-from ..money import CONTEXT, ceil_to, dec
+from ..money import CONTEXT, ceil_to, dec, micros, whole_units
 
 
 class _Sum:
@@ -51,6 +59,72 @@ class _Sum:
         return self._total + self._comp
 
 
+class BillableDistribution:
+    """Per-request billables of one resource: exact total, count, mean and
+    nearest-rank quantiles.
+
+    Values arrive as (value, count) pairs. Quantiles are exact while each
+    distinct value is counted; after :meth:`spill` they come from a GK
+    sketch, within its eps in rank, and the total and mean stay exact.
+    Once :meth:`close` has run, ``_values`` holds the sorted distinct
+    values, or the sketch's entries.
+    """
+
+    def __init__(self, sketch_eps: float) -> None:
+        self.total = Decimal(0)
+        self.n = 0
+        self.sketch_eps = sketch_eps
+        self.sketch: Optional[QuantileSketch] = None
+        self._counts: Dict[Decimal, int] = {}
+        self._values: list = []
+        self._ranks: List[int] = []
+
+    def __len__(self) -> int:
+        return self.n
+
+    def add(self, value: Decimal, count: int) -> None:
+        self.total = CONTEXT.add(self.total, CONTEXT.multiply(value, count))
+        self.n += count
+        counts = self._counts
+        counts[value] = counts.get(value, 0) + count
+        if self.sketch is not None:
+            self.spill()
+
+    def spill(self) -> None:
+        """Move the counted values into the GK sketch, made on first use."""
+        if self.sketch is None:
+            self.sketch = QuantileSketch(self.sketch_eps)
+        for value, count in self._counts.items():
+            x = float(value)
+            for _ in range(count):
+                self.sketch.insert(x)
+        self._counts = {}
+
+    def close(self) -> None:
+        if self.sketch is not None:
+            self._values = self.sketch._values
+            return
+        self._values = sorted(self._counts)
+        self._ranks = list(accumulate(self._counts[v] for v in self._values))
+
+    def mean(self) -> float:
+        if self.n == 0:
+            raise ValueError("no values")
+        return float(Fraction(self.total) / self.n)
+
+    def query(self, q: float) -> float:
+        """The nearest-rank value at quantile ``q``: the smallest value with
+        at least ``ceil(q * n)`` values at or below it."""
+        if self.sketch is not None:
+            return self.sketch.query(q)
+        if self.n == 0:
+            raise ValueError("no values")
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        rank = max(1, math.ceil(dec(q) * self.n))
+        return float(self._values[bisect.bisect_left(self._ranks, rank)])
+
+
 @dataclass
 class InflationReport:
     platform: str
@@ -62,19 +136,19 @@ class InflationReport:
     billable_gb_s_total: Optional[float]
     mean_inflation_cpu: Optional[float]
     mean_inflation_mem: Optional[float]
-    vcpu_s_sketch: Optional[QuantileSketch]
-    gb_s_sketch: Optional[QuantileSketch]
+    vcpu_s_sketch: Optional[BillableDistribution]
+    gb_s_sketch: Optional[BillableDistribution]
     flags: List[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        def pct(sk: Optional[QuantileSketch]) -> Optional[dict]:
-            if sk is None or len(sk) == 0:
+        def pct(dist: Optional[BillableDistribution]) -> Optional[dict]:
+            if dist is None or len(dist) == 0:
                 return None
             return {
-                "mean": sk.mean(),
-                "p50": sk.query(0.5),
-                "p90": sk.query(0.9),
-                "p99": sk.query(0.99),
+                "mean": dist.mean(),
+                "p50": dist.query(0.5),
+                "p90": dist.query(0.9),
+                "p99": dist.query(0.99),
             }
 
         return {
@@ -95,6 +169,10 @@ class InflationReport:
 
 _S_PER_MS = Decimal("0.001")
 _GB_PER_MB = Decimal("0.0009765625")  # 1 / 1024, exactly
+
+#: Distinct billing keys per platform past which the inflation analysis
+#: takes its billable percentiles from a GK sketch; totals stay exact.
+EXACT_KEYS_CAP = 2**16
 
 
 def _usage_s(quantities, resource: str, basis: str) -> Decimal:
@@ -117,11 +195,15 @@ def inflation_analysis(
 
     Mean inflation is the ratio of total billable to total actual
     resource-seconds, so heavy requests weigh in proportionally. Resources
-    the platform does not bill are reported as None. Per-request billable
-    distributions go into quantile sketches.
+    the platform does not bill are reported as None.
 
     Billables are :func:`faascost.billing.engine.billable_quantities` of the
     granted (``mapping="normalize"``) or requested (``"direct"``) allocation.
+    Each record is counted under its granted allocation and its
+    :class:`faascost.billing.engine.StepKeys` key, and each distinct pair is
+    priced once; a record with no key is priced on its own. Per-request
+    billables are reported as exact nearest-rank percentiles; past
+    :data:`EXACT_KEYS_CAP` distinct keys, as ``sketch_eps`` GK estimates.
     """
     if mapping not in ("normalize", "direct"):
         raise ValueError(f"unknown mapping: {mapping!r}")
@@ -138,14 +220,53 @@ def inflation_analysis(
         or config.billable_time_kind == "cpu_time_only"
     )
     bills_mem = config.alloc_spec(MEMORY_GB) is not None or usage_mem is not None
-    cpu_sketch = QuantileSketch(sketch_eps) if bills_cpu else None
-    mem_sketch = QuantileSketch(sketch_eps) if bills_mem else None
+    cpu_dist = BillableDistribution(sketch_eps) if bills_cpu else None
+    mem_dist = BillableDistribution(sketch_eps) if bills_mem else None
+    steps = billing_engine.StepKeys.for_config(config)
+
+    def billables(quantities, vcpu_rate: Decimal, mem_rate: Decimal) -> tuple:
+        """(vCPU-s, GB-s) billed for ``quantities``; None where unbilled."""
+        vcpu_s = gb_s = None
+        if bills_cpu:
+            if cpu_basis is None:
+                vcpu_s = vcpu_rate * quantities.time_ms
+            else:
+                vcpu_s = _usage_s(quantities, VCPU, cpu_basis)
+        if bills_mem:
+            if mem_basis is None:
+                gb_s = mem_rate * quantities.time_ms
+            else:
+                gb_s = _usage_s(quantities, MEMORY_GB, mem_basis)
+        return vcpu_s, gb_s
+
+    # Per granted allocation: (amounts, vCPU-s and GB-s per billable ms,
+    # count per key); per record priced on its own: count per billables.
+    grants: Dict[tuple, tuple] = {}
+    priced: Dict[tuple, int] = {}
+    distinct = 0
+
+    def fold() -> None:
+        """Price each counted key once and add its count to the totals."""
+        nonlocal distinct
+        counted = list(priced.items())
+        for amounts, vcpu_rate, mem_rate, keys in grants.values():
+            for key, count in keys.items():
+                value = billables(steps.quantities(key, amounts), vcpu_rate, mem_rate)
+                counted.append((value, count))
+            keys.clear()
+        priced.clear()
+        distinct = 0
+        for (vcpu_s, gb_s), count in counted:
+            if vcpu_s is not None:
+                cpu_dist.add(vcpu_s, count)
+            if gb_s is not None:
+                mem_dist.add(gb_s, count)
 
     n = 0
     actual_cpu = _Sum()
     actual_mem = _Sum()
-    bill_cpu = bill_mem = Decimal(0)
-    grants: Dict[tuple, tuple] = {}
+    flags: List[str] = []
+    spilled = False
     with decimal.localcontext(CONTEXT):  # keeps the billable sums exact
         for record in records:
             n += 1
@@ -156,10 +277,10 @@ def inflation_analysis(
 
             # Each distinct allocation is normalized and rounded once.
             alloc = record.alloc
-            key = (alloc.vcpus, alloc.memory_mb)
+            grant_key = (alloc.vcpus, alloc.memory_mb)
             if alloc.extras:
-                key += tuple(alloc.extras.items())
-            granted = grants.get(key)
+                grant_key += tuple(alloc.extras.items())
+            granted = grants.get(grant_key)
             if granted is None:
                 if mapping == "normalize":
                     alloc = billing_engine.normalize_allocation(alloc, config)
@@ -167,30 +288,42 @@ def inflation_analysis(
                 # A vCPU share granted but not priced is billed as granted.
                 vcpus = amounts.get(VCPU, alloc.vcpus)
                 mem_gb = amounts.get(MEMORY_GB, 0)
-                # Allocation-billed resource-seconds per billable ms.
-                granted = grants[key] = (amounts, vcpus * _S_PER_MS, mem_gb * _S_PER_MS)
-            amounts, vcpu_rate, mem_rate = granted
-            quantities = billing_engine.billable_quantities(record, config, amounts)
+                granted = grants[grant_key] = (
+                    amounts, vcpus * _S_PER_MS, mem_gb * _S_PER_MS, {}
+                )
 
-            if bills_cpu:
-                if cpu_basis is None:
-                    vcpu_s = vcpu_rate * quantities.time_ms
-                else:
-                    vcpu_s = _usage_s(quantities, VCPU, cpu_basis)
-                bill_cpu += vcpu_s
-                cpu_sketch.insert(float(vcpu_s))
-            if bills_mem:
-                if mem_basis is None:
-                    gb_s = mem_rate * quantities.time_ms
-                else:
-                    gb_s = _usage_s(quantities, MEMORY_GB, mem_basis)
-                bill_mem += gb_s
-                mem_sketch.insert(float(gb_s))
+            key = steps.key(record) if steps is not None else None
+            if key is None:
+                amounts, vcpu_rate, mem_rate, _ = granted
+                quantities = billing_engine.billable_quantities(record, config, amounts)
+                key = billables(quantities, vcpu_rate, mem_rate)
+                counts = priced
+            else:
+                counts = granted[3]
+            count = counts.get(key)
+            if count is not None:
+                counts[key] = count + 1
+                continue
+            counts[key] = 1
+            distinct += 1
+            if distinct > EXACT_KEYS_CAP:
+                fold()
+                if not spilled:
+                    spilled = True
+                    flags.append(
+                        f"more than {EXACT_KEYS_CAP} distinct billing keys: billable "
+                        f"percentiles are GK estimates (eps {sketch_eps})"
+                    )
+                    for dist in (cpu_dist, mem_dist):
+                        if dist is not None:
+                            dist.spill()
+        fold()
 
     if n == 0:
         raise ValueError("no records")
-
-    flags: List[str] = []
+    for dist in (cpu_dist, mem_dist):
+        if dist is not None:
+            dist.close()
 
     def ratio(bill: Optional[float], actual: _Sum, label: str) -> Optional[float]:
         if bill is None:
@@ -204,8 +337,8 @@ def inflation_analysis(
             flags.append(f"{label} < 1: billables below measured usage")
         return r
 
-    bill_cpu_total = float(bill_cpu) if bills_cpu else None
-    bill_mem_total = float(bill_mem) if bills_mem else None
+    bill_cpu_total = float(cpu_dist.total) if bills_cpu else None
+    bill_mem_total = float(mem_dist.total) if bills_mem else None
     infl_cpu = ratio(bill_cpu_total, actual_cpu, "mean_inflation_cpu")
     infl_mem = ratio(bill_mem_total, actual_mem, "mean_inflation_mem")
 
@@ -219,8 +352,8 @@ def inflation_analysis(
         billable_gb_s_total=bill_mem_total,
         mean_inflation_cpu=infl_cpu,
         mean_inflation_mem=infl_mem,
-        vcpu_s_sketch=cpu_sketch,
-        gb_s_sketch=mem_sketch,
+        vcpu_s_sketch=cpu_dist,
+        gb_s_sketch=mem_dist,
         flags=flags,
     )
 
@@ -509,6 +642,15 @@ class RoundingUpStats:
         }
 
 
+def _int_grid(granularity: Decimal, cutoff: Decimal) -> Optional[Tuple[int, int]]:
+    """A time granularity and cutoff in whole 10^-6 ms, or None."""
+    units = whole_units(granularity, 10**6)
+    cutoff_units = whole_units(cutoff, 10**6)
+    if units is None or cutoff_units is None:
+        return None
+    return units, cutoff_units
+
+
 def rounding_up_stats(
     records: Iterable[InvocationRecord],
     policies: Sequence[RoundingPolicy],
@@ -522,13 +664,27 @@ def rounding_up_stats(
     time (:func:`faascost.billing.engine.rounded_time`). Memory roundup
     isolates the size-granularity effect on consumed memory, weighted by raw
     execution seconds, so it is independent of the time rounding reported
-    next to it. Sums are exact; means are correctly rounded floats.
+    next to it. Sums are exact, in integer 10^-6 units where the values
+    allow; means are correctly rounded floats.
     """
     if not policies:
         raise ValueError("no policies given")
+    # Each policy's time grid in 10^-6 ms, and each memory granularity's in
+    # 10^-6 MB; None sends every record down the Decimal path for it.
+    time_grids = [
+        _int_grid(pol.time_granularity_ms, pol.time_min_cutoff_ms) for pol in policies
+    ]
+    mem_grids = {
+        gran: whole_units(gran * 1024, 10**6)
+        for gran in {pol.mem_granularity_gb for pol in policies} - {None}
+    }
+    # Exact sums: whole 10^-6 ms (time) and 10^-12 MB-ms (memory) in ints,
+    # plus Decimals for what takes the Decimal path; memory is shared by the
+    # policies with its granularity.
+    time_units = [0] * len(policies)
     time_sums = [Decimal(0)] * len(policies)
-    # Policies that share a memory granularity share its sum (in GB-ms).
-    mem_sums = dict.fromkeys({pol.mem_granularity_gb for pol in policies} - {None}, Decimal(0))
+    mem_units = dict.fromkeys(mem_grids, 0)
+    mem_sums = dict.fromkeys(mem_grids, Decimal(0))
     n = 0
     n_short = 0
 
@@ -538,31 +694,56 @@ def rounding_up_stats(
                 n_short += 1
                 continue
             n += 1
-            exec_ms = dec(record.exec_duration_ms)
-            for i, pol in enumerate(policies):
+            exec_micros = micros(record.exec_duration_ms)
+            exec_ms = None
+            for i, grid in enumerate(time_grids):
+                if grid is not None and exec_micros is not None:
+                    granularity, cutoff = grid
+                    steps = billing_engine.rounded_steps(exec_micros, granularity, cutoff)
+                    time_units[i] += steps * granularity - exec_micros
+                    continue
+                if exec_ms is None:
+                    exec_ms = dec(record.exec_duration_ms)
+                pol = policies[i]
                 billable = billing_engine.rounded_time(
                     exec_ms, pol.time_granularity_ms, pol.time_min_cutoff_ms
                 )
                 time_sums[i] += billable - exec_ms
-            if mem_sums:
-                mem_gb = dec(record.mem_usage_mb) * _GB_PER_MB
-                for gran in mem_sums:
-                    mem_sums[gran] += (ceil_to(mem_gb, gran) - mem_gb) * exec_ms
+            if not mem_grids:
+                continue
+            mem_micros = micros(record.mem_usage_mb)
+            mem_gb = None
+            for gran, grid in mem_grids.items():
+                if grid is not None and exec_micros is not None and mem_micros is not None:
+                    steps = billing_engine.rounded_steps(mem_micros, grid, 0)
+                    mem_units[gran] += (steps * grid - mem_micros) * exec_micros
+                    continue
+                if mem_gb is None:
+                    exec_ms = dec(record.exec_duration_ms)
+                    mem_gb = dec(record.mem_usage_mb) * _GB_PER_MB
+                mem_sums[gran] += (ceil_to(mem_gb, gran) - mem_gb) * exec_ms
 
-        if n == 0:
-            raise ValueError("no records at or above the execution-time floor")
+    if n == 0:
+        raise ValueError("no records at or above the execution-time floor")
 
-        return [
-            RoundingUpStats(
-                policy=pol,
-                n=n,
-                n_skipped_short=n_short,
-                mean_time_roundup_ms=float(Fraction(time_sums[i]) / n),
-                mean_mem_roundup_gb_s=(
-                    float(Fraction(mem_sums[pol.mem_granularity_gb]) / (1000 * n))
-                    if pol.mem_granularity_gb is not None
-                    else None
-                ),
-            )
-            for i, pol in enumerate(policies)
-        ]
+    def mean_mem(gran: Decimal) -> float:
+        gb_ms = Fraction(mem_sums[gran]) + Fraction(mem_units[gran], 1024 * 10**12)
+        return float(gb_ms / (1000 * n))
+
+    return [
+        RoundingUpStats(
+            policy=pol,
+            n=n,
+            n_skipped_short=n_short,
+            mean_time_roundup_ms=float(
+                (Fraction(time_sums[i]) + Fraction(time_units[i], 10**6)) / n
+            ),
+            mean_mem_roundup_gb_s=(
+                mean_mem(pol.mem_granularity_gb)
+                if pol.mem_granularity_gb is not None
+                else None
+            ),
+        )
+        for i, pol in enumerate(policies)
+    ]
+

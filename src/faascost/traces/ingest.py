@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Dict, Iterator, Optional, Tuple, Union
@@ -73,12 +74,14 @@ def ingest_trace(
 ) -> Iterator[InvocationRecord]:
     """Yield InvocationRecords from a CSV trace.
 
-    Malformed rows (unparseable, NaN or infinite numbers, negative
+    Malformed rows (short, unparseable, NaN or infinite numbers, negative
     durations or usage) are counted in ``stats.malformed_skipped`` and
-    skipped. A missing required column or an unknown unit raises
-    immediately. With ``drop_zero_cpu`` set, rows whose average CPU usage
-    is exactly zero are filtered out and counted, mirroring the metering
-    exclusion for requests that never ran. Equal allocations are shared.
+    skipped; cells past the header's width are ignored, and blank lines are
+    not rows. A missing required column or an unknown unit raises
+    immediately, and a truncated or corrupt gzip raises ValueError. With
+    ``drop_zero_cpu`` set, rows whose average CPU usage is exactly zero are
+    filtered out and counted, mirroring the metering exclusion for requests
+    that never ran. Equal allocations are shared.
     """
     if schema_map is None:
         from .records import default_schema_map
@@ -93,56 +96,63 @@ def ingest_trace(
 
     text = _open_source(source)
     try:
-        reader = csv.DictReader(text, delimiter=schema_map.delimiter)
-        header = reader.fieldnames
+        reader = csv.reader(text, delimiter=schema_map.delimiter)
+        header = next(reader, None)
         if header is None:
             raise ValueError("empty trace: no header row")
+        # A repeated column name binds to its last occurrence.
+        index = {name: i for i, name in enumerate(header)}
         for logical in REQUIRED_FIELDS:
             column = schema_map.column(logical)
-            if column not in header:
+            if column not in index:
                 raise ValueError(
                     f"required column {column!r} (for {logical}) not in header"
                 )
         for logical in OPTIONAL_FIELDS:
             column = schema_map.columns.get(logical)
-            if column is not None and column not in header:
+            if column is not None and column not in index:
                 raise ValueError(
                     f"mapped column {column!r} (for {logical}) not in header"
                 )
 
-        has_instance = "instance_id" in schema_map.columns
-        has_init = "init_duration" in schema_map.columns
-        has_cold = "is_cold_start" in schema_map.columns
-        cols = schema_map.columns
+        cols = {logical: index[column] for logical, column in schema_map.columns.items()}
+        i_fn = cols["function_id"]
+        i_arrival = cols["arrival_ts"]
+        i_exec = cols["exec_duration"]
+        i_vcpus = cols["alloc_vcpus"]
+        i_mem = cols["alloc_memory_mb"]
+        i_cpu = cols["cpu_usage_avg_vcpus"]
+        i_mem_usage = cols["mem_usage"]
+        i_instance = cols.get("instance_id")
+        i_init = cols.get("init_duration")
+        i_cold = cols.get("is_cold_start")
         allocs: Dict[Tuple[float, float], ResourceAllocation] = {}
 
         for row in reader:
+            if not row:  # a blank line is not a row
+                continue
             stats.rows_read += 1
             try:
-                exec_ms = float(row[cols["exec_duration"]]) * dur_factor
-                arrival = float(row[cols["arrival_ts"]]) * ts_factor
-                vcpus = float(row[cols["alloc_vcpus"]])
-                mem_mb = float(row[cols["alloc_memory_mb"]]) * mem_factor
-                cpu_avg = float(row[cols["cpu_usage_avg_vcpus"]])
-                mem_usage = float(row[cols["mem_usage"]]) * mem_factor
+                exec_ms = float(row[i_exec]) * dur_factor
+                arrival = float(row[i_arrival]) * ts_factor
+                vcpus = float(row[i_vcpus])
+                mem_mb = float(row[i_mem]) * mem_factor
+                cpu_avg = float(row[i_cpu])
+                mem_usage = float(row[i_mem_usage]) * mem_factor
                 init_ms = 0.0
-                if has_init:
-                    cell = row[cols["init_duration"]].strip()
+                if i_init is not None:
+                    cell = row[i_init].strip()
                     init_ms = float(cell) * dur_factor if cell else 0.0
-                if has_cold:
-                    cold = _parse_bool(row[cols["is_cold_start"]])
+                if i_cold is not None:
+                    cold = _parse_bool(row[i_cold])
                 else:
                     cold = init_ms > 0.0
-                instance = (
-                    row[cols["instance_id"]].strip()
-                    if has_instance
-                    else ""
-                )
+                instance = row[i_instance].strip() if i_instance is not None else ""
                 alloc = allocs.get((vcpus, mem_mb))
                 if alloc is None:
                     alloc = allocs[vcpus, mem_mb] = allocation(vcpus=vcpus, memory_mb=mem_mb)
                 record = InvocationRecord(
-                    function_id=row[cols["function_id"]].strip(),
+                    function_id=row[i_fn].strip(),
                     instance_id=instance,
                     arrival_ts_ms=arrival,
                     exec_duration_ms=exec_ms,
@@ -152,7 +162,7 @@ def ingest_trace(
                     cpu_usage_avg_vcpus=cpu_avg,
                     mem_usage_mb=mem_usage,
                 )
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, IndexError):
                 stats.malformed_skipped += 1
                 continue
             if drop_zero_cpu and record.cpu_usage_avg_vcpus == 0.0:
@@ -160,5 +170,10 @@ def ingest_trace(
                 continue
             stats.records_yielded += 1
             yield record
+    except (EOFError, zlib.error) as exc:
+        name = getattr(source, "name", source)
+        raise ValueError(
+            f"{name}: truncated or corrupt gzip after {stats.rows_read} rows ({exc})"
+        ) from None
     finally:
         text.close()

@@ -45,6 +45,25 @@ def oracle_inflation_totals(records, config, mapper):
     Unbilled resources come back as None. ``mapper`` is a function
     record -> (vcpus, memory_mb) in floats.
     """
+    bill_cpu, actual_cpu, bill_mem, actual_mem = oracle_inflation_values(
+        records, config, mapper
+    )
+
+    def total(parts):
+        return float(sum(parts, Fraction(0)))
+
+    return (
+        total(bill_cpu) if bill_cpu is not None else None,
+        total(actual_cpu),
+        total(bill_mem) if bill_mem is not None else None,
+        total(actual_mem),
+    )
+
+
+def oracle_inflation_values(records, config, mapper):
+    """Per-request Fractions behind :func:`oracle_inflation_totals`, as four
+    lists (bill_cpu, actual_cpu, bill_mem, actual_mem); None for an
+    unbilled resource."""
     alloc_vcpu = config.alloc_spec(VCPU)
     alloc_mem = config.alloc_spec(MEMORY_GB)
     usage_vcpu = config.usage_spec(VCPU)
@@ -95,14 +114,11 @@ def oracle_inflation_totals(records, config, mapper):
                 m = ceil_mult(frac(mem_mb) / 1024, alloc_mem.granularity) * bt_s
             bill_mem.append(m)
 
-    def total(parts):
-        return float(sum(parts, Fraction(0)))
-
     return (
-        total(bill_cpu) if bills_cpu else None,
-        total(actual_cpu),
-        total(bill_mem) if bills_mem else None,
-        total(actual_mem),
+        bill_cpu if bills_cpu else None,
+        actual_cpu,
+        bill_mem if bills_mem else None,
+        actual_mem,
     )
 
 

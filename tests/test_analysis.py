@@ -1,10 +1,15 @@
 """Trace analytics against hand-worked examples and naive oracles."""
 
+import dataclasses
+import decimal
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from faascost.billing.engine import rounded_time
 from faascost.billing.model import (
     AllocResourceSpec,
     CpuProportionalToMemory,
@@ -13,6 +18,7 @@ from faascost.billing.model import (
     UsageResourceSpec,
     allocation,
 )
+from faascost.money import CONTEXT, ceil_to, dec
 from faascost.traces import (
     InvocationRecord,
     RoundingPolicy,
@@ -21,10 +27,12 @@ from faascost.traces import (
     rounding_up_stats,
     utilization_correlation,
 )
+from faascost.traces import analysis as analysis_module
 
 from oracle_traces import (
     oracle_cold_diffs,
     oracle_inflation_totals,
+    oracle_inflation_values,
     oracle_pearson,
     oracle_roundup,
 )
@@ -225,6 +233,77 @@ def test_inflation_streaming_equals_batch():
     assert rep_iter.billable_vcpu_s_total == rep_list.billable_vcpu_s_total
     assert rep_iter.mean_inflation_cpu == rep_list.mean_inflation_cpu
     assert rep_iter.vcpu_s_sketch.query(0.5) == rep_list.vcpu_s_sketch.query(0.5)
+
+
+def mixed_digit_records(seed, n):
+    """Random records, every other one cut to 3 decimals so that both the
+    integer keys and the Decimal path are taken."""
+    out = random_records(random.Random(seed), n)
+    for i in range(0, n, 2):
+        r = out[i]
+        out[i] = dataclasses.replace(
+            r,
+            exec_duration_ms=round(r.exec_duration_ms, 3),
+            init_duration_ms=round(r.init_duration_ms, 3),
+            cpu_usage_avg_vcpus=round(r.cpu_usage_avg_vcpus, 3),
+            mem_usage_mb=round(r.mem_usage_mb, 3),
+        )
+    return out
+
+
+def nearest_rank(values, q):
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(Fraction(str(q)) * len(ordered))) - 1]
+
+
+@pytest.mark.parametrize(
+    "make_config", [proportional_config, cpu_time_config, consumed_memory_config]
+)
+def test_inflation_percentiles_are_nearest_ranks_of_the_oracle(make_config):
+    records = mixed_digit_records(seed=11, n=301)
+    config = make_config()
+    rep = inflation_analysis(records, config, mapping="direct")
+    mapper = lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
+    bill_cpu, _, bill_mem, _ = oracle_inflation_values(records, config, mapper)
+    for values, dist in ((bill_cpu, rep.vcpu_s_sketch), (bill_mem, rep.gb_s_sketch)):
+        if values is None:
+            assert dist is None
+            continue
+        assert len(dist) == len(records)
+        assert dist.mean() == pytest.approx(float(sum(values) / len(values)), rel=1e-9)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            want = float(nearest_rank(values, q))
+            assert dist.query(q) == pytest.approx(want, rel=1e-9), q
+    assert not any("GK" in flag for flag in rep.flags)
+
+
+def test_inflation_falls_back_to_the_sketch_past_the_key_cap(monkeypatch):
+    records = mixed_digit_records(seed=12, n=600)
+    config = proportional_config()
+    exact = inflation_analysis(records, config, mapping="direct")
+    monkeypatch.setattr(analysis_module, "EXACT_KEYS_CAP", 16)
+    capped = inflation_analysis(records, config, mapping="direct")
+    assert any("GK" in flag for flag in capped.flags)
+    assert not any("GK" in flag for flag in exact.flags)
+    # Totals and means stay exact; percentiles are within eps in rank.
+    assert capped.billable_vcpu_s_total == exact.billable_vcpu_s_total
+    assert capped.billable_gb_s_total == exact.billable_gb_s_total
+    assert capped.mean_inflation_cpu == exact.mean_inflation_cpu
+    mapper = lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
+    bill_cpu, _, bill_mem, _ = oracle_inflation_values(records, config, mapper)
+    n = len(records)
+    for values, got, want in ((bill_cpu, capped.vcpu_s_sketch, exact.vcpu_s_sketch),
+                              (bill_mem, capped.gb_s_sketch, exact.gb_s_sketch)):
+        assert len(got) == n
+        assert got.mean() == want.mean()
+        ordered = sorted(float(v) for v in values)
+        slack = got.sketch.eps * n + 1
+        for q in (0.5, 0.9, 0.99):
+            value = got.query(q)
+            lo = sum(x < value * (1 - 1e-9) for x in ordered) + 1
+            hi = sum(x <= value * (1 + 1e-9) for x in ordered)
+            target = math.ceil(q * n)
+            assert lo - slack <= target <= hi + slack, q
 
 
 # utilization_correlation
@@ -445,3 +524,35 @@ def test_roundup_rejects_empty_policy_list_and_all_short():
     pol = RoundingPolicy(name="g", time_granularity_ms=1.0)
     with pytest.raises(ValueError, match="floor"):
         rounding_up_stats([rec(0.5)], [pol])
+
+
+def test_roundup_integer_and_decimal_paths_agree_exactly():
+    rows = mixed_digit_records(seed=13, n=400)
+    policies = [
+        RoundingPolicy(name="ms", time_granularity_ms=1.0, mem_granularity_gb=0.125),
+        RoundingPolicy(name="az", time_granularity_ms=1.0, time_min_cutoff_ms=100.0),
+        # Finer than 10^-6 ms and MB: every record takes the Decimal path here.
+        RoundingPolicy(name="fine", time_granularity_ms="0.0000003",
+                       mem_granularity_gb="0.0000001"),
+    ]
+    kept = [r for r in rows if r.exec_duration_ms >= 1.0]
+    for pol, got in zip(policies, rounding_up_stats(rows, policies)):
+        # The all-Decimal computation, record by record.
+        time_sum = mem_sum = Decimal(0)
+        with decimal.localcontext(CONTEXT):
+            for r in kept:
+                exec_ms = dec(r.exec_duration_ms)
+                billed = rounded_time(exec_ms, pol.time_granularity_ms,
+                                      pol.time_min_cutoff_ms)
+                time_sum += billed - exec_ms
+                if pol.mem_granularity_gb is not None:
+                    gb = dec(r.mem_usage_mb) * Decimal("0.0009765625")
+                    mem_sum += (ceil_to(gb, pol.mem_granularity_gb) - gb) * exec_ms
+        assert got.n == len(kept)
+        assert got.mean_time_roundup_ms == float(Fraction(time_sum) / len(kept))
+        if pol.mem_granularity_gb is None:
+            assert got.mean_mem_roundup_gb_s is None
+        else:
+            assert got.mean_mem_roundup_gb_s == float(
+                Fraction(mem_sum) / (1000 * len(kept))
+            )

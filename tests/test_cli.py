@@ -2,7 +2,11 @@
 
 import csv
 import dataclasses
+import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -343,7 +347,8 @@ def test_profile_out_creates_missing_out_dir(tmp_path):
                "--out", events, "--out-dir", out) == 0
     assert (events.parent / "probe_summary.json").exists()
     manifest = json.loads((out / "run.json").read_text())
-    assert manifest["outputs"] == ["events.csv", "probe_summary.json"]
+    # Outputs are named relative to the manifest's directory.
+    assert manifest["outputs"] == ["../events/events.csv", "../events/probe_summary.json"]
 
 
 def test_profile_replay_deterministic(tmp_path):
@@ -375,6 +380,8 @@ _MANIFEST_CASES = {
                        "--breakpoints"],
     "simulate-timeline": ["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
     "profile-replay": ["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
+    "profile-replay-out": ["profile", "replay", "--t", "200", "--p", "20", "--q", "5",
+                           "--out", "ELSEWHERE"],
     "profile-analyze": ["profile", "analyze", "--in", "EVENTS"],
     "profile-report": ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
 }
@@ -385,13 +392,46 @@ def test_manifest_matches_directory(argv, tmp_path, trace_csv, events_csv):
     reference = tmp_path / "ref.yaml"
     reference.write_text("lab:\n  period_ms: 20\n  tick_hz: 250\n")
     files = {"TRACE": trace_csv, "EVENTS": events_csv, "REFERENCE": reference}
+    elsewhere = tmp_path / "x3" / "events.csv"
     out = tmp_path / "out"
-    assert run(*[files.get(a, a) for a in argv], "--out-dir", out) == 0
+    assert run(*[files.get(a, elsewhere if a == "ELSEWHERE" else a) for a in argv],
+               "--out-dir", out) == 0
     manifest = json.loads((out / "run.json").read_text())
-    assert manifest["outputs"] == sorted(
-        p.name for p in out.iterdir() if p.name != "run.json"
-    )
-    assert set(manifest["input_digests"]) == {str(files[a]) for a in argv if a in files}
+    # Every output is listed by its path relative to the manifest's directory.
+    written = {p for p in out.iterdir() if p.name != "run.json"}
+    if "ELSEWHERE" in argv:
+        written |= {elsewhere, elsewhere.with_name("probe_summary.json")}
+    assert manifest["outputs"] == sorted(manifest["outputs"])
+    assert {(out / name).resolve() for name in manifest["outputs"]} == {
+        p.resolve() for p in written
+    }
+    inputs = {str(files[a]) for a in argv if a in files}
+    if "EVENTS" in argv:  # the total runtime is read from the probe summary
+        inputs.add(str(events_csv.with_name("probe_summary.json")))
+    assert set(manifest["input_digests"]) == inputs
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--trace", "TRUNCATED", "--out-dir", "OUT"],
+    ["bill", "--platform", "aws_lambda", "--records", "TRUNCATED", "--out-dir", "OUT"],
+], ids=["analyze", "bill-records"])
+def test_truncated_gzip_trace_fails_cleanly(argv, tmp_path, trace_csv, capsys):
+    compressed = gzip.compress(trace_csv.read_bytes())
+    truncated = tmp_path / "trace.csv.gz"
+    truncated.write_bytes(compressed[: len(compressed) // 2])
+    files = {"TRUNCATED": truncated, "OUT": tmp_path / "out"}
+    assert run(*[files.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trace.csv.gz" in err and "truncated" in err
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, faascost.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

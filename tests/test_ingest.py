@@ -198,3 +198,36 @@ def test_empty_file_raises(tmp_path):
     p.write_bytes(b"")
     with pytest.raises(ValueError, match="no header"):
         list(ingest_trace(p))
+
+
+def test_short_long_and_blank_lines():
+    payload = canonical_csv(
+        [
+            "fa,i1,0,10,0,false,1,128,0.5,64",
+            "fa,i1,0,10,0,false,1,128,0.5",  # short: no mem_usage_mb cell
+            "",  # blank: not a row
+            "fa,i1,0,10,0,false,1,128,0.5,64,extra,cells",  # long: extras ignored
+        ]
+    )
+    stats = IngestStats()
+    recs = list(ingest_trace(io.BytesIO(payload), stats=stats))
+    assert len(recs) == 2
+    assert recs[1].mem_usage_mb == 64.0
+    assert stats.rows_read == 3
+    assert stats.malformed_skipped == 1
+
+
+def test_repeated_column_binds_to_its_last_occurrence():
+    payload = (CANONICAL_HEADER + ",exec_duration_ms\n"
+               + "fa,i1,0,10,0,false,1,128,0.5,64,20\n").encode()
+    (rec,) = ingest_trace(io.BytesIO(payload))
+    assert rec.exec_duration_ms == 20.0
+
+
+def test_truncated_gzip_raises_value_error(tmp_path):
+    payload = canonical_csv([f"fa,i1,{i},{i % 97}.5,0,false,1,128,0.5,{i}" for i in range(2000)])
+    compressed = gzip.compress(payload)
+    p = tmp_path / "t.csv.gz"
+    p.write_bytes(compressed[: len(compressed) // 2])
+    with pytest.raises(ValueError, match=r"t\.csv\.gz: truncated or corrupt gzip after \d+ rows"):
+        list(ingest_trace(p))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faascost.money import ceil_to, dec, usd_string
+from faascost.money import ceil_to, dec, micros, usd_string, whole_units
 
 amounts = st.decimals(
     min_value=Decimal(0), max_value=Decimal(10**9), allow_nan=False, allow_infinity=False, places=6
@@ -61,3 +61,34 @@ def test_usd_string_fixed_point():
     # Half-to-even at the 12th fractional digit.
     assert usd_string(Decimal("0.0000000000015")) == "0.000000000002"
     assert usd_string(Decimal("0.0000000000025")) == "0.000000000002"
+
+
+def test_micros_exact_millionths_only():
+    assert micros(0.1) == 100_000
+    assert micros(0.0) == micros(-0.0) == 0
+    assert micros(1769.000001) == 1_769_000_001
+    # Below 2**33 the nearest multiple of 10^-6 is the float's repr.
+    assert repr(2.0**33 - 2.0**-19) == "8589934591.999998"
+    assert micros(2.0**33 - 2.0**-19) == 8_589_934_591_999_998
+    for value in (0.1234567, 1e-7, 2.0**33, 1e12, -1.0, float("nan"), float("inf")):
+        assert micros(value) is None
+
+
+@given(st.floats(min_value=0.0, max_value=2.0**33, exclude_max=True))
+def test_micros_agrees_with_dec(value):
+    units = micros(value)
+    if units is not None:
+        assert dec(value) == Decimal(units).scaleb(-6)
+
+
+@given(st.integers(min_value=0, max_value=2**32 * 10**6))
+def test_micros_keys_every_grid_value_below_2_to_32(units):
+    # Above 2**32 a float's product with 1e6 can round off the grid; micros
+    # then gives None, which costs the Decimal path but never a digit.
+    assert micros(units / 10**6) == units
+
+
+def test_whole_units():
+    assert whole_units(Decimal("0.125"), 10**6) == 125_000
+    assert whole_units(Decimal("0.0000001"), 10**6) is None
+    assert whole_units(Decimal(0), 10**12) == 0

@@ -3,16 +3,21 @@
 ``inflation_analysis`` must report exactly what the engine's
 ``billable_quantities`` yields: each billable total is the float of the
 exact decimal sum over the same records, on every bundled platform that
-documents a time granularity.
+documents a time granularity. Its integer form, ``StepKeys``, must give
+the very same quantities for every record it keys.
 """
 
 import dataclasses
+import io
 import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faascost.billing.engine import (
+    StepKeys,
     allocation_quantities,
     billable_quantities,
     compute_cost,
@@ -26,8 +31,14 @@ from faascost.billing.model import (
     allocation,
 )
 from faascost.billing.platforms import bundled_platform_names, resolve_platform
-from faascost.money import CONTEXT
-from faascost.traces import InvocationRecord, inflation_analysis
+from faascost.money import CONTEXT, micros
+from faascost.traces import (
+    InvocationRecord,
+    SchemaMap,
+    default_schema_map,
+    inflation_analysis,
+    ingest_trace,
+)
 
 # GCP's 1st-gen vCPU knob values: all on its 0.01 vCPU grid, and all
 # billed one step up by a binary-float ceiling (0.07 / 0.01 > 7).
@@ -146,3 +157,94 @@ def test_quantities_need_no_price(name):
     else:
         with pytest.raises(MissingPriceError):
             compute_cost(record, config, granted)
+
+
+# The integer stage: StepKeys against billable_quantities.
+
+SCHEMA_UNITS = {
+    "ms": {},
+    "s": {"duration_unit": "s"},
+    "us": {"duration_unit": "us"},
+    "bytes": {"memory_unit": "bytes"},
+}
+_MB_IN_UNIT = {"bytes": 1024.0 * 1024.0}
+_MS_IN_UNIT = {"s": 0.001, "us": 1000.0}
+
+# Six-decimal values, values with more digits, cutoff and granularity
+# boundaries (100 ms and 1000 ms), zeros, and values at or past 2**33.
+cells = st.one_of(
+    st.integers(min_value=0, max_value=5 * 10**9).map(lambda k: k / 10**6),
+    st.sampled_from((0.0, 99.999999, 100.0, 100.000001, 999.999999, 1000.0, 1000.1)),
+    st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
+    st.floats(min_value=2.0**33, max_value=2.0**40),
+)
+
+
+def ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb):
+    """One record read back through ingest, the cells written in ``unit``."""
+    per_ms = _MS_IN_UNIT.get(unit, 1.0)
+    per_mb = _MB_IN_UNIT.get(unit, 1.0)
+    row = (
+        f"f,i,0,{exec_ms * per_ms!r},{init_ms * per_ms!r},false,{vcpus!r},"
+        f"{mem_mb * per_mb!r},{cpu!r},{mem_used * per_mb!r}"
+    )
+    text = (
+        "function_id,instance_id,arrival_ts_ms,exec_duration_ms,init_duration_ms,"
+        "is_cold_start,alloc_vcpus,alloc_memory_mb,cpu_usage_avg_vcpus,mem_usage_mb\n"
+        + row + "\n"
+    )
+    schema = SchemaMap(columns=default_schema_map().columns, **SCHEMA_UNITS[unit])
+    (record,) = ingest_trace(io.BytesIO(text.encode()), schema)
+    return record
+
+
+@pytest.mark.parametrize("name", GRANULAR)
+@settings(max_examples=40, deadline=None)
+@given(
+    unit=st.sampled_from(sorted(SCHEMA_UNITS)),
+    exec_ms=cells,
+    init_ms=cells,
+    cpu=cells,
+    mem_used=cells,
+    vcpus=st.sampled_from(GRID_VCPUS + (0.5, 1.0, 0.333333)),
+    mem_mb=st.sampled_from((128.0, 256.0, 1769.0, 2048.0)),
+)
+def test_step_keys_reproduce_billable_quantities(
+    name, unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb
+):
+    config = resolve_platform(name)
+    steps = StepKeys.for_config(config)
+    assert steps is not None
+    record = ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb)
+    amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
+    want = billable_quantities(record, config, amounts)
+    key = steps.key(record)
+    fields = (record.exec_duration_ms, record.init_duration_ms,
+              record.cpu_usage_avg_vcpus, record.mem_usage_mb)
+    if key is None:
+        # Only a field that is not a whole count of millionths sends a
+        # record down the Decimal path.
+        assert any(micros(f) is None for f in fields)
+        return
+    got = steps.quantities(key, amounts)
+    assert got.time_ms == want.time_ms
+    assert got.usage == want.usage
+    assert got == want
+
+
+@pytest.mark.parametrize("name", GRANULAR)
+def test_step_keys_cover_six_decimal_records(name):
+    config = resolve_platform(name)
+    steps = StepKeys.for_config(config)
+    for record in seeded_records(seed=3, n=200):
+        amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
+        key = steps.key(record)
+        assert key is not None
+        assert steps.quantities(key, amounts) == billable_quantities(record, config, amounts)
+
+
+def test_step_keys_need_whole_units():
+    config = resolve_platform("aws_lambda")
+    assert StepKeys.for_config(dataclasses.replace(config, time_granularity_ms=None)) is None
+    fine = dataclasses.replace(config, time_granularity_ms=Decimal("0.0000001"))
+    assert StepKeys.for_config(fine) is None
