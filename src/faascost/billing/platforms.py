@@ -33,13 +33,8 @@ from faascost.billing.model import (
     RatioConstrained,
     UsageResourceSpec,
 )
-from faascost.money import dec
 
 CONFIG_DIR_ENV = "FAASCOST_CONFIG_DIR"
-
-
-def _opt_dec(value):
-    return None if value is None else dec(value)
 
 
 def _parse_coupling(raw: dict) -> KnobCoupling:
@@ -47,16 +42,12 @@ def _parse_coupling(raw: dict) -> KnobCoupling:
     if kind == "independent":
         return IndependentKnobs()
     if kind == "cpu_proportional_to_memory":
-        return CpuProportionalToMemory(dec(raw["mem_per_vcpu_mb"]))
+        return CpuProportionalToMemory(raw["mem_per_vcpu_mb"])
     if kind == "fixed_combos":
-        combos = tuple((dec(c["vcpu"]), dec(c["memory_mb"])) for c in raw["combos"])
-        return FixedCombos(combos)
+        return FixedCombos(tuple((c["vcpu"], c["memory_mb"]) for c in raw["combos"]))
     if kind == "ratio_constrained":
         return RatioConstrained(
-            dec(raw["min_ratio"]),
-            dec(raw["max_ratio"]),
-            dec(raw["cpu_step"]),
-            dec(raw["mem_step_mb"]),
+            raw["min_ratio"], raw["max_ratio"], raw["cpu_step"], raw["mem_step_mb"]
         )
     raise BillingError(f"unknown knob coupling kind: {kind!r}")
 
@@ -68,18 +59,16 @@ def parse_platform_config(doc: dict) -> PlatformBillingConfig:
         alloc = tuple(
             AllocResourceSpec(
                 resource=spec["resource"],
-                granularity=dec(spec["granularity"]),
-                unit_price_usd_per_unit_second=_opt_dec(
-                    spec.get("unit_price_usd_per_unit_second")
-                ),
+                granularity=spec["granularity"],
+                unit_price_usd_per_unit_second=spec.get("unit_price_usd_per_unit_second"),
             )
             for spec in doc.get("alloc_resources") or ()
         )
         usage = tuple(
             UsageResourceSpec(
                 resource=spec["resource"],
-                granularity=dec(spec["granularity"]),
-                unit_price_usd_per_unit=_opt_dec(spec.get("unit_price_usd_per_unit")),
+                granularity=spec["granularity"],
+                unit_price_usd_per_unit=spec.get("unit_price_usd_per_unit"),
                 billing_basis=spec.get("billing_basis", "absolute"),
             )
             for spec in doc.get("usage_resources") or ()
@@ -87,11 +76,11 @@ def parse_platform_config(doc: dict) -> PlatformBillingConfig:
         return PlatformBillingConfig(
             name=doc["name"],
             billable_time_kind=time_doc["kind"],
-            time_granularity_ms=_opt_dec(time_doc.get("granularity_ms")),
-            time_min_cutoff_ms=dec(time_doc.get("min_cutoff_ms", 0)),
+            time_granularity_ms=time_doc.get("granularity_ms"),
+            time_min_cutoff_ms=time_doc.get("min_cutoff_ms", 0),
             alloc_resources=alloc,
             usage_resources=usage,
-            invocation_fee_usd=_opt_dec(doc.get("invocation_fee_usd")),
+            invocation_fee_usd=doc.get("invocation_fee_usd"),
             knob_coupling=_parse_coupling(doc.get("knob_coupling") or {"kind": "independent"}),
             notes=doc.get("notes", ""),
         )

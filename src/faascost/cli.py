@@ -4,12 +4,14 @@ Results are plain CSV/JSON files written into ``--out-dir``; without it a
 command with a single result writes it to stdout, and one with several
 (``analyze``, the ``simulate`` sweep) refuses to run. A command that
 succeeds with an output directory also writes ``run.json`` there: the
-subcommand, resolved config paths, the seed, SHA-256 digests of every
-input file, the output paths relative to that directory and the tool
-version, so a result directory is self-describing. A command that fails
-writes no manifest. Given identical inputs and seed, output files are
-byte-identical across reruns; the manifest's ``wall_time_s`` field is the
-one exception.
+subcommand, resolved config paths, the seed (``analyze`` only; null for
+the rest), SHA-256 digests of every input file, the output paths relative
+to that directory and the tool version, so a result directory is
+self-describing. Files are written under a ``.partial`` name and take their
+final names only when the command succeeds, so a command that fails leaves
+no output file and no manifest. Given identical inputs and seed, output
+files are byte-identical across reruns; the manifest's ``wall_time_s``
+field is the one exception.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ class _Run:
     """One command's inputs and outputs, and the ``run.json`` that lists them.
 
     Outputs go into ``--out-dir``, made on first write, or to stdout when
-    there is none.
+    there is none. Files are staged as ``<name>.partial`` beside their final
+    paths, for :meth:`commit` to rename or :meth:`discard` to delete.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -134,7 +137,7 @@ class _Run:
         self.out_dir = Path(args.out_dir) if args.out_dir else None
         self.config_paths: List[Path] = []
         self.inputs: List[Path] = []
-        self.outputs: List[Path] = []
+        self.outputs: Dict[Path, Path] = {}  # final path -> staging file
 
     def require_dir(self) -> None:
         if self.out_dir is None:
@@ -153,14 +156,14 @@ class _Run:
         return resolve_platform(name, self.args.config_dir)
 
     def target(self, name: str, path: Optional[Path] = None) -> Optional[Path]:
-        """Where output ``name`` goes: ``path``, else ``out_dir``; None is stdout."""
+        """The staging file of output ``name`` at ``path``, else in ``out_dir``;
+        None is stdout."""
         if path is None:
             if self.out_dir is None:
                 return None
             path = self.out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        self.outputs.append(path)
-        return path
+        return self.outputs.setdefault(path, path.with_name(path.name + ".partial"))
 
     def json(self, doc, name: str, path: Optional[Path] = None) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -181,20 +184,27 @@ class _Run:
             writer.writeheader()
             writer.writerows(rows)
 
-    def write_manifest(self) -> None:
-        if self.out_dir is None:
-            return
-        manifest = {
-            "subcommand": self.args.command,
-            "tool_version": __version__,
-            "seed": self.args.seed,
-            "config_paths": sorted(str(p) for p in self.config_paths),
-            "input_digests": {str(p): _sha256(p) for p in sorted(self.inputs)},
-            # Relative to out_dir, where run.json is: `--out` may point elsewhere.
-            "outputs": sorted(os.path.relpath(p, self.out_dir) for p in self.outputs),
-            "wall_time_s": round(time.monotonic() - self.started, 6),
-        }
-        self.json(manifest, "run.json")
+    def commit(self) -> None:
+        """Stage ``run.json``, then give every staged output its final name."""
+        if self.out_dir is not None:
+            manifest = {
+                "subcommand": self.args.command,
+                "tool_version": __version__,
+                "seed": getattr(self.args, "seed", None),
+                "config_paths": sorted(str(p) for p in self.config_paths),
+                "input_digests": {str(p): _sha256(p) for p in sorted(self.inputs)},
+                # Relative to out_dir, where run.json is: `--out` may point elsewhere.
+                "outputs": sorted(os.path.relpath(p, self.out_dir) for p in self.outputs),
+                "wall_time_s": round(time.monotonic() - self.started, 6),
+            }
+            self.json(manifest, "run.json")
+        for path, staged in self.outputs.items():
+            os.replace(staged, path)
+
+    def discard(self) -> None:
+        """Delete the staged outputs still there: all of them after a failure."""
+        for staged in self.outputs.values():
+            staged.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- helpers
@@ -380,6 +390,17 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
 # -------------------------------------------------------------- simulate
 
 
+def _bandwidth_config(args: argparse.Namespace, period_ms: str) -> BandwidthControlConfig:
+    """The config of one ``--q`` timeline: quota, tick rate, slice and flavor."""
+    return BandwidthControlConfig(
+        period_ms=period_ms,
+        quota_ms=args.q,
+        tick_hz=args.tick_hz,
+        slice_ms=args.slice_ms,
+        flavor=args.flavor,
+    )
+
+
 def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
     task = TaskSpec(cpu_time_ms=args.t)
     periods = _split_list(args.p)
@@ -389,14 +410,9 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
         # Single-run timeline mode.
         if len(periods) != 1:
             raise CliError("--q takes exactly one --p value")
-        config = BandwidthControlConfig(
-            period_ms=periods[0],
-            quota_ms=args.q,
-            tick_hz=args.tick_hz,
-            slice_ms=args.slice_ms,
-            flavor=args.flavor,
+        timeline = simulate(
+            task, _bandwidth_config(args, periods[0]), lagged_accounting=lagged
         )
-        timeline = simulate(task, config, lagged_accounting=lagged)
         doc = timeline.as_dict()
         doc["closed_form_completion_ms"] = closed_form_duration(
             task, periods[0], args.q
@@ -527,15 +543,7 @@ def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
         return
 
     if args.action == "replay":
-        task = TaskSpec(cpu_time_ms=args.t)
-        config = BandwidthControlConfig(
-            period_ms=args.p,
-            quota_ms=args.q,
-            tick_hz=args.tick_hz,
-            slice_ms=args.slice_ms,
-            flavor=args.flavor,
-        )
-        timeline = simulate(task, config)
+        timeline = simulate(TaskSpec(cpu_time_ms=args.t), _bandwidth_config(args, args.p))
         cfg = ProbeConfig(
             exec_duration_ms=timeline.completion_ms,
             gap_threshold_us=args.gap_threshold_us,
@@ -561,17 +569,6 @@ def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--out-dir", default=None, help="directory for output files")
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="tabular output format (default csv)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="faascost",
@@ -583,12 +580,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bill = sub.add_parser("bill", help="price invocations under a platform config")
-    _add_common(bill)
+    # Options shared by several commands, each declared once.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=None, help="directory for output files")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument(
+        "--format",
+        choices=("csv", "json"),
+        default="csv",
+        help="tabular output format (default csv)",
+    )
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config-dir", default=None, help="extra config directory")
+    inputs.add_argument("--schema", default=None, help="schema map YAML/JSON for the trace")
+    sched = argparse.ArgumentParser(add_help=False)
+    sched.add_argument("--tick-hz", type=int, default=250, help="scheduler tick rate")
+    sched.add_argument("--slice-ms", default="5", help="EEVDF slice length")
+    sched.add_argument("--flavor", choices=("cfs", "eevdf"), default="cfs")
+    probe_out = argparse.ArgumentParser(add_help=False)
+    probe_out.add_argument("--gap-threshold-us", type=int, default=500)
+    probe_out.add_argument("--out", default=None, help="events CSV path")
+    event_log = argparse.ArgumentParser(add_help=False)
+    event_log.add_argument("--in", required=True, help="events CSV from run/replay")
+    event_log.add_argument(
+        "--runtime-ms",
+        type=float,
+        default=None,
+        help="total on-CPU runtime; read from probe_summary.json when omitted",
+    )
+    event_log.add_argument("--alignment-tol-us", type=float, default=150.0)
+
+    bill = sub.add_parser(
+        "bill", parents=[out, table, inputs], help="price invocations under a platform config"
+    )
     bill.add_argument("--platform", required=True, help="config name or YAML path")
-    bill.add_argument("--config-dir", default=None, help="extra config directory")
     bill.add_argument("--records", default=None, help="trace CSV to bill in batch")
-    bill.add_argument("--schema", default=None, help="schema map file for --records")
     bill.add_argument("--mem-mb", default="0", help="allocated memory in MB")
     bill.add_argument("--vcpus", default="0", help="allocated vCPUs")
     bill.add_argument("--exec-ms", type=float, default=0.0, help="execution time")
@@ -607,10 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bill.set_defaults(func=cmd_bill)
 
-    analyze = sub.add_parser("analyze", help="run trace analytics")
-    _add_common(analyze)
+    analyze = sub.add_parser(
+        "analyze", parents=[out, table, inputs], help="run trace analytics"
+    )
     analyze.add_argument("--trace", required=True, help="trace CSV (optionally .gz)")
-    analyze.add_argument("--schema", default=None, help="schema map YAML/JSON")
+    analyze.add_argument(
+        "--seed", type=int, default=0, help="seed of the scatter sample (default 0)"
+    )
     analyze.add_argument(
         "--analyses",
         default=",".join(_ANALYSES),
@@ -621,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="aws_lambda",
         help="comma list of platform configs for the inflation analysis",
     )
-    analyze.add_argument("--config-dir", default=None, help="extra config directory")
     analyze.add_argument(
         "--mapping",
         choices=("normalize", "direct"),
@@ -653,8 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.set_defaults(func=cmd_analyze)
 
-    sim = sub.add_parser("simulate", help="CPU bandwidth-control models")
-    _add_common(sim)
+    sim = sub.add_parser(
+        "simulate", parents=[out, table, sched], help="CPU bandwidth-control models"
+    )
     sim.add_argument("--t", required=True, help="task CPU time in ms")
     sim.add_argument(
         "--p", required=True, help="enforcement period in ms, or a comma list"
@@ -666,9 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--f-lo", type=float, default=0.005, help="smallest vCPU fraction in the sweep"
     )
-    sim.add_argument("--tick-hz", type=int, default=250, help="scheduler tick rate")
-    sim.add_argument("--slice-ms", default="5", help="EEVDF slice length")
-    sim.add_argument("--flavor", choices=("cfs", "eevdf"), default="cfs")
     sim.add_argument(
         "--exact-accounting",
         action="store_true",
@@ -696,47 +722,33 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser("profile", help="scheduler fingerprinting")
     prof_sub = prof.add_subparsers(dest="action", required=True)
 
-    prun = prof_sub.add_parser("run", help="run the live throttle probe")
-    _add_common(prun)
+    prun = prof_sub.add_parser(
+        "run", parents=[out, probe_out], help="run the live throttle probe"
+    )
     prun.add_argument("--duration-ms", type=float, required=True)
-    prun.add_argument("--gap-threshold-us", type=int, default=500)
-    prun.add_argument("--out", default=None, help="events CSV path")
     prun.set_defaults(func=cmd_profile, action="run")
 
     prep = prof_sub.add_parser(
-        "replay", help="probe a simulated timeline instead of live CPU"
+        "replay",
+        parents=[out, probe_out, sched],
+        help="probe a simulated timeline instead of live CPU",
     )
-    _add_common(prep)
     prep.add_argument("--t", required=True, help="task CPU time in ms")
     prep.add_argument("--p", required=True, help="enforcement period in ms")
     prep.add_argument("--q", required=True, help="quota in ms")
-    prep.add_argument("--tick-hz", type=int, default=250)
-    prep.add_argument("--slice-ms", default="5")
-    prep.add_argument("--flavor", choices=("cfs", "eevdf"), default="cfs")
     prep.add_argument("--step-us", type=int, default=50)
-    prep.add_argument("--gap-threshold-us", type=int, default=500)
-    prep.add_argument("--out", default=None, help="events CSV path")
     prep.set_defaults(func=cmd_profile, action="replay")
 
-    pana = prof_sub.add_parser("analyze", help="fingerprint a saved event log")
-    _add_common(pana)
-    pana.add_argument("--in", required=True, help="events CSV from run/replay")
-    pana.add_argument(
-        "--runtime-ms",
-        type=float,
-        default=None,
-        help="total on-CPU runtime; read from probe_summary.json when omitted",
+    pana = prof_sub.add_parser(
+        "analyze", parents=[out, event_log], help="fingerprint a saved event log"
     )
-    pana.add_argument("--alignment-tol-us", type=float, default=150.0)
     pana.set_defaults(func=cmd_profile, action="analyze")
 
     prev = prof_sub.add_parser(
-        "report", help="fingerprint plus comparison against published schedulers"
+        "report",
+        parents=[out, event_log],
+        help="fingerprint plus comparison against published schedulers",
     )
-    _add_common(prev)
-    prev.add_argument("--in", required=True, help="events CSV from run/replay")
-    prev.add_argument("--runtime-ms", type=float, default=None)
-    prev.add_argument("--alignment-tol-us", type=float, default=150.0)
     prev.add_argument(
         "--reference",
         default=None,
@@ -753,10 +765,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run = _Run(args)
     try:
         args.func(args, run)
-        run.write_manifest()
+        run.commit()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        run.discard()
     return 0
 
 

@@ -36,7 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .events import ProfilerError, ThrottleEvent
 
-_DEFAULT_TICK_CANDIDATES = (100, 250, 300, 1000)
+# Ascending, so the tick search tries the coarsest grid first.
+_TICK_CANDIDATES_HZ = (100, 250, 300, 1000)
 _MIN_EVENTS_FOR_ESTIMATES = 20
 _BIN_US = 500
 
@@ -146,7 +147,6 @@ def analyze(
     events: Sequence[ThrottleEvent],
     total_runtime_ms: float,
     *,
-    tick_candidates_hz: Sequence[int] = _DEFAULT_TICK_CANDIDATES,
     alignment_tol_us: float = 150.0,
 ) -> SchedulerFingerprint:
     """Infer (period, quota, tick) from a throttle event stream.
@@ -238,12 +238,12 @@ def analyze(
     # one the data cannot refute.
     starts = [t[i] - g[i] for i in range(n)]
     tick_hz: Optional[int] = None
-    for hz in sorted(tick_candidates_hz):
+    for hz in _TICK_CANDIDATES_HZ:
         if _on_grid(starts, hz, alignment_tol_us):
             tick_hz = hz
             break
     if tick_hz is None:
-        for hz in sorted(tick_candidates_hz):
+        for hz in _TICK_CANDIDATES_HZ:
             if _residues_agree(starts, hz, alignment_tol_us):
                 tick_hz = hz
                 notes.append(

@@ -25,13 +25,13 @@ from .types import (
 )
 
 
-def fraction_grid(n: int, lo: float = 0.005, hi: float = 1.0) -> List[float]:
-    """Evenly spaced vCPU fractions, inclusive of both ends."""
+def fraction_grid(n: int, lo: float = 0.005) -> List[float]:
+    """``n`` evenly spaced vCPU fractions from ``lo`` to 1, inclusive."""
     if n < 2:
         raise SchedulingError("grid needs at least two points")
-    if not 0.0 < lo < hi <= 1.0:
-        raise SchedulingError("need 0 < lo < hi <= 1")
-    step = (hi - lo) / (n - 1)
+    if not 0.0 < lo < 1.0:
+        raise SchedulingError("need 0 < lo < 1")
+    step = (1.0 - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 

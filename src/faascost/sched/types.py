@@ -154,10 +154,6 @@ class ScheduleTimeline:
         return [us / US_PER_MS for us in self.throttle_durations_us]
 
     @property
-    def throttle_starts_us(self) -> List[int]:
-        return [s.start_us for s in self.segments if s.state == THROTTLED]
-
-    @property
     def overruns_ms(self) -> List[float]:
         return [us / US_PER_MS for us in self.overruns_us]
 

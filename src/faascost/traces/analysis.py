@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .records import InvocationRecord
 from .sketch import QuantileSketch
 from ..billing import engine as billing_engine
+from ..billing.engine import _GB_PER_MB
 from ..billing.model import (
     MEMORY_GB,
     VCPU,
@@ -70,10 +71,9 @@ class BillableDistribution:
     values, or the sketch's entries.
     """
 
-    def __init__(self, sketch_eps: float) -> None:
+    def __init__(self) -> None:
         self.total = Decimal(0)
         self.n = 0
-        self.sketch_eps = sketch_eps
         self.sketch: Optional[QuantileSketch] = None
         self._counts: Dict[Decimal, int] = {}
         self._values: list = []
@@ -93,7 +93,7 @@ class BillableDistribution:
     def spill(self) -> None:
         """Move the counted values into the GK sketch, made on first use."""
         if self.sketch is None:
-            self.sketch = QuantileSketch(self.sketch_eps)
+            self.sketch = QuantileSketch(SKETCH_EPS)
         for value, count in self._counts.items():
             x = float(value)
             for _ in range(count):
@@ -168,11 +168,14 @@ class InflationReport:
 
 
 _S_PER_MS = Decimal("0.001")
-_GB_PER_MB = Decimal("0.0009765625")  # 1 / 1024, exactly
 
 #: Distinct billing keys per platform past which the inflation analysis
 #: takes its billable percentiles from a GK sketch; totals stay exact.
 EXACT_KEYS_CAP = 2**16
+#: Rank error of the GK sketches: the inflation fallback and cold start.
+SKETCH_EPS = 0.005
+#: Requests shorter than this are left out of the roundup analysis.
+ROUNDUP_MIN_EXEC_MS = 1.0
 
 
 def _usage_s(quantities, resource: str, basis: str) -> Decimal:
@@ -189,7 +192,6 @@ def inflation_analysis(
     config: PlatformBillingConfig,
     *,
     mapping: str = "normalize",
-    sketch_eps: float = 0.005,
 ) -> InflationReport:
     """Aggregate billable-to-actual resource inflation under a platform.
 
@@ -203,7 +205,7 @@ def inflation_analysis(
     :class:`faascost.billing.engine.StepKeys` key, and each distinct pair is
     priced once; a record with no key is priced on its own. Per-request
     billables are reported as exact nearest-rank percentiles; past
-    :data:`EXACT_KEYS_CAP` distinct keys, as ``sketch_eps`` GK estimates.
+    :data:`EXACT_KEYS_CAP` distinct keys, as :data:`SKETCH_EPS` GK estimates.
     """
     if mapping not in ("normalize", "direct"):
         raise ValueError(f"unknown mapping: {mapping!r}")
@@ -220,8 +222,8 @@ def inflation_analysis(
         or config.billable_time_kind == "cpu_time_only"
     )
     bills_mem = config.alloc_spec(MEMORY_GB) is not None or usage_mem is not None
-    cpu_dist = BillableDistribution(sketch_eps) if bills_cpu else None
-    mem_dist = BillableDistribution(sketch_eps) if bills_mem else None
+    cpu_dist = BillableDistribution() if bills_cpu else None
+    mem_dist = BillableDistribution() if bills_mem else None
     steps = billing_engine.StepKeys.for_config(config)
 
     def billables(quantities, vcpu_rate: Decimal, mem_rate: Decimal) -> tuple:
@@ -312,7 +314,7 @@ def inflation_analysis(
                     spilled = True
                     flags.append(
                         f"more than {EXACT_KEYS_CAP} distinct billing keys: billable "
-                        f"percentiles are GK estimates (eps {sketch_eps})"
+                        f"percentiles are GK estimates (eps {SKETCH_EPS})"
                     )
                     for dist in (cpu_dist, mem_dist):
                         if dist is not None:
@@ -454,7 +456,6 @@ class ColdStartReport:
     n_zero_init: int
     fraction_nonpositive: Optional[float]
     diff_vcpu_s_sketch: QuantileSketch
-    diff_gb_s_sketch: QuantileSketch
     diffs: Optional[List[ColdStartDiff]]
     flags: List[str] = field(default_factory=list)
 
@@ -494,7 +495,6 @@ def cold_start_differential(
     records: Iterable[InvocationRecord],
     *,
     session_gap_ms: float = 900_000.0,
-    sketch_eps: float = 0.005,
     collect: bool = False,
 ) -> ColdStartReport:
     """Per-instance cold-start billables versus execution billables.
@@ -548,8 +548,7 @@ def cold_start_differential(
     if n_records == 0:
         raise ValueError("no records")
 
-    diff_cpu_sketch = QuantileSketch(sketch_eps)
-    diff_gb_sketch = QuantileSketch(sketch_eps)
+    diff_cpu_sketch = QuantileSketch(SKETCH_EPS)
     diffs: Optional[List[ColdStartDiff]] = [] if collect else None
     n_cold = 0
     n_warm_only = 0
@@ -572,7 +571,6 @@ def cold_start_differential(
             subsequent_gb_s=state.sub_gb_s.value(),
         )
         diff_cpu_sketch.insert(d.diff_vcpu_s)
-        diff_gb_sketch.insert(d.diff_gb_s)
         if d.diff_vcpu_s <= 0.0 and d.diff_gb_s <= 0.0:
             n_nonpositive += 1
         if diffs is not None:
@@ -595,7 +593,6 @@ def cold_start_differential(
         n_zero_init=n_zero_init,
         fraction_nonpositive=fraction,
         diff_vcpu_s_sketch=diff_cpu_sketch,
-        diff_gb_s_sketch=diff_gb_sketch,
         diffs=diffs,
         flags=flags,
     )
@@ -654,18 +651,16 @@ def _int_grid(granularity: Decimal, cutoff: Decimal) -> Optional[Tuple[int, int]
 def rounding_up_stats(
     records: Iterable[InvocationRecord],
     policies: Sequence[RoundingPolicy],
-    *,
-    min_exec_ms: float = 1.0,
 ) -> List[RoundingUpStats]:
     """Mean rounded-up time and memory per policy, one pass over records.
 
-    Requests shorter than ``min_exec_ms`` are excluded (sub-granularity
-    noise dominates them). Time roundup is billable minus raw execution
-    time (:func:`faascost.billing.engine.rounded_time`). Memory roundup
-    isolates the size-granularity effect on consumed memory, weighted by raw
-    execution seconds, so it is independent of the time rounding reported
-    next to it. Sums are exact, in integer 10^-6 units where the values
-    allow; means are correctly rounded floats.
+    Requests shorter than :data:`ROUNDUP_MIN_EXEC_MS` are excluded
+    (sub-granularity noise dominates them). Time roundup is billable minus
+    raw execution time (:func:`faascost.billing.engine.rounded_time`).
+    Memory roundup isolates the size-granularity effect on consumed memory,
+    weighted by raw execution seconds, so it is independent of the time
+    rounding reported next to it. Sums are exact, in integer 10^-6 units
+    where the values allow; means are correctly rounded floats.
     """
     if not policies:
         raise ValueError("no policies given")
@@ -690,7 +685,7 @@ def rounding_up_stats(
 
     with decimal.localcontext(CONTEXT):
         for record in records:
-            if record.exec_duration_ms < min_exec_ms:
+            if record.exec_duration_ms < ROUNDUP_MIN_EXEC_MS:
                 n_short += 1
                 continue
             n += 1

@@ -11,7 +11,7 @@ import csv
 import gzip
 import io
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Dict, Iterator, Optional, Tuple, Union
 
@@ -38,7 +38,6 @@ class IngestStats:
     records_yielded: int = 0
     malformed_skipped: int = 0
     zero_cpu_filtered: int = 0
-    notes: list = field(default_factory=list)
 
 
 def _open_source(source: Union[str, Path, IO[bytes]]) -> IO[str]:

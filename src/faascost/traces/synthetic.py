@@ -26,6 +26,8 @@ _HEADER = (
 
 _MEM_CHOICES_MB = (128.0, 256.0, 512.0, 1024.0, 2048.0)
 _MB_PER_VCPU = 1769.0
+# The roundup analysis's floor, restated so the ledger stays an independent
+# reference for it.
 _ROUNDUP_MIN_EXEC_MS = 1.0
 _MEM_ROUNDUP_GRAN_GB = 0.125
 

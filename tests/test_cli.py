@@ -1,5 +1,6 @@
 """End-to-end checks of the command line against the library."""
 
+import argparse
 import csv
 import dataclasses
 import gzip
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from faascost.billing import compute_cost, normalize_allocation, resolve_platform
-from faascost.cli import main
+from faascost.cli import build_parser, main
 from faascost.money import usd_string
 from faascost.sched import TaskSpec, closed_form_duration
 from faascost.traces import generate_synthetic_trace, ingest_trace
@@ -424,6 +425,57 @@ def test_truncated_gzip_trace_fails_cleanly(argv, tmp_path, trace_csv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trace.csv.gz" in err and "truncated" in err
     assert not (tmp_path / "out" / "run.json").exists()
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
+def test_failed_analyze_leaves_no_files(tmp_path, capsys):
+    # Inflation succeeds and writes its table before correlation fails.
+    trace = tmp_path / "flat.csv"
+    rows = [f"f,i{i},{i}.0,10.0,0.0,false,1,1024,0.5,512" for i in range(3)]
+    trace.write_text("function_id,instance_id,arrival_ts_ms,exec_duration_ms,"
+                     "init_duration_ms,is_cold_start,alloc_vcpus,alloc_memory_mb,"
+                     "cpu_usage_avg_vcpus,mem_usage_mb\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run("analyze", "--trace", trace, "--out-dir", out) == 1
+    assert "zero variance" in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_manifest_seed_only_for_analyze(tmp_path, trace_csv):
+    assert run("analyze", "--trace", trace_csv, "--seed", 5, "--out-dir", tmp_path / "a") == 0
+    assert run("simulate", "--t", "33.1", "--p", "20", "--q", "1.45",
+               "--out-dir", tmp_path / "s") == 0
+    assert json.loads((tmp_path / "a" / "run.json").read_text())["seed"] == 5
+    assert json.loads((tmp_path / "s" / "run.json").read_text())["seed"] is None
+
+
+def _commands(parser, words=()):
+    """Each runnable command's parser, keyed by the words that select it."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _commands(child, words + (name,))
+            return
+    yield " ".join(words), parser
+
+
+def test_parser_surface():
+    options = {
+        command: {flag: action for action in sub._actions for flag in action.option_strings}
+        for command, sub in _commands(build_parser())
+    }
+    assert set(options) == {"bill", "analyze", "simulate", "profile run",
+                            "profile replay", "profile analyze", "profile report"}
+    assert all("--out-dir" in flags for flags in options.values())
+    assert [c for c, flags in options.items() if "--seed" in flags] == ["analyze"]
+    assert sorted(c for c, flags in options.items() if "--format" in flags) == [
+        "analyze", "bill", "simulate"]
+    # An option that several commands take means the same thing in each.
+    seen = {}
+    for command, flags in options.items():
+        for flag, action in flags.items():
+            spec = (action.default, action.type, action.choices)
+            assert seen.setdefault(flag, spec) == spec, (command, flag)
 
 
 def test_cli_import_leaves_numpy_out():

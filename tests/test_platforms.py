@@ -3,6 +3,7 @@
 from decimal import Decimal
 
 import pytest
+import yaml
 
 from faascost.billing.engine import billable_time, compute_cost, fee_equivalent_walltime
 from faascost.billing.model import (
@@ -14,8 +15,10 @@ from faascost.billing.model import (
 from faascost.billing.platforms import (
     CONFIG_DIR_ENV,
     bundled_platform_names,
+    parse_platform_config,
     resolve_platform,
 )
+from faascost.money import dec
 from faascost.traces.records import InvocationRecord
 
 EXPECTED_PLATFORMS = {
@@ -147,3 +150,56 @@ knob_coupling: {kind: independent}
 """
     )
     assert resolve_platform(str(path)).name == "custom"
+
+
+_MIXED_NUMBERS = """
+name: mixed
+billable_time: {kind: execution, granularity_ms: 1, min_cutoff_ms: 0.1}
+alloc_resources:
+  - {resource: memory_gb, granularity: 0.0009765625,
+     unit_price_usd_per_unit_second: "0.0000166667"}
+  - {resource: vcpu, granularity: "0.01", unit_price_usd_per_unit_second: null}
+usage_resources:
+  - {resource: egress, granularity: 5, unit_price_usd_per_unit: 0.1}
+invocation_fee_usd: 0.0000002
+knob_coupling: {kind: ratio_constrained, min_ratio: 0.125, max_ratio: 4,
+                cpu_step: "0.08", mem_step_mb: 128}
+"""
+
+
+def _quoted(node):
+    """``node`` with every YAML number written as a quoted string."""
+    if isinstance(node, dict):
+        return {key: _quoted(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_quoted(value) for value in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return repr(node)
+    return node
+
+
+def test_parse_converts_every_number_form_exactly():
+    doc = yaml.safe_load(_MIXED_NUMBERS)
+    cfg = parse_platform_config(doc)
+    mem, vcpu = cfg.alloc_resources
+    (egress,) = cfg.usage_resources
+    knobs = cfg.knob_coupling
+    pairs = [
+        (cfg.time_granularity_ms, 1),
+        (cfg.time_min_cutoff_ms, 0.1),
+        (cfg.invocation_fee_usd, 0.0000002),
+        (mem.granularity, 0.0009765625),
+        (mem.unit_price_usd_per_unit_second, "0.0000166667"),
+        (vcpu.granularity, "0.01"),
+        (egress.granularity, 5),
+        (egress.unit_price_usd_per_unit, 0.1),
+        (knobs.min_ratio, 0.125),
+        (knobs.max_ratio, 4),
+        (knobs.cpu_step, "0.08"),
+        (knobs.mem_step_mb, 128),
+    ]
+    for got, value in pairs:
+        assert type(got) is Decimal and got == dec(value), (got, value)
+    assert vcpu.unit_price_usd_per_unit_second is None
+    quoted = parse_platform_config(_quoted(doc))
+    assert quoted == cfg and repr(quoted) == repr(cfg)

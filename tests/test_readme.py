@@ -1,0 +1,38 @@
+"""The README's examples stay runnable: CLI lines parse, Python blocks run."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from faascost.cli import build_parser
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", _README, flags=re.M | re.S)
+_CLI_LINES = [
+    line
+    for lang, body in _BLOCKS
+    if lang == "bash"
+    for line in body.splitlines()
+    if line.startswith("faascost ")
+]
+_PYTHON = [body for lang, body in _BLOCKS if lang == "python"]
+
+
+def test_readme_has_examples():
+    assert len(_CLI_LINES) >= 8 and len(_PYTHON) >= 2
+
+
+@pytest.mark.parametrize("line", _CLI_LINES)
+def test_readme_cli_line_parses(line):
+    try:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {line}")
+
+
+@pytest.mark.parametrize("source", _PYTHON, ids=range(len(_PYTHON)))
+def test_readme_python_block_runs(source, capsys):
+    exec(compile(source, "README.md", "exec"), {})
+    assert capsys.readouterr().out
