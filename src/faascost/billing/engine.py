@@ -1,8 +1,10 @@
 """Cost engine: allocation normalization, billable quantities, and invoice math.
 
 ``compute_cost`` is :func:`billable_quantities` (granularities only), then
-:func:`price` (unit prices); the trace analytics use the first stage alone,
-through :class:`StepKeys`, its integer form for a pass over a trace.
+:func:`price` (unit prices). :class:`StepKeys` is the first stage's integer
+form for a pass over a trace: the trace analytics use it to do the Decimal
+work once per distinct key, and ``faascost bill --records`` to price each
+distinct key once.
 Records are any object with the fields of
 :class:`faascost.traces.records.InvocationRecord`.
 """

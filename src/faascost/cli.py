@@ -26,7 +26,7 @@ import sys
 import time
 from decimal import Decimal
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import yaml
 
@@ -40,6 +40,7 @@ from faascost.billing import (
     resolve_platform,
     resolve_platform_path,
 )
+from faascost.billing.engine import StepKeys
 from faascost.billing.model import ResourceAllocation, allocation
 from faascost.profiler import (
     ProbeConfig,
@@ -95,6 +96,11 @@ _BILL_COLUMNS = (
     "usage_usd",
     "total_usd",
 )
+# The columns that depend only on what a record is billed for.
+_PRICED_COLUMNS = _BILL_COLUMNS[4:]
+#: Distinct billing keys whose priced columns ``bill --records`` keeps; a
+#: record with a new key past this many is priced on its own.
+BILL_KEYS_CAP = 2**16
 _INFLATION_COLUMNS = (
     "platform",
     "n",
@@ -174,12 +180,12 @@ class _Run:
             path.write_text(text)
 
     def rows(self, rows: Iterable[dict], fieldnames: Sequence[str], stem: str) -> None:
-        """Rows as CSV (a header, then each row as it comes) or as one JSON array."""
-        if self.args.format == "json":
-            self.json(list(rows), f"{stem}.json")
-            return
-        path = self.target(f"{stem}.csv")
+        """Rows as CSV or as one JSON array, each row written as it comes."""
+        path = self.target(f"{stem}.{self.args.format}")
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+            if self.args.format == "json":
+                _write_json_array(fh, rows)
+                return
             writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
@@ -208,6 +214,17 @@ class _Run:
 
 
 # ---------------------------------------------------------------- helpers
+
+
+def _write_json_array(fh, rows: Iterable[dict]) -> None:
+    """``json.dumps(list(rows), indent=2, sort_keys=True)`` and a newline,
+    written one row at a time."""
+    opener = "[\n  "
+    for row in rows:
+        # A JSON string holds no raw newline: each line of the row is indented.
+        fh.write(opener + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n  "))
+        opener = ",\n  "
+    fh.write("[]\n" if opener == "[\n  " else "\n]\n")
 
 
 def _slug(number_text: str) -> str:
@@ -261,6 +278,45 @@ def _bill_row(record, config, alloc) -> dict:
     }
 
 
+def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> Iterator[dict]:
+    """:func:`_bill_row` of each record, priced once per distinct billing key.
+
+    The key is the record's allocation and its :class:`StepKeys` key. Every
+    record with that key has the same billable quantities, so the same
+    priced columns; a record without a key is priced on its own.
+    """
+    steps = StepKeys.for_config(config)
+    granted: Dict[tuple, ResourceAllocation] = {}
+    priced: Dict[tuple, tuple] = {}
+
+    def grant(alloc: ResourceAllocation) -> ResourceAllocation:
+        # Normalized once per allocation; trace records carry no extras.
+        key = (alloc.vcpus, alloc.memory_mb)
+        if key not in granted:
+            granted[key] = normalize_allocation(alloc, config) if normalize else alloc
+        return granted[key]
+
+    for record in records:
+        alloc = record.alloc
+        step_key = None if steps is None else steps.key(record)
+        key = None if step_key is None else (alloc.vcpus, alloc.memory_mb, step_key)
+        strings = priced.get(key)
+        if strings is not None:
+            yield dict(zip(_BILL_COLUMNS, (
+                record.function_id,
+                record.instance_id,
+                record.arrival_ts_ms,
+                record.exec_duration_ms,
+                *strings,
+            )))
+            continue
+        row = _bill_row(record, config, grant(alloc))
+        if key is not None and len(priced) < BILL_KEYS_CAP:
+            # Interned, so the fee and repeated amounts are stored once.
+            priced[key] = tuple(sys.intern(row[name]) for name in _PRICED_COLUMNS)
+        yield row
+
+
 def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
     config = run.platform(args.platform)
     normalize = not args.no_normalize
@@ -268,19 +324,7 @@ def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
     if args.records is not None:
         records_path = run.input(args.records)
         schema = _load_schema(run.input(args.schema))
-        granted: Dict[tuple, ResourceAllocation] = {}
-
-        def grant(alloc: ResourceAllocation) -> ResourceAllocation:
-            # Normalized once per allocation; trace records carry no extras.
-            key = (alloc.vcpus, alloc.memory_mb)
-            if key not in granted:
-                granted[key] = normalize_allocation(alloc, config) if normalize else alloc
-            return granted[key]
-
-        rows = (
-            _bill_row(record, config, grant(record.alloc))
-            for record in ingest_trace(records_path, schema)
-        )
+        rows = _bill_rows(ingest_trace(records_path, schema), config, normalize)
         run.rows(rows, _BILL_COLUMNS, "bills")
         return
 
@@ -422,9 +466,18 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
         return
 
     run.require_dir()
-    fractions = fraction_grid(args.grid, lo=args.f_lo)
+    slugs: Dict[str, str] = {}  # file-name slug -> period
     for period in periods:
-        stem = f"duration_curve_p{_slug(period)}"
+        slug = _slug(period)
+        if slug in slugs:
+            raise CliError(
+                f"--p values {slugs[slug]!r} and {period!r} both name "
+                f"duration_curve_p{slug}"
+            )
+        slugs[slug] = period
+    fractions = fraction_grid(args.grid, lo=args.f_lo)
+    for slug, period in slugs.items():
+        stem = f"duration_curve_p{slug}"
         if args.closed_form_only:
             period_us = to_us(period, "period_ms")
             rows = [
@@ -466,7 +519,7 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
             run.rows(
                 brows,
                 ["fraction", "completion_drop_ms", "memory_mb"],
-                f"breakpoints_p{_slug(period)}",
+                f"breakpoints_p{slug}",
             )
             for warning in rep.warnings:
                 print(f"warning: P={period}: {warning}", file=sys.stderr)

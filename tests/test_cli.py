@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import gzip
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from faascost.billing import compute_cost, normalize_allocation, resolve_platform
-from faascost.cli import build_parser, main
+from faascost.cli import _write_json_array, build_parser, main
 from faascost.money import usd_string
 from faascost.sched import TaskSpec, closed_form_duration
 from faascost.traces import generate_synthetic_trace, ingest_trace
@@ -269,6 +270,15 @@ def test_simulate_format_json(tmp_path):
     assert len(rows) == 10 and rows[-1]["f"] == 1.0
 
 
+def test_simulate_rejects_periods_with_one_file_name(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("simulate", "--t", "160", "--p", "10,20,20.0", "--grid", 10,
+               "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert "'20' and '20.0'" in err and "duration_curve_p20" in err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_simulate_closed_form_only_rejects_sub_us_quota_like_sweep(tmp_path, capsys):
     errors = []
     for flag in ([], ["--closed-form-only"]):
@@ -447,6 +457,30 @@ def test_manifest_seed_only_for_analyze(tmp_path, trace_csv):
                "--out-dir", tmp_path / "s") == 0
     assert json.loads((tmp_path / "a" / "run.json").read_text())["seed"] == 5
     assert json.loads((tmp_path / "s" / "run.json").read_text())["seed"] is None
+
+
+@pytest.mark.parametrize("rows", [[], [{}], [{"b": [1.5, "x\ny"], "a": None}, {"c": {"d": 1}}]],
+                         ids=["empty", "empty-row", "nested"])
+def test_json_array_streams_the_bytes_of_one_dump(rows):
+    out = io.StringIO()
+    _write_json_array(out, iter(rows))
+    assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bill", "--platform", "gcp_cloudrun_functions", "--records", "TRACE"],
+    ["analyze", "--trace", "TRACE", "--platforms", "aws_lambda,cloudflare_workers"],
+    ["simulate", "--t", "10", "--p", "5,20", "--grid", "10", "--breakpoints"],
+], ids=["bill", "analyze", "simulate"])
+def test_json_tables_are_one_dump(argv, tmp_path, trace_csv):
+    out = tmp_path / "out"
+    assert run(*[trace_csv if a == "TRACE" else a for a in argv],
+               "--format", "json", "--out-dir", out) == 0
+    tables = [p for p in out.glob("*.json") if p.name not in ("run.json", "report.json")]
+    assert tables
+    for path in tables:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def _commands(parser, words=()):

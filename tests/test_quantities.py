@@ -4,7 +4,8 @@
 ``billable_quantities`` yields: each billable total is the float of the
 exact decimal sum over the same records, on every bundled platform that
 documents a time granularity. Its integer form, ``StepKeys``, must give
-the very same quantities for every record it keys.
+the very same quantities for every record it keys, and ``bill --records``,
+which prices once per key, the very same rows as pricing each record.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faascost import cli
 from faascost.billing.engine import (
     StepKeys,
     allocation_quantities,
@@ -248,3 +250,93 @@ def test_step_keys_need_whole_units():
     assert StepKeys.for_config(dataclasses.replace(config, time_granularity_ms=None)) is None
     fine = dataclasses.replace(config, time_granularity_ms=Decimal("0.0000001"))
     assert StepKeys.for_config(fine) is None
+
+
+# The keyed bill path: `bill --records` prices each distinct billing key
+# once, and must give _bill_row's row for every record.
+
+PRICED = ("aws_lambda", "aws_lambda_arm", "gcp_cloudrun_functions")
+PLACEHOLDER_PRICE = Decimal("0.0000001")
+
+
+def with_placeholder_prices(config):
+    """``config`` with each undocumented unit price and fee set to a placeholder."""
+
+    def filled(price):
+        return PLACEHOLDER_PRICE if price is None else price
+
+    return dataclasses.replace(
+        config,
+        alloc_resources=tuple(
+            dataclasses.replace(
+                s, unit_price_usd_per_unit_second=filled(s.unit_price_usd_per_unit_second)
+            )
+            for s in config.alloc_resources
+        ),
+        usage_resources=tuple(
+            dataclasses.replace(s, unit_price_usd_per_unit=filled(s.unit_price_usd_per_unit))
+            for s in config.usage_resources
+        ),
+        invocation_fee_usd=filled(config.invocation_fee_usd),
+    )
+
+
+BILL_CONFIGS = {name: with_placeholder_prices(resolve_platform(name)) for name in GRANULAR}
+# StepKeys cannot key this one: every record takes _bill_row.
+BILL_CONFIGS["aws_lambda_1e-7ms"] = dataclasses.replace(
+    resolve_platform("aws_lambda"), time_granularity_ms=Decimal("0.0000001")
+)
+
+
+def bill_records(seed):
+    """Six-decimal records, zero durations and seven-decimal cells, each
+    twice, so that every key recurs."""
+    rng = random.Random(seed)
+    records = []
+    for record in seeded_records(seed, n=240):
+        if rng.random() < 0.2:
+            record = dataclasses.replace(record, exec_duration_ms=0.0, init_duration_ms=0.0)
+        if rng.random() < 0.2:
+            field = rng.choice(("exec_duration_ms", "init_duration_ms",
+                                "cpu_usage_avg_vcpus", "mem_usage_mb"))
+            record = dataclasses.replace(record, **{field: getattr(record, field) + 1.25e-7})
+        records.append(record)
+    return records + records[::-1]
+
+
+def test_placeholders_leave_priced_platforms_alone():
+    for name in PRICED:
+        assert BILL_CONFIGS[name] == resolve_platform(name)
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalize", "no-normalize"])
+@pytest.mark.parametrize("name", sorted(BILL_CONFIGS))
+def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
+    config = BILL_CONFIGS[name]
+    records = bill_records(seed=len(name))
+    want = [
+        cli._bill_row(r, config, normalize_allocation(r.alloc, config) if normalize else r.alloc)
+        for r in records
+    ]
+    steps = StepKeys.for_config(config)
+    keys = [None if steps is None else steps.key(r) for r in records]
+    assert None in keys
+    priced = []
+
+    def counted(*args):
+        priced.append(args)
+        return compute_cost(*args)
+
+    monkeypatch.setattr(cli, "compute_cost", counted)
+    for cap in (cli.BILL_KEYS_CAP, 3):
+        monkeypatch.setattr(cli, "BILL_KEYS_CAP", cap)
+        priced.clear()
+        assert list(cli._bill_rows(records, config, normalize)) == want
+        if steps is None:
+            assert len(priced) == len(records)
+        elif cap == 3:
+            # Past the cap a new key is priced on its own, every time.
+            assert len(priced) > len(records) // 2
+        else:
+            distinct = {(r.alloc.vcpus, r.alloc.memory_mb, k) for r, k in zip(records, keys) if k}
+            assert len(priced) == len(distinct) + keys.count(None)
