@@ -9,9 +9,15 @@ the rest), SHA-256 digests of every input file, the output paths relative
 to that directory and the tool version, so a result directory is
 self-describing. Files are written under a ``.partial`` name and take their
 final names only when the command succeeds, so a command that fails leaves
-no output file and no manifest. Given identical inputs and seed, output
-files are byte-identical across reruns; the manifest's ``wall_time_s``
-field is the one exception.
+no output file, no manifest and no directory of its own making. Given
+identical inputs and seed, output files are byte-identical across reruns;
+the manifest's ``wall_time_s`` field is the one exception.
+
+Each command imports only the layers it runs, so ``simulate`` starts
+without billing, traces or PyYAML: :func:`_use` binds the names taken from
+a layer when a command first needs them, and the module ``__getattr__``
+when a caller first reads one. They stay module globals so that a caller
+may patch ``faascost.cli.<name>`` and have the commands call the patch.
 """
 
 from __future__ import annotations
@@ -20,61 +26,100 @@ import argparse
 import csv
 import contextlib
 import hashlib
+import importlib
 import json
 import os
 import sys
 import time
 from decimal import Decimal
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
-
-import yaml
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from faascost import __version__
-from faascost.money import usd_string
-from faascost.billing import (
-    BillingError,
-    compute_cost,
-    fee_equivalent_walltime,
-    normalize_allocation,
-    resolve_platform,
-    resolve_platform_path,
+
+#: The names this module takes from each layer module, bound by :func:`_use`.
+_LAYER_NAMES: Dict[str, Sequence[str]] = {
+    "faascost.money": ("usd_string",),
+    "faascost.billing": (
+        "BillingError",
+        "compute_cost",
+        "fee_equivalent_walltime",
+        "normalize_allocation",
+        "resolve_platform",
+        "resolve_platform_path",
+    ),
+    "faascost.billing.engine": ("StepKeys",),
+    "faascost.billing.model": ("ResourceAllocation", "allocation"),
+    "faascost.traces": (
+        "IngestStats",
+        "InvocationRecord",
+        "RoundingPolicy",
+        "SchemaMap",
+        "cold_start_differential",
+        "inflation_analysis",
+        "ingest_trace",
+        "rounding_up_stats",
+        "utilization_correlation",
+    ),
+    "faascost.sched": (
+        "BandwidthControlConfig",
+        "TaskSpec",
+        "closed_form_duration",
+        "duration_curve",
+        "fraction_grid",
+        "quantization_breakpoints",
+        "quota_grid",
+        "simulate",
+    ),
+    "faascost.sched.types": ("to_us",),
+    "faascost.profiler": (
+        "ProbeConfig",
+        "PUBLISHED_PLATFORM_SCHEDULERS",
+        "ReferenceSchedParams",
+        "analyze_events",
+        "events_from_csv",
+        "events_to_csv",
+        "fingerprint_report",
+        "probe",
+        "replay_probe",
+    ),
+}
+# The layers each command runs.
+_TRACE_LAYERS = (
+    "faascost.money",
+    "faascost.billing",
+    "faascost.billing.engine",
+    "faascost.billing.model",
+    "faascost.traces",
 )
-from faascost.billing.engine import StepKeys
-from faascost.billing.model import ResourceAllocation, allocation
-from faascost.profiler import (
-    ProbeConfig,
-    PUBLISHED_PLATFORM_SCHEDULERS,
-    ReferenceSchedParams,
-    analyze as analyze_events,
-    events_from_csv,
-    events_to_csv,
-    fingerprint_report,
-    probe,
-    replay_probe,
-)
-from faascost.sched import (
-    BandwidthControlConfig,
-    TaskSpec,
-    closed_form_duration,
-    duration_curve,
-    fraction_grid,
-    quantization_breakpoints,
-    quota_grid,
-    simulate,
-)
-from faascost.sched.types import to_us
-from faascost.traces import (
-    IngestStats,
-    InvocationRecord,
-    RoundingPolicy,
-    SchemaMap,
-    cold_start_differential,
-    inflation_analysis,
-    ingest_trace,
-    rounding_up_stats,
-    utilization_correlation,
-)
+_SCHED_LAYERS = ("faascost.sched", "faascost.sched.types")
+_PROFILER_LAYERS = ("faascost.profiler", *_SCHED_LAYERS)
+_ALIASES = {"analyze_events": "analyze"}
+_OWNERS = {name: module for module, names in _LAYER_NAMES.items() for name in names}
+_bound: Set[str] = set()
+
+
+def _use(*modules: str) -> None:
+    """Import each layer module and bind the names this module takes from it.
+
+    A name that is already bound, such as one a caller has patched, is kept.
+    """
+    for module in modules:
+        if module in _bound:
+            continue
+        layer = importlib.import_module(module)
+        for name in _LAYER_NAMES[module]:
+            globals().setdefault(name, getattr(layer, _ALIASES.get(name, name)))
+        _bound.add(module)
+
+
+def __getattr__(name: str):
+    # Reading ``cli.<name>`` before a command has bound it (PEP 562).
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _use(_OWNERS[name])
+    return globals()[name]
+
 
 _ANALYSES = ("inflation", "correlation", "cold-start", "roundup")
 _SCHEMA_KEYS = (
@@ -134,7 +179,8 @@ class _Run:
 
     Outputs go into ``--out-dir``, made on first write, or to stdout when
     there is none. Files are staged as ``<name>.partial`` beside their final
-    paths, for :meth:`commit` to rename or :meth:`discard` to delete.
+    paths, for :meth:`commit` to rename or :meth:`discard` to delete, with
+    the directories made for them.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -144,6 +190,7 @@ class _Run:
         self.config_paths: List[Path] = []
         self.inputs: List[Path] = []
         self.outputs: Dict[Path, Path] = {}  # final path -> staging file
+        self.made_dirs: List[Path] = []  # parents before children
 
     def require_dir(self) -> None:
         if self.out_dir is None:
@@ -168,7 +215,9 @@ class _Run:
             if self.out_dir is None:
                 return None
             path = self.out_dir / name
+        missing = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
         path.parent.mkdir(parents=True, exist_ok=True)
+        self.made_dirs.extend(reversed(missing))
         return self.outputs.setdefault(path, path.with_name(path.name + ".partial"))
 
     def json(self, doc, name: str, path: Optional[Path] = None) -> None:
@@ -186,9 +235,9 @@ class _Run:
             if self.args.format == "json":
                 _write_json_array(fh, rows)
                 return
-            writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(fieldnames)
+            writer.writerows([row[name] for name in fieldnames] for row in rows)
 
     def commit(self) -> None:
         """Stage ``run.json``, then give every staged output its final name."""
@@ -208,9 +257,13 @@ class _Run:
             os.replace(staged, path)
 
     def discard(self) -> None:
-        """Delete the staged outputs still there: all of them after a failure."""
+        """Delete the staged outputs still there, all of them after a failure,
+        then each directory made for them that is left empty."""
         for staged in self.outputs.values():
             staged.unlink(missing_ok=True)
+        for directory in reversed(self.made_dirs):
+            with contextlib.suppress(OSError):  # not empty: it holds outputs
+                directory.rmdir()
 
 
 # ---------------------------------------------------------------- helpers
@@ -245,6 +298,8 @@ def _split_list(raw: str) -> List[str]:
 def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
     if source is None:
         return None
+    import yaml
+
     with open(source, "rb") as fh:
         doc = json.load(fh) if source.suffix == ".json" else yaml.safe_load(fh)
     if not isinstance(doc, dict) or "columns" not in doc:
@@ -259,6 +314,7 @@ def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
 
 
 def _bill_row(record, config, alloc) -> dict:
+    _use(*_TRACE_LAYERS)  # also called outside any command
     breakdown = compute_cost(record, config, alloc)
     doc = breakdown.as_dict()
     return {
@@ -285,6 +341,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
     record with that key has the same billable quantities, so the same
     priced columns; a record without a key is priced on its own.
     """
+    _use(*_TRACE_LAYERS)
     steps = StepKeys.for_config(config)
     granted: Dict[tuple, ResourceAllocation] = {}
     priced: Dict[tuple, tuple] = {}
@@ -318,6 +375,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
 
 
 def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
+    _use(*_TRACE_LAYERS)
     config = run.platform(args.platform)
     normalize = not args.no_normalize
 
@@ -357,6 +415,7 @@ def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
+    _use(*_TRACE_LAYERS)
     run.require_dir()
     trace_path = run.input(args.trace)
     schema = _load_schema(run.input(args.schema))
@@ -446,6 +505,7 @@ def _bandwidth_config(args: argparse.Namespace, period_ms: str) -> BandwidthCont
 
 
 def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
+    _use(*_SCHED_LAYERS)
     task = TaskSpec(cpu_time_ms=args.t)
     periods = _split_list(args.p)
     lagged = not args.exact_accounting
@@ -565,6 +625,8 @@ def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], even
 def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
     if source is None:
         return PUBLISHED_PLATFORM_SCHEDULERS
+    import yaml
+
     with open(source, "rb") as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
@@ -588,6 +650,7 @@ def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
 
 
 def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
+    _use(*_PROFILER_LAYERS)
     if args.action == "run":
         cfg = ProbeConfig(
             exec_duration_ms=args.duration_ms, gap_threshold_us=args.gap_threshold_us

@@ -7,6 +7,7 @@ import gzip
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,24 @@ def test_failed_analyze_leaves_no_files(tmp_path, capsys):
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
+@pytest.mark.parametrize("table_format", ["csv", "json"])
+def test_failed_command_removes_the_directories_it_made(table_format, tmp_path, trace_csv,
+                                                        capsys):
+    # cloudflare_workers documents no vCPU price, so billing fails once the
+    # bills table is staged.
+    argv = ["bill", "--platform", "cloudflare_workers", "--records", trace_csv,
+            "--format", table_format, "--out-dir"]
+    assert run(*argv, tmp_path / "made" / "out") == 1
+    assert "not documented publicly" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run(*argv, existing) == 1
+    assert existing.is_dir() and list(existing.iterdir()) == []
+    assert run(*argv, existing / "out") == 1
+    assert list(existing.iterdir()) == []
+
+
 def test_manifest_seed_only_for_analyze(tmp_path, trace_csv):
     assert run("analyze", "--trace", trace_csv, "--seed", 5, "--out-dir", tmp_path / "a") == 0
     assert run("simulate", "--t", "33.1", "--p", "20", "--q", "1.45",
@@ -473,14 +492,28 @@ def test_json_array_streams_the_bytes_of_one_dump(rows):
     ["simulate", "--t", "10", "--p", "5,20", "--grid", "10", "--breakpoints"],
 ], ids=["bill", "analyze", "simulate"])
 def test_json_tables_are_one_dump(argv, tmp_path, trace_csv):
-    out = tmp_path / "out"
-    assert run(*[trace_csv if a == "TRACE" else a for a in argv],
-               "--format", "json", "--out-dir", out) == 0
+    # Each JSON table is one dump of its rows, and its CSV form is the bytes
+    # csv.DictWriter writes for the same rows: None is an empty cell, as in
+    # the simulate case's breakpoints memory_mb.
+    argv = [trace_csv if a == "TRACE" else a for a in argv]
+    out, out_csv = tmp_path / "out", tmp_path / "out_csv"
+    assert run(*argv, "--format", "json", "--out-dir", out) == 0
+    assert run(*argv, "--out-dir", out_csv) == 0
     tables = [p for p in out.glob("*.json") if p.name not in ("run.json", "report.json")]
     assert tables
     for path in tables:
         text = path.read_text()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        rows = json.loads(text)
+        assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        written = (out_csv / f"{path.stem}.csv").read_text()
+        want = io.StringIO()
+        writer = csv.DictWriter(want, fieldnames=written.split("\n", 1)[0].split(","),
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert written == want.getvalue(), path.name
+    if "--breakpoints" in argv:
+        assert any(row["memory_mb"] == "" for row in read_rows(out_csv / "breakpoints_p20.csv"))
 
 
 def _commands(parser, words=()):
@@ -518,6 +551,99 @@ def test_cli_import_leaves_numpy_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=env, check=True)
     assert result.stdout.strip() == "False"
+
+
+# ------------------------------------------------------------ lazy layers
+
+_ROOT = Path(__file__).resolve().parents[1]
+_LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.sched",
+           "faascost.profiler")
+
+
+def _fresh_python(code: str, cwd: Path) -> dict:
+    """Run ``code`` in a new interpreter on ``src/``; its last line is JSON."""
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, cwd=cwd, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+_LOADS = {
+    "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
+                        "--breakpoints"], {"faascost.sched"}),
+    "simulate-timeline": (["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
+                          {"faascost.sched"}),
+    "profile-replay": (["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
+                       {"faascost.sched", "faascost.profiler"}),
+    "profile-analyze": (["profile", "analyze", "--in", "EVENTS"],
+                        {"faascost.sched", "faascost.profiler"}),
+    "profile-report": (["profile", "report", "--in", "EVENTS"],
+                       {"faascost.sched", "faascost.profiler"}),
+    "profile-report-reference": (
+        ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
+        {"faascost.sched", "faascost.profiler", "yaml"}),
+    "bill": (["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
+             {"faascost.billing", "faascost.traces", "yaml"}),
+    "bill-records": (["bill", "--platform", "aws_lambda", "--records", "TRACE"],
+                     {"faascost.billing", "faascost.traces", "yaml"}),
+    "analyze": (["analyze", "--trace", "TRACE"],
+                {"faascost.billing", "faascost.traces", "yaml"}),
+    "version": (["--version"], set()),
+}
+
+
+@pytest.mark.parametrize("argv, layers", _LOADS.values(), ids=_LOADS)
+def test_command_imports_only_its_layers(argv, layers, tmp_path, trace_csv, events_csv):
+    reference = tmp_path / "ref.yaml"
+    reference.write_text("lab:\n  period_ms: 20\n  tick_hz: 250\n")
+    files = {"TRACE": trace_csv, "EVENTS": events_csv, "REFERENCE": reference}
+    argv = [str(files.get(a, a)) for a in argv]
+    if argv != ["--version"]:
+        argv += ["--out-dir", "tmp"]
+    code = f"""
+import json, sys
+from faascost.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({{"code": code, "loaded": [m for m in {_LAYERS!r} if m in sys.modules]}}))
+"""
+    result = _fresh_python(code, tmp_path)
+    assert (result["code"], set(result["loaded"])) == (0, layers)
+
+
+def test_tracer_patches_reach_the_commands(tmp_path):
+    # perfbench/tracing.py reads and replaces these names on faascost.cli
+    # before any command has run; each must be readable then, and a patch
+    # must be what the command calls.
+    source = (_ROOT / "perfbench" / "tracing.py").read_text()
+    names = sorted(set(re.findall(r't\.patch\(cli, "(\w+)"', source)))
+    assert "simulate" in names and len(names) >= 17
+    code = f"""
+import json
+import faascost.sched
+from faascost import cli
+
+calls = {{"simulate": 0, "closed_form_duration": 0}}
+
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+# Set before its layer is bound: binding the layer must keep the patch.
+cli.closed_form_duration = counting(
+    "closed_form_duration", faascost.sched.closed_form_duration)
+unreadable = [name for name in {names!r} if not hasattr(cli, name)]
+cli.simulate = counting("simulate", cli.simulate)
+code = cli.main(["simulate", "--t", "33.1", "--p", "20", "--q", "1.45", "--out-dir", "tmp"])
+print(json.dumps({{"code": code, "unreadable": unreadable, "calls": calls}}))
+"""
+    assert _fresh_python(code, tmp_path) == {
+        "code": 0, "unreadable": [], "calls": {"simulate": 1, "closed_form_duration": 1}}
 
 
 def test_version_flag(capsys):
