@@ -25,7 +25,7 @@ from decimal import Decimal
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple, Union
 
-from faascost.money import Number, dec, usd_string
+from faascost.money import MAX_AMOUNT, Number, dec, usd_string
 
 # Canonical resource identifiers. Any other string is a custom resource.
 VCPU = "vcpu"
@@ -34,6 +34,8 @@ MEMORY_GB = "memory_gb"
 BILLABLE_TIME_KINDS = ("execution", "turnaround", "cpu_time_only")
 
 USAGE_BASES = ("absolute", "per_billable_second")
+
+_MAX_AMOUNT = Decimal(MAX_AMOUNT)
 
 
 class BillingError(ValueError):
@@ -219,7 +221,10 @@ class PlatformBillingConfig:
 
 @dataclass(frozen=True)
 class ResourceAllocation:
-    """Resources granted to one sandbox: vCPUs, memory, optional extras."""
+    """Resources granted to one sandbox: vCPUs, memory, optional extras.
+
+    Each amount lies in ``[0, MAX_AMOUNT)``.
+    """
 
     vcpus: Decimal = Decimal(0)
     memory_mb: Decimal = Decimal(0)
@@ -230,8 +235,9 @@ class ResourceAllocation:
         object.__setattr__(self, "memory_mb", dec(self.memory_mb))
         extras = MappingProxyType({k: dec(v) for k, v in self.extras.items()})
         object.__setattr__(self, "extras", extras)
-        if self.vcpus < 0 or self.memory_mb < 0 or any(v < 0 for v in extras.values()):
-            raise BillingError("allocation amounts must be >= 0")
+        amounts = (self.vcpus, self.memory_mb, *extras.values())
+        if not all(0 <= v < _MAX_AMOUNT for v in amounts):
+            raise BillingError("allocation amounts must be >= 0 and below 2**53")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ identical inputs and seed, output files are byte-identical across reruns;
 the manifest's ``wall_time_s`` field is the one exception.
 
 Each command imports only the layers it runs, so ``simulate`` starts
-without billing, traces or PyYAML: :func:`_use` binds the names taken from
-a layer when a command first needs them, and the module ``__getattr__``
-when a caller first reads one. They stay module globals so that a caller
-may patch ``faascost.cli.<name>`` and have the commands call the patch.
+without billing, traces or PyYAML. One rule binds the names taken from the
+layers: the first read of ``faascost.cli.<name>`` imports that name's layer
+and binds the name, and the commands read every such name as an attribute
+of this module. A patch on ``faascost.cli.<name>``, made before or after
+that first read, is therefore what the commands call.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ import sys
 import time
 from decimal import Decimal
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from faascost import __version__
 
-#: The names this module takes from each layer module, bound by :func:`_use`.
+_cli = sys.modules[__name__]
+
+#: The names this module takes from each layer module, each bound on first read.
 _LAYER_NAMES: Dict[str, Sequence[str]] = {
     "faascost.money": ("usd_string",),
     "faascost.billing": (
@@ -49,7 +52,7 @@ _LAYER_NAMES: Dict[str, Sequence[str]] = {
         "resolve_platform_path",
     ),
     "faascost.billing.engine": ("StepKeys",),
-    "faascost.billing.model": ("ResourceAllocation", "allocation"),
+    "faascost.billing.model": ("allocation",),
     "faascost.traces": (
         "IngestStats",
         "InvocationRecord",
@@ -67,6 +70,7 @@ _LAYER_NAMES: Dict[str, Sequence[str]] = {
         "closed_form_duration",
         "duration_curve",
         "fraction_grid",
+        "ideal_ms",
         "quantization_breakpoints",
         "quota_grid",
         "simulate",
@@ -84,52 +88,20 @@ _LAYER_NAMES: Dict[str, Sequence[str]] = {
         "replay_probe",
     ),
 }
-# The layers each command runs.
-_TRACE_LAYERS = (
-    "faascost.money",
-    "faascost.billing",
-    "faascost.billing.engine",
-    "faascost.billing.model",
-    "faascost.traces",
-)
-_SCHED_LAYERS = ("faascost.sched", "faascost.sched.types")
-_PROFILER_LAYERS = ("faascost.profiler", *_SCHED_LAYERS)
 _ALIASES = {"analyze_events": "analyze"}
 _OWNERS = {name: module for module, names in _LAYER_NAMES.items() for name in names}
-_bound: Set[str] = set()
-
-
-def _use(*modules: str) -> None:
-    """Import each layer module and bind the names this module takes from it.
-
-    A name that is already bound, such as one a caller has patched, is kept.
-    """
-    for module in modules:
-        if module in _bound:
-            continue
-        layer = importlib.import_module(module)
-        for name in _LAYER_NAMES[module]:
-            globals().setdefault(name, getattr(layer, _ALIASES.get(name, name)))
-        _bound.add(module)
 
 
 def __getattr__(name: str):
-    # Reading ``cli.<name>`` before a command has bound it (PEP 562).
+    # The first read of ``cli.<name>`` (PEP 562) imports its layer and binds it.
     if name not in _OWNERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _use(_OWNERS[name])
-    return globals()[name]
+    layer = importlib.import_module(_OWNERS[name])
+    value = globals()[name] = getattr(layer, _ALIASES.get(name, name))
+    return value
 
 
 _ANALYSES = ("inflation", "correlation", "cold-start", "roundup")
-_SCHEMA_KEYS = (
-    "columns",
-    "duration_unit",
-    "timestamp_unit",
-    "memory_unit",
-    "memory_usage_semantics",
-    "delimiter",
-)
 _BILL_COLUMNS = (
     "function_id",
     "instance_id",
@@ -205,8 +177,8 @@ class _Run:
 
     def platform(self, name: str):
         """The named platform's config; its path goes into the manifest."""
-        self.config_paths.append(resolve_platform_path(name, self.args.config_dir))
-        return resolve_platform(name, self.args.config_dir)
+        self.config_paths.append(_cli.resolve_platform_path(name, self.args.config_dir))
+        return _cli.resolve_platform(name, self.args.config_dir)
 
     def target(self, name: str, path: Optional[Path] = None) -> Optional[Path]:
         """The staging file of output ``name`` at ``path``, else in ``out_dir``;
@@ -298,24 +270,25 @@ def _split_list(raw: str) -> List[str]:
 def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
     if source is None:
         return None
+    import dataclasses
+
     import yaml
 
     with open(source, "rb") as fh:
         doc = json.load(fh) if source.suffix == ".json" else yaml.safe_load(fh)
     if not isinstance(doc, dict) or "columns" not in doc:
         raise CliError(f"{source}: schema file must be a mapping with a 'columns' key")
-    unknown = sorted(set(doc) - set(_SCHEMA_KEYS))
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(_cli.SchemaMap)})
     if unknown:
         raise CliError(f"{source}: unknown schema keys: {unknown}")
-    return SchemaMap(**doc)
+    return _cli.SchemaMap(**doc)
 
 
 # ------------------------------------------------------------------ bill
 
 
 def _bill_row(record, config, alloc) -> dict:
-    _use(*_TRACE_LAYERS)  # also called outside any command
-    breakdown = compute_cost(record, config, alloc)
+    breakdown = _cli.compute_cost(record, config, alloc)
     doc = breakdown.as_dict()
     return {
         "function_id": record.function_id,
@@ -324,10 +297,10 @@ def _bill_row(record, config, alloc) -> dict:
         "exec_duration_ms": record.exec_duration_ms,
         "billable_time_ms": doc["billable_time_ms"],
         "fee_usd": doc["fee_usd"],
-        "alloc_usd": usd_string(
+        "alloc_usd": _cli.usd_string(
             sum((usd for _, usd in breakdown.alloc_terms.values()), Decimal(0))
         ),
-        "usage_usd": usd_string(
+        "usage_usd": _cli.usd_string(
             sum((usd for _, usd in breakdown.usage_terms.values()), Decimal(0))
         ),
         "total_usd": doc["total_usd"],
@@ -341,8 +314,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
     record with that key has the same billable quantities, so the same
     priced columns; a record without a key is priced on its own.
     """
-    _use(*_TRACE_LAYERS)
-    steps = StepKeys.for_config(config)
+    steps = _cli.StepKeys.for_config(config)
     granted: Dict[tuple, ResourceAllocation] = {}
     priced: Dict[tuple, tuple] = {}
 
@@ -350,7 +322,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
         # Normalized once per allocation; trace records carry no extras.
         key = (alloc.vcpus, alloc.memory_mb)
         if key not in granted:
-            granted[key] = normalize_allocation(alloc, config) if normalize else alloc
+            granted[key] = _cli.normalize_allocation(alloc, config) if normalize else alloc
         return granted[key]
 
     for record in records:
@@ -375,21 +347,20 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
 
 
 def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
-    _use(*_TRACE_LAYERS)
     config = run.platform(args.platform)
     normalize = not args.no_normalize
 
     if args.records is not None:
         records_path = run.input(args.records)
         schema = _load_schema(run.input(args.schema))
-        rows = _bill_rows(ingest_trace(records_path, schema), config, normalize)
+        rows = _bill_rows(_cli.ingest_trace(records_path, schema), config, normalize)
         run.rows(rows, _BILL_COLUMNS, "bills")
         return
 
-    alloc = allocation(vcpus=str(args.vcpus), memory_mb=str(args.mem_mb))
+    alloc = _cli.allocation(vcpus=str(args.vcpus), memory_mb=str(args.mem_mb))
     if normalize:
-        alloc = normalize_allocation(alloc, config)
-    record = InvocationRecord(
+        alloc = _cli.normalize_allocation(alloc, config)
+    record = _cli.InvocationRecord(
         function_id="cli",
         instance_id="cli-0",
         arrival_ts_ms=0.0,
@@ -400,13 +371,13 @@ def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
         cpu_usage_avg_vcpus=args.cpu_avg_vcpus,
         mem_usage_mb=args.mem_used_mb,
     )
-    breakdown = compute_cost(record, config)
+    breakdown = _cli.compute_cost(record, config)
     doc = breakdown.as_dict()
     doc["platform"] = config.name
     doc["alloc"] = {"vcpus": str(alloc.vcpus), "memory_mb": str(alloc.memory_mb)}
     try:
-        doc["fee_equivalent_walltime_ms"] = f"{fee_equivalent_walltime(config, alloc):.6f}"
-    except BillingError:
+        doc["fee_equivalent_walltime_ms"] = f"{_cli.fee_equivalent_walltime(config, alloc):.6f}"
+    except _cli.BillingError:
         pass
     run.json(doc, "bill.json")
 
@@ -415,7 +386,6 @@ def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
-    _use(*_TRACE_LAYERS)
     run.require_dir()
     trace_path = run.input(args.trace)
     schema = _load_schema(run.input(args.schema))
@@ -424,9 +394,9 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
         if name not in _ANALYSES:
             raise CliError(f"unknown analysis {name!r}; choose from {_ANALYSES}")
 
-    stats = IngestStats()
+    stats = _cli.IngestStats()
     records = list(
-        ingest_trace(trace_path, schema, drop_zero_cpu=args.drop_zero_cpu, stats=stats)
+        _cli.ingest_trace(trace_path, schema, drop_zero_cpu=args.drop_zero_cpu, stats=stats)
     )
     report: Dict[str, object] = {
         "trace": str(trace_path),
@@ -442,7 +412,7 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
         rows = []
         blocks = []
         for name in _split_list(args.platforms):
-            rep = inflation_analysis(records, run.platform(name), mapping=args.mapping)
+            rep = _cli.inflation_analysis(records, run.platform(name), mapping=args.mapping)
             doc = rep.as_dict()
             blocks.append(doc)
             row = {key: doc[key] for key in _INFLATION_COLUMNS}
@@ -455,7 +425,7 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
         report["inflation"] = blocks
 
     if "correlation" in analyses:
-        corr = utilization_correlation(records, seed=args.seed)
+        corr = _cli.utilization_correlation(records, seed=args.seed)
         doc = corr.as_dict()
         run.rows([doc], list(doc), "utilization_correlation")
         if corr.scatter:
@@ -465,7 +435,7 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
         report["correlation"] = doc
 
     if "cold-start" in analyses:
-        cold = cold_start_differential(records, session_gap_ms=args.session_gap_ms)
+        cold = _cli.cold_start_differential(records, session_gap_ms=args.session_gap_ms)
         doc = cold.as_dict()
         row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
         row["flags"] = ";".join(doc["flags"])
@@ -481,9 +451,9 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
             if args.roundup_mem_gb is not None:
                 name += f"_mem{args.roundup_mem_gb}gb"
             policies.append(
-                RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
+                _cli.RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
             )
-        docs = [s.as_dict() for s in rounding_up_stats(records, policies)]
+        docs = [s.as_dict() for s in _cli.rounding_up_stats(records, policies)]
         run.rows(docs, list(docs[0]), "rounding_up")
         report["rounding_up"] = docs
 
@@ -495,7 +465,7 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
 
 def _bandwidth_config(args: argparse.Namespace, period_ms: str) -> BandwidthControlConfig:
     """The config of one ``--q`` timeline: quota, tick rate, slice and flavor."""
-    return BandwidthControlConfig(
+    return _cli.BandwidthControlConfig(
         period_ms=period_ms,
         quota_ms=args.q,
         tick_hz=args.tick_hz,
@@ -505,8 +475,7 @@ def _bandwidth_config(args: argparse.Namespace, period_ms: str) -> BandwidthCont
 
 
 def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
-    _use(*_SCHED_LAYERS)
-    task = TaskSpec(cpu_time_ms=args.t)
+    task = _cli.TaskSpec(cpu_time_ms=args.t)
     periods = _split_list(args.p)
     lagged = not args.exact_accounting
 
@@ -514,11 +483,11 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
         # Single-run timeline mode.
         if len(periods) != 1:
             raise CliError("--q takes exactly one --p value")
-        timeline = simulate(
+        timeline = _cli.simulate(
             task, _bandwidth_config(args, periods[0]), lagged_accounting=lagged
         )
         doc = timeline.as_dict()
-        doc["closed_form_completion_ms"] = closed_form_duration(
+        doc["closed_form_completion_ms"] = _cli.closed_form_duration(
             task, periods[0], args.q
         )
         doc["n_throttles"] = len(timeline.throttle_durations_us)
@@ -535,25 +504,25 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
                 f"duration_curve_p{slug}"
             )
         slugs[slug] = period
-    fractions = fraction_grid(args.grid, lo=args.f_lo)
+    fractions = _cli.fraction_grid(args.grid, lo=args.f_lo)
     for slug, period in slugs.items():
         stem = f"duration_curve_p{slug}"
         if args.closed_form_only:
-            period_us = to_us(period, "period_ms")
+            period_us = _cli.to_us(period, "period_ms")
             rows = [
                 {
                     "f": f,
                     "quota_ms": quota_us / 1000.0,
-                    "completion_ms": closed_form_duration(
+                    "completion_ms": _cli.closed_form_duration(
                         task, period, Decimal(quota_us) / 1000
                     ),
-                    "ideal_ms": float(task.cpu_time_ms) / (quota_us / period_us),
+                    "ideal_ms": _cli.ideal_ms(task, period_us, quota_us),
                 }
-                for f, quota_us in zip(fractions, quota_grid(period, fractions))
+                for f, quota_us in zip(fractions, _cli.quota_grid(period, fractions))
             ]
             run.rows(rows, ["f", "quota_ms", "completion_ms", "ideal_ms"], stem)
             continue
-        curve = duration_curve(
+        curve = _cli.duration_curve(
             task,
             period,
             fractions,
@@ -565,7 +534,7 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
         fieldnames = ["f", "quota_ms", "completion_ms", "ideal_ms", "n_throttles"]
         run.rows(curve.csv_rows(), fieldnames, stem)
         if args.breakpoints:
-            rep = quantization_breakpoints(
+            rep = _cli.quantization_breakpoints(
                 curve, mem_per_vcpu_mb=args.mem_per_vcpu_mb
             )
             brows = [
@@ -591,9 +560,9 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
 def _write_probe_result(result, args: argparse.Namespace, run: _Run) -> None:
     path = run.target("events.csv", None if args.out is None else Path(args.out))
     if path is None:
-        events_to_csv(result.events, sys.stdout)
+        _cli.events_to_csv(result.events, sys.stdout)
         return
-    events_to_csv(result.events, str(path))
+    _cli.events_to_csv(result.events, str(path))
     summary = {
         "n_events": len(result.events),
         "total_runtime_ms": result.total_runtime_ms,
@@ -624,7 +593,7 @@ def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], even
 
 def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
     if source is None:
-        return PUBLISHED_PLATFORM_SCHEDULERS
+        return _cli.PUBLISHED_PLATFORM_SCHEDULERS
     import yaml
 
     with open(source, "rb") as fh:
@@ -640,7 +609,7 @@ def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
         for key in ("period_ms", "tick_hz"):
             if key not in params:
                 raise CliError(f"{source}: {platform}: missing {key!r}")
-        table[platform] = ReferenceSchedParams(
+        table[platform] = _cli.ReferenceSchedParams(
             platform=platform,
             period_ms=float(params["period_ms"]),
             tick_hz=int(params["tick_hz"]),
@@ -650,36 +619,36 @@ def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
 
 
 def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
-    _use(*_PROFILER_LAYERS)
     if args.action == "run":
-        cfg = ProbeConfig(
+        cfg = _cli.ProbeConfig(
             exec_duration_ms=args.duration_ms, gap_threshold_us=args.gap_threshold_us
         )
-        _write_probe_result(probe(cfg), args, run)
+        _write_probe_result(_cli.probe(cfg), args, run)
         return
 
     if args.action == "replay":
-        timeline = simulate(TaskSpec(cpu_time_ms=args.t), _bandwidth_config(args, args.p))
-        cfg = ProbeConfig(
+        task = _cli.TaskSpec(cpu_time_ms=args.t)
+        timeline = _cli.simulate(task, _bandwidth_config(args, args.p))
+        cfg = _cli.ProbeConfig(
             exec_duration_ms=timeline.completion_ms,
             gap_threshold_us=args.gap_threshold_us,
         )
-        result = replay_probe(timeline, cfg, step_us=args.step_us)
+        result = _cli.replay_probe(timeline, cfg, step_us=args.step_us)
         _write_probe_result(result, args, run)
         return
 
     # analyze and report both start from a saved event log.
     events_path = run.input(getattr(args, "in"))
-    events = events_from_csv(str(events_path))
+    events = _cli.events_from_csv(str(events_path))
     runtime_ms = _runtime_for(events_path, run, args.runtime_ms, events)
-    fingerprint = analyze_events(
+    fingerprint = _cli.analyze_events(
         events, runtime_ms, alignment_tol_us=args.alignment_tol_us
     )
     if args.action == "analyze":
         run.json(fingerprint.as_dict(), "fingerprint.json")
     else:
         reference = _load_reference(run.input(args.reference))
-        run.json(fingerprint_report(fingerprint, reference=reference), "report.json")
+        run.json(_cli.fingerprint_report(fingerprint, reference=reference), "report.json")
 
 
 # ---------------------------------------------------------------- parser

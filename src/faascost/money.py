@@ -17,6 +17,10 @@ from typing import Optional, Union
 #: Wide enough that products and sums of config-scale literals stay exact.
 CONTEXT = decimal.Context(prec=200, rounding=decimal.ROUND_HALF_EVEN)
 
+#: Every billed amount (a duration, a usage or an allocation) lies below
+#: this bound, so quotients by a granularity stay well within :data:`CONTEXT`.
+MAX_AMOUNT = 2.0**53
+
 #: Fractional digits used when serializing USD amounts.
 USD_PLACES = 12
 

@@ -10,6 +10,7 @@ from faascost.sched.sweep import (
     contention_slowdown,
     duration_curve,
     fraction_grid,
+    ideal_ms,
     quantization_breakpoints,
     quota_grid,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "contention_slowdown",
     "duration_curve",
     "fraction_grid",
+    "ideal_ms",
     "quantization_breakpoints",
     "quota_grid",
     "simulate",

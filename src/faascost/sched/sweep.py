@@ -1,9 +1,10 @@
 """Parameter sweeps over vCPU fractions and breakpoint detection.
 
 A duration curve fixes the task and period, sweeps the vCPU fraction f
-(quota = f * period), and records simulated completion against the ideal
-T/f. Because quotas and demand are discrete, completion falls in steps;
-the breakpoint detector locates them.
+(quota = f * period, rounded to whole us), and records simulated completion
+against the even-rate ideal at that quota, T * period / quota. Because
+quotas and demand are discrete, completion falls in steps; the breakpoint
+detector locates them.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ def quota_grid(period_ms: Number, fractions: Sequence[float]) -> List[int]:
             )
         quotas.append(min(quota_us, period_us))
     return quotas
+
+
+def ideal_ms(task: TaskSpec, period_us: int, quota_us: int) -> float:
+    """Even-rate completion: the task runs at ``quota_us / period_us`` of a
+    CPU the whole time."""
+    return float(task.cpu_time_ms) / (quota_us / period_us)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,6 @@ def duration_curve(
     slice_ms: Number = 5.0,
     flavor: str = "cfs",
     lagged_accounting: bool = True,
-    tick_phase_ms: Number = 0,
 ) -> DurationCurve:
     """One simulate() run per fraction, at the quota :func:`quota_grid` gives it.
 
@@ -117,7 +123,7 @@ def duration_curve(
     provably monotone.
     """
     points: List[CurvePoint] = []
-    t_ms = float(task.cpu_time_ms)
+    period_us = to_us(period_ms, "period_ms")
     for f, quota_us in zip(fractions, quota_grid(period_ms, fractions)):
         cfg = BandwidthControlConfig(
             period_ms=float(dec(period_ms)),
@@ -126,20 +132,20 @@ def duration_curve(
             slice_ms=slice_ms,
             flavor=flavor,
         )
-        timeline = simulate(
-            task, cfg, lagged_accounting=lagged_accounting, tick_phase_ms=tick_phase_ms
-        )
+        timeline = simulate(task, cfg, lagged_accounting=lagged_accounting)
         points.append(
             CurvePoint(
                 fraction=f,
                 quota_ms=quota_us / 1000.0,
                 completion_ms=timeline.completion_ms,
-                ideal_ms=t_ms / f,
+                ideal_ms=ideal_ms(task, period_us, quota_us),
                 n_throttles=len(timeline.throttle_durations_us),
             )
         )
     return DurationCurve(
-        task_cpu_ms=t_ms, period_ms=float(dec(period_ms)), points=tuple(points)
+        task_cpu_ms=float(task.cpu_time_ms),
+        period_ms=float(dec(period_ms)),
+        points=tuple(points),
     )
 
 

@@ -42,11 +42,8 @@ class TaskSpec:
     """A CPU-bound task demanding ``cpu_time_ms`` of CPU time."""
 
     cpu_time_ms: float
-    kind: str = "cpu_bound"
 
     def __post_init__(self) -> None:
-        if self.kind != "cpu_bound":
-            raise SchedulingError(f"unsupported task kind: {self.kind!r}")
         if dec(self.cpu_time_ms) <= 0:
             raise SchedulingError("cpu_time_ms must be positive")
 

@@ -331,10 +331,11 @@ def inflation_analysis(
         if bill is None:
             return None
         a = actual.value()
-        if a <= 0.0:
+        # A subnormal total overflows the ratio: it counts as zero too.
+        r = bill / a if a > 0.0 else math.inf
+        if r == math.inf:
             flags.append(f"{label}: zero actual usage, inflation undefined")
             return None
-        r = bill / a
         if r < 1.0:
             flags.append(f"{label} < 1: billables below measured usage")
         return r

@@ -28,6 +28,8 @@ from ..billing.model import ResourceAllocation, allocation
 _GZIP_MAGIC = b"\x1f\x8b"
 _TRUTHY = {"1", "true", "t", "yes", "y"}
 _FALSY = {"0", "false", "f", "no", "n", ""}
+#: The smallest positive allocation, in vCPUs or MB, a row may name.
+MIN_ALLOCATION = 1e-6
 
 
 @dataclass
@@ -51,8 +53,9 @@ def _open_source(source: Union[str, Path, IO[bytes]]) -> IO[str]:
     else:  # pragma: no cover - non-seekable streams are not used in tests
         raw = io.BytesIO(head + raw.read())
     if head == _GZIP_MAGIC:
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8", newline="")
-    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        raw = gzip.GzipFile(fileobj=raw)
+    # utf-8-sig drops the byte order mark that spreadsheet exports write.
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
 
 
 def _parse_bool(text: str) -> bool:
@@ -73,14 +76,16 @@ def ingest_trace(
 ) -> Iterator[InvocationRecord]:
     """Yield InvocationRecords from a CSV trace.
 
-    Malformed rows (short, unparseable, NaN or infinite numbers, negative
-    durations or usage) are counted in ``stats.malformed_skipped`` and
-    skipped; cells past the header's width are ignored, and blank lines are
-    not rows. A missing required column or an unknown unit raises
-    immediately, and a truncated or corrupt gzip raises ValueError. With
-    ``drop_zero_cpu`` set, rows whose average CPU usage is exactly zero are
-    filtered out and counted, mirroring the metering exclusion for requests
-    that never ran. Equal allocations are shared.
+    Malformed rows are counted in ``stats.malformed_skipped`` and skipped:
+    short or unparseable rows, NaN or infinite numbers, negative durations
+    or usage, a duration, usage or allocation of 2**53 or more, and a
+    positive allocation below ``MIN_ALLOCATION``. Cells past the header's
+    width are ignored, and blank lines are not rows. A UTF-8 byte order
+    mark before the header is dropped. A missing required column or an
+    unknown unit raises immediately, and a truncated or corrupt gzip raises
+    ValueError. With ``drop_zero_cpu`` set, rows whose average CPU usage is
+    exactly zero are filtered out and counted, mirroring the metering
+    exclusion for requests that never ran. Equal allocations are shared.
     """
     if schema_map is None:
         from .records import default_schema_map
@@ -149,6 +154,8 @@ def ingest_trace(
                 instance = row[i_instance].strip() if i_instance is not None else ""
                 alloc = allocs.get((vcpus, mem_mb))
                 if alloc is None:
+                    if 0 < vcpus < MIN_ALLOCATION or 0 < mem_mb < MIN_ALLOCATION:
+                        raise ValueError("positive allocation below MIN_ALLOCATION")
                     alloc = allocs[vcpus, mem_mb] = allocation(vcpus=vcpus, memory_mb=mem_mb)
                 record = InvocationRecord(
                     function_id=row[i_fn].strip(),

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from faascost.billing.model import ResourceAllocation
+from faascost.money import MAX_AMOUNT
 
 # Multipliers into canonical units (ms for durations, MB for memory).
 DURATION_UNITS = {"us": 0.001, "ms": 1.0, "s": 1000.0}
@@ -24,7 +25,8 @@ class InvocationRecord:
 
     ``cpu_usage_avg_vcpus`` is the mean vCPUs consumed over the execution;
     ``mem_usage_mb`` follows whatever convention (peak or mean) the trace
-    declares in its schema map.  Numbers must be finite.
+    declares in its schema map.  The arrival time must be finite; durations
+    and usage amounts must lie in ``[0, MAX_AMOUNT)``.
     """
 
     function_id: str
@@ -41,10 +43,12 @@ class InvocationRecord:
         # NaN fails every comparison, so each check also rejects it.
         if not math.isfinite(self.arrival_ts_ms):
             raise ValueError("arrival time must be finite")
-        if not (0 <= self.exec_duration_ms < math.inf and 0 <= self.init_duration_ms < math.inf):
-            raise ValueError("durations must be finite and >= 0")
-        if not (0 <= self.cpu_usage_avg_vcpus < math.inf and 0 <= self.mem_usage_mb < math.inf):
-            raise ValueError("usage amounts must be finite and >= 0")
+        if not (0 <= self.exec_duration_ms < MAX_AMOUNT
+                and 0 <= self.init_duration_ms < MAX_AMOUNT):
+            raise ValueError("durations must be >= 0 and below 2**53")
+        if not (0 <= self.cpu_usage_avg_vcpus < MAX_AMOUNT
+                and 0 <= self.mem_usage_mb < MAX_AMOUNT):
+            raise ValueError("usage amounts must be >= 0 and below 2**53")
 
 
 #: Canonical fields that must be bound by every schema map.
@@ -68,9 +72,8 @@ class SchemaMap:
 
     ``columns`` maps canonical field name -> trace column name. Units
     declare what the trace stores; values are converted to canonical units
-    (ms, MB) during ingestion. ``memory_usage_semantics`` records whether
-    ``mem_usage`` is a peak or a mean; it is carried into report metadata,
-    not interpreted.
+    (ms, MB) during ingestion. ``memory_usage_semantics`` says whether
+    ``mem_usage`` is a peak or a mean; it is accepted and not read.
     """
 
     columns: Dict[str, str]

@@ -107,7 +107,10 @@ def test_bill_manifest_records_inputs(tmp_path, trace_csv):
     ["simulate", "--t", "nan", "--p", "20", "--q", "5"],
     ["simulate", "--t", "inf", "--p", "20", "--q", "5"],
     ["simulate", "--t", "10", "--p", "20", "--q", "abc"],
-], ids=["vcpus-abc", "mem-inf", "mem-nan", "t-nan", "t-inf", "q-abc"])
+    ["bill", "--platform", "aws_lambda", "--mem-mb", "1e250", "--exec-ms", 1],
+    ["bill", "--platform", "aws_lambda", "--mem-mb", 128, "--exec-ms", "1e250"],
+], ids=["vcpus-abc", "mem-inf", "mem-nan", "t-nan", "t-inf", "q-abc", "mem-1e250",
+        "exec-1e250"])
 def test_bad_number_fails_cleanly(argv, capsys):
     assert run(*argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -246,6 +249,18 @@ def test_simulate_exact_accounting_matches_closed_form(tmp_path):
     for row in read_rows(exact / "duration_curve_p20.csv"):
         expected = closed_form_duration(task, "20", row["quota_ms"])
         assert float(row["completion_ms"]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_simulate_ideal_is_one_column_in_both_modes(tmp_path):
+    tables = []
+    for flag in ("--exact-accounting", "--closed-form-only"):
+        out = tmp_path / flag
+        assert run("simulate", flag, "--t", "33.4", "--p", "5", "--grid", 7,
+                   "--out-dir", out) == 0
+        rows = read_rows(out / "duration_curve_p5.csv")
+        tables.append([(r["f"], r["quota_ms"], r["completion_ms"], r["ideal_ms"])
+                       for r in rows])
+    assert tables[0] == tables[1]
 
 
 def test_simulate_breakpoints_output(tmp_path):

@@ -149,6 +149,32 @@ def test_non_finite_cells_skipped_and_counted(column, value):
     assert stats.malformed_skipped == 1
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [(c, "1e250") for c in (3, 4, 6, 7, 8, 9)] + [(c, "1e-300") for c in (6, 7)],
+)
+def test_out_of_range_cells_skipped_and_counted(column, value):
+    # Billed amounts of 2**53 or more, and positive allocations below
+    # MIN_ALLOCATION, would overflow the decimal and float arithmetic.
+    bad = "fa,i1,0,10,0,false,1,128,0.5,64".split(",")
+    bad[column] = value
+    payload = canonical_csv(["fa,i1,0,10,0,false,1,128,0.5,64", ",".join(bad)])
+    stats = IngestStats()
+    recs = list(ingest_trace(io.BytesIO(payload), stats=stats))
+    assert len(recs) == 1
+    assert stats.malformed_skipped == 1
+
+
+def test_byte_order_mark_is_dropped():
+    payload = canonical_csv(
+        ["fa,i1,0,10,0,false,1,128,0.5,64", "fb,i2,1,20,0,false,0.5,256,0.2,32"]
+    )
+    plain = list(ingest_trace(io.BytesIO(payload)))
+    assert len(plain) == 2
+    for source in (b"\xef\xbb\xbf" + payload, gzip.compress(b"\xef\xbb\xbf" + payload)):
+        assert list(ingest_trace(io.BytesIO(source))) == plain
+
+
 def test_records_share_one_allocation_per_pair():
     payload = canonical_csv(
         [

@@ -270,6 +270,23 @@ def test_duration_curve_monotone_and_bounded_without_lag():
             assert pt.completion_ms >= 33.1 - 1e-9
 
 
+@given(
+    t=st.integers(min_value=1, max_value=100_000).map(lambda n: n / 1000),
+    p=st.sampled_from([5, 7, 10, 20]),
+    n=st.integers(min_value=2, max_value=12),
+    lo=st.floats(min_value=0.01, max_value=0.9),
+)
+@settings(max_examples=25, deadline=None)
+def test_exact_curve_bounded_by_ideal_on_any_grid(t, p, n, lo):
+    # The ideal is taken at the granted quota, which is f * P rounded to
+    # whole microseconds, so the bound holds whatever the grid.
+    curve = duration_curve(TaskSpec(t), p, fraction_grid(n, lo=lo), lagged_accounting=False)
+    for pt in curve.points:
+        want = oracle_ideal_ms(t, p, pt.quota_ms)
+        assert pt.ideal_ms == pytest.approx(float(want), rel=1e-12)
+        assert pt.completion_ms <= pt.ideal_ms + 1e-9
+
+
 def test_max_deviation_scales_with_period():
     # Worst-case deviation magnitude grows with the period at fixed
     # demand; sweeping halving periods must give a strictly falling max.
