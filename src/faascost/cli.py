@@ -407,57 +407,70 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
             "zero_cpu_filtered": stats.zero_cpu_filtered,
         },
     }
-
+    # Each block writes its files and returns only its report.json entry, so
+    # what an analysis built beyond that is freed before the next one runs.
     if "inflation" in analyses:
-        rows = []
-        blocks = []
-        for name in _split_list(args.platforms):
-            rep = _cli.inflation_analysis(records, run.platform(name), mapping=args.mapping)
-            doc = rep.as_dict()
-            blocks.append(doc)
-            row = {key: doc[key] for key in _INFLATION_COLUMNS}
-            for prefix in ("billable_vcpu_s", "billable_gb_s"):
-                block = doc[prefix] or {}
-                for stat in _SKETCH_STATS:
-                    row[f"{prefix}_{stat}"] = block.get(stat)
-            rows.append(row)
-        run.rows(rows, list(rows[0]), "inflation")
-        report["inflation"] = blocks
-
+        report["inflation"] = _analyze_inflation(records, args, run)
     if "correlation" in analyses:
-        corr = _cli.utilization_correlation(records, seed=args.seed)
-        doc = corr.as_dict()
-        run.rows([doc], list(doc), "utilization_correlation")
-        if corr.scatter:
-            fieldnames = ["cpu_utilization", "mem_utilization"]
-            srows = [dict(zip(fieldnames, point)) for point in corr.scatter]
-            run.rows(srows, fieldnames, "utilization_scatter")
-        report["correlation"] = doc
-
+        report["correlation"] = _analyze_correlation(records, args, run)
     if "cold-start" in analyses:
-        cold = _cli.cold_start_differential(records, session_gap_ms=args.session_gap_ms)
-        doc = cold.as_dict()
-        row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
-        row["flags"] = ";".join(doc["flags"])
-        run.rows([row], list(row), "cold_start")
-        report["cold_start"] = doc
-
+        report["cold_start"] = _analyze_cold_start(records, args, run)
     if "roundup" in analyses:
-        policies = []
-        for gran in _split_list(args.roundup_ms):
-            name = f"{gran}ms"
-            if args.roundup_cutoff_ms > 0:
-                name += f"_min{args.roundup_cutoff_ms}ms"
-            if args.roundup_mem_gb is not None:
-                name += f"_mem{args.roundup_mem_gb}gb"
-            policies.append(
-                _cli.RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
-            )
-        docs = [s.as_dict() for s in _cli.rounding_up_stats(records, policies)]
-        run.rows(docs, list(docs[0]), "rounding_up")
-        report["rounding_up"] = docs
-
+        report["rounding_up"] = _analyze_roundup(records, args, run)
     run.json(report, "report.json")
+
+
+def _analyze_inflation(records: list, args: argparse.Namespace, run: _Run) -> List[dict]:
+    rows = []
+    blocks = []
+    for name in _split_list(args.platforms):
+        rep = _cli.inflation_analysis(records, run.platform(name), mapping=args.mapping)
+        doc = rep.as_dict()
+        blocks.append(doc)
+        row = {key: doc[key] for key in _INFLATION_COLUMNS}
+        for prefix in ("billable_vcpu_s", "billable_gb_s"):
+            block = doc[prefix] or {}
+            for stat in _SKETCH_STATS:
+                row[f"{prefix}_{stat}"] = block.get(stat)
+        rows.append(row)
+    run.rows(rows, list(rows[0]), "inflation")
+    return blocks
+
+
+def _analyze_correlation(records: list, args: argparse.Namespace, run: _Run) -> dict:
+    corr = _cli.utilization_correlation(records, seed=args.seed)
+    doc = corr.as_dict()
+    run.rows([doc], list(doc), "utilization_correlation")
+    if corr.scatter:
+        fieldnames = ["cpu_utilization", "mem_utilization"]
+        srows = (dict(zip(fieldnames, point)) for point in corr.scatter)
+        run.rows(srows, fieldnames, "utilization_scatter")
+    return doc
+
+
+def _analyze_cold_start(records: list, args: argparse.Namespace, run: _Run) -> dict:
+    cold = _cli.cold_start_differential(records, session_gap_ms=args.session_gap_ms)
+    doc = cold.as_dict()
+    row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
+    row["flags"] = ";".join(doc["flags"])
+    run.rows([row], list(row), "cold_start")
+    return doc
+
+
+def _analyze_roundup(records: list, args: argparse.Namespace, run: _Run) -> List[dict]:
+    policies = []
+    for gran in _split_list(args.roundup_ms):
+        name = f"{gran}ms"
+        if args.roundup_cutoff_ms > 0:
+            name += f"_min{args.roundup_cutoff_ms}ms"
+        if args.roundup_mem_gb is not None:
+            name += f"_mem{args.roundup_mem_gb}gb"
+        policies.append(
+            _cli.RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
+        )
+    docs = [s.as_dict() for s in _cli.rounding_up_stats(records, policies)]
+    run.rows(docs, list(docs[0]), "rounding_up")
+    return docs
 
 
 # -------------------------------------------------------------- simulate

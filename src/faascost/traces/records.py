@@ -2,7 +2,9 @@
 
 The canonical schema is this toolkit's own; real traces bind their column
 names and units through :class:`SchemaMap` so the analytics stay
-format-agnostic.
+format-agnostic. An :class:`InvocationRecord` is a slotted dataclass, not a
+frozen one, so a trace held in memory costs less per row; records are
+read-only by convention, and ``dataclasses.replace`` makes a changed copy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ DURATION_UNITS = {"us": 0.001, "ms": 1.0, "s": 1000.0}
 MEMORY_UNITS = {"bytes": 1.0 / (1024.0 * 1024.0), "kb": 1.0 / 1024.0, "mb": 1.0, "gb": 1024.0}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InvocationRecord:
     """One request from a trace.
 

@@ -661,6 +661,31 @@ print(json.dumps({{"code": code, "unreadable": unreadable, "calls": calls}}))
         "code": 0, "unreadable": [], "calls": {"simulate": 1, "closed_form_duration": 1}}
 
 
+_ANALYZE_LAYERS = ("ingest_trace", "inflation_analysis", "utilization_correlation",
+                   "cold_start_differential", "rounding_up_stats")
+
+
+def test_tracer_patches_reach_every_analysis(monkeypatch, tmp_path, trace_csv):
+    # perfbench/tracing.py times analyze through these five names; a run in
+    # which one is never called would report no figure for its layer.
+    from faascost import cli
+
+    calls = dict.fromkeys(_ANALYZE_LAYERS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _ANALYZE_LAYERS:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert run("analyze", "--trace", trace_csv, "--out-dir", tmp_path,
+               "--analyses", "inflation,correlation,cold-start,roundup",
+               "--platforms", "aws_lambda,gcp_cloudrun_functions") == 0
+    assert calls == {**dict.fromkeys(_ANALYZE_LAYERS, 1), "inflation_analysis": 2}
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

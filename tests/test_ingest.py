@@ -1,11 +1,25 @@
-"""CSV ingestion: schema binding, units, gzip, malformed-row policy."""
+"""CSV ingestion: schema binding, units, gzip, malformed-row policy, and the
+size and lifetime of what it holds."""
 
+import dataclasses
+import gc
 import gzip
 import io
+import sys
+import tracemalloc
+import warnings
 
 import pytest
 
-from faascost.traces import IngestStats, SchemaMap, default_schema_map, ingest_trace
+from faascost.billing.model import allocation
+from faascost.traces import (
+    IngestStats,
+    InvocationRecord,
+    SchemaMap,
+    default_schema_map,
+    generate_synthetic_trace,
+    ingest_trace,
+)
 
 CANONICAL_HEADER = (
     "function_id,instance_id,arrival_ts_ms,exec_duration_ms,init_duration_ms,"
@@ -257,3 +271,120 @@ def test_truncated_gzip_raises_value_error(tmp_path):
     p.write_bytes(compressed[: len(compressed) // 2])
     with pytest.raises(ValueError, match=r"t\.csv\.gz: truncated or corrupt gzip after \d+ rows"):
         list(ingest_trace(p))
+
+
+# ------------------------------------------------------------ open files
+
+
+def _gzip_rows(tmp_path):
+    p = tmp_path / "t.csv.gz"
+    rows = [f"fa,i1,{i},{i % 97}.5,0,false,1,128,0.5,{i}" for i in range(2000)]
+    p.write_bytes(gzip.compress(canonical_csv(rows)))
+    return p
+
+
+def _read_all(p):
+    assert len(list(ingest_trace(p))) == 2000
+
+
+def _close_early(p):
+    records = ingest_trace(p)
+    next(records)
+    records.close()
+
+
+def _truncated(p):
+    p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])
+    with pytest.raises(ValueError, match="truncated or corrupt gzip"):
+        list(ingest_trace(p))
+
+
+@pytest.mark.parametrize("case", [_read_all, _close_early, _truncated])
+def test_opened_file_is_closed(case, tmp_path):
+    # An unclosed file warns when it is collected, inside its finalizer,
+    # where an error can only reach sys.unraisablehook.
+    unraisable = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            case(_gzip_rows(tmp_path))
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [repr(u.exc_value) for u in unraisable] == []
+
+
+# ------------------------------------------------------------ lean records
+
+
+def _record(**changes):
+    fields = dict(
+        function_id="fa", instance_id="i1", arrival_ts_ms=0.0, exec_duration_ms=10.0,
+        init_duration_ms=0.0, is_cold_start=False, alloc=allocation(vcpus=1, memory_mb=128),
+        cpu_usage_avg_vcpus=0.5, mem_usage_mb=64.0,
+    )
+    return InvocationRecord(**{**fields, **changes})
+
+
+def test_record_is_slotted_and_replace_makes_a_checked_copy():
+    record = _record()
+    assert not hasattr(record, "__dict__")
+    longer = dataclasses.replace(record, exec_duration_ms=20.0)
+    assert (longer.exec_duration_ms, record.exec_duration_ms) == (20.0, 10.0)
+    assert dataclasses.replace(longer, exec_duration_ms=10.0) == record
+    with pytest.raises(ValueError, match="durations"):
+        dataclasses.replace(record, exec_duration_ms=-1.0)
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+_DURATIONS = r"durations must be >= 0 and below 2\*\*53"
+_USAGE = r"usage amounts must be >= 0 and below 2\*\*53"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("arrival_ts_ms", v, "arrival time must be finite") for v in _NON_FINITE]
+    + [
+        (field, value, message)
+        for fields, message in (
+            (("exec_duration_ms", "init_duration_ms"), _DURATIONS),
+            (("cpu_usage_avg_vcpus", "mem_usage_mb"), _USAGE),
+        )
+        for field in fields
+        for value in _NON_FINITE + [-1.0, 2.0**53]
+    ],
+)
+def test_record_rejects_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _record(**{field: value})
+
+
+def test_function_ids_are_pooled_and_instance_ids_are_not():
+    payload = canonical_csv(
+        [
+            "fn-a,inst-1,0,10,0,false,1,128,0.5,64",
+            "fn-a,inst-1,1,20,0,false,1,128,0.2,32",
+            "fn-b,inst-2,2,30,0,false,1,128,0.2,32",
+        ]
+    )
+    a, b, c = ingest_trace(io.BytesIO(payload))
+    assert a.function_id is b.function_id
+    assert a.instance_id == b.instance_id and a.instance_id is not b.instance_id
+    assert c.function_id == "fn-b"
+
+
+def test_held_records_stay_small(tmp_path):
+    # A slotted record with pooled function ids and shared allocations holds
+    # about 300 B; a frozen record with a fresh id string per row held 400 B.
+    path = tmp_path / "trace.csv"
+    generate_synthetic_trace(path, n_records=2000, seed=7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = list(ingest_trace(path))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 2000
+    assert held / len(records) <= 320
