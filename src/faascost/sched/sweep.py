@@ -15,11 +15,11 @@ from decimal import Decimal
 from typing import List, Optional, Sequence, Tuple
 
 from ..money import dec
-from .simulate import simulate
+from .simulate import _run
 from .types import (
+    US_PER_MS,
     BandwidthControlConfig,
     Number,
-    ScheduleTimeline,
     SchedulingError,
     TaskSpec,
     to_us,
@@ -114,7 +114,11 @@ def duration_curve(
     flavor: str = "cfs",
     lagged_accounting: bool = True,
 ) -> DurationCurve:
-    """One simulate() run per fraction, at the quota :func:`quota_grid` gives it.
+    """Completion at each fraction's quota from :func:`quota_grid`.
+
+    Each point equals a :func:`simulate` run of the task at that quota,
+    but the parameters are converted and checked once per curve, and no
+    point builds a timeline.
 
     With lagged accounting the curve carries up to one tick interval of
     jitter per point, so completion is only approximately nonincreasing
@@ -122,24 +126,38 @@ def duration_curve(
     lagged accounting for the exact quota-delivery curve, which is
     provably monotone.
     """
-    points: List[CurvePoint] = []
     period_us = to_us(period_ms, "period_ms")
-    for f, quota_us in zip(fractions, quota_grid(period_ms, fractions)):
-        cfg = BandwidthControlConfig(
-            period_ms=float(dec(period_ms)),
-            quota_ms=Decimal(quota_us) / 1000,
-            tick_hz=tick_hz,
-            slice_ms=slice_ms,
-            flavor=flavor,
+    quotas = quota_grid(period_ms, fractions)
+    # Every grid quota lies in [1 us, period], so a config at the full
+    # quota checks the tick rate, slice and flavor for the whole curve.
+    config = BandwidthControlConfig(
+        period_ms=float(dec(period_ms)),
+        quota_ms=Decimal(period_us) / 1000,
+        tick_hz=tick_hz,
+        slice_ms=slice_ms,
+        flavor=flavor,
+    )
+    cpu_us = to_us(task.cpu_time_ms, "cpu_time_ms")
+    slice_us = to_us(slice_ms, "slice_ms") if lagged_accounting else None
+    points: List[CurvePoint] = []
+    for f, quota_us in zip(fractions, quotas):
+        completion_us, switches, _ = _run(
+            cpu_us,
+            period_us,
+            quota_us,
+            slice_us,
+            config.tick_hz,
+            0,  # tick phase
+            lagged_accounting,
+            config.flavor == "eevdf",
         )
-        timeline = simulate(task, cfg, lagged_accounting=lagged_accounting)
         points.append(
             CurvePoint(
                 fraction=f,
                 quota_ms=quota_us / 1000.0,
-                completion_ms=timeline.completion_ms,
+                completion_ms=completion_us / US_PER_MS,
                 ideal_ms=ideal_ms(task, period_us, quota_us),
-                n_throttles=len(timeline.throttle_durations_us),
+                n_throttles=len(switches) // 2,
             )
         )
     return DurationCurve(

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from faascost.sched import (
     quantization_breakpoints,
     simulate,
 )
+from faascost.sched.simulate import _first_tick_after
 from faascost.sched.types import RUNNING, THROTTLED
 
 from oracle_sched import oracle_completion_ms, oracle_ideal_ms
@@ -220,6 +223,145 @@ def test_tick_phase_shifts_first_overrun():
     assert shifted.overruns_ms[0] == pytest.approx(6 - 1.45)
 
 
+def test_first_tick_after_matches_stepping():
+    # The closed form that skips a throttled span's ticks, against the
+    # stepping it replaces: from tick 1, step while the tick is not after t.
+    rng = random.Random(11)
+    hzs = (1, 3, 7, 250, 300, 1000, 1024, 333_334, 999_983, 1_000_000)
+    cases = [(t, phase, hz) for t in range(40) for phase in (0, 1, 7, 39) for hz in hzs]
+    for _ in range(3000):
+        # A t up to 50 ticks past the phase keeps the stepping short.
+        hz, phase = rng.choice(hzs), rng.randint(0, 10**6)
+        cases.append((max(0, phase + rng.randint(-1000, 50 * 10**6 // hz)), phase, hz))
+    for t, phase, hz in cases:
+        index = 1
+        while phase + index * 1_000_000 // hz <= t:
+            index += 1
+        got = _first_tick_after(t, phase, hz)
+        assert max(1, got) == index, (t, phase, hz)
+        # The least index whose tick falls after t, even before tick 1.
+        assert phase + got * 1_000_000 // hz > t >= phase + (got - 1) * 1_000_000 // hz
+
+
+def test_300hz_ticks_with_phase_exact_opening():
+    # Ticks at 2 ms + floor(i * 10/3 ms): 5.333, 8.666, 12, ... The first
+    # charge at 5.333 ms leaves 3.883 ms of debt, repaid by the refills at
+    # 20, 40 and 60 ms; the first tick after 60 ms is at 62 ms (index 18),
+    # where 2 ms of running outruns the 0.466 ms left in the pool.
+    cfg = BandwidthControlConfig(period_ms=20, quota_ms=1.45, tick_hz=300)
+    tl = simulate(TaskSpec(33.1), cfg, tick_phase_ms=2)
+    opening = [(s.start_us, s.end_us, s.state) for s in tl.segments[:4]]
+    assert opening == [
+        (0, 5_333, RUNNING),
+        (5_333, 60_000, THROTTLED),
+        (60_000, 62_000, RUNNING),
+        (62_000, 100_000, THROTTLED),
+    ]
+    assert tl.overruns_us[:2] == (3_883, 1_999)
+
+
+def test_no_tick_before_the_first():
+    # With the first tick at 30 + 3.333 ms, only eevdf's 5 ms slice marks
+    # charge the task until then, even across throttles that end before
+    # the phase. The throttle from 29 to 36 ms swallows the first tick;
+    # the next one, at 36.666 ms, finds 0.665 ms of debt.
+    cfg = BandwidthControlConfig(period_ms=2, quota_ms=1, tick_hz=300, flavor="eevdf")
+    tl = simulate(TaskSpec(20), cfg, tick_phase_ms=30)
+    assert [(s.start_us, s.end_us) for s in tl.segments[:6]] == [
+        (0, 5_000),
+        (5_000, 12_000),
+        (12_000, 17_000),
+        (17_000, 24_000),
+        (24_000, 29_000),
+        (29_000, 36_000),
+    ]
+    assert tl.overruns_us[:4] == (4_000, 4_999, 4_999, 665)
+
+
+@given(
+    t=st.integers(min_value=1, max_value=100_000),
+    p=st.integers(min_value=1_000, max_value=50_000),
+    q_num=st.integers(min_value=1, max_value=1000),
+    phase=st.integers(min_value=1, max_value=30_000),
+    flavor=st.sampled_from(["cfs", "eevdf"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_300hz_ticks_with_phase_stay_on_the_grid(t, p, q_num, phase, flavor):
+    # Under cfs every charge, and so every throttle, falls on a tick
+    # phase + floor(i * 1e6 / 300) us; every throttle ends at a refill.
+    # Debt builds up only between charges: at most one tick interval, or
+    # the phase plus one interval before the first tick.
+    q = max(1, p * q_num // 1000)
+    cfg = BandwidthControlConfig(
+        period_ms=p / 1000, quota_ms=q / 1000, tick_hz=300, flavor=flavor
+    )
+    tl = simulate(TaskSpec(t / 1000), cfg, tick_phase_ms=phase / 1000)
+    assert sum(tl.obtained_runtimes_us) == t
+    for seg in tl.segments:
+        if seg.state == THROTTLED:
+            assert seg.end_us % p == 0
+            if flavor == "cfs":
+                index = -((phase - seg.start_us) * 300 // 1_000_000)
+                assert phase + index * 1_000_000 // 300 == seg.start_us
+    assert max(tl.overruns_us, default=0) <= max(3_334, phase + 3_333)
+
+
+@given(
+    t=st.integers(min_value=1, max_value=20_000),
+    p=st.integers(min_value=1, max_value=50_000),
+    slice_us=st.integers(min_value=1, max_value=20_000),
+    hz=st.sampled_from([1, 250, 300, 1000, 1_000_000]),
+    flavor=st.sampled_from(["cfs", "eevdf"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_quota_equal_to_period_never_throttles(t, p, slice_us, hz, flavor):
+    # Continuous accounting at Q = P runs the task straight through: each
+    # period's quota runs out at the refill that renews it. Lagged
+    # accounting does the same once ticks are 1 us apart; at coarser
+    # ticks it can bill one period's running to the next period's pool.
+    cfg = BandwidthControlConfig(
+        period_ms=p / 1000,
+        quota_ms=p / 1000,
+        tick_hz=hz,
+        slice_ms=slice_us / 1000,
+        flavor=flavor,
+    )
+    for lagged in (False, True) if hz == 1_000_000 else (False,):
+        if lagged and t > 2_000:
+            continue  # one event per microsecond
+        tl = simulate(TaskSpec(t / 1000), cfg, lagged_accounting=lagged)
+        assert tl.completion_us == t
+        assert tl.throttle_durations_us == []
+        assert [s.state for s in tl.segments] == [RUNNING]
+    curve = duration_curve(
+        TaskSpec(t / 1000), p / 1000, [1.0], tick_hz=hz, flavor=flavor,
+        slice_ms=slice_us / 1000, lagged_accounting=False,
+    )
+    assert curve.points[0].completion_ms == t / 1000
+    assert curve.points[0].n_throttles == 0
+
+
+@given(
+    t=st.integers(min_value=1, max_value=3_000),
+    p=st.integers(min_value=1, max_value=100_000),
+    flavor=st.sampled_from(["cfs", "eevdf"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_microsecond_quota_matches_oracle(t, p, flavor):
+    # One microsecond per period: the task needs t periods and throttles
+    # in each but the last, the most throttles a task of t us can have.
+    cfg = BandwidthControlConfig(period_ms=p / 1000, quota_ms=0.001, flavor=flavor)
+    tl = simulate(TaskSpec(t / 1000), cfg, lagged_accounting=False)
+    want = oracle_completion_ms(t / 1000, p / 1000, "0.001")
+    assert Fraction(tl.completion_us, 1000) == want
+    assert len(tl.throttle_durations_us) == (t - 1 if p > 1 else 0)
+    curve = duration_curve(
+        TaskSpec(t / 1000), p / 1000, [1 / p], flavor=flavor, lagged_accounting=False
+    )
+    assert curve.points[0].quota_ms == 0.001
+    assert curve.points[0].completion_ms == float(want)
+
+
 def test_config_validation():
     with pytest.raises(SchedulingError):
         BandwidthControlConfig(period_ms=20, quota_ms=21)
@@ -309,6 +451,68 @@ def test_curve_points_match_oracle_spot_checks():
     for pt in curve.points:
         want = oracle_completion_ms(160, 20, Fraction(pt.fraction) * 20)
         assert pt.completion_ms == pytest.approx(float(want), rel=1e-12)
+
+
+@given(
+    t=st.integers(min_value=1, max_value=20_000),
+    p=st.integers(min_value=100, max_value=100_000),
+    n=st.integers(min_value=2, max_value=8),
+    lo=st.floats(min_value=0.01, max_value=0.9),
+    slice_us=st.integers(min_value=1, max_value=20_000),
+    hz=st.sampled_from([1, 250, 300, 1000, 1_000_000]),
+    flavor=st.sampled_from(["cfs", "eevdf"]),
+    lagged=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_curve_points_equal_simulate_runs(t, p, n, lo, slice_us, hz, flavor, lagged):
+    # duration_curve and simulate share one event loop; every point must
+    # be the run simulate() gives at the point's quota.
+    if lagged and hz == 1_000_000:
+        t = min(t, 2_000)  # one event per microsecond
+    grid = fraction_grid(n, lo=lo)
+    task = TaskSpec(t / 1000)
+    curve = duration_curve(
+        task, p / 1000, grid, tick_hz=hz, slice_ms=slice_us / 1000,
+        flavor=flavor, lagged_accounting=lagged,
+    )
+    assert len(curve.points) == len(grid)
+    for pt in curve.points:
+        cfg = BandwidthControlConfig(
+            period_ms=p / 1000,
+            quota_ms=Decimal(round(pt.quota_ms * 1000)) / 1000,
+            tick_hz=hz,
+            slice_ms=slice_us / 1000,
+            flavor=flavor,
+        )
+        tl = simulate(task, cfg, lagged_accounting=lagged)
+        assert pt.completion_ms == tl.completion_ms
+        assert pt.n_throttles == len(tl.throttle_durations_us)
+
+
+def test_duration_curve_errors_are_checked_once_per_curve():
+    # The messages a per-point config and simulate() run used to raise.
+    grid = fraction_grid(5)
+    whole_us = "must be a whole number of microseconds, got"
+    tick_range = "tick_hz must be an integer in [1, 1000000]"
+    cases = [
+        (TaskSpec(10.00005), {}, f"cpu_time_ms {whole_us} 10.00005 ms"),
+        (TaskSpec(33.1), {"tick_hz": 0}, tick_range),
+        (TaskSpec(33.1), {"tick_hz": 250.0}, tick_range),
+        (TaskSpec(33.1), {"flavor": "fifo"}, "unknown flavor: 'fifo'"),
+        (TaskSpec(33.1), {"slice_ms": 0}, "slice_ms must be positive"),
+    ]
+    for task, kwargs, message in cases:
+        for lagged in (True, False):
+            with pytest.raises(SchedulingError, match=re.escape(message)):
+                duration_curve(task, 20, grid, lagged_accounting=lagged, **kwargs)
+    # A sub-microsecond slice is read, and so rejected, only under lagged
+    # accounting: continuous accounting pins the slice to the quota.
+    task = TaskSpec(33.1)
+    message = f"slice_ms {whole_us} '2.0005' ms"
+    with pytest.raises(SchedulingError, match=re.escape(message)):
+        duration_curve(task, 20, grid, slice_ms="2.0005")
+    exact = duration_curve(task, 20, grid, slice_ms="2.0005", lagged_accounting=False)
+    assert exact == duration_curve(task, 20, grid, lagged_accounting=False)
 
 
 def test_breakpoints_land_on_quota_boundaries():
