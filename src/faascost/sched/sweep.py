@@ -27,13 +27,17 @@ from .types import (
 
 
 def fraction_grid(n: int, lo: float = 0.005) -> List[float]:
-    """``n`` evenly spaced vCPU fractions from ``lo`` to 1, inclusive."""
+    """``n`` evenly spaced vCPU fractions from ``lo`` to 1, inclusive.
+
+    The last point is exactly 1.0: ``lo + (n - 1) * step`` can round to
+    either side of it.
+    """
     if n < 2:
         raise SchedulingError("grid needs at least two points")
     if not 0.0 < lo < 1.0:
         raise SchedulingError("need 0 < lo < 1")
     step = (1.0 - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return [lo + i * step for i in range(n - 1)] + [1.0]
 
 
 def quota_grid(period_ms: Number, fractions: Sequence[float]) -> List[int]:

@@ -1,38 +1,39 @@
-"""Invocation-trace ingestion and billing analytics."""
+"""Invocation-trace ingestion and billing analytics.
 
-from faascost.traces.analysis import (
-    ColdStartDiff,
-    ColdStartReport,
-    CorrelationResult,
-    InflationReport,
-    RoundingPolicy,
-    RoundingUpStats,
-    cold_start_differential,
-    inflation_analysis,
-    rounding_up_stats,
-    utilization_correlation,
-)
-from faascost.traces.ingest import IngestStats, ingest_trace
-from faascost.traces.records import InvocationRecord, SchemaMap, default_schema_map
-from faascost.traces.sketch import QuantileSketch
-from faascost.traces.synthetic import generate_synthetic_trace
+Each name below is imported from its submodule on first read (PEP 562), so
+``from faascost.traces import InvocationRecord`` loads the records module
+and not the analyses, the sketch or the synthetic generator.
+"""
 
-__all__ = [
-    "ColdStartDiff",
-    "ColdStartReport",
-    "CorrelationResult",
-    "InflationReport",
-    "IngestStats",
-    "InvocationRecord",
-    "QuantileSketch",
-    "RoundingPolicy",
-    "RoundingUpStats",
-    "SchemaMap",
-    "cold_start_differential",
-    "default_schema_map",
-    "generate_synthetic_trace",
-    "inflation_analysis",
-    "ingest_trace",
-    "rounding_up_stats",
-    "utilization_correlation",
-]
+import importlib
+
+#: Each public name and the submodule that defines it.
+_SUBMODULES = {
+    "ColdStartDiff": "analysis",
+    "ColdStartReport": "analysis",
+    "CorrelationResult": "analysis",
+    "InflationReport": "analysis",
+    "RoundingPolicy": "analysis",
+    "RoundingUpStats": "analysis",
+    "cold_start_differential": "analysis",
+    "inflation_analysis": "analysis",
+    "rounding_up_stats": "analysis",
+    "utilization_correlation": "analysis",
+    "IngestStats": "ingest",
+    "ingest_trace": "ingest",
+    "InvocationRecord": "records",
+    "SchemaMap": "records",
+    "default_schema_map": "records",
+    "QuantileSketch": "sketch",
+    "generate_synthetic_trace": "synthetic",
+}
+
+__all__ = sorted(_SUBMODULES)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SUBMODULES[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -19,6 +19,7 @@ import bisect
 import decimal
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -39,25 +40,15 @@ from ..billing.model import (
 from ..money import CONTEXT, ceil_to, dec, micros, whole_units
 
 
-class _Sum:
-    """Neumaier compensated summation."""
-
-    __slots__ = ("_total", "_comp")
-
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._comp = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._total + x
-        if abs(self._total) >= abs(x):
-            self._comp += (self._total - t) + x
-        else:
-            self._comp += (x - t) + self._total
-        self._total = t
-
-    def value(self) -> float:
-        return self._total + self._comp
+def _neumaier(total: float, comp: float, x: float) -> Tuple[float, float]:
+    """One step of Neumaier compensated summation: the (total, compensation)
+    pair after adding ``x``. The sum is ``total + comp``."""
+    t = total + x
+    if abs(total) >= abs(x):
+        comp += (total - t) + x
+    else:
+        comp += (x - t) + total
+    return t, comp
 
 
 class BillableDistribution:
@@ -265,8 +256,7 @@ def inflation_analysis(
                 mem_dist.add(gb_s, count)
 
     n = 0
-    actual_cpu = _Sum()
-    actual_mem = _Sum()
+    cpu_total = cpu_comp = mem_total = mem_comp = 0.0
     flags: List[str] = []
     spilled = False
     with decimal.localcontext(CONTEXT):  # keeps the billable sums exact
@@ -274,8 +264,10 @@ def inflation_analysis(
             n += 1
             exec_s = record.exec_duration_ms / 1000.0
             cpu_ms = record.cpu_usage_avg_vcpus * record.exec_duration_ms
-            actual_cpu.add(cpu_ms / 1000.0)
-            actual_mem.add(record.mem_usage_mb / 1024.0 * exec_s)
+            cpu_total, cpu_comp = _neumaier(cpu_total, cpu_comp, cpu_ms / 1000.0)
+            mem_total, mem_comp = _neumaier(
+                mem_total, mem_comp, record.mem_usage_mb / 1024.0 * exec_s
+            )
 
             # Each distinct allocation is normalized and rounded once.
             alloc = record.alloc
@@ -326,11 +318,12 @@ def inflation_analysis(
     for dist in (cpu_dist, mem_dist):
         if dist is not None:
             dist.close()
+    actual_cpu = cpu_total + cpu_comp
+    actual_mem = mem_total + mem_comp
 
-    def ratio(bill: Optional[float], actual: _Sum, label: str) -> Optional[float]:
+    def ratio(bill: Optional[float], a: float, label: str) -> Optional[float]:
         if bill is None:
             return None
-        a = actual.value()
         # A subnormal total overflows the ratio: it counts as zero too.
         r = bill / a if a > 0.0 else math.inf
         if r == math.inf:
@@ -349,8 +342,8 @@ def inflation_analysis(
         platform=config.name,
         mapping=mapping,
         n=n,
-        actual_vcpu_s_total=actual_cpu.value(),
-        actual_gb_s_total=actual_mem.value(),
+        actual_vcpu_s_total=actual_cpu,
+        actual_gb_s_total=actual_mem,
         billable_vcpu_s_total=bill_cpu_total,
         billable_gb_s_total=bill_mem_total,
         mean_inflation_cpu=infl_cpu,
@@ -363,18 +356,27 @@ def inflation_analysis(
 
 @dataclass
 class CorrelationResult:
+    """The correlation and its scatter sample, whose i-th point is
+    ``(scatter_x[i], scatter_y[i])``: CPU and memory utilization."""
+
     pearson_r: float
     n: int
     skipped: int
-    scatter: List[Tuple[float, float]]
+    scatter_x: array
+    scatter_y: array
     seed: int
+
+    @property
+    def scatter(self) -> List[Tuple[float, float]]:
+        """The sample as a new list of (x, y) pairs."""
+        return list(zip(self.scatter_x, self.scatter_y))
 
     def as_dict(self) -> dict:
         return {
             "pearson_r": self.pearson_r,
             "n": self.n,
             "skipped": self.skipped,
-            "scatter_points": len(self.scatter),
+            "scatter_points": len(self.scatter_x),
             "seed": self.seed,
         }
 
@@ -388,13 +390,17 @@ def utilization_correlation(
     """Pearson correlation between CPU and memory utilization fractions.
 
     Utilization is usage divided by allocation per record. The correlation
-    uses exact one-pass sums; a seeded reservoir keeps at most
-    ``max_scatter`` points for plotting so memory stays bounded.
+    uses exact one-pass sums; a seeded reservoir (Vitter's algorithm R)
+    keeps at most ``max_scatter`` points for plotting, as two arrays of
+    doubles, so memory stays bounded at 16 B a point.
     """
     n = 0
     skipped = 0
-    sx, sy, sxx, syy, sxy = _Sum(), _Sum(), _Sum(), _Sum(), _Sum()
-    reservoir: List[Tuple[float, float]] = []
+    # Compensated sums of x, y, x*x, y*y and x*y, and their compensations.
+    sx = sy = sxx = syy = sxy = 0.0
+    cx = cy = cxx = cyy = cxy = 0.0
+    xs = array("d")
+    ys = array("d")
     rng = random.Random(seed)
 
     for record in records:
@@ -406,27 +412,30 @@ def utilization_correlation(
         x = record.cpu_usage_avg_vcpus / vcpus
         y = record.mem_usage_mb / mem_mb
         n += 1
-        sx.add(x)
-        sy.add(y)
-        sxx.add(x * x)
-        syy.add(y * y)
-        sxy.add(x * y)
-        if len(reservoir) < max_scatter:
-            reservoir.append((x, y))
+        sx, cx = _neumaier(sx, cx, x)
+        sy, cy = _neumaier(sy, cy, y)
+        sxx, cxx = _neumaier(sxx, cxx, x * x)
+        syy, cyy = _neumaier(syy, cyy, y * y)
+        sxy, cxy = _neumaier(sxy, cxy, x * y)
+        if len(xs) < max_scatter:
+            xs.append(x)
+            ys.append(y)
         else:
             j = rng.randrange(n)
             if j < max_scatter:
-                reservoir[j] = (x, y)
+                xs[j] = x
+                ys[j] = y
 
     if n < 2:
         raise ValueError("need at least two records with positive allocations")
-    var_x = n * sxx.value() - sx.value() ** 2
-    var_y = n * syy.value() - sy.value() ** 2
+    sx, sy, sxx, syy, sxy = sx + cx, sy + cy, sxx + cxx, syy + cyy, sxy + cxy
+    var_x = n * sxx - sx ** 2
+    var_y = n * syy - sy ** 2
     if var_x <= 0.0 or var_y <= 0.0:
         raise ValueError("zero variance in utilization, correlation undefined")
-    r = (n * sxy.value() - sx.value() * sy.value()) / math.sqrt(var_x * var_y)
+    r = (n * sxy - sx * sy) / math.sqrt(var_x * var_y)
     return CorrelationResult(
-        pearson_r=r, n=n, skipped=skipped, scatter=reservoir, seed=seed
+        pearson_r=r, n=n, skipped=skipped, scatter_x=xs, scatter_y=ys, seed=seed
     )
 
 
@@ -479,8 +488,11 @@ class ColdStartReport:
 
 
 class _InstanceState:
+    """One instance's init billables and its two execution sums, each a
+    :func:`_neumaier` (total, compensation) pair kept in its own slots."""
+
     __slots__ = ("function_id", "cold_first", "init_vcpu_s", "init_gb_s",
-                 "sub_vcpu_s", "sub_gb_s")
+                 "vcpu_total", "vcpu_comp", "gb_total", "gb_comp")
 
     def __init__(self, function_id: str, cold_first: bool,
                  init_vcpu_s: float, init_gb_s: float) -> None:
@@ -488,8 +500,7 @@ class _InstanceState:
         self.cold_first = cold_first
         self.init_vcpu_s = init_vcpu_s
         self.init_gb_s = init_gb_s
-        self.sub_vcpu_s = _Sum()
-        self.sub_gb_s = _Sum()
+        self.vcpu_total = self.vcpu_comp = self.gb_total = self.gb_comp = 0.0
 
 
 def cold_start_differential(
@@ -543,8 +554,12 @@ def cold_start_differential(
             )
             instances[key] = state
         exec_s = record.exec_duration_ms / 1000.0
-        state.sub_vcpu_s.add(vcpus * exec_s)
-        state.sub_gb_s.add(mem_gb * exec_s)
+        state.vcpu_total, state.vcpu_comp = _neumaier(
+            state.vcpu_total, state.vcpu_comp, vcpus * exec_s
+        )
+        state.gb_total, state.gb_comp = _neumaier(
+            state.gb_total, state.gb_comp, mem_gb * exec_s
+        )
 
     if n_records == 0:
         raise ValueError("no records")
@@ -568,8 +583,8 @@ def cold_start_differential(
             function_id=state.function_id,
             init_vcpu_s=state.init_vcpu_s,
             init_gb_s=state.init_gb_s,
-            subsequent_vcpu_s=state.sub_vcpu_s.value(),
-            subsequent_gb_s=state.sub_gb_s.value(),
+            subsequent_vcpu_s=state.vcpu_total + state.vcpu_comp,
+            subsequent_gb_s=state.gb_total + state.gb_comp,
         )
         diff_cpu_sketch.insert(d.diff_vcpu_s)
         if d.diff_vcpu_s <= 0.0 and d.diff_gb_s <= 0.0:

@@ -7,6 +7,7 @@ within tight relative tolerances.
 """
 
 import math
+import random
 import statistics
 from fractions import Fraction
 
@@ -132,6 +133,50 @@ def oracle_pearson(records):
         xs.append(rec.cpu_usage_avg_vcpus / v)
         ys.append(rec.mem_usage_mb / m)
     return statistics.correlation(xs, ys)
+
+
+class NeumaierSum:
+    """Neumaier compensated summation, step by step as the analytics first
+    wrote it: their compensated sums must equal this one bit for bit."""
+
+    def __init__(self):
+        self._total = 0.0
+        self._comp = 0.0
+
+    def add(self, x):
+        t = self._total + x
+        if abs(self._total) >= abs(x):
+            self._comp += (self._total - t) + x
+        else:
+            self._comp += (x - t) + self._total
+        self._total = t
+
+    def value(self):
+        return self._total + self._comp
+
+
+def oracle_scatter(records, max_scatter, seed):
+    """The seeded scatter sample as a list of (cpu, mem) utilization tuples:
+    reservoir sampling (Vitter's algorithm R) over the records with positive
+    allocations, drawing from ``random.Random(seed)`` once per point past
+    the first ``max_scatter``."""
+    rng = random.Random(seed)
+    reservoir = []
+    n = 0
+    for rec in records:
+        vcpus = float(rec.alloc.vcpus)
+        mem_mb = float(rec.alloc.memory_mb)
+        if vcpus <= 0.0 or mem_mb <= 0.0:
+            continue
+        n += 1
+        point = (rec.cpu_usage_avg_vcpus / vcpus, rec.mem_usage_mb / mem_mb)
+        if len(reservoir) < max_scatter:
+            reservoir.append(point)
+        else:
+            j = rng.randrange(n)
+            if j < max_scatter:
+                reservoir[j] = point
+    return reservoir
 
 
 def oracle_cold_diffs(records):

@@ -4,10 +4,13 @@ import dataclasses
 import decimal
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faascost.billing.engine import rounded_time
 from faascost.billing.model import (
@@ -30,11 +33,13 @@ from faascost.traces import (
 from faascost.traces import analysis as analysis_module
 
 from oracle_traces import (
+    NeumaierSum,
     oracle_cold_diffs,
     oracle_inflation_totals,
     oracle_inflation_values,
     oracle_pearson,
     oracle_roundup,
+    oracle_scatter,
 )
 
 
@@ -350,6 +355,35 @@ def test_correlation_reservoir_bounded_and_deterministic():
     assert a.scatter == b.scatter
 
 
+@pytest.mark.parametrize("max_scatter", [0, 1, 50, 299, 300, 1000])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_correlation_scatter_equals_the_tuple_reservoir(max_scatter, seed):
+    # Below, at and above the cap, the arrays hold the points, in the order,
+    # that a list of (x, y) tuples fed by the same random draws holds.
+    records = random_records(random.Random(seed + 40), 300)
+    records.insert(17, rec(10.0, vcpus=0.0, mem_mb=0.0, mem_used=0.0, cpu=0.0))
+    expected = oracle_scatter(records, max_scatter, seed)
+    got = utilization_correlation(records, max_scatter=max_scatter, seed=seed)
+    assert list(zip(got.scatter_x, got.scatter_y)) == expected
+    assert got.scatter == expected
+    assert got.as_dict()["scatter_points"] == len(expected)
+
+
+def test_correlation_scatter_point_costs_at_most_20_bytes():
+    # Two arrays of doubles: 16 B a point and the arrays' spare room; a list
+    # of (x, y) tuples held about 112 B a point.
+    records = random_records(random.Random(8), 20_000, mixed_alloc=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = utilization_correlation(records)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.as_dict()["scatter_points"] == 20_000
+    assert held / 20_000 <= 20
+
+
 # cold_start_differential
 
 
@@ -384,6 +418,71 @@ def test_cold_start_fraction_and_warm_only():
     assert rep.n_cold_instances == 2
     assert rep.n_warm_only_instances == 1
     assert rep.fraction_nonpositive == pytest.approx(0.5)
+
+
+_exec_ms = st.floats(min_value=0.0, max_value=2.0**40)
+_sum_rows = st.lists(
+    st.tuples(
+        _exec_ms,
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from([0.083, 1.0, 3.0, 64.0]),
+        st.sampled_from([128.0, 1769.0, 10240.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_rows)
+def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
+    # Inflation's actual totals, the correlation's five sums and each cold
+    # start instance's two sums all take the step the analytics first wrote
+    # as _Sum.add; the per-instance pairs live in flat slots.
+    records = [
+        rec(exec_ms, cpu=cpu * vcpus, mem_used=mem * mem_mb, vcpus=vcpus, mem_mb=mem_mb,
+            init_ms=1.0, cold=True, iid=iid, ts=float(i))
+        for i, (exec_ms, iid, vcpus, mem_mb, cpu, mem) in enumerate(rows)
+    ]
+    actual_cpu, actual_mem = NeumaierSum(), NeumaierSum()
+    sx, sy, sxx, syy, sxy = (NeumaierSum() for _ in range(5))
+    per_instance = {}
+    for r in records:
+        exec_s = r.exec_duration_ms / 1000.0
+        actual_cpu.add(r.cpu_usage_avg_vcpus * r.exec_duration_ms / 1000.0)
+        actual_mem.add(r.mem_usage_mb / 1024.0 * exec_s)
+        x = r.cpu_usage_avg_vcpus / float(r.alloc.vcpus)
+        y = r.mem_usage_mb / float(r.alloc.memory_mb)
+        for total, value in ((sx, x), (sy, y), (sxx, x * x), (syy, y * y), (sxy, x * y)):
+            total.add(value)
+        vcpu_sum, gb_sum = per_instance.setdefault(
+            r.instance_id, (NeumaierSum(), NeumaierSum())
+        )
+        vcpu_sum.add(float(r.alloc.vcpus) * exec_s)
+        gb_sum.add(float(r.alloc.memory_mb) / 1024.0 * exec_s)
+
+    report = inflation_analysis(records, proportional_config(), mapping="direct")
+    assert report.actual_vcpu_s_total.hex() == actual_cpu.value().hex()
+    assert report.actual_gb_s_total.hex() == actual_mem.value().hex()
+
+    n = len(records)
+    var_x = n * sxx.value() - sx.value() ** 2
+    var_y = n * syy.value() - sy.value() ** 2
+    if n < 2 or var_x <= 0.0 or var_y <= 0.0:
+        with pytest.raises(ValueError):
+            utilization_correlation(records)
+    else:
+        r = (n * sxy.value() - sx.value() * sy.value()) / math.sqrt(var_x * var_y)
+        assert utilization_correlation(records).pearson_r.hex() == r.hex()
+
+    cold = cold_start_differential(records, collect=True)
+    got = {d.instance_key: (d.subsequent_vcpu_s, d.subsequent_gb_s) for d in cold.diffs}
+    assert got.keys() == per_instance.keys()
+    for key, (vcpu_sum, gb_sum) in per_instance.items():
+        assert got[key][0].hex() == vcpu_sum.value().hex()
+        assert got[key][1].hex() == gb_sum.value().hex()
 
 
 def test_cold_start_matches_oracle_and_partitions_exec_time():

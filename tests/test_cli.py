@@ -18,7 +18,11 @@ from faascost.billing import compute_cost, normalize_allocation, resolve_platfor
 from faascost.cli import _write_json_array, build_parser, main
 from faascost.money import usd_string
 from faascost.sched import TaskSpec, closed_form_duration
-from faascost.traces import generate_synthetic_trace, ingest_trace
+from faascost.traces import (
+    generate_synthetic_trace,
+    ingest_trace,
+    utilization_correlation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +158,27 @@ def test_analyze_deterministic_across_runs(tmp_path, trace_csv):
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_scatter_file_is_the_sample_of_pairs(tmp_path, trace_csv, fmt):
+    # The bytes a list of (cpu, mem) pairs gave, one dict a row, csv.writer
+    # or one indented JSON array.
+    assert run("analyze", "--trace", trace_csv, "--analyses", "correlation", "--seed", 3,
+               "--format", fmt, "--out-dir", tmp_path) == 0
+    points = utilization_correlation(list(ingest_trace(trace_csv)), seed=3).scatter
+    fieldnames = ["cpu_utilization", "mem_utilization"]
+    rows = [dict(zip(fieldnames, point)) for point in points]
+    assert len(rows) == 100
+    if fmt == "json":
+        expected = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([row[name] for name in fieldnames] for row in rows)
+        expected = buffer.getvalue()
+    assert (tmp_path / f"utilization_scatter.{fmt}").read_text() == expected
+
+
 def test_analyze_unknown_schema_column_fails(tmp_path, trace_csv, capsys):
     schema = tmp_path / "schema.yaml"
     schema.write_text(
@@ -204,16 +229,18 @@ def test_analyze_skips_non_finite_rows(tmp_path):
 
 
 def test_simulate_sweep_full_fraction_hits_cpu_time(tmp_path):
-    out = tmp_path / "out"
-    assert run("simulate", "--t", "33.1", "--p", "5,10,20,40,80", "--grid", 60,
-               "--out-dir", out) == 0
-    for p in ("5", "10", "20", "40", "80"):
-        rows = read_rows(out / f"duration_curve_p{p}.csv")
-        assert len(rows) == 60
-        last = rows[-1]
-        assert float(last["f"]) == 1.0
-        assert float(last["completion_ms"]) == pytest.approx(33.1)
-        assert int(last["n_throttles"]) == 0
+    # At 8 points from 0.1 the last fraction summed to 1.0000000000000002.
+    for grid, f_lo in ((60, 0.005), (8, 0.1)):
+        out = tmp_path / f"out{grid}"
+        assert run("simulate", "--t", "33.1", "--p", "5,10,20,40,80", "--grid", grid,
+                   "--f-lo", f_lo, "--out-dir", out) == 0
+        for p in ("5", "10", "20", "40", "80"):
+            rows = read_rows(out / f"duration_curve_p{p}.csv")
+            assert len(rows) == grid
+            last = rows[-1]
+            assert last["f"] == "1.0"
+            assert float(last["completion_ms"]) == pytest.approx(33.1)
+            assert int(last["n_throttles"]) == 0
 
 
 def test_simulate_closed_form_only_matches_formula(tmp_path):
@@ -571,8 +598,9 @@ def test_cli_import_leaves_numpy_out():
 # ------------------------------------------------------------ lazy layers
 
 _ROOT = Path(__file__).resolve().parents[1]
-_LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.sched",
-           "faascost.profiler")
+# ``_hashlib`` is OpenSSL, which only a command with an input to digest maps.
+_LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analysis",
+           "faascost.sched", "faascost.profiler", "_hashlib")
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
@@ -592,18 +620,19 @@ _LOADS = {
     "profile-replay": (["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
                        {"faascost.sched", "faascost.profiler"}),
     "profile-analyze": (["profile", "analyze", "--in", "EVENTS"],
-                        {"faascost.sched", "faascost.profiler"}),
+                        {"faascost.sched", "faascost.profiler", "_hashlib"}),
     "profile-report": (["profile", "report", "--in", "EVENTS"],
-                       {"faascost.sched", "faascost.profiler"}),
+                       {"faascost.sched", "faascost.profiler", "_hashlib"}),
     "profile-report-reference": (
         ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
-        {"faascost.sched", "faascost.profiler", "yaml"}),
+        {"faascost.sched", "faascost.profiler", "yaml", "_hashlib"}),
     "bill": (["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
              {"faascost.billing", "faascost.traces", "yaml"}),
     "bill-records": (["bill", "--platform", "aws_lambda", "--records", "TRACE"],
-                     {"faascost.billing", "faascost.traces", "yaml"}),
+                     {"faascost.billing", "faascost.traces", "yaml", "_hashlib"}),
     "analyze": (["analyze", "--trace", "TRACE"],
-                {"faascost.billing", "faascost.traces", "yaml"}),
+                {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
+                 "_hashlib"}),
     "version": (["--version"], set()),
 }
 
@@ -627,6 +656,31 @@ print(json.dumps({{"code": code, "loaded": [m for m in {_LAYERS!r} if m in sys.m
 """
     result = _fresh_python(code, tmp_path)
     assert (result["code"], set(result["loaded"])) == (0, layers)
+
+
+def test_traces_package_loads_each_name_from_its_submodule(tmp_path):
+    code = """
+import json, sys
+import faascost.traces as traces
+from faascost.traces import InvocationRecord
+loaded = sorted(m for m in sys.modules if m.startswith("faascost.traces."))
+names = {name: getattr(traces, name).__module__ for name in traces.__all__}
+from faascost.traces import sketch
+try:
+    traces.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({"loaded": loaded, "names": names, "sketch": sketch.__name__,
+                  "missing": missing}))
+"""
+    result = _fresh_python(code, tmp_path)
+    assert result["loaded"] == ["faascost.traces.records"]
+    assert len(result["names"]) == 17
+    for name, module in result["names"].items():
+        assert module.startswith("faascost.traces."), name
+    assert result["sketch"] == "faascost.traces.sketch"
+    assert "no_such_name" in result["missing"]
 
 
 def test_tracer_patches_reach_the_commands(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import gzip
 import io
+import math
 import sys
 import tracemalloc
 import warnings
@@ -372,6 +373,44 @@ def test_function_ids_are_pooled_and_instance_ids_are_not():
     assert a.function_id is b.function_id
     assert a.instance_id == b.instance_id and a.instance_id is not b.instance_id
     assert c.function_id == "fn-b"
+
+
+def test_zero_init_durations_share_one_float_and_negative_zero_keeps_its_sign():
+    payload = canonical_csv(
+        [
+            "fa,i1,0,10,0.000000,false,1,128,0.5,64",
+            "fa,i1,1,20,0,false,1,128,0.2,32",
+            "fa,i2,2,30,,false,1,128,0.2,32",
+            "fa,i3,3,40,-0.000000,false,1,128,0.2,32",
+            "fa,i4,4,50,12.5,true,1,128,0.2,32",
+        ]
+    )
+    a, b, c, negative, cold = ingest_trace(io.BytesIO(payload))
+    assert a.init_duration_ms is b.init_duration_ms is c.init_duration_ms
+    assert math.copysign(1.0, a.init_duration_ms) == 1.0
+    assert negative.init_duration_ms == 0.0
+    assert math.copysign(1.0, negative.init_duration_ms) == -1.0
+    assert cold.init_duration_ms == 12.5
+
+
+def test_held_warm_records_are_smaller():
+    # A warm row's +0.0 init duration is one shared float, not 24 B a record.
+    rows = [
+        f"fn-{i % 50},inst-{i:06d},{i}.5,{10 + i % 90}.25,0.000000,false,1,128,0.{i % 9 + 1},"
+        f"{i % 60 + 1}.5"
+        for i in range(4000)
+    ]
+    source = io.BytesIO(canonical_csv(rows))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = list(ingest_trace(source))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4000
+    # 275 B a record here; 298 B with a float of its own per init duration.
+    assert held / len(records) <= 286
 
 
 def test_held_records_stay_small(tmp_path):

@@ -19,6 +19,7 @@ from faascost.sched import (
     duration_curve,
     fraction_grid,
     quantization_breakpoints,
+    quota_grid,
     simulate,
 )
 from faascost.sched.simulate import _first_tick_after
@@ -391,6 +392,19 @@ def test_fraction_grid_shape():
         fraction_grid(1)
     with pytest.raises(SchedulingError):
         fraction_grid(10, lo=0.0)
+
+
+@pytest.mark.parametrize("lo", [0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.9])
+def test_fraction_grid_ends_at_exactly_one(lo):
+    # lo + (n - 1) * step lands on either side of 1 for some grids, for
+    # example 1.0000000000000002 at n = 8, lo = 0.1, which quota_grid rejects.
+    for n in range(2, 300):
+        grid = fraction_grid(n, lo=lo)
+        step = (1.0 - lo) / (n - 1)
+        assert grid[:-1] == [lo + i * step for i in range(n - 1)], n
+        assert grid[-1] == 1.0, n
+        assert all(b > a for a, b in zip(grid, grid[1:])), n
+    assert quota_grid(20, fraction_grid(8, lo=0.1))[-1] == 20_000
 
 
 def test_duration_curve_full_fraction_is_ideal():
