@@ -1,10 +1,11 @@
 """Cost engine: allocation normalization, billable quantities, and invoice math.
 
 ``compute_cost`` is :func:`billable_quantities` (granularities only), then
-:func:`price` (unit prices). :class:`StepKeys` is the first stage's integer
-form for a pass over a trace: the trace analytics use it to do the Decimal
-work once per distinct key, and ``faascost bill --records`` to price each
-distinct key once.
+:func:`price` (unit prices). :class:`TraceBilling` is the first stage's
+integer form for a pass over a trace, and the one rule for what a record
+is billed for in vCPU-s and GB-s: the inflation analysis uses it to do the
+Decimal work once per distinct key, and ``faascost bill --records`` to
+price each distinct key once.
 Records are any object with the fields of
 :class:`faascost.traces.records.InvocationRecord`.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from faascost.billing.model import (
     MEMORY_GB,
@@ -38,6 +39,7 @@ from faascost.money import CONTEXT, Number, ceil_to, dec, micros, whole_units
 _MS_PER_S = Decimal(1000)
 _MB_PER_GB = Decimal(1024)
 _GB_PER_MB = Decimal("0.0009765625")  # 1 GB is 1024 MB; 1 / 1024 is exact
+_S_PER_MS = Decimal("0.001")
 
 # Derived vCPU counts are floor-quantized here so that re-normalizing an
 # already-normalized allocation reproduces it exactly.
@@ -216,64 +218,114 @@ def rounded_steps(raw: int, granularity: int, cutoff: int) -> int:
     return -(-(raw if raw > cutoff else cutoff) // granularity)
 
 
-# How StepKeys reads a usage-billed resource's amount.
+# How TraceBilling reads a usage-billed resource's amount.
 _CPU, _CPU_MS, _MEM, _NONE = range(4)
 
 
-class StepKeys:
-    """:func:`billable_quantities` in integers, for a pass over a trace.
+def _step_grid(config: PlatformBillingConfig) -> Optional[tuple]:
+    """The time granularity and cutoff in whole units, and per usage-billed
+    resource (resource, how to read its amount, granularity in units, in
+    Decimal); None when the config has no time granularity, or a
+    granularity or cutoff is not a whole number of units."""
+    if config.time_granularity_ms is None:
+        return None
+    scale = 10**12 if config.billable_time_kind == "cpu_time_only" else 10**6
+    granularity = whole_units(config.time_granularity_ms, scale)
+    cutoff = whole_units(config.time_min_cutoff_ms, scale)
+    if not granularity or cutoff is None:
+        return None
+    usage = []
+    for spec in config.usage_resources:
+        if spec.resource == VCPU and spec.billing_basis == "absolute":
+            how, units = _CPU_MS, whole_units(spec.granularity, 10**12)
+        elif spec.resource == VCPU:
+            how, units = _CPU, whole_units(spec.granularity, 10**6)
+        elif spec.resource == MEMORY_GB:  # read in 10^-6 MB
+            how, units = _MEM, whole_units(spec.granularity * _MB_PER_GB, 10**6)
+        else:
+            how, units = _NONE, 1
+        if not units:
+            return None
+        usage.append((spec.resource, how, units, spec.granularity))
+    return granularity, cutoff, tuple(usage)
 
-    ``key(record)`` is the record's billed time and usage amounts as whole
-    granularity steps: the cutoff first, then the ceiling, on fields read
-    by :func:`faascost.money.micros`.  It is None when a field the platform
-    bills is not a whole count of millionths; that record takes
-    ``billable_quantities``.  ``quantities(key, alloc_amounts)`` is the
-    :class:`BillableQuantities` that ``billable_quantities`` gives every
-    record with that key, so the Decimal work is done once per distinct key.
-    Amounts are counted in 10^-6 ms, MB or vCPU, and in 10^-12 for products
-    of two fields (CPU-time billing, absolute vCPU-ms).
+
+def _billed_s(quantities: BillableQuantities, resource: str, basis: Optional[str],
+              allocated: Decimal) -> Decimal:
+    """Billable resource-seconds of one resource: ``allocated`` over the
+    billable time when it is billed by allocation (``basis`` None), else
+    its usage-billed amount."""
+    if basis is None:
+        return CONTEXT.multiply(CONTEXT.multiply(allocated, _S_PER_MS), quantities.time_ms)
+    amount = quantities.usage[resource]
+    if basis == "per_billable_second":
+        return CONTEXT.multiply(CONTEXT.multiply(amount, quantities.time_ms), _S_PER_MS)
+    # Absolute: vCPU time is metered in vCPU-ms; memory is taken as GB-s.
+    return CONTEXT.multiply(amount, _S_PER_MS) if resource == VCPU else amount
+
+
+class TraceBilling:
+    """What each record of a trace is billed for, and which records are
+    billed alike: :func:`billable_quantities` in integers, for a pass over
+    a trace.
+
+    ``grant(alloc)`` is the granted allocation (normalized, unless
+    ``normalize`` is false) and its :func:`allocation_quantities`, worked
+    out once per distinct allocation.  ``key(record)`` is the record's
+    allocation and its billed time and usage amounts as whole granularity
+    steps: the cutoff first, then the ceiling, on fields read by
+    :func:`faascost.money.micros`.  Every record with a key is billed for
+    ``quantities(key)``, so the Decimal work is done once per distinct key.
+    The key is None when the platform has no time granularity, a
+    granularity or cutoff is not a whole number of units, or a field the
+    platform bills is not a whole count of millionths; such a record takes
+    ``billable_quantities``.  Amounts are counted in 10^-6 ms, MB or vCPU,
+    and in 10^-12 for products of two fields (CPU-time billing, absolute
+    vCPU-ms).
+
+    ``seconds(key)`` and ``seconds_of(record)`` are the billed (vCPU-s,
+    GB-s), each None for a resource the platform does not bill.
     """
 
-    __slots__ = ("_turnaround", "_cpu_time", "_granularity", "_cutoff", "_time_ms", "_usage")
+    __slots__ = ("config", "bills_cpu", "bills_mem", "_normalize", "_grants", "_cpu_basis",
+                 "_mem_basis", "_turnaround", "_cpu_time", "_granularity", "_cutoff", "_usage")
 
-    def __init__(self, config: PlatformBillingConfig, granularity: int, cutoff: int,
-                 usage: tuple) -> None:
+    def __init__(self, config: PlatformBillingConfig, *, normalize: bool = True) -> None:
+        self.config = config
+        self._normalize = normalize
+        self._grants: Dict[tuple, tuple] = {}
+        usage_cpu = config.usage_spec(VCPU)
+        usage_mem = config.usage_spec(MEMORY_GB)
+        self._cpu_basis = None if usage_cpu is None else usage_cpu.billing_basis
+        self._mem_basis = None if usage_mem is None else usage_mem.billing_basis
+        # CPU is billed when priced directly or when the knob coupling ties a
+        # vCPU share to every billed memory size (proportional and combo plans).
+        self.bills_cpu = (
+            config.alloc_spec(VCPU) is not None
+            or usage_cpu is not None
+            or isinstance(config.knob_coupling, (CpuProportionalToMemory, FixedCombos))
+            or config.billable_time_kind == "cpu_time_only"
+        )
+        self.bills_mem = config.alloc_spec(MEMORY_GB) is not None or usage_mem is not None
         self._turnaround = config.billable_time_kind == "turnaround"
         self._cpu_time = config.billable_time_kind == "cpu_time_only"
-        self._granularity = granularity
-        self._cutoff = cutoff
-        self._time_ms = config.time_granularity_ms
-        # (resource, how to read its amount, granularity in units, in Decimal)
-        self._usage = usage
+        self._granularity, self._cutoff, self._usage = _step_grid(config) or (None, None, ())
 
-    @classmethod
-    def for_config(cls, config: PlatformBillingConfig) -> Optional["StepKeys"]:
-        """None when the config has no time granularity, or a granularity or
-        cutoff is not a whole number of units: then every record of the
-        platform takes ``billable_quantities``."""
-        if config.time_granularity_ms is None:
-            return None
-        scale = 10**12 if config.billable_time_kind == "cpu_time_only" else 10**6
-        granularity = whole_units(config.time_granularity_ms, scale)
-        cutoff = whole_units(config.time_min_cutoff_ms, scale)
-        if not granularity or cutoff is None:
-            return None
-        usage = []
-        for spec in config.usage_resources:
-            if spec.resource == VCPU and spec.billing_basis == "absolute":
-                how, units = _CPU_MS, whole_units(spec.granularity, 10**12)
-            elif spec.resource == VCPU:
-                how, units = _CPU, whole_units(spec.granularity, 10**6)
-            elif spec.resource == MEMORY_GB:  # read in 10^-6 MB
-                how, units = _MEM, whole_units(spec.granularity * _MB_PER_GB, 10**6)
-            else:
-                how, units = _NONE, 1
-            if not units:
-                return None
-            usage.append((spec.resource, how, units, spec.granularity))
-        return cls(config, granularity, cutoff, tuple(usage))
+    def grant(self, alloc: ResourceAllocation) -> Tuple[ResourceAllocation, Mapping[str, Decimal]]:
+        # Laid out as a key's first three items.
+        extras = tuple(alloc.extras.items()) if alloc.extras else ()
+        alloc_key = (alloc.vcpus, alloc.memory_mb, extras)
+        granted = self._grants.get(alloc_key)
+        if granted is None:
+            if self._normalize:
+                alloc = normalize_allocation(alloc, self.config)
+            granted = self._grants[alloc_key] = (alloc, allocation_quantities(alloc, self.config))
+        return granted
 
     def key(self, record) -> Optional[tuple]:
+        granularity = self._granularity
+        if granularity is None:
+            return None
         exec_units = micros(record.exec_duration_ms)
         if exec_units is None:
             return None
@@ -289,7 +341,9 @@ class StepKeys:
             raw = exec_units + init
         else:
             raw = exec_units
-        key = [rounded_steps(raw, self._granularity, self._cutoff)]
+        alloc = record.alloc
+        key = [alloc.vcpus, alloc.memory_mb, tuple(alloc.extras.items()) if alloc.extras else (),
+               rounded_steps(raw, granularity, self._cutoff)]
         for _, how, units, _ in self._usage:
             if how == _MEM:
                 amount = micros(record.mem_usage_mb)
@@ -304,13 +358,37 @@ class StepKeys:
             key.append(rounded_steps(amount, units, 0))
         return tuple(key)
 
-    def quantities(self, key: tuple, alloc_amounts: Mapping[str, Decimal]) -> BillableQuantities:
-        time_ms = CONTEXT.multiply(key[0], self._time_ms)
+    def _granted(self, key: tuple) -> tuple:
+        granted = self._grants.get(key[:3])
+        if granted is None:
+            granted = self.grant(ResourceAllocation(key[0], key[1], dict(key[2])))
+        return granted
+
+    def quantities(self, key: tuple) -> BillableQuantities:
+        time_ms = CONTEXT.multiply(key[3], self.config.time_granularity_ms)
         usage = {
             resource: CONTEXT.multiply(steps, granularity)
-            for steps, (resource, _, _, granularity) in zip(key[1:], self._usage)
+            for steps, (resource, _, _, granularity) in zip(key[4:], self._usage)
         }
-        return tuple.__new__(BillableQuantities, (time_ms, alloc_amounts, usage))
+        return tuple.__new__(BillableQuantities, (time_ms, self._granted(key)[1], usage))
+
+    def seconds(self, key: tuple) -> tuple:
+        return self._seconds(self.quantities(key), self._granted(key)[0])
+
+    def seconds_of(self, record) -> tuple:
+        granted, amounts = self.grant(record.alloc)
+        return self._seconds(billable_quantities(record, self.config, amounts), granted)
+
+    def _seconds(self, quantities: BillableQuantities, granted: ResourceAllocation) -> tuple:
+        vcpu_s = gb_s = None
+        if self.bills_cpu:
+            # A vCPU share granted but not priced is billed as granted.
+            allocated = quantities.alloc.get(VCPU, granted.vcpus)
+            vcpu_s = _billed_s(quantities, VCPU, self._cpu_basis, allocated)
+        if self.bills_mem:
+            allocated = quantities.alloc.get(MEMORY_GB, 0)
+            gb_s = _billed_s(quantities, MEMORY_GB, self._mem_basis, allocated)
+        return vcpu_s, gb_s
 
 
 def _require_price(price: Optional[Decimal], what: str, config_name: str) -> Decimal:

@@ -86,6 +86,8 @@ def parse_platform_config(doc: dict) -> PlatformBillingConfig:
         )
     except KeyError as exc:
         raise BillingError(f"platform config missing field: {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise BillingError(f"platform config field of the wrong type: {exc}") from exc
 
 
 def load_platform_config(path: Union[str, Path]) -> PlatformBillingConfig:
@@ -93,7 +95,10 @@ def load_platform_config(path: Union[str, Path]) -> PlatformBillingConfig:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
         raise BillingError(f"{path}: expected a mapping at top level")
-    return parse_platform_config(doc)
+    try:
+        return parse_platform_config(doc)
+    except ValueError as exc:
+        raise BillingError(f"{path}: {exc}") from exc
 
 
 def _bundled_dir() -> Path:

@@ -50,7 +50,7 @@ _LAYER_NAMES: Dict[str, Sequence[str]] = {
         "resolve_platform",
         "resolve_platform_path",
     ),
-    "faascost.billing.engine": ("StepKeys",),
+    "faascost.billing.engine": ("TraceBilling",),
     "faascost.billing.model": ("allocation",),
     "faascost.traces.ingest": ("IngestStats", "ingest_trace"),
     "faascost.traces.records": ("InvocationRecord", "SchemaMap"),
@@ -276,12 +276,15 @@ def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
 
     with open(source, "rb") as fh:
         doc = json.load(fh) if source.suffix == ".json" else yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "columns" not in doc:
-        raise CliError(f"{source}: schema file must be a mapping with a 'columns' key")
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
+        raise CliError(f"{source}: schema file must be a mapping with a 'columns' mapping")
     unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(_cli.SchemaMap)})
     if unknown:
         raise CliError(f"{source}: unknown schema keys: {unknown}")
-    return _cli.SchemaMap(**doc)
+    try:
+        return _cli.SchemaMap(**doc)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{source}: {exc}") from exc
 
 
 # ------------------------------------------------------------------ bill
@@ -310,25 +313,14 @@ def _bill_row(record, config, alloc) -> dict:
 def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> Iterator[dict]:
     """:func:`_bill_row` of each record, priced once per distinct billing key.
 
-    The key is the record's allocation and its :class:`StepKeys` key. Every
-    record with that key has the same billable quantities, so the same
-    priced columns; a record without a key is priced on its own.
+    The key is the record's :class:`TraceBilling` key. Every record with
+    that key has the same billable quantities, so the same priced columns;
+    a record without a key is priced on its own.
     """
-    steps = _cli.StepKeys.for_config(config)
-    granted: Dict[tuple, ResourceAllocation] = {}
+    billing = _cli.TraceBilling(config, normalize=normalize)
     priced: Dict[tuple, tuple] = {}
-
-    def grant(alloc: ResourceAllocation) -> ResourceAllocation:
-        # Normalized once per allocation; trace records carry no extras.
-        key = (alloc.vcpus, alloc.memory_mb)
-        if key not in granted:
-            granted[key] = _cli.normalize_allocation(alloc, config) if normalize else alloc
-        return granted[key]
-
     for record in records:
-        alloc = record.alloc
-        step_key = None if steps is None else steps.key(record)
-        key = None if step_key is None else (alloc.vcpus, alloc.memory_mb, step_key)
+        key = billing.key(record)
         strings = priced.get(key)
         if strings is not None:
             yield dict(zip(_BILL_COLUMNS, (
@@ -339,7 +331,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
                 *strings,
             )))
             continue
-        row = _bill_row(record, config, grant(alloc))
+        row = _bill_row(record, config, billing.grant(record.alloc)[0])
         if key is not None and len(priced) < BILL_KEYS_CAP:
             # Interned, so the fee and repeated amounts are stored once.
             priced[key] = tuple(sys.intern(row[name]) for name in _PRICED_COLUMNS)
@@ -597,8 +589,11 @@ def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], even
         return runtime_ms
     sidecar = events_path.with_name("probe_summary.json")
     if sidecar.exists():
-        doc = json.loads(run.input(str(sidecar)).read_text())
-        return float(doc["total_runtime_ms"])
+        try:
+            return float(json.loads(run.input(str(sidecar)).read_text())["total_runtime_ms"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{sidecar}: expected a JSON object with a numeric "
+                           f"'total_runtime_ms'") from exc
     if not events:
         raise CliError("--runtime-ms is required when the event log is empty")
     fallback = events[-1].detected_at_ms
@@ -628,10 +623,12 @@ def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
         for key in ("period_ms", "tick_hz"):
             if key not in params:
                 raise CliError(f"{source}: {platform}: missing {key!r}")
+        try:
+            period_ms, tick_hz = float(params["period_ms"]), int(params["tick_hz"])
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{source}: {platform}: period_ms and tick_hz must be numbers") from exc
         table[platform] = _cli.ReferenceSchedParams(
-            platform=platform,
-            period_ms=float(params["period_ms"]),
-            tick_hz=int(params["tick_hz"]),
+            platform=platform, period_ms=period_ms, tick_hz=tick_hz,
             note=str(params.get("note", "")),
         )
     return table

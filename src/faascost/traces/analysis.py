@@ -29,14 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .records import InvocationRecord
 from .sketch import QuantileSketch
 from ..billing import engine as billing_engine
-from ..billing.engine import _GB_PER_MB
-from ..billing.model import (
-    MEMORY_GB,
-    VCPU,
-    CpuProportionalToMemory,
-    FixedCombos,
-    PlatformBillingConfig,
-)
+from ..billing.model import PlatformBillingConfig
 from ..money import CONTEXT, ceil_to, dec, micros, whole_units
 
 
@@ -158,8 +151,6 @@ class InflationReport:
         }
 
 
-_S_PER_MS = Decimal("0.001")
-
 #: Distinct billing keys per platform past which the inflation analysis
 #: takes its billable percentiles from a GK sketch; totals stay exact.
 EXACT_KEYS_CAP = 2**16
@@ -167,15 +158,6 @@ EXACT_KEYS_CAP = 2**16
 SKETCH_EPS = 0.005
 #: Requests shorter than this are left out of the roundup analysis.
 ROUNDUP_MIN_EXEC_MS = 1.0
-
-
-def _usage_s(quantities, resource: str, basis: str) -> Decimal:
-    """Billable resource-seconds of one request's usage-billed resource."""
-    amount = quantities.usage[resource]
-    if basis == "per_billable_second":
-        return amount * quantities.time_ms * _S_PER_MS
-    # Absolute: vCPU time is metered in vCPU-ms; memory is taken as GB-s.
-    return amount * _S_PER_MS if resource == VCPU else amount
 
 
 def inflation_analysis(
@@ -190,76 +172,39 @@ def inflation_analysis(
     resource-seconds, so heavy requests weigh in proportionally. Resources
     the platform does not bill are reported as None.
 
-    Billables are :func:`faascost.billing.engine.billable_quantities` of the
-    granted (``mapping="normalize"``) or requested (``"direct"``) allocation.
-    Each record is counted under its granted allocation and its
-    :class:`faascost.billing.engine.StepKeys` key, and each distinct pair is
-    priced once; a record with no key is priced on its own. Per-request
-    billables are reported as exact nearest-rank percentiles; past
-    :data:`EXACT_KEYS_CAP` distinct keys, as :data:`SKETCH_EPS` GK estimates.
+    Billables are what :class:`faascost.billing.engine.TraceBilling` bills
+    the granted (``mapping="normalize"``) or requested (``"direct"``)
+    allocation for. Each record is counted under its ``TraceBilling`` key,
+    and each distinct key is priced once; a record with no key is priced on
+    its own. Per-request billables are reported as exact nearest-rank
+    percentiles; past :data:`EXACT_KEYS_CAP` distinct keys, as
+    :data:`SKETCH_EPS` GK estimates.
     """
     if mapping not in ("normalize", "direct"):
         raise ValueError(f"unknown mapping: {mapping!r}")
-    usage_vcpu = config.usage_spec(VCPU)
-    usage_mem = config.usage_spec(MEMORY_GB)
-    cpu_basis = usage_vcpu.billing_basis if usage_vcpu else None
-    mem_basis = usage_mem.billing_basis if usage_mem else None
-    # CPU is billed when priced directly or when the knob coupling ties a
-    # vCPU share to every billed memory size (proportional and combo plans).
-    bills_cpu = (
-        config.alloc_spec(VCPU) is not None
-        or usage_vcpu is not None
-        or isinstance(config.knob_coupling, (CpuProportionalToMemory, FixedCombos))
-        or config.billable_time_kind == "cpu_time_only"
-    )
-    bills_mem = config.alloc_spec(MEMORY_GB) is not None or usage_mem is not None
-    cpu_dist = BillableDistribution() if bills_cpu else None
-    mem_dist = BillableDistribution() if bills_mem else None
-    steps = billing_engine.StepKeys.for_config(config)
-
-    def billables(quantities, vcpu_rate: Decimal, mem_rate: Decimal) -> tuple:
-        """(vCPU-s, GB-s) billed for ``quantities``; None where unbilled."""
-        vcpu_s = gb_s = None
-        if bills_cpu:
-            if cpu_basis is None:
-                vcpu_s = vcpu_rate * quantities.time_ms
-            else:
-                vcpu_s = _usage_s(quantities, VCPU, cpu_basis)
-        if bills_mem:
-            if mem_basis is None:
-                gb_s = mem_rate * quantities.time_ms
-            else:
-                gb_s = _usage_s(quantities, MEMORY_GB, mem_basis)
-        return vcpu_s, gb_s
-
-    # Per granted allocation: (amounts, vCPU-s and GB-s per billable ms,
-    # count per key); per record priced on its own: count per billables.
-    grants: Dict[tuple, tuple] = {}
-    priced: Dict[tuple, int] = {}
-    distinct = 0
+    billing = billing_engine.TraceBilling(config, normalize=mapping == "normalize")
+    cpu_dist = BillableDistribution() if billing.bills_cpu else None
+    mem_dist = BillableDistribution() if billing.bills_mem else None
+    # Records per billing key; a record with no key counts under
+    # (None, its billed seconds).
+    counts: Dict[tuple, int] = {}
 
     def fold() -> None:
         """Price each counted key once and add its count to the totals."""
-        nonlocal distinct
-        counted = list(priced.items())
-        for amounts, vcpu_rate, mem_rate, keys in grants.values():
-            for key, count in keys.items():
-                value = billables(steps.quantities(key, amounts), vcpu_rate, mem_rate)
-                counted.append((value, count))
-            keys.clear()
-        priced.clear()
-        distinct = 0
-        for (vcpu_s, gb_s), count in counted:
+        for key, count in counts.items():
+            vcpu_s, gb_s = key[1] if key[0] is None else billing.seconds(key)
             if vcpu_s is not None:
                 cpu_dist.add(vcpu_s, count)
             if gb_s is not None:
                 mem_dist.add(gb_s, count)
+        counts.clear()
 
     n = 0
     cpu_total = cpu_comp = mem_total = mem_comp = 0.0
     flags: List[str] = []
     spilled = False
-    with decimal.localcontext(CONTEXT):  # keeps the billable sums exact
+    # The Decimal path's ceilings run in the wide context without entering it.
+    with decimal.localcontext(CONTEXT):
         for record in records:
             n += 1
             exec_s = record.exec_duration_ms / 1000.0
@@ -269,38 +214,15 @@ def inflation_analysis(
                 mem_total, mem_comp, record.mem_usage_mb / 1024.0 * exec_s
             )
 
-            # Each distinct allocation is normalized and rounded once.
-            alloc = record.alloc
-            grant_key = (alloc.vcpus, alloc.memory_mb)
-            if alloc.extras:
-                grant_key += tuple(alloc.extras.items())
-            granted = grants.get(grant_key)
-            if granted is None:
-                if mapping == "normalize":
-                    alloc = billing_engine.normalize_allocation(alloc, config)
-                amounts = billing_engine.allocation_quantities(alloc, config)
-                # A vCPU share granted but not priced is billed as granted.
-                vcpus = amounts.get(VCPU, alloc.vcpus)
-                mem_gb = amounts.get(MEMORY_GB, 0)
-                granted = grants[grant_key] = (
-                    amounts, vcpus * _S_PER_MS, mem_gb * _S_PER_MS, {}
-                )
-
-            key = steps.key(record) if steps is not None else None
+            key = billing.key(record)
             if key is None:
-                amounts, vcpu_rate, mem_rate, _ = granted
-                quantities = billing_engine.billable_quantities(record, config, amounts)
-                key = billables(quantities, vcpu_rate, mem_rate)
-                counts = priced
-            else:
-                counts = granted[3]
+                key = (None, billing.seconds_of(record))
             count = counts.get(key)
             if count is not None:
                 counts[key] = count + 1
                 continue
             counts[key] = 1
-            distinct += 1
-            if distinct > EXACT_KEYS_CAP:
+            if len(counts) > EXACT_KEYS_CAP:
                 fold()
                 if not spilled:
                     spilled = True
@@ -333,8 +255,8 @@ def inflation_analysis(
             flags.append(f"{label} < 1: billables below measured usage")
         return r
 
-    bill_cpu_total = float(cpu_dist.total) if bills_cpu else None
-    bill_mem_total = float(mem_dist.total) if bills_mem else None
+    bill_cpu_total = None if cpu_dist is None else float(cpu_dist.total)
+    bill_mem_total = None if mem_dist is None else float(mem_dist.total)
     infl_cpu = ratio(bill_cpu_total, actual_cpu, "mean_inflation_cpu")
     infl_mem = ratio(bill_mem_total, actual_mem, "mean_inflation_mem")
 
@@ -433,7 +355,8 @@ def utilization_correlation(
     var_y = n * syy - sy ** 2
     if var_x <= 0.0 or var_y <= 0.0:
         raise ValueError("zero variance in utilization, correlation undefined")
-    r = (n * sxy - sx * sy) / math.sqrt(var_x * var_y)
+    # Two roots, not the root of the product: tiny variances underflow to 0.
+    r = (n * sxy - sx * sy) / (math.sqrt(var_x) * math.sqrt(var_y))
     return CorrelationResult(
         pearson_r=r, n=n, skipped=skipped, scatter_x=xs, scatter_y=ys, seed=seed
     )
@@ -731,7 +654,7 @@ def rounding_up_stats(
                     continue
                 if mem_gb is None:
                     exec_ms = dec(record.exec_duration_ms)
-                    mem_gb = dec(record.mem_usage_mb) * _GB_PER_MB
+                    mem_gb = dec(record.mem_usage_mb) / 1024
                 mem_sums[gran] += (ceil_to(mem_gb, gran) - mem_gb) * exec_ms
 
     if n == 0:

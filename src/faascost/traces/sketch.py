@@ -1,16 +1,14 @@
 """Fixed-size streaming quantile sketch (Greenwald-Khanna style).
 
 Keeps million-row trace aggregations in bounded memory. Rank error is at
-most ``eps`` of the stream length for inserts; merging two sketches adds
-their errors, so the default eps of 0.005 keeps one merge level within the
-1% budget.
+most ``eps`` of the stream length.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Optional
+from typing import List
 
 
 class QuantileSketch:
@@ -30,8 +28,6 @@ class QuantileSketch:
         self._delta: List[int] = []
         self._pending = 0
         self._compress_every = max(1, int(1.0 / (2.0 * eps)))
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
         self._sum = 0.0
 
     def __len__(self) -> int:
@@ -49,8 +45,6 @@ class QuantileSketch:
         self._delta.insert(i, delta)
         self.n += 1
         self._sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
         self._pending += 1
         if self._pending >= self._compress_every:
             self._compress()
@@ -88,22 +82,3 @@ class QuantileSketch:
         if self.n == 0:
             raise ValueError("empty sketch")
         return self._sum / self.n
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """New sketch over both streams (error budgets add)."""
-        merged = QuantileSketch(self.eps + other.eps)
-        entries = sorted(
-            list(zip(self._values, self._g, self._delta))
-            + list(zip(other._values, other._g, other._delta))
-        )
-        merged._values = [v for v, _, _ in entries]
-        merged._g = [g for _, g, _ in entries]
-        merged._delta = [d for _, _, d in entries]
-        merged.n = self.n + other.n
-        merged._sum = self._sum + other._sum
-        mins = [m for m in (self.min, other.min) if m is not None]
-        maxs = [m for m in (self.max, other.max) if m is not None]
-        merged.min = min(mins) if mins else None
-        merged.max = max(maxs) if maxs else None
-        merged._compress()
-        return merged

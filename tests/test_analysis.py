@@ -9,7 +9,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faascost.billing.engine import rounded_time
@@ -437,6 +437,9 @@ _sum_rows = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(_sum_rows)
+# Memory utilization variance whose product with the CPU variance underflows.
+@example([(0.0, "a", 0.083, 128.0, 0.0, 2.4489991711572115e-157),
+          (0.0, "a", 0.083, 128.0, 0.5, 2.4489991711572115e-157)])
 def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
     # Inflation's actual totals, the correlation's five sums and each cold
     # start instance's two sums all take the step the analytics first wrote
@@ -474,7 +477,9 @@ def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
         with pytest.raises(ValueError):
             utilization_correlation(records)
     else:
-        r = (n * sxy.value() - sx.value() * sy.value()) / math.sqrt(var_x * var_y)
+        r = (n * sxy.value() - sx.value() * sy.value()) / (
+            math.sqrt(var_x) * math.sqrt(var_y)
+        )
         assert utilization_correlation(records).pearson_r.hex() == r.hex()
 
     cold = cold_start_differential(records, collect=True)

@@ -86,6 +86,30 @@ def test_bill_batch_matches_library(tmp_path, trace_csv):
         assert row["fee_usd"] == usd_string(breakdown.fee_usd)
 
 
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalize", "no-normalize"])
+def test_bill_records_normalizes_each_allocation_once(tmp_path, trace_csv, monkeypatch,
+                                                      normalize):
+    from faascost.billing import engine
+
+    calls = []
+    original = engine.normalize_allocation
+
+    def counted(alloc, config):
+        calls.append((alloc.vcpus, alloc.memory_mb))
+        return original(alloc, config)
+
+    monkeypatch.setattr(engine, "normalize_allocation", counted)
+    flags = [] if normalize else ["--no-normalize"]
+    assert run("bill", "--platform", "aws_lambda", "--records", trace_csv, *flags,
+               "--out-dir", tmp_path) == 0
+    allocs = {(r.alloc.vcpus, r.alloc.memory_mb) for r in ingest_trace(trace_csv)}
+    assert 1 < len(allocs) < 100
+    if normalize:
+        assert sorted(calls) == sorted(allocs)
+    else:
+        assert calls == []
+
+
 def test_bill_unknown_platform_fails(capsys):
     assert run("bill", "--platform", "nope_cloud", "--exec-ms", 1) == 1
     assert "nope_cloud" in capsys.readouterr().err
@@ -118,6 +142,46 @@ def test_bill_manifest_records_inputs(tmp_path, trace_csv):
 def test_bad_number_fails_cleanly(argv, capsys):
     assert run(*argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# A wrong-typed field in each input file a command reads, and the command.
+_WRONG_TYPED = {
+    "platform-granularity-list": (
+        "p.yaml", "name: p\nbillable_time:\n  kind: execution\n  granularity_ms: [1]\n",
+        ["bill", "--platform", "BAD", "--exec-ms", 1]),
+    "platform-billable-time-int": (
+        "p.yaml", "name: p\nbillable_time: 5\n",
+        ["bill", "--platform", "BAD", "--exec-ms", 1]),
+    "platform-alloc-resources-int": (
+        "p.yaml", "name: p\nbillable_time:\n  kind: execution\nalloc_resources: 5\n",
+        ["bill", "--platform", "BAD", "--exec-ms", 1]),
+    "schema-columns-int": (
+        "schema.yaml", "columns: 5\n", ["analyze", "--trace", "TRACE", "--schema", "BAD"]),
+    "reference-period-list": (
+        "ref.yaml", "lab:\n  period_ms: [1]\n  tick_hz: 250\n",
+        ["profile", "report", "--in", "EVENTS", "--reference", "BAD"]),
+    "sidecar-no-runtime": (
+        "probe_summary.json", '{"n_events": 1}', ["profile", "analyze", "--in", "EVENTS"]),
+    "sidecar-list": (
+        "probe_summary.json", "[1, 2]", ["profile", "analyze", "--in", "EVENTS"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPED))
+def test_wrong_typed_input_file_fails_cleanly(case, tmp_path, trace_csv, events_csv, capsys):
+    name, text, argv = _WRONG_TYPED[case]
+    # The event log and its sidecar, which the bad file may replace.
+    for log in ("events.csv", "probe_summary.json"):
+        (tmp_path / log).write_bytes((events_csv.parent / log).read_bytes())
+    bad = tmp_path / name
+    bad.write_text(text)
+    files = {"BAD": bad, "TRACE": trace_csv, "EVENTS": tmp_path / "events.csv"}
+    out = tmp_path / "out"
+    assert run(*[files.get(a, a) for a in argv], "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- analyze

@@ -3,7 +3,7 @@
 ``inflation_analysis`` must report exactly what the engine's
 ``billable_quantities`` yields: each billable total is the float of the
 exact decimal sum over the same records, on every bundled platform that
-documents a time granularity. Its integer form, ``StepKeys``, must give
+documents a time granularity. Its integer form, ``TraceBilling``, must give
 the very same quantities for every record it keys, and ``bill --records``,
 which prices once per key, the very same rows as pricing each record.
 """
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from faascost import cli
 from faascost.billing.engine import (
-    StepKeys,
+    TraceBilling,
     allocation_quantities,
     billable_quantities,
     compute_cost,
@@ -28,6 +28,7 @@ from faascost.billing.engine import (
 from faascost.billing.model import (
     MEMORY_GB,
     VCPU,
+    AllocResourceSpec,
     MissingGranularityError,
     MissingPriceError,
     allocation,
@@ -41,6 +42,8 @@ from faascost.traces import (
     inflation_analysis,
     ingest_trace,
 )
+
+from oracle_traces import oracle_inflation_values
 
 # GCP's 1st-gen vCPU knob values: all on its 0.01 vCPU grid, and all
 # billed one step up by a binary-float ceiling (0.07 / 0.01 > 7).
@@ -124,6 +127,19 @@ def test_inflation_totals_are_the_engines_exact_sums(name):
     assert report.n == len(records)
 
 
+def test_billed_resources_are_the_oracles():
+    # Which resources each platform bills: priced ones, and a vCPU share
+    # tied to memory by the knob coupling or metered as CPU time.
+    records = seeded_records(seed=4, n=5)
+    mapper = lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
+    for name in GRANULAR:
+        config = resolve_platform(name)
+        report = inflation_analysis(records, config, mapping="direct")
+        bill_cpu, _, bill_mem, _ = oracle_inflation_values(records, config, mapper)
+        assert (report.billable_vcpu_s_total is None) == (bill_cpu is None), name
+        assert (report.billable_gb_s_total is None) == (bill_mem is None), name
+
+
 def test_grid_vcpus_are_billed_on_the_grid():
     config = resolve_platform("gcp_cloudrun_functions")
     for vcpus in GRID_VCPUS:
@@ -161,7 +177,7 @@ def test_quantities_need_no_price(name):
             compute_cost(record, config, granted)
 
 
-# The integer stage: StepKeys against billable_quantities.
+# The integer stage: TraceBilling against billable_quantities.
 
 SCHEMA_UNITS = {
     "ms": {},
@@ -215,12 +231,11 @@ def test_step_keys_reproduce_billable_quantities(
     name, unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb
 ):
     config = resolve_platform(name)
-    steps = StepKeys.for_config(config)
-    assert steps is not None
+    billing = TraceBilling(config)
     record = ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb)
     amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
     want = billable_quantities(record, config, amounts)
-    key = steps.key(record)
+    key = billing.key(record)
     fields = (record.exec_duration_ms, record.init_duration_ms,
               record.cpu_usage_avg_vcpus, record.mem_usage_mb)
     if key is None:
@@ -228,28 +243,77 @@ def test_step_keys_reproduce_billable_quantities(
         # record down the Decimal path.
         assert any(micros(f) is None for f in fields)
         return
-    got = steps.quantities(key, amounts)
+    got = billing.quantities(key)
     assert got.time_ms == want.time_ms
     assert got.usage == want.usage
     assert got == want
+    assert billing.seconds(key) == billing.seconds_of(record)
 
 
 @pytest.mark.parametrize("name", GRANULAR)
 def test_step_keys_cover_six_decimal_records(name):
     config = resolve_platform(name)
-    steps = StepKeys.for_config(config)
+    billing = TraceBilling(config)
     for record in seeded_records(seed=3, n=200):
         amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
-        key = steps.key(record)
+        key = billing.key(record)
         assert key is not None
-        assert steps.quantities(key, amounts) == billable_quantities(record, config, amounts)
+        assert billing.quantities(key) == billable_quantities(record, config, amounts)
+        assert billing.seconds(key) == billing.seconds_of(record)
 
 
 def test_step_keys_need_whole_units():
     config = resolve_platform("aws_lambda")
-    assert StepKeys.for_config(dataclasses.replace(config, time_granularity_ms=None)) is None
+    record = seeded_records(seed=3, n=1)[0]
+    assert TraceBilling(config).key(record) is not None
+    untimed = dataclasses.replace(config, time_granularity_ms=None)
+    assert TraceBilling(untimed).key(record) is None
     fine = dataclasses.replace(config, time_granularity_ms=Decimal("0.0000001"))
-    assert StepKeys.for_config(fine) is None
+    assert TraceBilling(fine).key(record) is None
+
+
+def test_a_priced_extra_is_keyed_and_billed(monkeypatch):
+    # Two records per GPU count, one keyed and one with a seven-decimal
+    # duration that takes the Decimal path; each kept twice.
+    aws = resolve_platform("aws_lambda")
+    gpu = AllocResourceSpec("gpu", Decimal(1), Decimal("0.0001"))
+    config = dataclasses.replace(aws, alloc_resources=aws.alloc_resources + (gpu,))
+    base = seeded_records(seed=5, n=1)[0]
+    records = []
+    for gpus in (1, 2):
+        alloc = allocation(vcpus=base.alloc.vcpus, memory_mb=base.alloc.memory_mb, gpu=gpus)
+        keyed = dataclasses.replace(base, alloc=alloc)
+        records += [keyed, dataclasses.replace(keyed, exec_duration_ms=base.exec_duration_ms
+                                               + 1.25e-7)]
+    billing = TraceBilling(config)
+    keys = [billing.key(r) for r in records]
+    assert keys[1] is None and keys[3] is None
+    assert None not in (keys[0], keys[2]) and keys[0] != keys[2]
+    for record, key in zip(records, keys):
+        amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
+        assert amounts["gpu"] == record.alloc.extras["gpu"]
+        assert billing.grant(record.alloc)[1] == amounts
+        if key is not None:
+            assert billing.quantities(key) == billable_quantities(record, config, amounts)
+            assert billing.seconds(key) == billing.seconds_of(record)
+
+    twice = records + records
+    want = [cli._bill_row(r, config, normalize_allocation(r.alloc, config)) for r in twice]
+    assert want[0]["alloc_usd"] != want[2]["alloc_usd"]
+    priced = []
+
+    def counted(*args):
+        priced.append(args)
+        return compute_cost(*args)
+
+    monkeypatch.setattr(cli, "compute_cost", counted)
+    assert list(cli._bill_rows(twice, config, True)) == want
+    assert len(priced) == 2 + 4  # each key once, each keyless record each time
+
+    report = inflation_analysis(twice, config)
+    cpu, mem = exact_totals(twice, config)
+    assert report.billable_vcpu_s_total == float(cpu)
+    assert report.billable_gb_s_total == float(mem)
 
 
 # The keyed bill path: `bill --records` prices each distinct billing key
@@ -282,7 +346,7 @@ def with_placeholder_prices(config):
 
 
 BILL_CONFIGS = {name: with_placeholder_prices(resolve_platform(name)) for name in GRANULAR}
-# StepKeys cannot key this one: every record takes _bill_row.
+# TraceBilling cannot key this one: every record takes _bill_row.
 BILL_CONFIGS["aws_lambda_1e-7ms"] = dataclasses.replace(
     resolve_platform("aws_lambda"), time_granularity_ms=Decimal("0.0000001")
 )
@@ -318,8 +382,7 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
         cli._bill_row(r, config, normalize_allocation(r.alloc, config) if normalize else r.alloc)
         for r in records
     ]
-    steps = StepKeys.for_config(config)
-    keys = [None if steps is None else steps.key(r) for r in records]
+    keys = [TraceBilling(config).key(r) for r in records]
     assert None in keys
     priced = []
 
@@ -332,11 +395,11 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
         monkeypatch.setattr(cli, "BILL_KEYS_CAP", cap)
         priced.clear()
         assert list(cli._bill_rows(records, config, normalize)) == want
-        if steps is None:
+        if not any(keys):
             assert len(priced) == len(records)
         elif cap == 3:
             # Past the cap a new key is priced on its own, every time.
             assert len(priced) > len(records) // 2
         else:
-            distinct = {(r.alloc.vcpus, r.alloc.memory_mb, k) for r, k in zip(records, keys) if k}
+            distinct = {k for k in keys if k is not None}
             assert len(priced) == len(distinct) + keys.count(None)
