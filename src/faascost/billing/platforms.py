@@ -90,9 +90,21 @@ def parse_platform_config(doc: dict) -> PlatformBillingConfig:
         raise BillingError(f"platform config field of the wrong type: {exc}") from exc
 
 
+def yaml_problem(exc: yaml.YAMLError) -> str:
+    """A YAML error on one line: what went wrong and where."""
+    mark = getattr(exc, "problem_mark", None)
+    problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+    if mark is None:
+        return problem
+    return f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def load_platform_config(path: Union[str, Path]) -> PlatformBillingConfig:
     with open(path, "rb") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise BillingError(f"{path}: not valid YAML: {yaml_problem(exc)}") from None
     if not isinstance(doc, dict):
         raise BillingError(f"{path}: expected a mapping at top level")
     try:

@@ -267,15 +267,32 @@ def _split_list(raw: str) -> List[str]:
     return items
 
 
+def _read_yaml(source: Path):
+    """The YAML document in ``source``; malformed YAML is a CliError naming it."""
+    import yaml
+
+    with open(source, "rb") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            from faascost.billing.platforms import yaml_problem
+
+            raise CliError(f"{source}: not valid YAML: {yaml_problem(exc)}") from None
+
+
 def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
     if source is None:
         return None
     import dataclasses
 
-    import yaml
-
-    with open(source, "rb") as fh:
-        doc = json.load(fh) if source.suffix == ".json" else yaml.safe_load(fh)
+    if source.suffix == ".json":
+        with open(source, "rb") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise CliError(f"{source}: not valid JSON: {exc}") from None
+    else:
+        doc = _read_yaml(source)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
         raise CliError(f"{source}: schema file must be a mapping with a 'columns' mapping")
     unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(_cli.SchemaMap)})
@@ -608,10 +625,7 @@ def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], even
 def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
     if source is None:
         return _cli.PUBLISHED_PLATFORM_SCHEDULERS
-    import yaml
-
-    with open(source, "rb") as fh:
-        doc = yaml.safe_load(fh)
+    doc = _read_yaml(source)
     if not isinstance(doc, dict):
         raise CliError(f"{source}: reference table must map platform -> parameters")
     table = {}

@@ -30,11 +30,15 @@ from ..billing.model import ResourceAllocation, allocation
 _GZIP_MAGIC = b"\x1f\x8b"
 _TRUTHY = {"1", "true", "t", "yes", "y"}
 _FALSY = {"0", "false", "f", "no", "n", ""}
+#: The spellings looked up before ``_parse_bool`` is called.
+_BOOLS = {"true": True, "false": False, "True": True, "False": False}
 #: The smallest positive allocation, in vCPUs or MB, a row may name.
 MIN_ALLOCATION = 1e-6
 #: The init duration of every record whose init is +0.0: warm requests are
 #: most rows of a trace, and one shared float saves each of them 24 B.
 _ZERO = 0.0
+#: Init cells that read as +0.0 in any duration unit, with no strip or parse.
+_ZERO_CELLS = frozenset({"", "0", "0.0", "0.000000"})
 
 
 @dataclass
@@ -159,17 +163,27 @@ def ingest_trace(
                     mem_usage = float(row[i_mem_usage]) * mem_factor
                     init_ms = _ZERO
                     if i_init is not None:
-                        cell = row[i_init].strip()
-                        if cell:
-                            init_ms = float(cell) * dur_factor
-                            if init_ms == 0.0 and math.copysign(1.0, init_ms) > 0.0:
-                                init_ms = _ZERO
+                        cell = row[i_init]
+                        if cell not in _ZERO_CELLS:
+                            cell = cell.strip()
+                            if cell:
+                                init_ms = float(cell) * dur_factor
+                                if init_ms == 0.0 and math.copysign(1.0, init_ms) > 0.0:
+                                    init_ms = _ZERO
                     if i_cold is not None:
-                        cold = _parse_bool(row[i_cold])
+                        cell = row[i_cold]
+                        cold = _BOOLS.get(cell)
+                        if cold is None:
+                            cold = _parse_bool(cell)
                     else:
                         cold = init_ms > 0.0
-                    function_id = row[i_fn].strip()
-                    function_id = function_ids.setdefault(function_id, function_id)
+                    # Pooled by the raw cell, so a cell seen before is not stripped.
+                    cell = row[i_fn]
+                    function_id = function_ids.get(cell)
+                    if function_id is None:
+                        function_id = cell.strip()
+                        function_id = function_ids.setdefault(function_id, function_id)
+                        function_ids[cell] = function_id
                     instance = row[i_instance].strip() if i_instance is not None else ""
                     alloc = allocs.get((vcpus, mem_mb))
                     if alloc is None:
@@ -177,15 +191,8 @@ def ingest_trace(
                             raise ValueError("positive allocation below MIN_ALLOCATION")
                         alloc = allocs[vcpus, mem_mb] = allocation(vcpus=vcpus, memory_mb=mem_mb)
                     record = InvocationRecord(
-                        function_id=function_id,
-                        instance_id=instance,
-                        arrival_ts_ms=arrival,
-                        exec_duration_ms=exec_ms,
-                        init_duration_ms=init_ms,
-                        is_cold_start=cold,
-                        alloc=alloc,
-                        cpu_usage_avg_vcpus=cpu_avg,
-                        mem_usage_mb=mem_usage,
+                        function_id, instance, arrival, exec_ms, init_ms, cold, alloc,
+                        cpu_avg, mem_usage,
                     )
                 except (ValueError, IndexError):
                     stats.malformed_skipped += 1

@@ -1,14 +1,30 @@
 """Naive reference implementations for the trace analytics.
 
 Deliberately written the slow, obvious way: materialize per-record values
-in lists, use exact Fraction ceilings and math.fsum, and lean on stdlib
+in lists, use exact decimal ceilings and math.fsum, and lean on stdlib
 statistics where it applies. The streaming analytics must agree with these
 within tight relative tolerances.
+
+Every float is an exact decimal, so the billing references compute in
+``Decimal`` under ``EXACT``, a context that traps ``Inexact`` and
+``Rounded``: a step that would round raises instead. They add, multiply and
+divide to an integer only; a division by 1000 or 1024 is a multiplication by
+its exact reciprocal.
 """
 
 import math
 import random
 import statistics
+from decimal import (
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 
 from faascost.billing.model import (
@@ -18,40 +34,52 @@ from faascost.billing.model import (
     FixedCombos,
 )
 
+EXACT = Context(
+    prec=1000, traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow]
+)
+ZERO = Decimal(0)
+PER_THOUSAND = Decimal("0.001")
+PER_1024 = Decimal("0.0009765625")
 
-def frac(x):
-    if isinstance(x, float):
-        return Fraction(*x.as_integer_ratio())
-    return Fraction(x)
+
+def dec(x):
+    """A float, int or Decimal as the exact Decimal it stands for."""
+    return x if isinstance(x, Decimal) else Decimal(x)
 
 
 def ceil_mult(amount, gran):
-    a = frac(amount)
-    g = frac(gran)
+    """``amount`` rounded up to a whole number of ``gran``; call under EXACT."""
+    a = dec(amount)
+    g = dec(gran)
     if a <= 0:
-        return Fraction(0)
-    return math.ceil(a / g) * g
+        return ZERO
+    steps, rest = divmod(a, g)
+    if rest:
+        steps += 1
+    return steps * g
 
 
 def billable_ms(raw_ms, gran_ms, cutoff_ms):
-    r = max(frac(raw_ms), frac(cutoff_ms))
+    r = max(dec(raw_ms), dec(cutoff_ms))
     if r == 0:
-        return Fraction(0)
+        return ZERO
     return ceil_mult(r, gran_ms)
 
 
 def oracle_inflation_totals(records, config, mapper):
-    """Totals as exact fractions: (bill_cpu, actual_cpu, bill_mem, actual_mem).
+    """Exact totals, each rounded once to a float: (bill_cpu, actual_cpu,
+    bill_mem, actual_mem).
 
     Unbilled resources come back as None. ``mapper`` is a function
     record -> (vcpus, memory_mb) in floats.
     """
-    bill_cpu, actual_cpu, bill_mem, actual_mem = oracle_inflation_values(
+    bill_cpu, actual_cpu, bill_mem, actual_mem = _inflation_decimals(
         records, config, mapper
     )
 
     def total(parts):
-        return float(sum(parts, Fraction(0)))
+        with localcontext(EXACT):
+            return float(sum(parts, ZERO))
 
     return (
         total(bill_cpu) if bill_cpu is not None else None,
@@ -65,6 +93,14 @@ def oracle_inflation_values(records, config, mapper):
     """Per-request Fractions behind :func:`oracle_inflation_totals`, as four
     lists (bill_cpu, actual_cpu, bill_mem, actual_mem); None for an
     unbilled resource."""
+    return tuple(
+        None if values is None else [Fraction(v) for v in values]
+        for values in _inflation_decimals(records, config, mapper)
+    )
+
+
+def _inflation_decimals(records, config, mapper):
+    """:func:`oracle_inflation_values` as exact Decimals."""
     alloc_vcpu = config.alloc_spec(VCPU)
     alloc_mem = config.alloc_spec(MEMORY_GB)
     usage_vcpu = config.usage_spec(VCPU)
@@ -78,42 +114,49 @@ def oracle_inflation_values(records, config, mapper):
     bills_mem = alloc_mem is not None or usage_mem is not None
 
     bill_cpu, actual_cpu, bill_mem, actual_mem = [], [], [], []
-    for rec in records:
-        vcpus, mem_mb = mapper(rec)
-        cpu_ms = frac(rec.cpu_usage_avg_vcpus) * frac(rec.exec_duration_ms)
-        if config.billable_time_kind == "cpu_time_only":
-            raw = cpu_ms
-        elif config.billable_time_kind == "turnaround":
-            raw = frac(rec.exec_duration_ms) + frac(rec.init_duration_ms)
-        else:
-            raw = frac(rec.exec_duration_ms)
-        bt_s = billable_ms(raw, config.time_granularity_ms, config.time_min_cutoff_ms) / 1000
-
-        actual_cpu.append(cpu_ms / 1000)
-        actual_mem.append(frac(rec.mem_usage_mb) / 1024 * frac(rec.exec_duration_ms) / 1000)
-
-        if bills_cpu:
-            if usage_vcpu is not None:
-                if usage_vcpu.billing_basis == "per_billable_second":
-                    v = ceil_mult(rec.cpu_usage_avg_vcpus, usage_vcpu.granularity) * bt_s
-                else:
-                    v = ceil_mult(cpu_ms, usage_vcpu.granularity) / 1000
+    # The mapper runs outside EXACT: it may round, the oracle may not.
+    granted = [(rec, mapper(rec)) for rec in records]
+    with localcontext(EXACT):
+        for rec, (vcpus, mem_mb) in granted:
+            # Record fields are floats, which Decimal() converts exactly.
+            exec_ms = Decimal(rec.exec_duration_ms)
+            cpu_ms = Decimal(rec.cpu_usage_avg_vcpus) * exec_ms
+            mem_gb = Decimal(rec.mem_usage_mb) * PER_1024
+            if config.billable_time_kind == "cpu_time_only":
+                raw = cpu_ms
+            elif config.billable_time_kind == "turnaround":
+                raw = exec_ms + Decimal(rec.init_duration_ms)
             else:
-                bv = frac(vcpus)
-                if alloc_vcpu is not None:
-                    bv = ceil_mult(vcpus, alloc_vcpu.granularity)
-                v = bv * bt_s
-            bill_cpu.append(v)
-        if bills_mem:
-            if usage_mem is not None:
-                rounded = ceil_mult(frac(rec.mem_usage_mb) / 1024, usage_mem.granularity)
-                if usage_mem.billing_basis == "per_billable_second":
-                    m = rounded * bt_s
+                raw = exec_ms
+            bt_s = billable_ms(
+                raw, config.time_granularity_ms, config.time_min_cutoff_ms
+            ) * PER_THOUSAND
+
+            actual_cpu.append(cpu_ms * PER_THOUSAND)
+            actual_mem.append(mem_gb * exec_ms * PER_THOUSAND)
+
+            if bills_cpu:
+                if usage_vcpu is not None:
+                    if usage_vcpu.billing_basis == "per_billable_second":
+                        v = ceil_mult(rec.cpu_usage_avg_vcpus, usage_vcpu.granularity) * bt_s
+                    else:
+                        v = ceil_mult(cpu_ms, usage_vcpu.granularity) * PER_THOUSAND
                 else:
-                    m = rounded
-            else:
-                m = ceil_mult(frac(mem_mb) / 1024, alloc_mem.granularity) * bt_s
-            bill_mem.append(m)
+                    bv = dec(vcpus)
+                    if alloc_vcpu is not None:
+                        bv = ceil_mult(vcpus, alloc_vcpu.granularity)
+                    v = bv * bt_s
+                bill_cpu.append(v)
+            if bills_mem:
+                if usage_mem is not None:
+                    rounded = ceil_mult(mem_gb, usage_mem.granularity)
+                    if usage_mem.billing_basis == "per_billable_second":
+                        m = rounded * bt_s
+                    else:
+                        m = rounded
+                else:
+                    m = ceil_mult(dec(mem_mb) * PER_1024, alloc_mem.granularity) * bt_s
+                bill_mem.append(m)
 
     return (
         bill_cpu if bills_cpu else None,
@@ -220,22 +263,22 @@ def oracle_roundup(records, policy, min_exec_ms=1.0):
     """(mean_time_roundup_ms, mean_mem_roundup_gb_s or None, n)."""
     times = []
     mems = []
-    for rec in records:
-        if rec.exec_duration_ms < min_exec_ms:
-            continue
-        bt = billable_ms(
-            rec.exec_duration_ms, policy.time_granularity_ms, policy.time_min_cutoff_ms
+    with localcontext(EXACT):
+        for rec in records:
+            if rec.exec_duration_ms < min_exec_ms:
+                continue
+            exec_ms = dec(rec.exec_duration_ms)
+            bt = billable_ms(exec_ms, policy.time_granularity_ms, policy.time_min_cutoff_ms)
+            times.append(bt - exec_ms)
+            if policy.mem_granularity_gb is not None:
+                gb = dec(rec.mem_usage_mb) * PER_1024
+                extra = ceil_mult(gb, policy.mem_granularity_gb) - gb
+                mems.append(extra * exec_ms * PER_THOUSAND)
+        n = len(times)
+        mean_t = float(Fraction(sum(times, ZERO)) / n)
+        mean_m = (
+            float(Fraction(sum(mems, ZERO)) / n)
+            if policy.mem_granularity_gb is not None
+            else None
         )
-        times.append(bt - frac(rec.exec_duration_ms))
-        if policy.mem_granularity_gb is not None:
-            gb = frac(rec.mem_usage_mb) / 1024
-            extra = ceil_mult(gb, policy.mem_granularity_gb) - gb
-            mems.append(extra * frac(rec.exec_duration_ms) / 1000)
-    n = len(times)
-    mean_t = float(sum(times, Fraction(0)) / n)
-    mean_m = (
-        float(sum(mems, Fraction(0)) / n)
-        if policy.mem_granularity_gb is not None
-        else None
-    )
     return mean_t, mean_m, n

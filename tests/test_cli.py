@@ -164,6 +164,15 @@ _WRONG_TYPED = {
         "probe_summary.json", '{"n_events": 1}', ["profile", "analyze", "--in", "EVENTS"]),
     "sidecar-list": (
         "probe_summary.json", "[1, 2]", ["profile", "analyze", "--in", "EVENTS"]),
+    # Files that do not parse at all.
+    "platform-malformed-yaml": (
+        "p.yaml", "name: [\n", ["bill", "--platform", "BAD", "--exec-ms", 1]),
+    "schema-malformed-yaml": (
+        "schema.yaml", "columns: [\n", ["analyze", "--trace", "TRACE", "--schema", "BAD"]),
+    "schema-malformed-json": (
+        "schema.json", '{"columns": ', ["analyze", "--trace", "TRACE", "--schema", "BAD"]),
+    "reference-malformed-yaml": (
+        "ref.yaml", "x: [\n", ["profile", "report", "--in", "EVENTS", "--reference", "BAD"]),
 }
 
 

@@ -427,3 +427,65 @@ def test_held_records_stay_small(tmp_path):
         tracemalloc.stop()
     assert len(records) == 2000
     assert held / len(records) <= 320
+
+
+# Ingest looks up the common cells before it strips or parses them: the
+# canonical booleans, a function id seen before, and the +0.0 init spellings.
+# Every other cell takes the general path and reads as it always did.
+
+
+@pytest.mark.parametrize(
+    "cell, cold",
+    [(" TRUE ", True), ("yes", True), ("T", True), ("0", False), ("", False),
+     ("true", True), ("False", False)],
+)
+def test_boolean_cells_off_the_lookup_parse_as_before(cell, cold):
+    payload = canonical_csv([f"fa,i1,0,10,0,{cell},1,128,0.5,64"])
+    (record,) = ingest_trace(io.BytesIO(payload))
+    assert record.is_cold_start is cold
+
+
+def test_an_unparseable_boolean_is_counted():
+    payload = canonical_csv(["fa,i1,0,10,0,maybe,1,128,0.5,64",
+                             "fa,i1,1,10,0,true,1,128,0.5,64"])
+    stats = IngestStats()
+    (record,) = ingest_trace(io.BytesIO(payload), stats=stats)
+    assert record.arrival_ts_ms == 1.0
+    assert (stats.rows_read, stats.malformed_skipped) == (2, 1)
+
+
+def test_padded_function_ids_pool_with_the_bare_one():
+    payload = canonical_csv([f"{fid},i1,0,10,0,false,1,128,0.5,64"
+                             for fid in (" f001", "f001", "f001 ", " f001", "f002")])
+    records = list(ingest_trace(io.BytesIO(payload)))
+    assert [r.function_id for r in records] == ["f001"] * 4 + ["f002"]
+    assert all(r.function_id is records[0].function_id for r in records[:4])
+
+
+@pytest.mark.parametrize("unit", ["ms", "s"])
+def test_init_cells_off_the_lookup_parse_as_before(unit):
+    cells = ["0.000000", "  ", "-0.0", "1e-3", " 0 ", "", "0"]
+    payload = canonical_csv([f"fa,i1,0,10,{cell},false,1,128,0.5,64" for cell in cells])
+    schema = dataclasses.replace(default_schema_map(), duration_unit=unit)
+    zero, blank, negative, small, padded, empty, bare = ingest_trace(
+        io.BytesIO(payload), schema
+    )
+    shared = zero.init_duration_ms
+    assert shared == 0.0 and math.copysign(1.0, shared) == 1.0
+    for record in (blank, padded, empty, bare):
+        assert record.init_duration_ms is shared
+    assert negative.init_duration_ms == 0.0
+    assert math.copysign(1.0, negative.init_duration_ms) == -1.0
+    assert negative.init_duration_ms is not shared
+    assert small.init_duration_ms == (1e-3 if unit == "ms" else 1e-3 * 1000.0)
+
+
+def test_padded_numeric_cells_read_as_bare_ones():
+    bare = "fa,i1,0.5,10.25,2.5,true,0.5,128,0.25,64"
+    padded = "fa,i1, 0.5 ,10.25 , 2.5, true ,0.5 , 128, 0.25 ,64 "
+    plain_stats, padded_stats = IngestStats(), IngestStats()
+    plain = list(ingest_trace(io.BytesIO(canonical_csv([bare])), stats=plain_stats))
+    spaced = list(ingest_trace(io.BytesIO(canonical_csv([padded])), stats=padded_stats))
+    assert spaced == plain and len(plain) == 1
+    assert spaced[0].init_duration_ms == 2.5 and spaced[0].is_cold_start is True
+    assert padded_stats == plain_stats
