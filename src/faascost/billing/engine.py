@@ -7,7 +7,8 @@ is billed for in vCPU-s and GB-s: the inflation analysis uses it to do the
 Decimal work once per distinct key, and ``faascost bill --records`` to
 price each distinct key once.
 Records are any object with the fields of
-:class:`faascost.traces.records.InvocationRecord`.
+:class:`faascost.traces.records.InvocationRecord`: their allocation is two
+floats, made an exact :class:`ResourceAllocation` here.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from faascost.billing.model import (
     ResourceAllocation,
     UnpricedResourceError,
     UsageResourceSpec,
+    allocation,
 )
 from faascost.money import CONTEXT, Number, ceil_to, dec, micros, whole_units
 
@@ -194,11 +196,11 @@ def billable_quantities(
     """Billable time and rounded resource amounts of one invocation, exactly.
 
     Needs no price.  ``alloc_amounts`` is :func:`allocation_quantities` of
-    the granted allocation, by default of ``record.alloc``; a pass over a
+    the granted allocation, by default of the record's own; a pass over a
     trace works it out once per distinct allocation.
     """
     if alloc_amounts is None:
-        alloc_amounts = allocation_quantities(record.alloc, config)
+        alloc_amounts = allocation_quantities(_requested(record), config)
     exec_ms = dec(record.exec_duration_ms)
     if config.billable_time_kind == "cpu_time_only":
         raw_time = CONTEXT.multiply(dec(record.cpu_usage_avg_vcpus), exec_ms)
@@ -210,6 +212,11 @@ def billable_quantities(
         usage[spec.resource] = ceil_to(_usage_amount(record, spec, exec_ms), spec.granularity)
     # tuple.__new__ skips the named tuple's Python-level constructor.
     return tuple.__new__(BillableQuantities, (time_ms, alloc_amounts, usage))
+
+
+def _requested(record) -> ResourceAllocation:
+    """The allocation ``record`` asked for, exactly as its floats read."""
+    return allocation(record.alloc_vcpus, record.alloc_memory_mb)
 
 
 def rounded_steps(raw: int, granularity: int, cutoff: int) -> int:
@@ -269,19 +276,20 @@ class TraceBilling:
     billed alike: :func:`billable_quantities` in integers, for a pass over
     a trace.
 
-    ``grant(alloc)`` is the granted allocation (normalized, unless
-    ``normalize`` is false) and its :func:`allocation_quantities`, worked
-    out once per distinct allocation.  ``key(record)`` is the record's
-    allocation and its billed time and usage amounts as whole granularity
-    steps: the cutoff first, then the ceiling, on fields read by
-    :func:`faascost.money.micros`.  Every record with a key is billed for
-    ``quantities(key)``, so the Decimal work is done once per distinct key.
-    The key is None when the platform has no time granularity, a
-    granularity or cutoff is not a whole number of units, or a field the
-    platform bills is not a whole count of millionths; such a record takes
-    ``billable_quantities``.  Amounts are counted in 10^-6 ms, MB or vCPU,
-    and in 10^-12 for products of two fields (CPU-time billing, absolute
-    vCPU-ms).
+    ``grant(vcpus, memory_mb)`` is the granted allocation (normalized,
+    unless ``normalize`` is false) of a record's two allocation floats and
+    its :func:`allocation_quantities`, worked out once per distinct pair:
+    the one place a trace allocation becomes a :class:`ResourceAllocation`.
+    ``key(record)`` is the record's allocation and its billed time and usage
+    amounts as whole granularity steps: the cutoff first, then the ceiling,
+    on fields read by :func:`faascost.money.micros`.  Every record with a
+    key is billed for ``quantities(key)``, so the Decimal work is done once
+    per distinct key.  The key is None when the platform has no time
+    granularity, a granularity or cutoff is not a whole number of units, or
+    a field the platform bills is not a whole count of millionths; such a
+    record takes ``billable_quantities``.  Amounts are counted in 10^-6 ms,
+    MB or vCPU, and in 10^-12 for products of two fields (CPU-time billing,
+    absolute vCPU-ms).
 
     ``seconds(key)`` and ``seconds_of(record)`` are the billed (vCPU-s,
     GB-s), each None for a resource the platform does not bill.
@@ -311,15 +319,16 @@ class TraceBilling:
         self._cpu_time = config.billable_time_kind == "cpu_time_only"
         self._granularity, self._cutoff, self._usage = _step_grid(config) or (None, None, ())
 
-    def grant(self, alloc: ResourceAllocation) -> Tuple[ResourceAllocation, Mapping[str, Decimal]]:
-        # Laid out as a key's first three items.
-        extras = tuple(alloc.extras.items()) if alloc.extras else ()
-        alloc_key = (alloc.vcpus, alloc.memory_mb, extras)
-        granted = self._grants.get(alloc_key)
+    def grant(self, vcpus: float, memory_mb: float
+              ) -> Tuple[ResourceAllocation, Mapping[str, Decimal]]:
+        # Keyed as a record key's first two items.
+        granted = self._grants.get((vcpus, memory_mb))
         if granted is None:
+            alloc = allocation(vcpus, memory_mb)
             if self._normalize:
                 alloc = normalize_allocation(alloc, self.config)
-            granted = self._grants[alloc_key] = (alloc, allocation_quantities(alloc, self.config))
+            granted = (alloc, allocation_quantities(alloc, self.config))
+            self._grants[vcpus, memory_mb] = granted
         return granted
 
     def key(self, record) -> Optional[tuple]:
@@ -341,8 +350,7 @@ class TraceBilling:
             raw = exec_units + init
         else:
             raw = exec_units
-        alloc = record.alloc
-        key = [alloc.vcpus, alloc.memory_mb, tuple(alloc.extras.items()) if alloc.extras else (),
+        key = [record.alloc_vcpus, record.alloc_memory_mb,
                rounded_steps(raw, granularity, self._cutoff)]
         for _, how, units, _ in self._usage:
             if how == _MEM:
@@ -358,25 +366,19 @@ class TraceBilling:
             key.append(rounded_steps(amount, units, 0))
         return tuple(key)
 
-    def _granted(self, key: tuple) -> tuple:
-        granted = self._grants.get(key[:3])
-        if granted is None:
-            granted = self.grant(ResourceAllocation(key[0], key[1], dict(key[2])))
-        return granted
-
     def quantities(self, key: tuple) -> BillableQuantities:
-        time_ms = CONTEXT.multiply(key[3], self.config.time_granularity_ms)
+        time_ms = CONTEXT.multiply(key[2], self.config.time_granularity_ms)
         usage = {
             resource: CONTEXT.multiply(steps, granularity)
-            for steps, (resource, _, _, granularity) in zip(key[4:], self._usage)
+            for steps, (resource, _, _, granularity) in zip(key[3:], self._usage)
         }
-        return tuple.__new__(BillableQuantities, (time_ms, self._granted(key)[1], usage))
+        return tuple.__new__(BillableQuantities, (time_ms, self.grant(key[0], key[1])[1], usage))
 
     def seconds(self, key: tuple) -> tuple:
-        return self._seconds(self.quantities(key), self._granted(key)[0])
+        return self._seconds(self.quantities(key), self.grant(key[0], key[1])[0])
 
     def seconds_of(self, record) -> tuple:
-        granted, amounts = self.grant(record.alloc)
+        granted, amounts = self.grant(record.alloc_vcpus, record.alloc_memory_mb)
         return self._seconds(billable_quantities(record, self.config, amounts), granted)
 
     def _seconds(self, quantities: BillableQuantities, granted: ResourceAllocation) -> tuple:
@@ -432,8 +434,9 @@ def compute_cost(
     record, config: PlatformBillingConfig, alloc: Optional[ResourceAllocation] = None
 ) -> CostBreakdown:
     """Itemized cost of one invocation under ``config``; ``alloc`` is the granted
-    allocation (see :func:`normalize_allocation`), by default the record's."""
-    granted = allocation_quantities(record.alloc if alloc is None else alloc, config)
+    allocation (see :func:`normalize_allocation`), by default the record's.
+    Custom resources reach the invoice only through ``alloc``'s extras."""
+    granted = allocation_quantities(_requested(record) if alloc is None else alloc, config)
     return price(billable_quantities(record, config, granted), config)
 
 

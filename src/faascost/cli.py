@@ -348,7 +348,8 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
                 *strings,
             )))
             continue
-        row = _bill_row(record, config, billing.grant(record.alloc)[0])
+        granted = billing.grant(record.alloc_vcpus, record.alloc_memory_mb)[0]
+        row = _bill_row(record, config, granted)
         if key is not None and len(priced) < BILL_KEYS_CAP:
             # Interned, so the fee and repeated amounts are stored once.
             priced[key] = tuple(sys.intern(row[name]) for name in _PRICED_COLUMNS)
@@ -376,11 +377,13 @@ def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
         exec_duration_ms=args.exec_ms,
         init_duration_ms=args.init_ms,
         is_cold_start=args.init_ms > 0,
-        alloc=alloc,
+        alloc_vcpus=float(alloc.vcpus),
+        alloc_memory_mb=float(alloc.memory_mb),
         cpu_usage_avg_vcpus=args.cpu_avg_vcpus,
         mem_usage_mb=args.mem_used_mb,
     )
-    breakdown = _cli.compute_cost(record, config)
+    # The exact allocation is billed, not the record's floats.
+    breakdown = _cli.compute_cost(record, config, alloc)
     doc = breakdown.as_dict()
     doc["platform"] = config.name
     doc["alloc"] = {"vcpus": str(alloc.vcpus), "memory_mb": str(alloc.memory_mb)}
@@ -452,6 +455,8 @@ def _analyze_inflation(records: list, args: argparse.Namespace, run: _Run) -> Li
 
 def _analyze_correlation(records: list, args: argparse.Namespace, run: _Run) -> dict:
     corr = _cli.utilization_correlation(records, seed=args.seed)
+    if corr.undefined:
+        print(f"warning: correlation undefined: {corr.undefined}", file=sys.stderr)
     doc = corr.as_dict()
     run.rows([doc], list(doc), "utilization_correlation")
     if corr.scatter_x:

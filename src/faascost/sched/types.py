@@ -101,10 +101,6 @@ class Segment:
     def end_ms(self) -> float:
         return self.end_us / US_PER_MS
 
-    @property
-    def duration_ms(self) -> float:
-        return (self.end_us - self.start_us) / US_PER_MS
-
 
 @dataclass(frozen=True)
 class ScheduleTimeline:

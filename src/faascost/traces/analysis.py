@@ -279,14 +279,19 @@ def inflation_analysis(
 @dataclass
 class CorrelationResult:
     """The correlation and its scatter sample, whose i-th point is
-    ``(scatter_x[i], scatter_y[i])``: CPU and memory utilization."""
+    ``(scatter_x[i], scatter_y[i])``: CPU and memory utilization.
 
-    pearson_r: float
+    ``pearson_r`` is None when the correlation is undefined, and
+    ``undefined`` then says why; it is not part of :meth:`as_dict`.
+    """
+
+    pearson_r: Optional[float]
     n: int
     skipped: int
     scatter_x: array
     scatter_y: array
     seed: int
+    undefined: Optional[str] = None
 
     @property
     def scatter(self) -> List[Tuple[float, float]]:
@@ -314,7 +319,9 @@ def utilization_correlation(
     Utilization is usage divided by allocation per record. The correlation
     uses exact one-pass sums; a seeded reservoir (Vitter's algorithm R)
     keeps at most ``max_scatter`` points for plotting, as two arrays of
-    doubles, so memory stays bounded at 16 B a point.
+    doubles, so memory stays bounded at 16 B a point. With fewer than two
+    records with positive allocations, or zero variance, the correlation is
+    undefined and ``pearson_r`` is None.
     """
     n = 0
     skipped = 0
@@ -326,8 +333,8 @@ def utilization_correlation(
     rng = random.Random(seed)
 
     for record in records:
-        vcpus = float(record.alloc.vcpus)
-        mem_mb = float(record.alloc.memory_mb)
+        vcpus = record.alloc_vcpus
+        mem_mb = record.alloc_memory_mb
         if vcpus <= 0.0 or mem_mb <= 0.0:
             skipped += 1
             continue
@@ -348,17 +355,20 @@ def utilization_correlation(
                 xs[j] = x
                 ys[j] = y
 
-    if n < 2:
-        raise ValueError("need at least two records with positive allocations")
+    r = undefined = None
     sx, sy, sxx, syy, sxy = sx + cx, sy + cy, sxx + cxx, syy + cyy, sxy + cxy
     var_x = n * sxx - sx ** 2
     var_y = n * syy - sy ** 2
-    if var_x <= 0.0 or var_y <= 0.0:
-        raise ValueError("zero variance in utilization, correlation undefined")
-    # Two roots, not the root of the product: tiny variances underflow to 0.
-    r = (n * sxy - sx * sy) / (math.sqrt(var_x) * math.sqrt(var_y))
+    if n < 2:
+        undefined = "fewer than two records with positive allocations"
+    elif var_x <= 0.0 or var_y <= 0.0:
+        undefined = "zero variance in utilization"
+    else:
+        # Two roots, not the root of the product: tiny variances underflow to 0.
+        r = (n * sxy - sx * sy) / (math.sqrt(var_x) * math.sqrt(var_y))
     return CorrelationResult(
-        pearson_r=r, n=n, skipped=skipped, scatter_x=xs, scatter_y=ys, seed=seed
+        pearson_r=r, n=n, skipped=skipped, scatter_x=xs, scatter_y=ys, seed=seed,
+        undefined=undefined,
     )
 
 
@@ -464,8 +474,8 @@ def cold_start_differential(
             session_last[fid] = record.arrival_ts_ms
             key = f"{fid}#s{session_idx[fid]}"
 
-        vcpus = float(record.alloc.vcpus)
-        mem_gb = float(record.alloc.memory_mb) / 1024.0
+        vcpus = record.alloc_vcpus
+        mem_gb = record.alloc_memory_mb / 1024.0
         state = instances.get(key)
         if state is None:
             init_s = record.init_duration_ms / 1000.0
@@ -501,19 +511,16 @@ def cold_start_differential(
         n_cold += 1
         if state.init_vcpu_s == 0.0 and state.init_gb_s == 0.0:
             n_zero_init += 1
-        d = ColdStartDiff(
-            instance_key=key,
-            function_id=state.function_id,
-            init_vcpu_s=state.init_vcpu_s,
-            init_gb_s=state.init_gb_s,
-            subsequent_vcpu_s=state.vcpu_total + state.vcpu_comp,
-            subsequent_gb_s=state.gb_total + state.gb_comp,
-        )
-        diff_cpu_sketch.insert(d.diff_vcpu_s)
-        if d.diff_vcpu_s <= 0.0 and d.diff_gb_s <= 0.0:
+        # ColdStartDiff's differences, without the object unless it is kept.
+        subsequent_vcpu_s = state.vcpu_total + state.vcpu_comp
+        subsequent_gb_s = state.gb_total + state.gb_comp
+        diff_vcpu_s = subsequent_vcpu_s - state.init_vcpu_s
+        diff_cpu_sketch.insert(diff_vcpu_s)
+        if diff_vcpu_s <= 0.0 and subsequent_gb_s - state.init_gb_s <= 0.0:
             n_nonpositive += 1
         if diffs is not None:
-            diffs.append(d)
+            diffs.append(ColdStartDiff(key, state.function_id, state.init_vcpu_s,
+                                       state.init_gb_s, subsequent_vcpu_s, subsequent_gb_s))
 
     flags: List[str] = []
     if n_cold == 0:

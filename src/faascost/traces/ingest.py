@@ -1,8 +1,8 @@
 """Streaming CSV ingestion for invocation traces.
 
-Reads plain or gzip-compressed CSV, binds columns through a SchemaMap,
-normalizes units, and yields InvocationRecord objects one at a time so
-multi-gigabyte traces never need to fit in memory.
+Reads plain or gzip-compressed CSV, from a file or a pipe, binds columns
+through a SchemaMap, normalizes units, and yields InvocationRecord objects
+one at a time so multi-gigabyte traces never need to fit in memory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .records import (
     InvocationRecord,
     SchemaMap,
 )
-from ..billing.model import ResourceAllocation, allocation
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _TRUTHY = {"1", "true", "t", "yes", "y"}
@@ -51,6 +50,28 @@ class IngestStats:
     zero_cpu_filtered: int = 0
 
 
+class _Sniffed(io.RawIOBase):
+    """``raw`` with ``head``, the bytes already read from it, put back in front.
+
+    The format is told from the first bytes without seeking, so a pipe reads
+    like a file, and the stream is still read a buffer at a time.
+    """
+
+    def __init__(self, head: bytes, raw: IO[bytes]) -> None:
+        self._head = head
+        self._raw = raw
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self._head or self._raw.read(len(buffer))
+        n = min(len(data), len(buffer))
+        buffer[:n] = data[:n]
+        self._head = data[n:]
+        return n
+
+
 @contextlib.contextmanager
 def _open_source(source: Union[str, Path, IO[bytes]]) -> Iterator[IO[str]]:
     """The source as text; a file opened here is closed on exit."""
@@ -60,10 +81,7 @@ def _open_source(source: Union[str, Path, IO[bytes]]) -> Iterator[IO[str]]:
         else:
             raw = source
         head = raw.read(2)
-        if hasattr(raw, "seek"):
-            raw.seek(0)
-        else:  # pragma: no cover - non-seekable streams are not used in tests
-            raw = io.BytesIO(head + raw.read())
+        raw = _Sniffed(head, raw)
         if head == _GZIP_MAGIC:
             # GzipFile closes itself, never the file object under it.
             raw = gzip.GzipFile(fileobj=raw)
@@ -98,7 +116,7 @@ def ingest_trace(
     unknown unit raises immediately, and a truncated or corrupt gzip raises
     ValueError. With ``drop_zero_cpu`` set, rows whose average CPU usage is
     exactly zero are filtered out and counted, mirroring the metering
-    exclusion for requests that never ran. Equal allocations, equal
+    exclusion for requests that never ran. Equal allocation pairs, equal
     function ids and +0.0 init durations are shared; instance ids are not,
     so a streamed trace keeps no state that grows with its instances. A
     file opened here is closed when the generator finishes, fails or is
@@ -147,7 +165,8 @@ def ingest_trace(
             i_instance = cols.get("instance_id")
             i_init = cols.get("init_duration")
             i_cold = cols.get("is_cold_start")
-            allocs: Dict[Tuple[float, float], ResourceAllocation] = {}
+            # Each distinct (vCPUs, MB) pair, keyed by itself: rows share its floats.
+            allocs: Dict[Tuple[float, float], Tuple[float, float]] = {}
             function_ids: Dict[str, str] = {}
 
             for row in reader:
@@ -185,15 +204,18 @@ def ingest_trace(
                         function_id = function_ids.setdefault(function_id, function_id)
                         function_ids[cell] = function_id
                     instance = row[i_instance].strip() if i_instance is not None else ""
-                    alloc = allocs.get((vcpus, mem_mb))
-                    if alloc is None:
-                        if 0 < vcpus < MIN_ALLOCATION or 0 < mem_mb < MIN_ALLOCATION:
-                            raise ValueError("positive allocation below MIN_ALLOCATION")
-                        alloc = allocs[vcpus, mem_mb] = allocation(vcpus=vcpus, memory_mb=mem_mb)
+                    pooled = allocs.get((vcpus, mem_mb))
+                    if pooled is not None:
+                        vcpus, mem_mb = pooled
+                    elif 0 < vcpus < MIN_ALLOCATION or 0 < mem_mb < MIN_ALLOCATION:
+                        raise ValueError("positive allocation below MIN_ALLOCATION")
                     record = InvocationRecord(
-                        function_id, instance, arrival, exec_ms, init_ms, cold, alloc,
+                        function_id, instance, arrival, exec_ms, init_ms, cold, vcpus, mem_mb,
                         cpu_avg, mem_usage,
                     )
+                    if pooled is None:  # pooled once the record has checked it
+                        pooled = (vcpus, mem_mb)
+                        allocs[pooled] = pooled
                 except (ValueError, IndexError):
                     stats.malformed_skipped += 1
                     continue

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from faascost.billing.model import ResourceAllocation
 from faascost.money import MAX_AMOUNT
 
 # Multipliers into canonical units (ms for durations, MB for memory).
@@ -25,10 +24,13 @@ MEMORY_UNITS = {"bytes": 1.0 / (1024.0 * 1024.0), "kb": 1.0 / 1024.0, "mb": 1.0,
 class InvocationRecord:
     """One request from a trace.
 
+    ``alloc_vcpus`` and ``alloc_memory_mb`` are the allocation as the trace
+    measured it; :class:`faascost.billing.engine.TraceBilling` turns it into
+    the exact allocation a platform grants and bills.
     ``cpu_usage_avg_vcpus`` is the mean vCPUs consumed over the execution;
     ``mem_usage_mb`` follows whatever convention (peak or mean) the trace
-    declares in its schema map.  The arrival time must be finite; durations
-    and usage amounts must lie in ``[0, MAX_AMOUNT)``.
+    declares in its schema map.  The arrival time must be finite; durations,
+    allocations and usage amounts must lie in ``[0, MAX_AMOUNT)``.
     """
 
     function_id: str
@@ -37,7 +39,8 @@ class InvocationRecord:
     exec_duration_ms: float
     init_duration_ms: float
     is_cold_start: bool
-    alloc: ResourceAllocation
+    alloc_vcpus: float
+    alloc_memory_mb: float
     cpu_usage_avg_vcpus: float
     mem_usage_mb: float
 
@@ -48,6 +51,8 @@ class InvocationRecord:
         if not (0 <= self.exec_duration_ms < MAX_AMOUNT
                 and 0 <= self.init_duration_ms < MAX_AMOUNT):
             raise ValueError("durations must be >= 0 and below 2**53")
+        if not (0 <= self.alloc_vcpus < MAX_AMOUNT and 0 <= self.alloc_memory_mb < MAX_AMOUNT):
+            raise ValueError("allocation amounts must be >= 0 and below 2**53")
         if not (0 <= self.cpu_usage_avg_vcpus < MAX_AMOUNT
                 and 0 <= self.mem_usage_mb < MAX_AMOUNT):
             raise ValueError("usage amounts must be >= 0 and below 2**53")

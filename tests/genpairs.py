@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal
+from types import SimpleNamespace
 
 from faascost.billing.model import (
     AllocResourceSpec,
@@ -43,7 +44,9 @@ def _amount(rng: random.Random, hi: int, places: int) -> Decimal:
 
 
 def random_pair(rng: random.Random):
-    """One random (InvocationRecord, PlatformBillingConfig) pair."""
+    """One random (InvocationRecord, PlatformBillingConfig) pair, and the
+    exact allocation to bill, with its custom extras: the record holds only
+    its vCPU and memory floats, which read back as the same decimals."""
     kind = rng.choice(["execution", "turnaround", "cpu_time_only"])
 
     alloc_specs = []
@@ -95,19 +98,36 @@ def random_pair(rng: random.Random):
     )
 
     extras = {"gpu": _amount(rng, 4, 2)} if has_gpu else {}
-    record = InvocationRecord(
+    # Drawn in the record's field order, which fixes what each seed yields.
+    head = dict(
         function_id=f"f{rng.randrange(100)}",
         instance_id=f"i{rng.randrange(1000)}",
         arrival_ts_ms=float(rng.randrange(0, 10**9)),
         exec_duration_ms=float(_amount(rng, 5000, 3)),
         init_duration_ms=float(_amount(rng, 2000, 3)),
         is_cold_start=rng.random() < 0.3,
-        alloc=ResourceAllocation(
-            vcpus=_amount(rng, 4, 2),
-            memory_mb=_amount(rng, 10240, 1),
-            extras=extras,
-        ),
+    )
+    alloc = ResourceAllocation(
+        vcpus=_amount(rng, 4, 2),
+        memory_mb=_amount(rng, 10240, 1),
+        extras=extras,
+    )
+    record = InvocationRecord(
+        **head,
+        alloc_vcpus=float(alloc.vcpus),
+        alloc_memory_mb=float(alloc.memory_mb),
         cpu_usage_avg_vcpus=float(_amount(rng, 4, 4)),
         mem_usage_mb=float(_amount(rng, 4096, 2)),
     )
-    return record, config
+    return record, config, alloc
+
+
+def invoice_view(record, alloc) -> SimpleNamespace:
+    """``record`` as the invoice oracle reads it, with ``alloc`` as ``.alloc``."""
+    return SimpleNamespace(
+        exec_duration_ms=record.exec_duration_ms,
+        init_duration_ms=record.init_duration_ms,
+        cpu_usage_avg_vcpus=record.cpu_usage_avg_vcpus,
+        mem_usage_mb=record.mem_usage_mb,
+        alloc=alloc,
+    )

@@ -169,8 +169,8 @@ def _inflation_decimals(records, config, mapper):
 def oracle_pearson(records):
     xs, ys = [], []
     for rec in records:
-        v = float(rec.alloc.vcpus)
-        m = float(rec.alloc.memory_mb)
+        v = rec.alloc_vcpus
+        m = rec.alloc_memory_mb
         if v <= 0 or m <= 0:
             continue
         xs.append(rec.cpu_usage_avg_vcpus / v)
@@ -207,8 +207,8 @@ def oracle_scatter(records, max_scatter, seed):
     reservoir = []
     n = 0
     for rec in records:
-        vcpus = float(rec.alloc.vcpus)
-        mem_mb = float(rec.alloc.memory_mb)
+        vcpus = rec.alloc_vcpus
+        mem_mb = rec.alloc_memory_mb
         if vcpus <= 0.0 or mem_mb <= 0.0:
             continue
         n += 1
@@ -244,15 +244,15 @@ def oracle_cold_diffs(records):
             continue
         init_s = head.init_duration_ms / 1000.0
         sub_v = math.fsum(
-            float(r.alloc.vcpus) * r.exec_duration_ms / 1000.0 for r in execs[key]
+            r.alloc_vcpus * r.exec_duration_ms / 1000.0 for r in execs[key]
         )
         sub_g = math.fsum(
-            float(r.alloc.memory_mb) / 1024.0 * r.exec_duration_ms / 1000.0
+            r.alloc_memory_mb / 1024.0 * r.exec_duration_ms / 1000.0
             for r in execs[key]
         )
         out[key] = (
-            float(head.alloc.vcpus) * init_s,
-            float(head.alloc.memory_mb) / 1024.0 * init_s,
+            head.alloc_vcpus * init_s,
+            head.alloc_memory_mb / 1024.0 * init_s,
             sub_v,
             sub_g,
         )

@@ -47,7 +47,7 @@ from faascost.traces import (
     utilization_correlation,
 )
 
-from genpairs import random_pair
+from genpairs import invoice_view, random_pair
 from oracle_invoice import reference_cost
 from oracle_sched import oracle_completion_ms
 from oracle_traces import oracle_inflation_totals
@@ -61,9 +61,9 @@ def test_criterion_1_billing_matches_oracle_on_1e4_pairs():
     rng = random.Random(424242)
     started = time.perf_counter()
     for _ in range(10_000):
-        record, config = random_pair(rng)
-        got = compute_cost(record, config).as_dict()
-        want = reference_cost(record, config)
+        record, config, alloc = random_pair(rng)
+        got = compute_cost(record, config, alloc).as_dict()
+        want = reference_cost(invoice_view(record, alloc), config)
         assert Fraction(got["billable_time_ms"]) == want["billable_time_ms"]
         assert got["total_usd"] == want["total_usd"]
         assert got["fee_usd"] == want["fee_usd"]
@@ -280,10 +280,11 @@ def test_criterion_8_inflation_means_match_oracle(big_trace):
 
         def mapper(rec):
             # The records share a handful of allocations: grant each once.
-            if id(rec.alloc) not in granted:
-                mapped = normalize_allocation(rec.alloc, config)
-                granted[id(rec.alloc)] = float(mapped.vcpus), float(mapped.memory_mb)
-            return granted[id(rec.alloc)]
+            asked = (rec.alloc_vcpus, rec.alloc_memory_mb)
+            if asked not in granted:
+                mapped = normalize_allocation(allocation(*asked), config)
+                granted[asked] = float(mapped.vcpus), float(mapped.memory_mb)
+            return granted[asked]
 
         want_cpu, actual_cpu, want_mem, actual_mem = oracle_inflation_totals(
             records, config, mapper

@@ -19,7 +19,6 @@ from faascost.billing.model import (
     IndependentKnobs,
     PlatformBillingConfig,
     UsageResourceSpec,
-    allocation,
 )
 from faascost.money import CONTEXT, ceil_to, dec
 from faascost.traces import (
@@ -62,7 +61,8 @@ def rec(
         exec_duration_ms=exec_ms,
         init_duration_ms=init_ms,
         is_cold_start=(init_ms > 0) if cold is None else cold,
-        alloc=allocation(vcpus=vcpus, memory_mb=mem_mb),
+        alloc_vcpus=vcpus,
+        alloc_memory_mb=mem_mb,
         cpu_usage_avg_vcpus=cpu,
         mem_usage_mb=mem_used,
     )
@@ -216,7 +216,7 @@ def test_inflation_matches_fraction_oracle(make_config):
     records = random_records(rng, 300)
     config = make_config()
     rep = inflation_analysis(records, config, mapping="direct")
-    mapper = lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
+    mapper = lambda r: (r.alloc_vcpus, r.alloc_memory_mb)
     bc, ac, bm, am = oracle_inflation_totals(records, config, mapper)
     assert rep.actual_vcpu_s_total == pytest.approx(ac, rel=1e-12)
     assert rep.actual_gb_s_total == pytest.approx(am, rel=1e-12)
@@ -268,7 +268,7 @@ def test_inflation_percentiles_are_nearest_ranks_of_the_oracle(make_config):
     records = mixed_digit_records(seed=11, n=301)
     config = make_config()
     rep = inflation_analysis(records, config, mapping="direct")
-    mapper = lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
+    mapper = lambda r: (r.alloc_vcpus, r.alloc_memory_mb)
     bill_cpu, _, bill_mem, _ = oracle_inflation_values(records, config, mapper)
     for values, dist in ((bill_cpu, rep.vcpu_s_sketch), (bill_mem, rep.gb_s_sketch)):
         if values is None:
@@ -294,7 +294,7 @@ def test_inflation_falls_back_to_the_sketch_past_the_key_cap(monkeypatch):
     assert capped.billable_vcpu_s_total == exact.billable_vcpu_s_total
     assert capped.billable_gb_s_total == exact.billable_gb_s_total
     assert capped.mean_inflation_cpu == exact.mean_inflation_cpu
-    mapper = lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
+    mapper = lambda r: (r.alloc_vcpus, r.alloc_memory_mb)
     bill_cpu, _, bill_mem, _ = oracle_inflation_values(records, config, mapper)
     n = len(records)
     for values, got, want in ((bill_cpu, capped.vcpu_s_sketch, exact.vcpu_s_sketch),
@@ -331,11 +331,20 @@ def test_correlation_matches_stdlib_oracle():
 
 
 def test_correlation_degenerate_inputs():
-    with pytest.raises(ValueError, match="at least two"):
-        utilization_correlation([rec(10.0)])
+    # An undefined correlation is reported, with its reason, not raised.
+    zero_alloc = rec(10.0, vcpus=0.0, mem_mb=0.0, mem_used=0.0, cpu=0.0)
+    for records in ([], [rec(10.0)], [rec(10.0), zero_alloc]):
+        res = utilization_correlation(records)
+        assert res.pearson_r is None
+        assert res.undefined == "fewer than two records with positive allocations"
+        assert res.as_dict()["pearson_r"] is None
     flat = [rec(10.0, cpu=0.5, mem_used=64.0) for _ in range(10)]
-    with pytest.raises(ValueError, match="zero variance"):
-        utilization_correlation(flat)
+    res = utilization_correlation(flat)
+    assert (res.pearson_r, res.n, res.skipped) == (None, 10, 0)
+    assert res.undefined == "zero variance in utilization"
+    assert len(res.scatter_x) == 10
+    assert set(res.as_dict()) == {"pearson_r", "n", "skipped", "scatter_points", "seed"}
+    assert utilization_correlation(random_records(random.Random(1), 20)).undefined is None
 
 
 def test_correlation_zero_alloc_skipped_and_counted():
@@ -456,15 +465,15 @@ def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
         exec_s = r.exec_duration_ms / 1000.0
         actual_cpu.add(r.cpu_usage_avg_vcpus * r.exec_duration_ms / 1000.0)
         actual_mem.add(r.mem_usage_mb / 1024.0 * exec_s)
-        x = r.cpu_usage_avg_vcpus / float(r.alloc.vcpus)
-        y = r.mem_usage_mb / float(r.alloc.memory_mb)
+        x = r.cpu_usage_avg_vcpus / r.alloc_vcpus
+        y = r.mem_usage_mb / r.alloc_memory_mb
         for total, value in ((sx, x), (sy, y), (sxx, x * x), (syy, y * y), (sxy, x * y)):
             total.add(value)
         vcpu_sum, gb_sum = per_instance.setdefault(
             r.instance_id, (NeumaierSum(), NeumaierSum())
         )
-        vcpu_sum.add(float(r.alloc.vcpus) * exec_s)
-        gb_sum.add(float(r.alloc.memory_mb) / 1024.0 * exec_s)
+        vcpu_sum.add(r.alloc_vcpus * exec_s)
+        gb_sum.add(r.alloc_memory_mb / 1024.0 * exec_s)
 
     report = inflation_analysis(records, proportional_config(), mapping="direct")
     assert report.actual_vcpu_s_total.hex() == actual_cpu.value().hex()
@@ -474,8 +483,8 @@ def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
     var_x = n * sxx.value() - sx.value() ** 2
     var_y = n * syy.value() - sy.value() ** 2
     if n < 2 or var_x <= 0.0 or var_y <= 0.0:
-        with pytest.raises(ValueError):
-            utilization_correlation(records)
+        undefined = utilization_correlation(records)
+        assert undefined.pearson_r is None and undefined.undefined
     else:
         r = (n * sxy.value() - sx.value() * sy.value()) / (
             math.sqrt(var_x) * math.sqrt(var_y)
@@ -511,7 +520,7 @@ def test_cold_start_matches_oracle_and_partitions_exec_time():
                     rng.uniform(1, 300),
                     iid=iid,
                     ts=i * 1000.0 + j + 1,
-                    vcpus=float(rows[-1].alloc.vcpus),
+                    vcpus=rows[-1].alloc_vcpus,
                 )
             )
     rep = cold_start_differential(rows, collect=True)
@@ -523,7 +532,7 @@ def test_cold_start_matches_oracle_and_partitions_exec_time():
         assert d.subsequent_vcpu_s == pytest.approx(sv, rel=1e-12, abs=1e-15)
         assert d.subsequent_gb_s == pytest.approx(sg, rel=1e-12, abs=1e-15)
     total_exec_vcpu_s = math.fsum(
-        float(r.alloc.vcpus) * r.exec_duration_ms / 1000.0 for r in rows
+        r.alloc_vcpus * r.exec_duration_ms / 1000.0 for r in rows
     )
     assert math.fsum(d.subsequent_vcpu_s for d in rep.diffs) == pytest.approx(
         total_exec_vcpu_s, rel=1e-12

@@ -56,7 +56,8 @@ AWS_STYLE = make_config(
 )
 
 
-def make_record(exec_ms=0.0, init_ms=0.0, alloc=None, cpu=0.0, mem_usage=0.0, cold=False):
+def make_record(exec_ms=0.0, init_ms=0.0, vcpus=0.0, mem_mb=0.0, cpu=0.0, mem_usage=0.0,
+                cold=False):
     return InvocationRecord(
         function_id="f",
         instance_id="i",
@@ -64,7 +65,8 @@ def make_record(exec_ms=0.0, init_ms=0.0, alloc=None, cpu=0.0, mem_usage=0.0, co
         exec_duration_ms=exec_ms,
         init_duration_ms=init_ms,
         is_cold_start=cold,
-        alloc=alloc if alloc is not None else allocation(),
+        alloc_vcpus=vcpus,
+        alloc_memory_mb=mem_mb,
         cpu_usage_avg_vcpus=cpu,
         mem_usage_mb=mem_usage,
     )
@@ -215,7 +217,7 @@ def test_zero_record_costs_only_the_fee():
 
 
 def test_cost_breakdown_total_is_exact_sum():
-    record = make_record(exec_ms=96.0, alloc=allocation(0, 128))
+    record = make_record(exec_ms=96.0, mem_mb=128.0)
     breakdown = compute_cost(record, AWS_STYLE)
     parts = breakdown.fee_usd
     for _, usd in breakdown.alloc_terms.values():
@@ -225,23 +227,23 @@ def test_cost_breakdown_total_is_exact_sum():
 
 def test_fee_equals_96ms_alloc_charge_within_rounding():
     # The charge for ~96 ms at 128 MB matches the fixed invocation fee.
-    record = make_record(exec_ms=96.0, alloc=allocation(0, 128))
+    record = make_record(exec_ms=96.0, mem_mb=128.0)
     breakdown = compute_cost(record, AWS_STYLE)
     alloc_usd = breakdown.alloc_terms["memory_gb"][1]
     assert abs(alloc_usd - breakdown.fee_usd) < Decimal("1e-9")
 
 
 def test_unpriced_extra_resource_rejected():
-    record = make_record(exec_ms=10, alloc=allocation(0, 128, gpu=1))
+    record = make_record(exec_ms=10, mem_mb=128.0)
     with pytest.raises(UnpricedResourceError, match="unpriced resource"):
-        compute_cost(record, AWS_STYLE)
+        compute_cost(record, AWS_STYLE, allocation(0, 128, gpu=1))
 
 
 def test_missing_price_raises_when_amount_positive():
     cfg = make_config(
         alloc_resources=(AllocResourceSpec("memory_gb", Decimal("0.125"), None),),
     )
-    record = make_record(exec_ms=10, alloc=allocation(0, 128))
+    record = make_record(exec_ms=10, mem_mb=128.0)
     with pytest.raises(MissingPriceError):
         compute_cost(record, cfg)
 
@@ -294,10 +296,10 @@ durations = st.decimals(min_value=0, max_value=10**5, places=3)
 @given(durations, durations, st.decimals(min_value=0, max_value=8192, places=1))
 def test_cost_monotone_in_time_and_allocation(t1, t2, mem):
     lo, hi = sorted((t1, t2))
-    rec_lo = make_record(exec_ms=float(lo), alloc=allocation(0, mem))
-    rec_hi = make_record(exec_ms=float(hi), alloc=allocation(0, mem))
+    rec_lo = make_record(exec_ms=float(lo), mem_mb=float(mem))
+    rec_hi = make_record(exec_ms=float(hi), mem_mb=float(mem))
     assert compute_cost(rec_lo, AWS_STYLE).total_usd <= compute_cost(rec_hi, AWS_STYLE).total_usd
-    rec_more_mem = make_record(exec_ms=float(lo), alloc=allocation(0, mem + 64))
+    rec_more_mem = make_record(exec_ms=float(lo), mem_mb=float(mem + 64))
     assert (
         compute_cost(rec_lo, AWS_STYLE).total_usd
         <= compute_cost(rec_more_mem, AWS_STYLE).total_usd

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import gzip
 import io
 import json
@@ -15,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from faascost.billing import compute_cost, normalize_allocation, resolve_platform
+from faascost.billing.model import allocation
 from faascost.cli import _write_json_array, build_parser, main
-from faascost.money import usd_string
+from faascost.money import dec, usd_string
 from faascost.sched import TaskSpec, closed_form_duration
 from faascost.traces import (
     generate_synthetic_trace,
@@ -60,6 +60,15 @@ def test_bill_single_alloc_charge_equals_fee(capsys):
     assert float(doc["fee_equivalent_walltime_ms"]) == pytest.approx(96.0, abs=0.5)
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-normalize"]], ids=["normalize", "no-normalize"])
+def test_bill_single_alloc_bills_the_exact_allocation(flags, capsys):
+    # 128.00000000000000001 MB reads as 128.0 in a float, one MB less billed.
+    assert run("bill", "--platform", "aws_lambda", *flags, "--mem-mb", "128.00000000000000001",
+               "--exec-ms", 96) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["alloc_terms"]["memory_gb"]["billable_amount"] == "0.1259765625"  # 129 MB
+
+
 def test_bill_zero_exec_total_is_fee(capsys):
     assert run("bill", "--platform", "aws_lambda", "--mem-mb", 128, "--exec-ms", 0) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -76,10 +85,8 @@ def test_bill_batch_matches_library(tmp_path, trace_csv):
 
     config = resolve_platform("aws_lambda")
     for row, record in zip(rows, ingest_trace(trace_csv)):
-        normalized = dataclasses.replace(
-            record, alloc=normalize_allocation(record.alloc, config)
-        )
-        breakdown = compute_cost(normalized, config)
+        asked = allocation(record.alloc_vcpus, record.alloc_memory_mb)
+        breakdown = compute_cost(record, config, normalize_allocation(asked, config))
         assert row["function_id"] == record.function_id
         assert row["billable_time_ms"] == str(breakdown.billable_time_ms)
         assert row["total_usd"] == usd_string(breakdown.total_usd)
@@ -102,7 +109,7 @@ def test_bill_records_normalizes_each_allocation_once(tmp_path, trace_csv, monke
     flags = [] if normalize else ["--no-normalize"]
     assert run("bill", "--platform", "aws_lambda", "--records", trace_csv, *flags,
                "--out-dir", tmp_path) == 0
-    allocs = {(r.alloc.vcpus, r.alloc.memory_mb) for r in ingest_trace(trace_csv)}
+    allocs = {(dec(r.alloc_vcpus), dec(r.alloc_memory_mb)) for r in ingest_trace(trace_csv)}
     assert 1 < len(allocs) < 100
     if normalize:
         assert sorted(calls) == sorted(allocs)
@@ -554,17 +561,43 @@ def test_truncated_gzip_trace_fails_cleanly(argv, tmp_path, trace_csv, capsys):
     assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
 
+def _flat_trace(path: Path, n: int) -> Path:
+    """``n`` rows with one utilization, so their correlation is undefined."""
+    rows = [f"f,i{i},{i}.0,10.0,0.0,false,1,1024,0.5,512" for i in range(n)]
+    path.write_text("function_id,instance_id,arrival_ts_ms,exec_duration_ms,"
+                    "init_duration_ms,is_cold_start,alloc_vcpus,alloc_memory_mb,"
+                    "cpu_usage_avg_vcpus,mem_usage_mb\n" + "\n".join(rows) + "\n")
+    return path
+
+
 def test_failed_analyze_leaves_no_files(tmp_path, capsys):
-    # Inflation succeeds and writes its table before correlation fails.
-    trace = tmp_path / "flat.csv"
-    rows = [f"f,i{i},{i}.0,10.0,0.0,false,1,1024,0.5,512" for i in range(3)]
-    trace.write_text("function_id,instance_id,arrival_ts_ms,exec_duration_ms,"
-                     "init_duration_ms,is_cold_start,alloc_vcpus,alloc_memory_mb,"
-                     "cpu_usage_avg_vcpus,mem_usage_mb\n" + "\n".join(rows) + "\n")
+    # Inflation, correlation and cold start stage their tables before the
+    # roundup policy is rejected.
+    trace = _flat_trace(tmp_path / "flat.csv", 3)
     out = tmp_path / "out"
-    assert run("analyze", "--trace", trace, "--out-dir", out) == 1
-    assert "zero variance" in capsys.readouterr().err
+    assert run("analyze", "--trace", trace, "--roundup-ms", "0", "--out-dir", out) == 1
+    assert "time granularity must be positive" in capsys.readouterr().err
     assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("table_format", ["csv", "json"])
+def test_analyze_reports_an_undefined_correlation_and_writes_every_table(
+    table_format, tmp_path, capsys
+):
+    trace = _flat_trace(tmp_path / "flat.csv", 40)
+    out = tmp_path / "out"
+    assert run("analyze", "--trace", trace, "--format", table_format, "--out-dir", out) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: correlation undefined: zero variance in utilization\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["correlation"]["pearson_r"] is None
+    assert report["correlation"]["n"] == 40
+    for stem in ("inflation", "utilization_correlation", "utilization_scatter",
+                 "cold_start", "rounding_up"):
+        assert (out / f"{stem}.{table_format}").is_file(), stem
+    if table_format == "csv":
+        (row,) = read_rows(out / "utilization_correlation.csv")
+        assert row["pearson_r"] == "" and row["n"] == "40"
 
 
 @pytest.mark.parametrize("table_format", ["csv", "json"])
@@ -660,11 +693,15 @@ def test_parser_surface():
             assert seen.setdefault(flag, spec) == spec, (command, flag)
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports what this one does."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
 def test_cli_import_leaves_numpy_out():
     code = "import sys, faascost.cli; print('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, check=True)
+                            text=True, env=_child_env(), check=True)
     assert result.stdout.strip() == "False"
 
 
@@ -677,12 +714,23 @@ _LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analy
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
-    """Run ``code`` in a new interpreter on ``src/``; its last line is JSON."""
-    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    """Run ``code`` in a new interpreter that imports what this one does; its
+    last line is JSON."""
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, cwd=cwd, check=True)
+                            env=_child_env(), cwd=cwd, check=True)
     return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_bill_records_reads_a_piped_trace(compress, trace_csv, capsys):
+    assert run("bill", "--platform", "aws_lambda", "--records", trace_csv) == 0
+    want = capsys.readouterr().out
+    data = trace_csv.read_bytes()
+    argv = ["bill", "--platform", "aws_lambda", "--records", "/dev/stdin"]
+    result = subprocess.run([sys.executable, "-m", "faascost.cli", *argv],
+                            input=gzip.compress(data) if compress else data,
+                            capture_output=True, env=_child_env(), check=True)
+    assert result.stdout.decode() == want and len(want.splitlines()) == 101
 
 
 _LOADS = {

@@ -1,18 +1,21 @@
 """CSV ingestion: schema binding, units, gzip, malformed-row policy, and the
 size and lifetime of what it holds."""
 
+import contextlib
 import dataclasses
 import gc
 import gzip
 import io
 import math
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
 import pytest
 
-from faascost.billing.model import allocation
 from faascost.traces import (
     IngestStats,
     InvocationRecord,
@@ -53,8 +56,8 @@ def test_parses_canonical_rows(tmp_path):
     assert first.exec_duration_ms == 100.5
     assert first.init_duration_ms == 250.0
     assert first.is_cold_start is True
-    assert first.alloc.vcpus == 1.0
-    assert first.alloc.memory_mb == 1769.0
+    assert first.alloc_vcpus == 1.0
+    assert first.alloc_memory_mb == 1769.0
     assert first.cpu_usage_avg_vcpus == 0.5
     assert first.mem_usage_mb == 800.0
     assert recs[1].is_cold_start is False
@@ -84,7 +87,7 @@ def test_unit_conversion_and_renamed_columns(tmp_path):
     rec = next(ingest_trace(p, sm))
     assert rec.exec_duration_ms == pytest.approx(1.5)
     assert rec.arrival_ts_ms == pytest.approx(2500.0)
-    assert float(rec.alloc.memory_mb) == pytest.approx(1024.0)
+    assert rec.alloc_memory_mb == pytest.approx(1024.0)
     assert rec.mem_usage_mb == pytest.approx(512.0)
     # unbound optional columns fall back
     assert rec.instance_id == ""
@@ -130,6 +133,51 @@ def test_reads_from_binary_file_object():
     payload = canonical_csv(["fa,i1,0,10,0,false,1,128,0.5,64"])
     recs = list(ingest_trace(io.BytesIO(payload)))
     assert len(recs) == 1
+
+
+def _feed(write_fd, data):
+    # A closed read end ends the writer with BrokenPipeError, not a hang.
+    with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as pipe:
+        pipe.write(data)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_reads_from_a_pipe(compress):
+    # A pipe cannot seek: the format is told from its first two bytes, and
+    # the rest is read as it comes, past the size of the pipe's buffer.
+    payload = canonical_csv([f"fa,i{i},{i},{i % 97}.5,0,false,1,128,0.5,{i}"
+                             for i in range(4000)])
+    want = list(ingest_trace(io.BytesIO(payload)))
+    read_fd, write_fd = os.pipe()
+    writer = threading.Thread(
+        target=_feed, args=(write_fd, gzip.compress(payload) if compress else payload)
+    )
+    writer.start()
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            stats = IngestStats()
+            assert list(ingest_trace(pipe, stats=stats)) == want
+    finally:
+        writer.join()
+    assert (stats.rows_read, stats.records_yielded) == (4000, 4000)
+
+
+def test_ingest_imports_no_billing(tmp_path):
+    # A trace row is measured data; the billing engine is loaded only by
+    # whatever bills it.
+    path = tmp_path / "t.csv"
+    path.write_bytes(canonical_csv(["fa,i1,0,10,0,false,1,128,0.5,64"]))
+    code = (
+        "import sys\n"
+        "from faascost.traces import ingest_trace\n"
+        f"assert len(list(ingest_trace({str(path)!r}))) == 1\n"
+        "print(sorted(m for m in sys.modules if m.startswith('faascost.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    loaded = result.stdout.strip()
+    assert "faascost.traces.ingest" in loaded and "faascost.billing" not in loaded
 
 
 def test_malformed_rows_skipped_and_counted(tmp_path):
@@ -194,13 +242,14 @@ def test_records_share_one_allocation_per_pair():
     payload = canonical_csv(
         [
             "fa,i1,0,10,0,false,1,128,0.5,64",
-            "fb,i2,1,20,0,false,1,128,0.2,32",
+            "fb,i2,1,20,0,false,1.0,128,0.2,32",
             "fc,i3,2,30,0,false,0.5,128,0.2,32",
         ]
     )
     a, b, c = ingest_trace(io.BytesIO(payload))
-    assert a.alloc is b.alloc
-    assert c.alloc is not a.alloc
+    assert (a.alloc_vcpus, a.alloc_memory_mb) == (1.0, 128.0)
+    assert a.alloc_vcpus is b.alloc_vcpus and a.alloc_memory_mb is b.alloc_memory_mb
+    assert c.alloc_vcpus is not a.alloc_vcpus
 
 
 def test_zero_cpu_filter(tmp_path):
@@ -322,7 +371,7 @@ def test_opened_file_is_closed(case, tmp_path):
 def _record(**changes):
     fields = dict(
         function_id="fa", instance_id="i1", arrival_ts_ms=0.0, exec_duration_ms=10.0,
-        init_duration_ms=0.0, is_cold_start=False, alloc=allocation(vcpus=1, memory_mb=128),
+        init_duration_ms=0.0, is_cold_start=False, alloc_vcpus=1.0, alloc_memory_mb=128.0,
         cpu_usage_avg_vcpus=0.5, mem_usage_mb=64.0,
     )
     return InvocationRecord(**{**fields, **changes})
@@ -341,6 +390,7 @@ def test_record_is_slotted_and_replace_makes_a_checked_copy():
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 _DURATIONS = r"durations must be >= 0 and below 2\*\*53"
 _USAGE = r"usage amounts must be >= 0 and below 2\*\*53"
+_ALLOCATION = r"allocation amounts must be >= 0 and below 2\*\*53"
 
 
 @pytest.mark.parametrize(
@@ -351,6 +401,7 @@ _USAGE = r"usage amounts must be >= 0 and below 2\*\*53"
         for fields, message in (
             (("exec_duration_ms", "init_duration_ms"), _DURATIONS),
             (("cpu_usage_avg_vcpus", "mem_usage_mb"), _USAGE),
+            (("alloc_vcpus", "alloc_memory_mb"), _ALLOCATION),
         )
         for field in fields
         for value in _NON_FINITE + [-1.0, 2.0**53]

@@ -36,7 +36,7 @@ EXPECTED_PLATFORMS = {
 }
 
 
-def make_record(exec_ms, init_ms=0.0, alloc=None, cpu=0.0, mem_usage=0.0):
+def make_record(exec_ms, init_ms=0.0, vcpus=0.0, mem_mb=0.0, cpu=0.0, mem_usage=0.0):
     return InvocationRecord(
         function_id="f",
         instance_id="i",
@@ -44,7 +44,8 @@ def make_record(exec_ms, init_ms=0.0, alloc=None, cpu=0.0, mem_usage=0.0):
         exec_duration_ms=exec_ms,
         init_duration_ms=init_ms,
         is_cold_start=init_ms > 0,
-        alloc=alloc if alloc is not None else allocation(),
+        alloc_vcpus=vcpus,
+        alloc_memory_mb=mem_mb,
         cpu_usage_avg_vcpus=cpu,
         mem_usage_mb=mem_usage,
     )

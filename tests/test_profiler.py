@@ -236,6 +236,17 @@ def test_ambiguous_spacing():
     assert fp.quota_ms_estimate is None
 
 
+def test_tick_grid_found_without_its_phase():
+    # Ticks offset 1.3 ms from the stream's origin align with no phase-locked
+    # grid; the onsets still share one residue modulo the 4 ms spacing.
+    tl = simulate(TaskSpec(200), BandwidthControlConfig(period_ms=20, quota_ms=1.45),
+                  tick_phase_ms="1.3")
+    res = replay_probe(tl, ProbeConfig(exec_duration_ms=200))
+    fp = analyze(res.events, res.total_runtime_ms)
+    assert fp.tick_hz_estimate == 250
+    assert any("tick grid phase is unknown" in n for n in fp.notes)
+
+
 def test_short_gap_noise_note():
     _, res = run_replay(400, 20, 19, hz=1000, threshold=500)  # 1 ms throttles
     fp = analyze(res.events, res.total_runtime_ms)

@@ -24,6 +24,7 @@ from faascost.billing.engine import (
     billable_quantities,
     compute_cost,
     normalize_allocation,
+    price,
 )
 from faascost.billing.model import (
     MEMORY_GB,
@@ -74,12 +75,18 @@ def seeded_records(seed, n=400):
                 exec_duration_ms=exec_ms,
                 init_duration_ms=rng.choice((0.0, round(rng.uniform(1.0, 400.0), 3))),
                 is_cold_start=False,
-                alloc=allocation(vcpus=vcpus, memory_mb=mem_mb),
+                alloc_vcpus=vcpus,
+                alloc_memory_mb=mem_mb,
                 cpu_usage_avg_vcpus=round(rng.uniform(0.0, 1.0) * vcpus, 6),
                 mem_usage_mb=round(rng.uniform(0.01, 1.0) * mem_mb, 6),
             )
         )
     return out
+
+
+def requested(record):
+    """The exact allocation a record's two floats read as."""
+    return allocation(record.alloc_vcpus, record.alloc_memory_mb)
 
 
 def exact_totals(records, config):
@@ -88,7 +95,7 @@ def exact_totals(records, config):
     usage_mem = config.usage_spec(MEMORY_GB)
     cpu = mem = Decimal(0)
     for record in records:
-        granted = normalize_allocation(record.alloc, config)
+        granted = normalize_allocation(requested(record), config)
         q = billable_quantities(record, config, allocation_quantities(granted, config))
         time_s = CONTEXT.divide(q.time_ms, 1000)
         if usage_cpu is None:
@@ -131,7 +138,7 @@ def test_billed_resources_are_the_oracles():
     # Which resources each platform bills: priced ones, and a vCPU share
     # tied to memory by the knob coupling or metered as CPU time.
     records = seeded_records(seed=4, n=5)
-    mapper = lambda r: (float(r.alloc.vcpus), float(r.alloc.memory_mb))
+    mapper = lambda r: (r.alloc_vcpus, r.alloc_memory_mb)
     for name in GRANULAR:
         config = resolve_platform(name)
         report = inflation_analysis(records, config, mapping="direct")
@@ -144,7 +151,7 @@ def test_grid_vcpus_are_billed_on_the_grid():
     config = resolve_platform("gcp_cloudrun_functions")
     for vcpus in GRID_VCPUS:
         record = dataclasses.replace(
-            seeded_records(seed=1, n=1)[0], alloc=allocation(vcpus=vcpus, memory_mb=256)
+            seeded_records(seed=1, n=1)[0], alloc_vcpus=vcpus, alloc_memory_mb=256.0
         )
         q = billable_quantities(record, config)
         assert q.alloc[VCPU] == Decimal(repr(vcpus))
@@ -158,7 +165,7 @@ def test_grid_vcpus_are_billed_on_the_grid():
 def test_quantities_need_no_price(name):
     config = resolve_platform(name)
     record = seeded_records(seed=2, n=1)[0]
-    granted = normalize_allocation(record.alloc, config)
+    granted = normalize_allocation(requested(record), config)
     if config.time_granularity_ms is None:
         with pytest.raises(MissingGranularityError):
             billable_quantities(record, config)
@@ -233,7 +240,7 @@ def test_step_keys_reproduce_billable_quantities(
     config = resolve_platform(name)
     billing = TraceBilling(config)
     record = ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb)
-    amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
+    amounts = allocation_quantities(normalize_allocation(requested(record), config), config)
     want = billable_quantities(record, config, amounts)
     key = billing.key(record)
     fields = (record.exec_duration_ms, record.init_duration_ms,
@@ -255,7 +262,7 @@ def test_step_keys_cover_six_decimal_records(name):
     config = resolve_platform(name)
     billing = TraceBilling(config)
     for record in seeded_records(seed=3, n=200):
-        amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
+        amounts = allocation_quantities(normalize_allocation(requested(record), config), config)
         key = billing.key(record)
         assert key is not None
         assert billing.quantities(key) == billable_quantities(record, config, amounts)
@@ -272,48 +279,32 @@ def test_step_keys_need_whole_units():
     assert TraceBilling(fine).key(record) is None
 
 
-def test_a_priced_extra_is_keyed_and_billed(monkeypatch):
-    # Two records per GPU count, one keyed and one with a seven-decimal
-    # duration that takes the Decimal path; each kept twice.
+def test_a_priced_extra_is_billed_through_the_granted_allocation():
+    # A trace row holds only its vCPU and memory floats, so a custom resource
+    # reaches the invoice only in the exact allocation handed to compute_cost:
+    # for a keyed duration and for a seven-decimal one alike.
     aws = resolve_platform("aws_lambda")
     gpu = AllocResourceSpec("gpu", Decimal(1), Decimal("0.0001"))
     config = dataclasses.replace(aws, alloc_resources=aws.alloc_resources + (gpu,))
     base = seeded_records(seed=5, n=1)[0]
-    records = []
-    for gpus in (1, 2):
-        alloc = allocation(vcpus=base.alloc.vcpus, memory_mb=base.alloc.memory_mb, gpu=gpus)
-        keyed = dataclasses.replace(base, alloc=alloc)
-        records += [keyed, dataclasses.replace(keyed, exec_duration_ms=base.exec_duration_ms
-                                               + 1.25e-7)]
+    finer = dataclasses.replace(base, exec_duration_ms=base.exec_duration_ms + 1.25e-7)
     billing = TraceBilling(config)
-    keys = [billing.key(r) for r in records]
-    assert keys[1] is None and keys[3] is None
-    assert None not in (keys[0], keys[2]) and keys[0] != keys[2]
-    for record, key in zip(records, keys):
-        amounts = allocation_quantities(normalize_allocation(record.alloc, config), config)
-        assert amounts["gpu"] == record.alloc.extras["gpu"]
-        assert billing.grant(record.alloc)[1] == amounts
-        if key is not None:
-            assert billing.quantities(key) == billable_quantities(record, config, amounts)
-            assert billing.seconds(key) == billing.seconds_of(record)
-
-    twice = records + records
-    want = [cli._bill_row(r, config, normalize_allocation(r.alloc, config)) for r in twice]
-    assert want[0]["alloc_usd"] != want[2]["alloc_usd"]
-    priced = []
-
-    def counted(*args):
-        priced.append(args)
-        return compute_cost(*args)
-
-    monkeypatch.setattr(cli, "compute_cost", counted)
-    assert list(cli._bill_rows(twice, config, True)) == want
-    assert len(priced) == 2 + 4  # each key once, each keyless record each time
-
-    report = inflation_analysis(twice, config)
-    cpu, mem = exact_totals(twice, config)
-    assert report.billable_vcpu_s_total == float(cpu)
-    assert report.billable_gb_s_total == float(mem)
+    assert billing.key(base) is not None and billing.key(finer) is None
+    alloc_usd = []
+    for gpus in (1, 2):
+        asked = allocation(base.alloc_vcpus, base.alloc_memory_mb, gpu=gpus)
+        granted = normalize_allocation(asked, config)
+        amounts = allocation_quantities(granted, config)
+        assert amounts["gpu"] == gpus
+        for record in (base, finer):
+            breakdown = compute_cost(record, config, granted)
+            assert breakdown.alloc_terms["gpu"][0] == gpus
+            assert breakdown == price(billable_quantities(record, config, amounts), config)
+        alloc_usd.append(cli._bill_row(base, config, granted)["alloc_usd"])
+    assert alloc_usd[0] != alloc_usd[1]
+    # The row's own allocation, as granted for a trace, carries no GPU.
+    assert billing.grant(base.alloc_vcpus, base.alloc_memory_mb)[1]["gpu"] == 0
+    assert compute_cost(base, config).alloc_terms["gpu"] == (0, 0)
 
 
 # The keyed bill path: `bill --records` prices each distinct billing key
@@ -379,7 +370,8 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
     config = BILL_CONFIGS[name]
     records = bill_records(seed=len(name))
     want = [
-        cli._bill_row(r, config, normalize_allocation(r.alloc, config) if normalize else r.alloc)
+        cli._bill_row(r, config,
+                      normalize_allocation(requested(r), config) if normalize else requested(r))
         for r in records
     ]
     keys = [TraceBilling(config).key(r) for r in records]
