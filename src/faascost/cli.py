@@ -14,11 +14,11 @@ identical inputs and seed, output files are byte-identical across reruns;
 the manifest's ``wall_time_s`` field is the one exception.
 
 Each command imports only the layers it runs, so ``simulate`` starts
-without billing, traces or PyYAML. One rule binds the names taken from the
-layers: the first read of ``faascost.cli.<name>`` imports that name's layer
-and binds the name, and the commands read every such name as an attribute
-of this module. A patch on ``faascost.cli.<name>``, made before or after
-that first read, is therefore what the commands call.
+without billing, traces, PyYAML or ``dataclasses``. One rule binds the names
+taken from the layers: the first read of ``faascost.cli.<name>`` imports
+that name's layer and binds the name, and the commands read every such name
+as an attribute of this module. A patch on ``faascost.cli.<name>``, made
+before or after that first read, is therefore what the commands call.
 """
 
 from __future__ import annotations
@@ -135,7 +135,11 @@ class CliError(ValueError):
 # ------------------------------------------------------------------- run
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path) -> Optional[str]:
+    """The SHA-256 of a regular file; None for a pipe or a device, whose
+    bytes the run has consumed and a second read would not see."""
+    if not path.is_file():
+        return None
     # Imported here: OpenSSL is mapped only by a command that digests an input.
     import hashlib
 
@@ -895,4 +899,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    if vars(_cli) is not globals():
+        # Run by runpy without a module of its own (``python -m cProfile -m
+        # faascost.cli``): the commands read their names through the
+        # imported module.
+        from faascost.cli import main
     sys.exit(main())

@@ -30,9 +30,8 @@ with the matching caveat note rather than guessed at.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from statistics import median
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .events import ProfilerError, ThrottleEvent
 
@@ -42,8 +41,7 @@ _MIN_EVENTS_FOR_ESTIMATES = 20
 _BIN_US = 500
 
 
-@dataclass(frozen=True)
-class SchedulerFingerprint:
+class SchedulerFingerprint(NamedTuple):
     """Inferred scheduler parameters plus the evidence distributions."""
 
     n_events: int

@@ -9,16 +9,21 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import IO, Iterable, List, Tuple, Union
+from typing import IO, Iterable, List, NamedTuple, Tuple, Union
+
+from ..checked import Checked
 
 
 class ProfilerError(ValueError):
     """Invalid probe configuration or malformed event stream."""
 
 
-@dataclass(frozen=True)
-class ThrottleEvent:
+class _ThrottleEvent(NamedTuple):
+    detected_at_us: int
+    gap_us: int
+
+
+class ThrottleEvent(Checked, _ThrottleEvent):
     """One detected scheduling gap.
 
     ``detected_at_us`` is the clock reading that revealed the gap, i.e.
@@ -27,10 +32,9 @@ class ThrottleEvent:
     throttle by at most one probe step.
     """
 
-    detected_at_us: int
-    gap_us: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.detected_at_us < 0 or self.gap_us <= 0:
             raise ProfilerError("event times must be nonnegative, gaps positive")
 
@@ -43,18 +47,21 @@ class ThrottleEvent:
         return self.gap_us / 1000.0
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class _ProbeConfig(NamedTuple):
+    exec_duration_ms: float
+    gap_threshold_us: int = 500
+
+
+class ProbeConfig(Checked, _ProbeConfig):
     """Probe knobs: how long to spin and what counts as a gap.
 
     Thresholds below 100 us are rejected; that is the scale of a clock
     read plus loop overhead, so smaller values detect the probe itself.
     """
 
-    exec_duration_ms: float
-    gap_threshold_us: int = 500
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.exec_duration_ms <= 0:
             raise ProfilerError("exec_duration_ms must be positive")
         if not isinstance(self.gap_threshold_us, int) or self.gap_threshold_us < 100:
@@ -67,15 +74,14 @@ class ProbeConfig:
         return int(self.exec_duration_ms * 1000) // self.gap_threshold_us + 1
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Events plus run metadata the analyzer needs."""
 
     events: Tuple[ThrottleEvent, ...]
     total_runtime_ms: float
     truncated: bool = False
     loop_iterations: int = 0
-    notes: Tuple[str, ...] = field(default_factory=tuple)
+    notes: Tuple[str, ...] = ()
 
 
 _HEADER = ["detected_at_us", "gap_us"]

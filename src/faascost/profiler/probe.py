@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from ..sched.types import RUNNING, ScheduleTimeline
 from .events import ProbeConfig, ProbeResult, ProfilerError, ThrottleEvent
+
+if TYPE_CHECKING:
+    from ..sched.types import ScheduleTimeline
 
 
 def replay_probe(
@@ -33,6 +35,9 @@ def replay_probe(
     one read per step of CPU time, which stands in for the hot loop's
     constant per-iteration work budget.
     """
+    # Imported here, so that importing this module loads no simulator.
+    from ..sched.types import RUNNING
+
     if not isinstance(step_us, int) or step_us < 1:
         raise ProfilerError("step_us must be a positive integer")
     if step_us >= cfg.gap_threshold_us:

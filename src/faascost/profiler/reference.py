@@ -7,14 +7,12 @@ identify which scheduler configuration a host resembles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .analyze import SchedulerFingerprint
 
 
-@dataclass(frozen=True)
-class ReferenceSchedParams:
+class ReferenceSchedParams(NamedTuple):
     platform: str
     period_ms: float
     tick_hz: int
@@ -34,8 +32,7 @@ PUBLISHED_PLATFORM_SCHEDULERS: Dict[str, ReferenceSchedParams] = {
 _PERIOD_TOL_MS = 0.5
 
 
-@dataclass(frozen=True)
-class ReferenceMatch:
+class ReferenceMatch(NamedTuple):
     platform: str
     reference_period_ms: float
     reference_tick_hz: int

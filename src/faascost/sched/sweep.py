@@ -10,9 +10,8 @@ detector locates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..money import dec
 from .simulate import _run
@@ -66,8 +65,7 @@ def ideal_ms(task: TaskSpec, period_us: int, quota_us: int) -> float:
     return float(task.cpu_time_ms) / (quota_us / period_us)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     fraction: float
     quota_ms: float
     completion_ms: float
@@ -85,8 +83,7 @@ class CurvePoint:
         return (self.completion_ms - self.ideal_ms) / self.ideal_ms
 
 
-@dataclass(frozen=True)
-class DurationCurve:
+class DurationCurve(NamedTuple):
     task_cpu_ms: float
     period_ms: float
     points: Tuple[CurvePoint, ...]
@@ -171,15 +168,13 @@ def duration_curve(
     )
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(NamedTuple):
     fraction: float
     completion_drop_ms: float
     memory_mb: Optional[float]
 
 
-@dataclass(frozen=True)
-class BreakpointReport:
+class BreakpointReport(NamedTuple):
     breakpoints: Tuple[Breakpoint, ...]
     threshold_ms: float
     warnings: Tuple[str, ...]

@@ -6,10 +6,10 @@ conservation holds exactly; these types carry the conversions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
+from ..checked import Checked
 from ..money import dec
 
 Number = Union[int, float, str]
@@ -37,19 +37,29 @@ def to_us(value_ms: Number, name: str) -> int:
     return int(f)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """A CPU-bound task demanding ``cpu_time_ms`` of CPU time."""
-
+class _TaskSpec(NamedTuple):
     cpu_time_ms: float
 
-    def __post_init__(self) -> None:
+
+class TaskSpec(Checked, _TaskSpec):
+    """A CPU-bound task demanding ``cpu_time_ms`` of CPU time."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if dec(self.cpu_time_ms) <= 0:
             raise SchedulingError("cpu_time_ms must be positive")
 
 
-@dataclass(frozen=True)
-class BandwidthControlConfig:
+class _BandwidthControlConfig(NamedTuple):
+    period_ms: float
+    quota_ms: float
+    tick_hz: int = 250
+    slice_ms: float = 5.0
+    flavor: str = "cfs"
+
+
+class BandwidthControlConfig(Checked, _BandwidthControlConfig):
     """Bandwidth-control knobs: quota ``quota_ms`` per period ``period_ms``.
 
     ``tick_hz`` is the scheduler tick frequency bounding runtime accounting
@@ -60,13 +70,9 @@ class BandwidthControlConfig:
     virtual-deadline implementation).
     """
 
-    period_ms: float
-    quota_ms: float
-    tick_hz: int = 250
-    slice_ms: float = 5.0
-    flavor: str = "cfs"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if dec(self.period_ms) <= 0 or dec(self.quota_ms) <= 0:
             raise SchedulingError("period and quota must be positive")
         if dec(self.quota_ms) > dec(self.period_ms):
@@ -87,8 +93,7 @@ RUNNING = "running"
 THROTTLED = "throttled"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start_us: int
     end_us: int
     state: str
@@ -102,8 +107,15 @@ class Segment:
         return self.end_us / US_PER_MS
 
 
-@dataclass(frozen=True)
-class ScheduleTimeline:
+class _ScheduleTimeline(NamedTuple):
+    cpu_time_ms: float
+    config: BandwidthControlConfig
+    segments: Tuple[Segment, ...]
+    completion_us: int
+    overruns_us: Tuple[int, ...] = ()
+
+
+class ScheduleTimeline(Checked, _ScheduleTimeline):
     """Simulation output: contiguous running/throttled segments from t=0.
 
     ``overruns_us`` records, for each throttle, the runtime debt at that
@@ -111,13 +123,9 @@ class ScheduleTimeline:
     which lagged accounting allows to build up between ticks.
     """
 
-    cpu_time_ms: float
-    config: BandwidthControlConfig
-    segments: Tuple[Segment, ...]
-    completion_us: int
-    overruns_us: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         prev_end = 0
         for seg in self.segments:
             if seg.start_us != prev_end or seg.end_us <= seg.start_us:

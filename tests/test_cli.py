@@ -3,6 +3,7 @@
 import argparse
 import csv
 import gzip
+import hashlib
 import io
 import json
 import os
@@ -710,7 +711,7 @@ def test_cli_import_leaves_numpy_out():
 _ROOT = Path(__file__).resolve().parents[1]
 # ``_hashlib`` is OpenSSL, which only a command with an input to digest maps.
 _LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analysis",
-           "faascost.sched", "faascost.profiler", "_hashlib")
+           "faascost.sched", "faascost.profiler", "_hashlib", "dataclasses", "inspect")
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
@@ -733,6 +734,45 @@ def test_bill_records_reads_a_piped_trace(compress, trace_csv, capsys):
     assert result.stdout.decode() == want and len(want.splitlines()) == 101
 
 
+def test_manifest_digests_regular_files_and_no_stream(tmp_path, trace_csv):
+    # A pipe's bytes are gone once the run has read them: its digest is null,
+    # never that of an empty stream. Stdin redirected from a file is the file.
+    argv = [sys.executable, "-m", "faascost.cli", "bill", "--platform", "aws_lambda",
+            "--records", "/dev/stdin", "--out-dir"]
+    child = {"capture_output": True, "env": _child_env(), "cwd": tmp_path, "check": True}
+    head = b"".join(trace_csv.read_bytes().splitlines(keepends=True)[:50])
+    subprocess.run([*argv, "piped"], input=head, **child)
+    with open(trace_csv, "rb") as fh:
+        subprocess.run([*argv, "redirected"], stdin=fh, **child)
+    digests = [json.loads((tmp_path / name / "run.json").read_text())["input_digests"]
+               for name in ("piped", "redirected")]
+    assert digests == [{"/dev/stdin": None},
+                       {"/dev/stdin": hashlib.sha256(trace_csv.read_bytes()).hexdigest()}]
+
+
+def test_runpy_runs_the_cli_in_a_namespace_of_its_own(tmp_path, capsys):
+    # ``python -m cProfile -m faascost.cli`` runs the module this way: its
+    # globals are not those of the ``__main__`` module in sys.modules.
+    argv = ["simulate", "--t", "10", "--p", "20", "--q", "5"]
+    assert run(*argv) == 0
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['faascost.cli', *{argv!r}]\n"
+            "runpy.run_module('faascost.cli', run_name='__main__')\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_child_env(), cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == capsys.readouterr().out
+
+
+def test_python_m_imports_the_cli_once(tmp_path):
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "faascost.cli",
+                             "simulate", "--t", "10", "--p", "20", "--q", "5"],
+                            capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+                            check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    assert "faascost.sched.simulate" in imported and "faascost.cli" not in imported
+
+
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
                         "--breakpoints"], {"faascost.sched"}),
@@ -741,19 +781,20 @@ _LOADS = {
     "profile-replay": (["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
                        {"faascost.sched", "faascost.profiler"}),
     "profile-analyze": (["profile", "analyze", "--in", "EVENTS"],
-                        {"faascost.sched", "faascost.profiler", "_hashlib"}),
+                        {"faascost.profiler", "_hashlib"}),
     "profile-report": (["profile", "report", "--in", "EVENTS"],
-                       {"faascost.sched", "faascost.profiler", "_hashlib"}),
+                       {"faascost.profiler", "_hashlib"}),
     "profile-report-reference": (
         ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
-        {"faascost.sched", "faascost.profiler", "yaml", "_hashlib"}),
+        {"faascost.profiler", "yaml", "_hashlib"}),
     "bill": (["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
-             {"faascost.billing", "faascost.traces", "yaml"}),
+             {"faascost.billing", "faascost.traces", "yaml", "dataclasses", "inspect"}),
     "bill-records": (["bill", "--platform", "aws_lambda", "--records", "TRACE"],
-                     {"faascost.billing", "faascost.traces", "yaml", "_hashlib"}),
+                     {"faascost.billing", "faascost.traces", "yaml", "_hashlib",
+                      "dataclasses", "inspect"}),
     "analyze": (["analyze", "--trace", "TRACE"],
                 {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
-                 "_hashlib"}),
+                 "_hashlib", "dataclasses", "inspect"}),
     "version": (["--version"], set()),
 }
 
@@ -801,6 +842,39 @@ print(json.dumps({"loaded": loaded, "names": names, "sketch": sketch.__name__,
     for name, module in result["names"].items():
         assert module.startswith("faascost.traces."), name
     assert result["sketch"] == "faascost.traces.sketch"
+    assert "no_such_name" in result["missing"]
+
+
+def test_profiler_package_loads_each_name_from_its_submodule(tmp_path):
+    code = """
+import json, sys
+import faascost.profiler as profiler
+loaded = sorted(m for m in sys.modules if m.startswith("faascost"))
+from faascost.profiler import fingerprint_report
+with_report = sorted(m for m in sys.modules if m.startswith("faascost"))
+import faascost.profiler.probe
+names = {name: getattr(profiler, name).__module__ for name in profiler.__all__
+         if name != "PUBLISHED_PLATFORM_SCHEDULERS"}  # a dict has no __module__
+try:
+    profiler.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({"loaded": loaded, "with_report": with_report, "names": names,
+                  "callables": [callable(profiler.analyze), callable(profiler.probe)],
+                  "missing": missing}))
+"""
+    result = _fresh_python(code, tmp_path)
+    base = ["faascost", "faascost.checked", "faascost.profiler", "faascost.profiler.analyze",
+            "faascost.profiler.events", "faascost.profiler.probe"]
+    assert result["loaded"] == base
+    assert result["with_report"] == sorted([*base, "faascost.profiler.reference"])
+    assert len(result["names"]) == 13
+    assert result["names"]["analyze"] == "faascost.profiler.analyze"
+    assert result["names"]["probe"] == "faascost.profiler.probe"
+    for name, module in result["names"].items():
+        assert module.startswith("faascost.profiler."), name
+    assert result["callables"] == [True, True]
     assert "no_such_name" in result["missing"]
 
 
