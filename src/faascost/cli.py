@@ -35,67 +35,31 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from faascost import __version__
+from faascost import __version__, bind_on_first_read
 
 _cli = sys.modules[__name__]
 
-#: The names this module takes from each layer module, each bound on first read.
+#: The names this module takes from each layer of ``faascost``, each bound on
+#: first read.
 _LAYER_NAMES: Dict[str, Sequence[str]] = {
-    "faascost.money": ("usd_string",),
-    "faascost.billing": (
-        "BillingError",
-        "compute_cost",
-        "fee_equivalent_walltime",
-        "normalize_allocation",
-        "resolve_platform",
-        "resolve_platform_path",
-    ),
-    "faascost.billing.engine": ("TraceBilling",),
-    "faascost.billing.model": ("allocation",),
-    "faascost.traces.ingest": ("IngestStats", "ingest_trace"),
-    "faascost.traces.records": ("InvocationRecord", "SchemaMap"),
-    "faascost.traces.analysis": (
-        "RoundingPolicy",
-        "cold_start_differential",
-        "inflation_analysis",
-        "rounding_up_stats",
-        "utilization_correlation",
-    ),
-    "faascost.sched": (
-        "BandwidthControlConfig",
-        "TaskSpec",
-        "closed_form_duration",
-        "duration_curve",
-        "fraction_grid",
-        "ideal_ms",
-        "quantization_breakpoints",
-        "quota_grid",
-        "simulate",
-    ),
-    "faascost.sched.types": ("to_us",),
-    "faascost.profiler": (
-        "ProbeConfig",
-        "PUBLISHED_PLATFORM_SCHEDULERS",
-        "ReferenceSchedParams",
-        "analyze_events",
-        "events_from_csv",
-        "events_to_csv",
-        "fingerprint_report",
-        "probe",
-        "replay_probe",
-    ),
+    "money": ("usd_string",),
+    "billing": ("BillingError", "TraceBilling", "allocation", "compute_cost",
+                "fee_equivalent_walltime", "normalize_allocation", "resolve_platform",
+                "resolve_platform_path"),
+    "traces": ("IngestStats", "InvocationRecord", "RoundingPolicy", "SchemaMap",
+               "cold_start_differential", "inflation_analysis", "ingest_trace",
+               "rounding_up_stats", "utilization_correlation"),
+    "sched": ("BandwidthControlConfig", "TaskSpec", "closed_form_curve",
+              "closed_form_duration", "duration_curve", "fraction_grid",
+              "quantization_breakpoints", "simulate"),
+    "profiler": ("ProbeConfig", "PUBLISHED_PLATFORM_SCHEDULERS", "ReferenceSchedParams",
+                 "analyze_events", "events_from_csv", "events_to_csv", "fingerprint_report",
+                 "probe", "replay_probe"),
 }
-_ALIASES = {"analyze_events": "analyze"}
-_OWNERS = {name: module for module, names in _LAYER_NAMES.items() for name in names}
-
-
-def __getattr__(name: str):
-    # The first read of ``cli.<name>`` (PEP 562) imports its layer and binds it.
-    if name not in _OWNERS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layer = importlib.import_module(_OWNERS[name])
-    value = globals()[name] = getattr(layer, _ALIASES.get(name, name))
-    return value
+__getattr__ = bind_on_first_read(
+    globals(), "faascost",
+    {name: layer for layer, names in _LAYER_NAMES.items() for name in names},
+    aliases={"analyze_events": "analyze"})
 
 
 _ANALYSES = ("inflation", "correlation", "cold-start", "roundup")
@@ -126,6 +90,7 @@ _INFLATION_COLUMNS = (
     "billable_gb_s_total",
 )
 _SKETCH_STATS = ("mean", "p50", "p90", "p99")
+_CURVE_COLUMNS = ("f", "quota_ms", "completion_ms", "ideal_ms", "n_throttles")
 
 
 class CliError(ValueError):
@@ -205,11 +170,12 @@ class _Run:
             path.write_text(text)
 
     def rows(self, rows: Iterable[dict], fieldnames: Sequence[str], stem: str) -> None:
-        """Rows as CSV or as one JSON array, each row written as it comes."""
+        """The ``fieldnames`` columns of the rows as CSV or as one JSON array,
+        each row written as it comes."""
         path = self.target(f"{stem}.{self.args.format}")
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
             if self.args.format == "json":
-                _write_json_array(fh, rows)
+                _write_json_array(fh, ({name: row[name] for name in fieldnames} for row in rows))
                 return
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
@@ -542,48 +508,28 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
             )
         slugs[slug] = period
     fractions = _cli.fraction_grid(args.grid, lo=args.f_lo)
+    # The closed-form file keeps its four columns.
+    fieldnames = _CURVE_COLUMNS[:4] if args.closed_form_only else _CURVE_COLUMNS
     for slug, period in slugs.items():
-        stem = f"duration_curve_p{slug}"
         if args.closed_form_only:
-            period_us = _cli.to_us(period, "period_ms")
-            rows = [
-                {
-                    "f": f,
-                    "quota_ms": quota_us / 1000.0,
-                    "completion_ms": _cli.closed_form_duration(
-                        task, period, Decimal(quota_us) / 1000
-                    ),
-                    "ideal_ms": _cli.ideal_ms(task, period_us, quota_us),
-                }
-                for f, quota_us in zip(fractions, _cli.quota_grid(period, fractions))
-            ]
-            run.rows(rows, ["f", "quota_ms", "completion_ms", "ideal_ms"], stem)
-            continue
-        curve = _cli.duration_curve(
-            task,
-            period,
-            fractions,
-            tick_hz=args.tick_hz,
-            slice_ms=args.slice_ms,
-            flavor=args.flavor,
-            lagged_accounting=lagged,
-        )
-        fieldnames = ["f", "quota_ms", "completion_ms", "ideal_ms", "n_throttles"]
-        run.rows(curve.csv_rows(), fieldnames, stem)
+            curve = _cli.closed_form_curve(task, period, fractions)
+        else:
+            curve = _cli.duration_curve(
+                task,
+                period,
+                fractions,
+                tick_hz=args.tick_hz,
+                slice_ms=args.slice_ms,
+                flavor=args.flavor,
+                lagged_accounting=lagged,
+            )
+        run.rows(curve.csv_rows(), fieldnames, f"duration_curve_p{slug}")
         if args.breakpoints:
             rep = _cli.quantization_breakpoints(
                 curve, mem_per_vcpu_mb=args.mem_per_vcpu_mb
             )
-            brows = [
-                {
-                    "fraction": b.fraction,
-                    "completion_drop_ms": b.completion_drop_ms,
-                    "memory_mb": b.memory_mb,
-                }
-                for b in rep.breakpoints
-            ]
             run.rows(
-                brows,
+                (b._asdict() for b in rep.breakpoints),
                 ["fraction", "completion_drop_ms", "memory_mb"],
                 f"breakpoints_p{slug}",
             )

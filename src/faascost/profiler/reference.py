@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .analyze import SchedulerFingerprint
+from .fingerprint import SchedulerFingerprint
 
 
 class ReferenceSchedParams(NamedTuple):

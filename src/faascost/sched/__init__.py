@@ -1,43 +1,33 @@
-"""CPU bandwidth-control models: closed form, simulator, sweeps."""
+"""CPU bandwidth-control models: closed form, simulator, sweeps.
 
-from faascost.sched.closed_form import closed_form_duration
-from faascost.sched.simulate import simulate
-from faascost.sched.sweep import (
-    Breakpoint,
-    BreakpointReport,
-    CurvePoint,
-    DurationCurve,
-    contention_slowdown,
-    duration_curve,
-    fraction_grid,
-    ideal_ms,
-    quantization_breakpoints,
-    quota_grid,
-)
-from faascost.sched.types import (
-    BandwidthControlConfig,
-    ScheduleTimeline,
-    SchedulingError,
-    Segment,
-    TaskSpec,
-)
+Each name below is imported from its submodule on first read (PEP 562), so
+``simulate --q`` loads no sweep, and a simulated sweep no closed form.
+"""
 
-__all__ = [
-    "BandwidthControlConfig",
-    "Breakpoint",
-    "BreakpointReport",
-    "CurvePoint",
-    "DurationCurve",
-    "ScheduleTimeline",
-    "SchedulingError",
-    "Segment",
-    "TaskSpec",
-    "closed_form_duration",
-    "contention_slowdown",
-    "duration_curve",
-    "fraction_grid",
-    "ideal_ms",
-    "quantization_breakpoints",
-    "quota_grid",
-    "simulate",
-]
+from faascost import bind_on_first_read
+
+#: Each public name and the submodule that defines it.
+_SUBMODULES = {
+    "closed_form_curve": "closed_form",
+    "closed_form_duration": "closed_form",
+    "simulate": "simulator",
+    "Breakpoint": "sweep",
+    "BreakpointReport": "sweep",
+    "CurvePoint": "sweep",
+    "DurationCurve": "sweep",
+    "contention_slowdown": "sweep",
+    "duration_curve": "sweep",
+    "fraction_grid": "sweep",
+    "ideal_ms": "sweep",
+    "quantization_breakpoints": "sweep",
+    "quota_grid": "sweep",
+    "BandwidthControlConfig": "types",
+    "ScheduleTimeline": "types",
+    "SchedulingError": "types",
+    "Segment": "types",
+    "TaskSpec": "types",
+}
+
+__all__ = sorted(_SUBMODULES)
+
+__getattr__ = bind_on_first_read(globals(), __name__, _SUBMODULES)

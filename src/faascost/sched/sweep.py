@@ -14,7 +14,7 @@ from decimal import Decimal
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..money import dec
-from .simulate import _run
+from .simulator import _run
 from .types import (
     US_PER_MS,
     BandwidthControlConfig,

@@ -5,7 +5,7 @@ Each name below is imported from its submodule on first read (PEP 562), so
 and not the analyses, the sketch or the synthetic generator.
 """
 
-import importlib
+from faascost import bind_on_first_read
 
 #: Each public name and the submodule that defines it.
 _SUBMODULES = {
@@ -30,10 +30,4 @@ _SUBMODULES = {
 
 __all__ = sorted(_SUBMODULES)
 
-
-def __getattr__(name: str):
-    if name not in _SUBMODULES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_SUBMODULES[name]}")
-    value = globals()[name] = getattr(module, name)
-    return value
+__getattr__ = bind_on_first_read(globals(), __name__, _SUBMODULES)

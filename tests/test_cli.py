@@ -4,9 +4,11 @@ import argparse
 import csv
 import gzip
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -381,6 +383,18 @@ def test_simulate_breakpoints_output(tmp_path):
         assert float(row["memory_mb"]) == pytest.approx(float(row["fraction"]) * 1769)
 
 
+def test_simulate_closed_form_breakpoints_are_the_exact_accounting_ones(tmp_path):
+    files = {}
+    for flag in ("--closed-form-only", "--exact-accounting"):
+        out = tmp_path / flag
+        assert run("simulate", "--t", "33.4", "--p", "5,20", "--grid", 60, flag,
+                   "--breakpoints", "--out-dir", out) == 0
+        files[flag] = {p.name: p.read_bytes() for p in out.glob("breakpoints_*")}
+    assert sorted(files["--closed-form-only"]) == ["breakpoints_p20.csv", "breakpoints_p5.csv"]
+    assert files["--closed-form-only"] == files["--exact-accounting"]
+    assert len(files["--closed-form-only"]["breakpoints_p20.csv"].splitlines()) > 1
+
+
 def test_simulate_rejects_quota_above_period(capsys):
     assert run("simulate", "--t", "10", "--p", "20", "--q", "25") == 1
     assert "quota" in capsys.readouterr().err
@@ -711,7 +725,9 @@ def test_cli_import_leaves_numpy_out():
 _ROOT = Path(__file__).resolve().parents[1]
 # ``_hashlib`` is OpenSSL, which only a command with an input to digest maps.
 _LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analysis",
-           "faascost.sched", "faascost.profiler", "_hashlib", "dataclasses", "inspect")
+           "faascost.sched", "faascost.sched.sweep", "faascost.sched.closed_form",
+           "faascost.profiler", "faascost.profiler.fingerprint", "faascost.profiler.probes",
+           "statistics", "_hashlib", "dataclasses", "inspect")
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
@@ -765,28 +781,34 @@ def test_runpy_runs_the_cli_in_a_namespace_of_its_own(tmp_path, capsys):
 
 
 def test_python_m_imports_the_cli_once(tmp_path):
+    # -X importtime logs a module loaded by an import statement, not one
+    # loaded through importlib.import_module, as the layers are: the control
+    # is faascost.money, which the simulator's types import.
     result = subprocess.run([sys.executable, "-X", "importtime", "-m", "faascost.cli",
                              "simulate", "--t", "10", "--p", "20", "--q", "5"],
                             capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
                             check=True)
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
-    assert "faascost.sched.simulate" in imported and "faascost.cli" not in imported
+    assert "faascost.money" in imported and "faascost.cli" not in imported
 
 
+_SWEEP = {"faascost.sched", "faascost.sched.sweep"}
+_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics", "_hashlib"}
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
-                        "--breakpoints"], {"faascost.sched"}),
+                        "--breakpoints"], _SWEEP),
+    "simulate-closed-form": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
+                              "--closed-form-only", "--breakpoints"],
+                             {*_SWEEP, "faascost.sched.closed_form"}),
     "simulate-timeline": (["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
-                          {"faascost.sched"}),
+                          {"faascost.sched", "faascost.sched.closed_form"}),
     "profile-replay": (["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
-                       {"faascost.sched", "faascost.profiler"}),
-    "profile-analyze": (["profile", "analyze", "--in", "EVENTS"],
-                        {"faascost.profiler", "_hashlib"}),
-    "profile-report": (["profile", "report", "--in", "EVENTS"],
-                       {"faascost.profiler", "_hashlib"}),
+                       {"faascost.sched", "faascost.profiler", "faascost.profiler.probes"}),
+    "profile-analyze": (["profile", "analyze", "--in", "EVENTS"], _FINGERPRINT),
+    "profile-report": (["profile", "report", "--in", "EVENTS"], _FINGERPRINT),
     "profile-report-reference": (
         ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
-        {"faascost.profiler", "yaml", "_hashlib"}),
+        {*_FINGERPRINT, "yaml"}),
     "bill": (["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
              {"faascost.billing", "faascost.traces", "yaml", "dataclasses", "inspect"}),
     "bill-records": (["bill", "--platform", "aws_lambda", "--records", "TRACE"],
@@ -820,62 +842,47 @@ print(json.dumps({{"code": code, "loaded": [m for m in {_LAYERS!r} if m in sys.m
     assert (result["code"], set(result["loaded"])) == (0, layers)
 
 
-def test_traces_package_loads_each_name_from_its_submodule(tmp_path):
+@pytest.mark.parametrize("package", ["traces", "sched", "profiler"])
+def test_package_binds_each_name_on_first_read(package, tmp_path):
+    # Each public name is imported from the submodule its table names on
+    # first read, whichever order the names are first read in; once every
+    # submodule is loaded, each name is still that object.
     code = """
-import json, sys
-import faascost.traces as traces
-from faascost.traces import InvocationRecord
-loaded = sorted(m for m in sys.modules if m.startswith("faascost.traces."))
-names = {name: getattr(traces, name).__module__ for name in traces.__all__}
-from faascost.traces import sketch
+import json, sys, types
+import faascost.{package} as package
+loaded = [m for m in sys.modules if m.startswith("faascost.{package}.")]
+names = package.__all__[::{step}]
+
+def wrong():
+    bad = []
+    for name in names:
+        value = getattr(package, name)
+        owner = sys.modules["faascost.{package}." + package._SUBMODULES[name]]
+        if value is not getattr(owner, name) or isinstance(value, types.ModuleType):
+            bad.append(name)
+    return bad
+
+wrong_on_first_read, wrong_after = wrong(), wrong()
 try:
-    traces.no_such_name
+    package.no_such_name
     missing = None
 except AttributeError as exc:
     missing = str(exc)
-print(json.dumps({"loaded": loaded, "names": names, "sketch": sketch.__name__,
-                  "missing": missing}))
+print(json.dumps({{"loaded": loaded, "wrong": wrong_on_first_read + wrong_after,
+                  "missing": missing, "all": package.__all__,
+                  "table": sorted(package._SUBMODULES)}}))
 """
-    result = _fresh_python(code, tmp_path)
-    assert result["loaded"] == ["faascost.traces.records"]
-    assert len(result["names"]) == 17
-    for name, module in result["names"].items():
-        assert module.startswith("faascost.traces."), name
-    assert result["sketch"] == "faascost.traces.sketch"
-    assert "no_such_name" in result["missing"]
-
-
-def test_profiler_package_loads_each_name_from_its_submodule(tmp_path):
-    code = """
-import json, sys
-import faascost.profiler as profiler
-loaded = sorted(m for m in sys.modules if m.startswith("faascost"))
-from faascost.profiler import fingerprint_report
-with_report = sorted(m for m in sys.modules if m.startswith("faascost"))
-import faascost.profiler.probe
-names = {name: getattr(profiler, name).__module__ for name in profiler.__all__
-         if name != "PUBLISHED_PLATFORM_SCHEDULERS"}  # a dict has no __module__
-try:
-    profiler.no_such_name
-    missing = None
-except AttributeError as exc:
-    missing = str(exc)
-print(json.dumps({"loaded": loaded, "with_report": with_report, "names": names,
-                  "callables": [callable(profiler.analyze), callable(profiler.probe)],
-                  "missing": missing}))
-"""
-    result = _fresh_python(code, tmp_path)
-    base = ["faascost", "faascost.checked", "faascost.profiler", "faascost.profiler.analyze",
-            "faascost.profiler.events", "faascost.profiler.probe"]
-    assert result["loaded"] == base
-    assert result["with_report"] == sorted([*base, "faascost.profiler.reference"])
-    assert len(result["names"]) == 13
-    assert result["names"]["analyze"] == "faascost.profiler.analyze"
-    assert result["names"]["probe"] == "faascost.profiler.probe"
-    for name, module in result["names"].items():
-        assert module.startswith("faascost.profiler."), name
-    assert result["callables"] == [True, True]
-    assert "no_such_name" in result["missing"]
+    for step in (1, -1):
+        result = _fresh_python(code.format(package=package, step=step), tmp_path)
+        assert result["loaded"] == [] and result["wrong"] == [], step
+        assert result["all"] == result["table"]
+        assert result["missing"] == f"module 'faascost.{package}' has no attribute 'no_such_name'"
+    # No public name is also a submodule's name, which importing that
+    # submodule would bind over the name; billing, which imports eagerly, too.
+    for name in (package, "billing"):
+        module = importlib.import_module(f"faascost.{name}")
+        submodules = {info.name for info in pkgutil.iter_modules(module.__path__)}
+        assert submodules and not submodules & set(module.__all__), name
 
 
 def test_tracer_patches_reach_the_commands(tmp_path):

@@ -14,6 +14,7 @@ from faascost.sched import (
     BandwidthControlConfig,
     SchedulingError,
     TaskSpec,
+    closed_form_curve,
     closed_form_duration,
     contention_slowdown,
     duration_curve,
@@ -22,7 +23,7 @@ from faascost.sched import (
     quota_grid,
     simulate,
 )
-from faascost.sched.simulate import _first_tick_after
+from faascost.sched.simulator import _first_tick_after
 from faascost.sched.types import RUNNING, THROTTLED
 
 from oracle_sched import oracle_completion_ms, oracle_ideal_ms
@@ -501,6 +502,15 @@ def test_curve_points_equal_simulate_runs(t, p, n, lo, slice_us, hz, flavor, lag
         tl = simulate(task, cfg, lagged_accounting=lagged)
         assert pt.completion_ms == tl.completion_ms
         assert pt.n_throttles == len(tl.throttle_durations_us)
+
+
+@pytest.mark.parametrize("t", [1, 7.777, 33.1, 33.4, 160])
+@pytest.mark.parametrize("p", [5, 10, 20, 100])
+def test_closed_form_curve_is_the_exact_accounting_curve(t, p):
+    # Completion, ideal and throttle count, point for point, whatever the grid.
+    for grid in (fraction_grid(60), fraction_grid(7, lo=0.3), [0.25, 0.5, 1.0]):
+        want = duration_curve(TaskSpec(t), p, grid, lagged_accounting=False)
+        assert closed_form_curve(TaskSpec(t), p, grid) == want
 
 
 def test_duration_curve_errors_are_checked_once_per_curve():
