@@ -49,9 +49,8 @@ _LAYER_NAMES: Dict[str, Sequence[str]] = {
     "traces": ("IngestStats", "InvocationRecord", "RoundingPolicy", "SchemaMap",
                "cold_start_differential", "inflation_analysis", "ingest_trace",
                "rounding_up_stats", "utilization_correlation"),
-    "sched": ("BandwidthControlConfig", "TaskSpec", "closed_form_curve",
-              "closed_form_duration", "duration_curve", "fraction_grid",
-              "quantization_breakpoints", "simulate"),
+    "sched": ("BandwidthControlConfig", "TaskSpec", "closed_form_duration",
+              "duration_curve", "fraction_grid", "quantization_breakpoints", "simulate"),
     "profiler": ("ProbeConfig", "PUBLISHED_PLATFORM_SCHEDULERS", "ReferenceSchedParams",
                  "analyze_events", "events_from_csv", "events_to_csv", "fingerprint_report",
                  "probe", "replay_probe"),
@@ -484,6 +483,10 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
 
     if args.q is not None:
         # Single-run timeline mode.
+        for option, given in (("--breakpoints", args.breakpoints),
+                              ("--mem-per-vcpu-mb", args.mem_per_vcpu_mb is not None)):
+            if given:
+                raise CliError(f"{option} applies to a sweep, not to a --q timeline")
         if len(periods) != 1:
             raise CliError("--q takes exactly one --p value")
         timeline = _cli.simulate(
@@ -497,6 +500,8 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
         run.json(doc, "timeline.json")
         return
 
+    if args.mem_per_vcpu_mb is not None and not args.breakpoints:
+        raise CliError("--mem-per-vcpu-mb annotates breakpoints; pass --breakpoints")
     run.require_dir()
     slugs: Dict[str, str] = {}  # file-name slug -> period
     for period in periods:
@@ -508,22 +513,17 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
             )
         slugs[slug] = period
     fractions = _cli.fraction_grid(args.grid, lo=args.f_lo)
-    # The closed-form file keeps its four columns.
-    fieldnames = _CURVE_COLUMNS[:4] if args.closed_form_only else _CURVE_COLUMNS
     for slug, period in slugs.items():
-        if args.closed_form_only:
-            curve = _cli.closed_form_curve(task, period, fractions)
-        else:
-            curve = _cli.duration_curve(
-                task,
-                period,
-                fractions,
-                tick_hz=args.tick_hz,
-                slice_ms=args.slice_ms,
-                flavor=args.flavor,
-                lagged_accounting=lagged,
-            )
-        run.rows(curve.csv_rows(), fieldnames, f"duration_curve_p{slug}")
+        curve = _cli.duration_curve(
+            task,
+            period,
+            fractions,
+            tick_hz=args.tick_hz,
+            slice_ms=args.slice_ms,
+            flavor=args.flavor,
+            lagged_accounting=lagged,
+        )
+        run.rows(curve.csv_rows(), _CURVE_COLUMNS, f"duration_curve_p{slug}")
         if args.breakpoints:
             rep = _cli.quantization_breakpoints(
                 curve, mem_per_vcpu_mb=args.mem_per_vcpu_mb
@@ -770,11 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="charge runtime continuously instead of at ticks; the curve "
         "then matches the closed form exactly",
-    )
-    sim.add_argument(
-        "--closed-form-only",
-        action="store_true",
-        help="evaluate the closed-form duration instead of simulating",
     )
     sim.add_argument(
         "--breakpoints",

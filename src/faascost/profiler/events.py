@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from typing import IO, Iterable, List, NamedTuple, Tuple, Union
 
 from ..checked import Checked
@@ -62,6 +63,8 @@ class ProbeConfig(Checked, _ProbeConfig):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not math.isfinite(self.exec_duration_ms):
+            raise ProfilerError("exec_duration_ms must be finite")
         if self.exec_duration_ms <= 0:
             raise ProfilerError("exec_duration_ms must be positive")
         if not isinstance(self.gap_threshold_us, int) or self.gap_threshold_us < 100:

@@ -29,6 +29,7 @@ with the matching caveat note rather than guessed at.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from statistics import median
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -152,8 +153,12 @@ def analyze(
     Pure function: identical inputs yield identical fingerprints. Fewer
     than 20 events produce distributions only, with no estimates.
     """
+    if not math.isfinite(total_runtime_ms):
+        raise ProfilerError("total_runtime_ms must be finite")
     if total_runtime_ms <= 0:
         raise ProfilerError("total_runtime_ms must be positive")
+    if not 0 <= alignment_tol_us < math.inf:
+        raise ProfilerError("alignment_tol_us must be finite and nonnegative")
     t: List[int] = []
     g: List[int] = []
     for ev in events:

@@ -1,21 +1,19 @@
 """CPU bandwidth-control models: closed form, simulator, sweeps.
 
 Each name below is imported from its submodule on first read (PEP 562), so
-``simulate --q`` loads no sweep, and a simulated sweep no closed form.
+``simulate --q`` loads no sweep, and a sweep no closed form.
 """
 
 from faascost import bind_on_first_read
 
 #: Each public name and the submodule that defines it.
 _SUBMODULES = {
-    "closed_form_curve": "closed_form",
     "closed_form_duration": "closed_form",
     "simulate": "simulator",
     "Breakpoint": "sweep",
     "BreakpointReport": "sweep",
     "CurvePoint": "sweep",
     "DurationCurve": "sweep",
-    "contention_slowdown": "sweep",
     "duration_curve": "sweep",
     "fraction_grid": "sweep",
     "ideal_ms": "sweep",

@@ -196,8 +196,11 @@ def quantization_breakpoints(
     A step is a drop larger than half the period. The reported fraction is
     the right edge of the jump (the first grid point in the new regime).
     With ``mem_per_vcpu_mb`` set, each breakpoint also carries the memory
-    size a proportional-allocation platform would need for that fraction.
+    size a proportional-allocation platform would need for that fraction;
+    it must be finite and positive.
     """
+    if mem_per_vcpu_mb is not None and not 0 < mem_per_vcpu_mb < math.inf:
+        raise SchedulingError("mem_per_vcpu_mb must be finite and positive")
     pts = curve.points
     fs = [p.fraction for p in pts]
     if fs != sorted(fs):
@@ -222,21 +225,3 @@ def quantization_breakpoints(
     return BreakpointReport(
         breakpoints=tuple(found), threshold_ms=threshold, warnings=tuple(warnings)
     )
-
-
-def contention_slowdown(
-    n_tasks: int, per_task_cpu_ms: float, cores: float = 1.0
-) -> float:
-    """Per-task completion under idealized processor sharing.
-
-    n equal CPU-bound tasks on c cores each run at rate min(1, c/n), so
-    each finishes at t * max(1, n/c). Real contention is worse: context
-    switches and cache effects add overhead this model ignores.
-    """
-    if not isinstance(n_tasks, int) or n_tasks < 1:
-        raise SchedulingError("n_tasks must be a positive integer")
-    if per_task_cpu_ms <= 0:
-        raise SchedulingError("per_task_cpu_ms must be positive")
-    if cores <= 0:
-        raise SchedulingError("cores must be positive")
-    return per_task_cpu_ms * max(1.0, n_tasks / cores)

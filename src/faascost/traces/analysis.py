@@ -451,8 +451,10 @@ def cold_start_differential(
     wall-clock allocation-seconds so the comparison is not skewed by any
     platform's rounding. Records without an instance_id fall back to
     per-function sessions split at cold starts or arrival gaps above
-    ``session_gap_ms``.
+    ``session_gap_ms``, which must be nonnegative (infinity never splits).
     """
+    if not session_gap_ms >= 0:  # NaN too: no gap would compare above it
+        raise ValueError("session_gap_ms must be nonnegative")
     instances: Dict[str, _InstanceState] = {}
     session_last: Dict[str, float] = {}
     session_idx: Dict[str, int] = {}

@@ -138,20 +138,64 @@ def test_bill_manifest_records_inputs(tmp_path, trace_csv):
     assert manifest["outputs"] == ["bills.csv"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["bill", "--platform", "aws_lambda", "--vcpus", "abc", "--mem-mb", 128, "--exec-ms", 10],
-    ["bill", "--platform", "aws_lambda", "--mem-mb", "inf", "--exec-ms", 10],
-    ["bill", "--platform", "aws_lambda", "--mem-mb", "nan", "--exec-ms", 10],
-    ["simulate", "--t", "nan", "--p", "20", "--q", "5"],
-    ["simulate", "--t", "inf", "--p", "20", "--q", "5"],
-    ["simulate", "--t", "10", "--p", "20", "--q", "abc"],
-    ["bill", "--platform", "aws_lambda", "--mem-mb", "1e250", "--exec-ms", 1],
-    ["bill", "--platform", "aws_lambda", "--mem-mb", 128, "--exec-ms", "1e250"],
-], ids=["vcpus-abc", "mem-inf", "mem-nan", "t-nan", "t-inf", "q-abc", "mem-1e250",
-        "exec-1e250"])
-def test_bad_number_fails_cleanly(argv, capsys):
-    assert run(*argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+_MEM_PER_VCPU = ["simulate", "--t", "10", "--p", "20", "--grid", 10, "--breakpoints",
+                 "--out-dir", "OUT", "--mem-per-vcpu-mb"]
+# Each command, and the message it fails with.
+_BAD_NUMBERS = {
+    "vcpus-abc": (["bill", "--platform", "aws_lambda", "--vcpus", "abc", "--mem-mb", 128,
+                   "--exec-ms", 10], "not a number: 'abc'"),
+    "mem-inf": (["bill", "--platform", "aws_lambda", "--mem-mb", "inf", "--exec-ms", 10],
+                "non-finite amount: 'inf'"),
+    "mem-nan": (["bill", "--platform", "aws_lambda", "--mem-mb", "nan", "--exec-ms", 10],
+                "non-finite amount: 'nan'"),
+    "t-nan": (["simulate", "--t", "nan", "--p", "20", "--q", "5"], "non-finite amount: 'nan'"),
+    "t-inf": (["simulate", "--t", "inf", "--p", "20", "--q", "5"], "non-finite amount: 'inf'"),
+    "q-abc": (["simulate", "--t", "10", "--p", "20", "--q", "abc"], "not a number: 'abc'"),
+    "mem-1e250": (["bill", "--platform", "aws_lambda", "--mem-mb", "1e250", "--exec-ms", 1],
+                  "allocation amounts must be >= 0 and below 2**53"),
+    "exec-1e250": (["bill", "--platform", "aws_lambda", "--mem-mb", 128, "--exec-ms", "1e250"],
+                   "durations must be >= 0 and below 2**53"),
+    "sweep-sub-us-quota": (["simulate", "--t", "100", "--p", "0.1", "--grid", 3, "--f-lo",
+                            "0.001", "--out-dir", "OUT"],
+                           "fraction 0.001 yields a quota below 1 us at period 0.1 ms"),
+    "duration-inf": (["profile", "run", "--duration-ms", "inf", "--out-dir", "OUT"],
+                     "exec_duration_ms must be finite"),
+    "duration-nan": (["profile", "run", "--duration-ms", "nan", "--out-dir", "OUT"],
+                     "exec_duration_ms must be finite"),
+    "runtime-nan": (["profile", "analyze", "--in", "EVENTS", "--runtime-ms", "nan",
+                     "--out-dir", "OUT"], "total_runtime_ms must be finite"),
+    "runtime-inf": (["profile", "report", "--in", "EVENTS", "--runtime-ms", "inf",
+                     "--out-dir", "OUT"], "total_runtime_ms must be finite"),
+    "summary-nan": (["profile", "analyze", "--in", "NAN_EVENTS", "--out-dir", "OUT"],
+                    "total_runtime_ms must be finite"),
+    "alignment-tol-nan": (["profile", "analyze", "--in", "EVENTS", "--alignment-tol-us", "nan",
+                           "--out-dir", "OUT"], "alignment_tol_us must be finite and nonnegative"),
+    "mem-per-vcpu-inf": ([*_MEM_PER_VCPU, "inf"], "mem_per_vcpu_mb must be finite and positive"),
+    "mem-per-vcpu-negative": ([*_MEM_PER_VCPU, "-1769"],
+                              "mem_per_vcpu_mb must be finite and positive"),
+    "mem-per-vcpu-zero": ([*_MEM_PER_VCPU, "0"], "mem_per_vcpu_mb must be finite and positive"),
+    "session-gap-nan": (["analyze", "--trace", "TRACE", "--analyses", "cold-start",
+                         "--session-gap-ms", "nan", "--out-dir", "OUT"],
+                        "session_gap_ms must be nonnegative"),
+    "session-gap-negative": (["analyze", "--trace", "TRACE", "--analyses", "cold-start",
+                              "--session-gap-ms", "-1", "--out-dir", "OUT"],
+                             "session_gap_ms must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_NUMBERS))
+def test_bad_number_fails_cleanly(case, tmp_path, trace_csv, events_csv, capsys):
+    argv, message = _BAD_NUMBERS[case]
+    # An event log whose probe summary holds a NaN runtime.
+    nan_events = tmp_path / "nan" / "events.csv"
+    nan_events.parent.mkdir()
+    nan_events.write_bytes(events_csv.read_bytes())
+    nan_events.with_name("probe_summary.json").write_text('{"total_runtime_ms": NaN}')
+    files = {"OUT": tmp_path / "out", "TRACE": trace_csv, "EVENTS": events_csv,
+             "NAN_EVENTS": nan_events}
+    assert run(*[files.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not files["OUT"].exists()
 
 
 # A wrong-typed field in each input file a command reads, and the command.
@@ -326,17 +370,6 @@ def test_simulate_sweep_full_fraction_hits_cpu_time(tmp_path):
             assert int(last["n_throttles"]) == 0
 
 
-def test_simulate_closed_form_only_matches_formula(tmp_path):
-    out = tmp_path / "out"
-    assert run("simulate", "--t", "33.1", "--p", "20", "--grid", 40,
-               "--closed-form-only", "--out-dir", out) == 0
-    rows = read_rows(out / "duration_curve_p20.csv")
-    task = TaskSpec(cpu_time_ms="33.1")
-    for row in rows:
-        expected = closed_form_duration(task, "20", row["quota_ms"])
-        assert float(row["completion_ms"]) == pytest.approx(expected, rel=1e-12)
-
-
 def test_simulate_timeline_mode(capsys):
     assert run("simulate", "--t", "33.1", "--p", "20", "--q", "1.45") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -361,18 +394,6 @@ def test_simulate_exact_accounting_matches_closed_form(tmp_path):
         assert float(row["completion_ms"]) == pytest.approx(expected, rel=1e-12)
 
 
-def test_simulate_ideal_is_one_column_in_both_modes(tmp_path):
-    tables = []
-    for flag in ("--exact-accounting", "--closed-form-only"):
-        out = tmp_path / flag
-        assert run("simulate", flag, "--t", "33.4", "--p", "5", "--grid", 7,
-                   "--out-dir", out) == 0
-        rows = read_rows(out / "duration_curve_p5.csv")
-        tables.append([(r["f"], r["quota_ms"], r["completion_ms"], r["ideal_ms"])
-                       for r in rows])
-    assert tables[0] == tables[1]
-
-
 def test_simulate_breakpoints_output(tmp_path):
     out = tmp_path / "out"
     assert run("simulate", "--t", "160", "--p", "20", "--grid", 120,
@@ -384,15 +405,39 @@ def test_simulate_breakpoints_output(tmp_path):
 
 
 def test_simulate_closed_form_breakpoints_are_the_exact_accounting_ones(tmp_path):
-    files = {}
-    for flag in ("--closed-form-only", "--exact-accounting"):
-        out = tmp_path / flag
-        assert run("simulate", "--t", "33.4", "--p", "5,20", "--grid", 60, flag,
-                   "--breakpoints", "--out-dir", out) == 0
-        files[flag] = {p.name: p.read_bytes() for p in out.glob("breakpoints_*")}
-    assert sorted(files["--closed-form-only"]) == ["breakpoints_p20.csv", "breakpoints_p5.csv"]
-    assert files["--closed-form-only"] == files["--exact-accounting"]
-    assert len(files["--closed-form-only"]["breakpoints_p20.csv"].splitlines()) > 1
+    out = tmp_path / "out"
+    assert run("simulate", "--t", "33.4", "--p", "5,20", "--grid", 60, "--exact-accounting",
+               "--breakpoints", "--out-dir", out) == 0
+    assert sorted(p.name for p in out.glob("breakpoints_*")) == [
+        "breakpoints_p20.csv", "breakpoints_p5.csv"]
+    task = TaskSpec(cpu_time_ms="33.4")
+    for period in ("5", "20"):
+        # A breakpoint is a drop of more than half the period between adjacent
+        # grid points; recompute the drops from the closed form on the same grid.
+        curve = read_rows(out / f"duration_curve_p{period}.csv")
+        closed = [closed_form_duration(task, period, row["quota_ms"]) for row in curve]
+        expected = [(float(cur["f"]), before - after)
+                    for cur, before, after in zip(curve[1:], closed, closed[1:])
+                    if before - after > float(period) / 2]
+        rows = read_rows(out / f"breakpoints_p{period}.csv")
+        got = [(float(row["fraction"]), float(row["completion_drop_ms"])) for row in rows]
+        assert [f for f, _ in got] == [f for f, _ in expected]
+        for (_, drop), (_, want) in zip(got, expected):
+            assert drop == pytest.approx(want, rel=1e-12)
+    assert read_rows(out / "breakpoints_p20.csv")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--q", "5", "--breakpoints"], "--breakpoints"),
+    (["--q", "5", "--mem-per-vcpu-mb", "1769"], "--mem-per-vcpu-mb"),
+    (["--grid", "10", "--mem-per-vcpu-mb", "1769"], "--mem-per-vcpu-mb"),
+], ids=["timeline-breakpoints", "timeline-mem-per-vcpu", "sweep-mem-per-vcpu"])
+def test_simulate_rejects_an_option_its_mode_ignores(argv, option, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("simulate", "--t", "10", "--p", "20", *argv, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_rejects_quota_above_period(capsys):
@@ -415,16 +460,6 @@ def test_simulate_rejects_periods_with_one_file_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'20' and '20.0'" in err and "duration_curve_p20" in err
     assert not [p for p in out.rglob("*") if p.is_file()]
-
-
-def test_simulate_closed_form_only_rejects_sub_us_quota_like_sweep(tmp_path, capsys):
-    errors = []
-    for flag in ([], ["--closed-form-only"]):
-        assert run("simulate", "--t", "100", "--p", "0.1", "--grid", 3,
-                   "--f-lo", "0.001", *flag, "--out-dir", tmp_path / "out") == 1
-        errors.append(capsys.readouterr().err)
-    assert "fraction 0.001 yields a quota below 1 us" in errors[0]
-    assert errors[1] == errors[0]
 
 
 # --------------------------------------------------------------- profile
@@ -797,9 +832,6 @@ _FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistic
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
                         "--breakpoints"], _SWEEP),
-    "simulate-closed-form": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
-                              "--closed-form-only", "--breakpoints"],
-                             {*_SWEEP, "faascost.sched.closed_form"}),
     "simulate-timeline": (["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
                           {"faascost.sched", "faascost.sched.closed_form"}),
     "profile-replay": (["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],

@@ -1,5 +1,7 @@
-"""The README's examples stay runnable: CLI lines parse, Python blocks run."""
+"""The README's examples stay runnable: CLI lines parse, every option it
+names exists, Python blocks run."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -18,6 +20,22 @@ _CLI_LINES = [
     if line.startswith("faascost ")
 ]
 _PYTHON = [body for lang, body in _BLOCKS if lang == "python"]
+# Every ``--option`` named in prose or in a block, but pip's.
+_OPTIONS = sorted({
+    option
+    for line in _README.splitlines()
+    if not line.lstrip().startswith("pip install")
+    for option in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+})
+
+
+def _options(parser):
+    """The option strings of ``parser`` and of every subcommand under it."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _options(child)
 
 
 def test_readme_has_examples():
@@ -30,6 +48,11 @@ def test_readme_cli_line_parses(line):
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
     except SystemExit:
         pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_names_only_cli_options():
+    assert "--out-dir" in _OPTIONS
+    assert sorted(set(_OPTIONS) - set(_options(build_parser()))) == []
 
 
 @pytest.mark.parametrize("source", _PYTHON, ids=range(len(_PYTHON)))

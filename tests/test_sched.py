@@ -14,9 +14,7 @@ from faascost.sched import (
     BandwidthControlConfig,
     SchedulingError,
     TaskSpec,
-    closed_form_curve,
     closed_form_duration,
-    contention_slowdown,
     duration_curve,
     fraction_grid,
     quantization_breakpoints,
@@ -506,11 +504,20 @@ def test_curve_points_equal_simulate_runs(t, p, n, lo, slice_us, hz, flavor, lag
 
 @pytest.mark.parametrize("t", [1, 7.777, 33.1, 33.4, 160])
 @pytest.mark.parametrize("p", [5, 10, 20, 100])
-def test_closed_form_curve_is_the_exact_accounting_curve(t, p):
+def test_exact_accounting_curve_is_the_closed_form(t, p):
     # Completion, ideal and throttle count, point for point, whatever the grid.
+    task = TaskSpec(t)
+    cpu_us = Fraction(str(t)) * 1000
     for grid in (fraction_grid(60), fraction_grid(7, lo=0.3), [0.25, 0.5, 1.0]):
-        want = duration_curve(TaskSpec(t), p, grid, lagged_accounting=False)
-        assert closed_form_curve(TaskSpec(t), p, grid) == want
+        curve = duration_curve(task, p, grid, lagged_accounting=False)
+        assert [pt.fraction for pt in curve.points] == grid
+        for pt, quota_us in zip(curve.points, quota_grid(p, grid)):
+            quota = Fraction(quota_us, 1000)
+            assert pt.quota_ms == float(quota)
+            assert pt.completion_ms == closed_form_duration(task, p, Decimal(quota_us) / 1000)
+            assert pt.ideal_ms == pytest.approx(float(oracle_ideal_ms(t, p, quota)), rel=1e-15)
+            throttles = 0 if quota_us == p * 1000 else math.ceil(cpu_us / quota_us) - 1
+            assert pt.n_throttles == throttles
 
 
 def test_duration_curve_errors_are_checked_once_per_curve():
@@ -590,13 +597,3 @@ def test_breakpoints_require_sorted_curve():
     )
     with pytest.raises(SchedulingError):
         quantization_breakpoints(flipped)
-
-
-def test_contention_slowdown_examples():
-    assert contention_slowdown(2, 1000) == 2000
-    assert contention_slowdown(1, 1000) == 1000
-    assert contention_slowdown(4, 100, cores=2) == 200
-    # More cores than tasks: no slowdown, not a speedup.
-    assert contention_slowdown(2, 100, cores=8) == 100
-    with pytest.raises(SchedulingError):
-        contention_slowdown(0, 100)

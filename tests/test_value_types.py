@@ -93,6 +93,9 @@ _CASES = [
     (ProbeConfig, (100.0, 500), {"exec_duration_ms": 100.0},
      "ProbeConfig(exec_duration_ms=100.0, gap_threshold_us=500)", {"gap_threshold_us": 100},
      [({"exec_duration_ms": 0}, ProfilerError, "exec_duration_ms must be positive"),
+      ({"exec_duration_ms": float("inf")}, ProfilerError, "exec_duration_ms must be finite"),
+      ({"exec_duration_ms": float("-inf")}, ProfilerError, "exec_duration_ms must be finite"),
+      ({"exec_duration_ms": float("nan")}, ProfilerError, "exec_duration_ms must be finite"),
       ({"gap_threshold_us": 50}, ProfilerError, _THRESHOLD),
       ({"gap_threshold_us": 500.0}, ProfilerError, _THRESHOLD)]),
     (ProbeResult, ((_EVENT,), 40.1, False, 0, ()),
