@@ -296,7 +296,8 @@ class TraceBilling:
     """
 
     __slots__ = ("config", "bills_cpu", "bills_mem", "_normalize", "_grants", "_cpu_basis",
-                 "_mem_basis", "_turnaround", "_cpu_time", "_granularity", "_cutoff", "_usage")
+                 "_mem_basis", "_turnaround", "_cpu_time", "_granularity", "_cutoff", "_usage",
+                 "_reads_cpu", "_reads_mem")
 
     def __init__(self, config: PlatformBillingConfig, *, normalize: bool = True) -> None:
         self.config = config
@@ -318,6 +319,10 @@ class TraceBilling:
         self._turnaround = config.billable_time_kind == "turnaround"
         self._cpu_time = config.billable_time_kind == "cpu_time_only"
         self._granularity, self._cutoff, self._usage = _step_grid(config) or (None, None, ())
+        # The usage fields a key reads: each at most once a record.
+        hows = {how for _, how, _, _ in self._usage}
+        self._reads_cpu = self._cpu_time or bool(hows & {_CPU, _CPU_MS})
+        self._reads_mem = _MEM in hows
 
     def grant(self, vcpus: float, memory_mb: float
               ) -> Tuple[ResourceAllocation, Mapping[str, Decimal]]:
@@ -336,12 +341,11 @@ class TraceBilling:
         if granularity is None:
             return None
         exec_units = micros(record.exec_duration_ms)
-        if exec_units is None:
+        cpu = micros(record.cpu_usage_avg_vcpus) if self._reads_cpu else 0
+        mem = micros(record.mem_usage_mb) if self._reads_mem else 0
+        if exec_units is None or cpu is None or mem is None:
             return None
         if self._cpu_time:
-            cpu = micros(record.cpu_usage_avg_vcpus)
-            if cpu is None:
-                return None
             raw = cpu * exec_units
         elif self._turnaround and record.init_duration_ms:
             init = micros(record.init_duration_ms)
@@ -350,21 +354,12 @@ class TraceBilling:
             raw = exec_units + init
         else:
             raw = exec_units
-        key = [record.alloc_vcpus, record.alloc_memory_mb,
-               rounded_steps(raw, granularity, self._cutoff)]
-        for _, how, units, _ in self._usage:
-            if how == _MEM:
-                amount = micros(record.mem_usage_mb)
-            elif how == _NONE:
-                amount = 0
-            else:
-                amount = micros(record.cpu_usage_avg_vcpus)
-                if how == _CPU_MS and amount is not None:
-                    amount *= exec_units
-            if amount is None:
-                return None
-            key.append(rounded_steps(amount, units, 0))
-        return tuple(key)
+        steps = rounded_steps(raw, granularity, self._cutoff)
+        if not self._usage:
+            return record.alloc_vcpus, record.alloc_memory_mb, steps
+        amounts = {_CPU: cpu, _CPU_MS: cpu * exec_units, _MEM: mem, _NONE: 0}
+        return (record.alloc_vcpus, record.alloc_memory_mb, steps,
+                *[rounded_steps(amounts[how], units, 0) for _, how, units, _ in self._usage])
 
     def quantities(self, key: tuple) -> BillableQuantities:
         time_ms = CONTEXT.multiply(key[2], self.config.time_granularity_ms)
@@ -436,8 +431,10 @@ def compute_cost(
     """Itemized cost of one invocation under ``config``; ``alloc`` is the granted
     allocation (see :func:`normalize_allocation`), by default the record's.
     Custom resources reach the invoice only through ``alloc``'s extras."""
-    granted = allocation_quantities(_requested(record) if alloc is None else alloc, config)
-    return price(billable_quantities(record, config, granted), config)
+    # Entered once here, not by each ceil_to, which enters it unless it is current.
+    with decimal.localcontext(CONTEXT):
+        granted = allocation_quantities(_requested(record) if alloc is None else alloc, config)
+        return price(billable_quantities(record, config, granted), config)
 
 
 def fee_equivalent_walltime(

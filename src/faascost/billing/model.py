@@ -20,12 +20,12 @@ milliseconds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Tuple, Union
 
-from faascost.money import MAX_AMOUNT, Number, dec, usd_string
+from faascost.checked import Checked
+from faascost.money import CONTEXT, MAX_AMOUNT, Number, dec, usd_string
 
 # Canonical resource identifiers. Any other string is a custom resource.
 VCPU = "vcpu"
@@ -36,6 +36,7 @@ BILLABLE_TIME_KINDS = ("execution", "turnaround", "cpu_time_only")
 USAGE_BASES = ("absolute", "per_billable_second")
 
 _MAX_AMOUNT = Decimal(MAX_AMOUNT)
+_NO_EXTRAS: Mapping[str, Decimal] = MappingProxyType({})
 
 
 class BillingError(ValueError):
@@ -54,13 +55,25 @@ class MissingGranularityError(BillingError):
     """Rounding was requested but the config has no documented granularity."""
 
 
-@dataclass(frozen=True)
-class IndependentKnobs:
+def _price(value: Optional[Number]) -> Optional[Decimal]:
+    """An optional unit price as a Decimal; a negative one is rejected."""
+    if value is None:
+        return None
+    price = dec(value)
+    if price < 0:
+        raise BillingError("unit price must be >= 0")
+    return price
+
+
+class IndependentKnobs(NamedTuple):
     """Resources are set independently; requested allocation is granted as is."""
 
 
-@dataclass(frozen=True)
-class CpuProportionalToMemory:
+class _CpuProportionalToMemory(NamedTuple):
+    mem_per_vcpu_mb: Decimal
+
+
+class CpuProportionalToMemory(Checked, _CpuProportionalToMemory):
     """vCPUs are granted in proportion to allocated memory.
 
     ``mem_per_vcpu_mb`` is the memory that corresponds to one full vCPU.
@@ -68,23 +81,26 @@ class CpuProportionalToMemory:
     raising memory first, so normalization never shrinks either resource.
     """
 
-    mem_per_vcpu_mb: Decimal
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mem_per_vcpu_mb", dec(self.mem_per_vcpu_mb))
-        if self.mem_per_vcpu_mb <= 0:
+    def _check(self):
+        mem_per_vcpu_mb = dec(self.mem_per_vcpu_mb)
+        if mem_per_vcpu_mb <= 0:
             raise BillingError("mem_per_vcpu_mb must be > 0")
+        return tuple.__new__(type(self), (mem_per_vcpu_mb,))
 
 
-@dataclass(frozen=True)
-class FixedCombos:
-    """Only a fixed list of (vcpu, memory_mb) pairs can be allocated."""
-
+class _FixedCombos(NamedTuple):
     combos: Tuple[Tuple[Decimal, Decimal], ...]
 
-    def __post_init__(self) -> None:
+
+class FixedCombos(Checked, _FixedCombos):
+    """Only a fixed list of (vcpu, memory_mb) pairs can be allocated."""
+
+    __slots__ = ()
+
+    def _check(self):
         combos = tuple((dec(v), dec(m)) for v, m in self.combos)
-        object.__setattr__(self, "combos", combos)
         if not combos:
             raise BillingError("fixed_combos requires a nonempty combo list")
         mems = [m for _, m in combos]
@@ -92,31 +108,40 @@ class FixedCombos:
             raise BillingError("fixed_combos must be strictly increasing in memory")
         if any(v < 0 or m <= 0 for v, m in combos):
             raise BillingError("combo amounts must be positive")
+        return tuple.__new__(type(self), (combos,))
 
 
-@dataclass(frozen=True)
-class RatioConstrained:
-    """vCPU and memory are stepped knobs bound by a vCPU : memory-GB ratio."""
-
+class _RatioConstrained(NamedTuple):
     min_ratio: Decimal
     max_ratio: Decimal
     cpu_step: Decimal
     mem_step_mb: Decimal
 
-    def __post_init__(self) -> None:
-        for name in ("min_ratio", "max_ratio", "cpu_step", "mem_step_mb"):
-            object.__setattr__(self, name, dec(getattr(self, name)))
-        if not 0 < self.min_ratio <= self.max_ratio:
+
+class RatioConstrained(Checked, _RatioConstrained):
+    """vCPU and memory are stepped knobs bound by a vCPU : memory-GB ratio."""
+
+    __slots__ = ()
+
+    def _check(self):
+        value = tuple.__new__(type(self), map(dec, self))
+        if not 0 < value.min_ratio <= value.max_ratio:
             raise BillingError("need 0 < min_ratio <= max_ratio")
-        if self.cpu_step <= 0 or self.mem_step_mb <= 0:
+        if value.cpu_step <= 0 or value.mem_step_mb <= 0:
             raise BillingError("knob steps must be > 0")
+        return value
 
 
 KnobCoupling = Union[IndependentKnobs, CpuProportionalToMemory, FixedCombos, RatioConstrained]
 
 
-@dataclass(frozen=True)
-class AllocResourceSpec:
+class _AllocResourceSpec(NamedTuple):
+    resource: str
+    granularity: Decimal
+    unit_price_usd_per_unit_second: Optional[Decimal] = None
+
+
+class AllocResourceSpec(Checked, _AllocResourceSpec):
     """One allocation-billed resource: granularity and price per unit-second.
 
     ``resource`` is ``vcpu``, ``memory_gb``, or a custom name; the
@@ -125,23 +150,24 @@ class AllocResourceSpec:
     does not document it.
     """
 
+    __slots__ = ()
+
+    def _check(self):
+        granularity = dec(self.granularity)
+        price = _price(self.unit_price_usd_per_unit_second)
+        if granularity <= 0:
+            raise BillingError("granularity must be > 0")
+        return tuple.__new__(type(self), (self.resource, granularity, price))
+
+
+class _UsageResourceSpec(NamedTuple):
     resource: str
     granularity: Decimal
-    unit_price_usd_per_unit_second: Optional[Decimal] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "granularity", dec(self.granularity))
-        if self.unit_price_usd_per_unit_second is not None:
-            price = dec(self.unit_price_usd_per_unit_second)
-            object.__setattr__(self, "unit_price_usd_per_unit_second", price)
-            if price < 0:
-                raise BillingError("unit price must be >= 0")
-        if self.granularity <= 0:
-            raise BillingError("granularity must be > 0")
+    unit_price_usd_per_unit: Optional[Decimal] = None
+    billing_basis: str = "absolute"
 
 
-@dataclass(frozen=True)
-class UsageResourceSpec:
+class UsageResourceSpec(Checked, _UsageResourceSpec):
     """One usage-billed resource.
 
     Units by convention: ``vcpu`` usage on the ``absolute`` basis is
@@ -151,28 +177,19 @@ class UsageResourceSpec:
     billable time).
     """
 
-    resource: str
-    granularity: Decimal
-    unit_price_usd_per_unit: Optional[Decimal] = None
-    billing_basis: str = "absolute"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "granularity", dec(self.granularity))
-        if self.unit_price_usd_per_unit is not None:
-            price = dec(self.unit_price_usd_per_unit)
-            object.__setattr__(self, "unit_price_usd_per_unit", price)
-            if price < 0:
-                raise BillingError("unit price must be >= 0")
-        if self.granularity <= 0:
+    def _check(self):
+        granularity = dec(self.granularity)
+        price = _price(self.unit_price_usd_per_unit)
+        if granularity <= 0:
             raise BillingError("granularity must be > 0")
         if self.billing_basis not in USAGE_BASES:
             raise BillingError(f"unknown billing basis: {self.billing_basis!r}")
+        return tuple.__new__(type(self), (self.resource, granularity, price, self.billing_basis))
 
 
-@dataclass(frozen=True)
-class PlatformBillingConfig:
-    """All billing parameters of one platform/plan."""
-
+class _PlatformBillingConfig(NamedTuple):
     name: str
     billable_time_kind: str
     time_granularity_ms: Optional[Decimal]
@@ -183,28 +200,35 @@ class PlatformBillingConfig:
     knob_coupling: KnobCoupling
     notes: str = ""
 
-    def __post_init__(self) -> None:
+
+class PlatformBillingConfig(Checked, _PlatformBillingConfig):
+    """All billing parameters of one platform/plan."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.billable_time_kind not in BILLABLE_TIME_KINDS:
             raise BillingError(f"unknown billable time kind: {self.billable_time_kind!r}")
-        if self.time_granularity_ms is not None:
-            gran = dec(self.time_granularity_ms)
-            object.__setattr__(self, "time_granularity_ms", gran)
-            if gran <= 0:
+        granularity = self.time_granularity_ms
+        if granularity is not None:
+            granularity = dec(granularity)
+            if granularity <= 0:
                 raise BillingError("time_granularity_ms must be > 0")
-        object.__setattr__(self, "time_min_cutoff_ms", dec(self.time_min_cutoff_ms))
-        if self.time_min_cutoff_ms < 0:
+        cutoff = dec(self.time_min_cutoff_ms)
+        if cutoff < 0:
             raise BillingError("time_min_cutoff_ms must be >= 0")
-        if self.invocation_fee_usd is not None:
-            fee = dec(self.invocation_fee_usd)
-            object.__setattr__(self, "invocation_fee_usd", fee)
+        fee = self.invocation_fee_usd
+        if fee is not None:
+            fee = dec(fee)
             if fee < 0:
                 raise BillingError("invocation_fee_usd must be >= 0")
-        object.__setattr__(self, "alloc_resources", tuple(self.alloc_resources))
-        object.__setattr__(self, "usage_resources", tuple(self.usage_resources))
-        names = [s.resource for s in self.alloc_resources]
-        names += [s.resource for s in self.usage_resources]
+        alloc = tuple(self.alloc_resources)
+        usage = tuple(self.usage_resources)
+        names = [s.resource for s in alloc] + [s.resource for s in usage]
         if len(set(names)) != len(names):
             raise BillingError("each resource may appear in at most one spec list")
+        return tuple.__new__(type(self), (self.name, self.billable_time_kind, granularity, cutoff,
+                                          alloc, usage, fee, self.knob_coupling, self.notes))
 
     def alloc_spec(self, resource: str) -> Optional[AllocResourceSpec]:
         for spec in self.alloc_resources:
@@ -219,29 +243,38 @@ class PlatformBillingConfig:
         return None
 
 
-@dataclass(frozen=True)
-class ResourceAllocation:
+class _ResourceAllocation(NamedTuple):
+    vcpus: Decimal = Decimal(0)
+    memory_mb: Decimal = Decimal(0)
+    extras: Mapping[str, Decimal] = _NO_EXTRAS
+
+
+class ResourceAllocation(Checked, _ResourceAllocation):
     """Resources granted to one sandbox: vCPUs, memory, optional extras.
 
     Each amount lies in ``[0, MAX_AMOUNT)``.
     """
 
-    vcpus: Decimal = Decimal(0)
-    memory_mb: Decimal = Decimal(0)
-    extras: Mapping[str, Decimal] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vcpus", dec(self.vcpus))
-        object.__setattr__(self, "memory_mb", dec(self.memory_mb))
+    def _check(self):
+        vcpus = dec(self.vcpus)
+        memory_mb = dec(self.memory_mb)
         extras = MappingProxyType({k: dec(v) for k, v in self.extras.items()})
-        object.__setattr__(self, "extras", extras)
-        amounts = (self.vcpus, self.memory_mb, *extras.values())
+        amounts = (vcpus, memory_mb, *extras.values())
         if not all(0 <= v < _MAX_AMOUNT for v in amounts):
             raise BillingError("allocation amounts must be >= 0 and below 2**53")
+        return tuple.__new__(type(self), (vcpus, memory_mb, extras))
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class _CostBreakdown(NamedTuple):
+    billable_time_ms: Decimal
+    alloc_terms: Mapping[str, Tuple[Decimal, Decimal]]
+    usage_terms: Mapping[str, Tuple[Decimal, Decimal]]
+    fee_usd: Decimal
+
+
+class CostBreakdown(Checked, _CostBreakdown):
     """Itemized cost of one invocation.
 
     ``alloc_terms`` / ``usage_terms`` map resource name to
@@ -250,25 +283,26 @@ class CostBreakdown:
     12 fractional digits.
     """
 
-    billable_time_ms: Decimal
-    alloc_terms: Mapping[str, Tuple[Decimal, Decimal]]
-    usage_terms: Mapping[str, Tuple[Decimal, Decimal]]
-    fee_usd: Decimal
-    total_usd: Decimal = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alloc_terms", MappingProxyType(dict(self.alloc_terms)))
-        object.__setattr__(self, "usage_terms", MappingProxyType(dict(self.usage_terms)))
-        total = self.fee_usd
-        for _, usd in self.alloc_terms.values():
-            total += usd
-        for _, usd in self.usage_terms.values():
-            total += usd
-        object.__setattr__(self, "total_usd", total)
+    def _check(self):
+        alloc_terms = MappingProxyType(dict(self.alloc_terms))
+        usage_terms = MappingProxyType(dict(self.usage_terms))
         if self.fee_usd < 0 or any(
-            usd < 0 for _, usd in [*self.alloc_terms.values(), *self.usage_terms.values()]
+            usd < 0 for _, usd in [*alloc_terms.values(), *usage_terms.values()]
         ):
             raise BillingError("cost components must be >= 0")
+        return tuple.__new__(type(self), (self.billable_time_ms, alloc_terms, usage_terms,
+                                          self.fee_usd))
+
+    @property
+    def total_usd(self) -> Decimal:
+        total = self.fee_usd
+        for _, usd in self.alloc_terms.values():
+            total = CONTEXT.add(total, usd)
+        for _, usd in self.usage_terms.values():
+            total = CONTEXT.add(total, usd)
+        return total
 
     def as_dict(self) -> dict:
         """JSON-ready form with USD amounts as fixed-point decimal strings."""

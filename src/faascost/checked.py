@@ -1,7 +1,7 @@
 """A base for immutable value types that check their fields when made.
 
-The simulator and profiler types are ``typing.NamedTuple`` classes: they
-need no ``dataclasses`` machinery at import time. A type that validates puts
+The package's value types are ``typing.NamedTuple`` classes: they need no
+``dataclasses`` machinery at import time. A type that validates puts
 :class:`Checked` before its NamedTuple base and defines ``_check``.
 """
 
@@ -10,21 +10,25 @@ class Checked:
     """Runs ``self._check()`` on every construction of the NamedTuple
     subclass that lists it first.
 
-    ``_make``, and ``_replace`` through it, otherwise build the tuple with
-    ``tuple.__new__`` and skip ``__new__``; here both go through the
-    constructor, so a changed copy is checked like a new value.
+    ``_check`` raises on an invalid value and otherwise returns None, or,
+    for a type whose fields are converted when made (numbers to
+    ``Decimal``, say), the converted copy, built with ``tuple.__new__``;
+    the constructor then returns that copy. ``_make``, and ``_replace``
+    through it, otherwise build the tuple with ``tuple.__new__`` and skip
+    ``__new__``; here both go through the constructor, so a changed copy is
+    checked like a new value.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
+        converted = self._check()
+        return self if converted is None else converted
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def _check(self) -> None:
+    def _check(self):
         raise NotImplementedError

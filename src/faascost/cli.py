@@ -14,10 +14,10 @@ identical inputs and seed, output files are byte-identical across reruns;
 the manifest's ``wall_time_s`` field is the one exception.
 
 Each command imports only the layers it runs, so ``simulate`` starts
-without billing, traces, PyYAML or ``dataclasses``. One rule binds the names
-taken from the layers: the first read of ``faascost.cli.<name>`` imports
-that name's layer and binds the name, and the commands read every such name
-as an attribute of this module. A patch on ``faascost.cli.<name>``, made
+without billing, traces or PyYAML, and none imports ``dataclasses``. One
+rule binds the names taken from the layers: the first read of
+``faascost.cli.<name>`` imports that name's layer and binds the name, and
+the commands read every such name as an attribute of this module. A patch on ``faascost.cli.<name>``, made
 before or after that first read, is therefore what the commands call.
 """
 
@@ -28,6 +28,7 @@ import csv
 import contextlib
 import importlib
 import json
+import math
 import os
 import sys
 import time
@@ -47,8 +48,8 @@ _LAYER_NAMES: Dict[str, Sequence[str]] = {
                 "fee_equivalent_walltime", "normalize_allocation", "resolve_platform",
                 "resolve_platform_path"),
     "traces": ("IngestStats", "InvocationRecord", "RoundingPolicy", "SchemaMap",
-               "cold_start_differential", "inflation_analysis", "ingest_trace",
-               "rounding_up_stats", "utilization_correlation"),
+               "check_session_gap", "cold_start_differential", "inflation_analysis",
+               "ingest_trace", "rounding_up_stats", "utilization_correlation"),
     "sched": ("BandwidthControlConfig", "TaskSpec", "closed_form_duration",
               "duration_curve", "fraction_grid", "quantization_breakpoints", "simulate"),
     "profiler": ("ProbeConfig", "PUBLISHED_PLATFORM_SCHEDULERS", "ReferenceSchedParams",
@@ -73,8 +74,6 @@ _BILL_COLUMNS = (
     "usage_usd",
     "total_usd",
 )
-# The columns that depend only on what a record is billed for.
-_PRICED_COLUMNS = _BILL_COLUMNS[4:]
 #: Distinct billing keys whose priced columns ``bill --records`` keeps; a
 #: record with a new key past this many is priced on its own.
 BILL_KEYS_CAP = 2**16
@@ -168,17 +167,17 @@ class _Run:
         else:
             path.write_text(text)
 
-    def rows(self, rows: Iterable[dict], fieldnames: Sequence[str], stem: str) -> None:
-        """The ``fieldnames`` columns of the rows as CSV or as one JSON array,
-        each row written as it comes."""
+    def rows(self, rows: Iterable[Sequence], fieldnames: Sequence[str], stem: str) -> None:
+        """The rows, each a sequence of the ``fieldnames`` columns in order, as
+        CSV or as one JSON array of objects, each row written as it comes."""
         path = self.target(f"{stem}.{self.args.format}")
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
             if self.args.format == "json":
-                _write_json_array(fh, ({name: row[name] for name in fieldnames} for row in rows))
+                _write_json_array(fh, (dict(zip(fieldnames, row)) for row in rows))
                 return
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
-            writer.writerows([row[name] for name in fieldnames] for row in rows)
+            writer.writerows(rows)
 
     def commit(self) -> None:
         """Stage ``run.json``, then give every staged output its final name."""
@@ -252,8 +251,6 @@ def _read_yaml(source: Path):
 def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
     if source is None:
         return None
-    import dataclasses
-
     if source.suffix == ".json":
         with open(source, "rb") as fh:
             try:
@@ -264,7 +261,7 @@ def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
         doc = _read_yaml(source)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
         raise CliError(f"{source}: schema file must be a mapping with a 'columns' mapping")
-    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(_cli.SchemaMap)})
+    unknown = sorted(set(doc) - set(_cli.SchemaMap._fields))
     if unknown:
         raise CliError(f"{source}: unknown schema keys: {unknown}")
     try:
@@ -276,27 +273,20 @@ def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
 # ------------------------------------------------------------------ bill
 
 
-def _bill_row(record, config, alloc) -> dict:
+def _bill_row(record, config, alloc) -> tuple:
+    """``record``'s row: four cells of its own, then its priced strings."""
     breakdown = _cli.compute_cost(record, config, alloc)
     doc = breakdown.as_dict()
-    return {
-        "function_id": record.function_id,
-        "instance_id": record.instance_id,
-        "arrival_ts_ms": record.arrival_ts_ms,
-        "exec_duration_ms": record.exec_duration_ms,
-        "billable_time_ms": doc["billable_time_ms"],
-        "fee_usd": doc["fee_usd"],
-        "alloc_usd": _cli.usd_string(
-            sum((usd for _, usd in breakdown.alloc_terms.values()), Decimal(0))
-        ),
-        "usage_usd": _cli.usd_string(
-            sum((usd for _, usd in breakdown.usage_terms.values()), Decimal(0))
-        ),
-        "total_usd": doc["total_usd"],
-    }
+    return (
+        record.function_id, record.instance_id, record.arrival_ts_ms, record.exec_duration_ms,
+        doc["billable_time_ms"], doc["fee_usd"],
+        _cli.usd_string(sum((usd for _, usd in breakdown.alloc_terms.values()), Decimal(0))),
+        _cli.usd_string(sum((usd for _, usd in breakdown.usage_terms.values()), Decimal(0))),
+        doc["total_usd"],
+    )
 
 
-def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> Iterator[dict]:
+def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> Iterator[tuple]:
     """:func:`_bill_row` of each record, priced once per distinct billing key.
 
     The key is the record's :class:`TraceBilling` key. Every record with
@@ -309,19 +299,14 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
         key = billing.key(record)
         strings = priced.get(key)
         if strings is not None:
-            yield dict(zip(_BILL_COLUMNS, (
-                record.function_id,
-                record.instance_id,
-                record.arrival_ts_ms,
-                record.exec_duration_ms,
-                *strings,
-            )))
+            yield (record.function_id, record.instance_id, record.arrival_ts_ms,
+                   record.exec_duration_ms, *strings)
             continue
         granted = billing.grant(record.alloc_vcpus, record.alloc_memory_mb)[0]
         row = _bill_row(record, config, granted)
         if key is not None and len(priced) < BILL_KEYS_CAP:
             # Interned, so the fee and repeated amounts are stored once.
-            priced[key] = tuple(sys.intern(row[name]) for name in _PRICED_COLUMNS)
+            priced[key] = tuple(map(sys.intern, row[4:]))
         yield row
 
 
@@ -378,6 +363,10 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
     # bytecode is cached, allocates and frees about 1.7 MB; on top of a held
     # 20k-row trace that was 0.8 MB more peak RSS.
     importlib.import_module("faascost.traces.analysis")
+    # The analyses' options are checked before the trace is read, too.
+    if "cold-start" in analyses:
+        _cli.check_session_gap(args.session_gap_ms)
+    policies = _roundup_policies(args) if "roundup" in analyses else None
 
     stats = _cli.IngestStats()
     records = list(
@@ -401,24 +390,22 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
     if "cold-start" in analyses:
         report["cold_start"] = _analyze_cold_start(records, args, run)
     if "roundup" in analyses:
-        report["rounding_up"] = _analyze_roundup(records, args, run)
+        report["rounding_up"] = _analyze_roundup(records, policies, run)
     run.json(report, "report.json")
 
 
 def _analyze_inflation(records: list, args: argparse.Namespace, run: _Run) -> List[dict]:
     rows = []
     blocks = []
+    prefixes = ("billable_vcpu_s", "billable_gb_s")
     for name in _split_list(args.platforms):
         rep = _cli.inflation_analysis(records, run.platform(name), mapping=args.mapping)
         doc = rep.as_dict()
         blocks.append(doc)
-        row = {key: doc[key] for key in _INFLATION_COLUMNS}
-        for prefix in ("billable_vcpu_s", "billable_gb_s"):
-            block = doc[prefix] or {}
-            for stat in _SKETCH_STATS:
-                row[f"{prefix}_{stat}"] = block.get(stat)
-        rows.append(row)
-    run.rows(rows, list(rows[0]), "inflation")
+        rows.append([doc[key] for key in _INFLATION_COLUMNS]
+                    + [(doc[p] or {}).get(stat) for p in prefixes for stat in _SKETCH_STATS])
+    columns = [*_INFLATION_COLUMNS, *(f"{p}_{stat}" for p in prefixes for stat in _SKETCH_STATS)]
+    run.rows(rows, columns, "inflation")
     return blocks
 
 
@@ -427,13 +414,10 @@ def _analyze_correlation(records: list, args: argparse.Namespace, run: _Run) -> 
     if corr.undefined:
         print(f"warning: correlation undefined: {corr.undefined}", file=sys.stderr)
     doc = corr.as_dict()
-    run.rows([doc], list(doc), "utilization_correlation")
+    run.rows([doc.values()], list(doc), "utilization_correlation")
     if corr.scatter_x:
-        srows = (
-            {"cpu_utilization": x, "mem_utilization": y}
-            for x, y in zip(corr.scatter_x, corr.scatter_y)
-        )
-        run.rows(srows, ["cpu_utilization", "mem_utilization"], "utilization_scatter")
+        run.rows(zip(corr.scatter_x, corr.scatter_y), ["cpu_utilization", "mem_utilization"],
+                 "utilization_scatter")
     return doc
 
 
@@ -442,11 +426,11 @@ def _analyze_cold_start(records: list, args: argparse.Namespace, run: _Run) -> d
     doc = cold.as_dict()
     row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
     row["flags"] = ";".join(doc["flags"])
-    run.rows([row], list(row), "cold_start")
+    run.rows([row.values()], list(row), "cold_start")
     return doc
 
 
-def _analyze_roundup(records: list, args: argparse.Namespace, run: _Run) -> List[dict]:
+def _roundup_policies(args: argparse.Namespace) -> list:
     policies = []
     for gran in _split_list(args.roundup_ms):
         name = f"{gran}ms"
@@ -457,8 +441,12 @@ def _analyze_roundup(records: list, args: argparse.Namespace, run: _Run) -> List
         policies.append(
             _cli.RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
         )
+    return policies
+
+
+def _analyze_roundup(records: list, policies: list, run: _Run) -> List[dict]:
     docs = [s.as_dict() for s in _cli.rounding_up_stats(records, policies)]
-    run.rows(docs, list(docs[0]), "rounding_up")
+    run.rows([d.values() for d in docs], list(docs[0]), "rounding_up")
     return docs
 
 
@@ -523,16 +511,13 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
             flavor=args.flavor,
             lagged_accounting=lagged,
         )
-        run.rows(curve.csv_rows(), _CURVE_COLUMNS, f"duration_curve_p{slug}")
+        run.rows(curve.points, _CURVE_COLUMNS, f"duration_curve_p{slug}")
         if args.breakpoints:
             rep = _cli.quantization_breakpoints(
                 curve, mem_per_vcpu_mb=args.mem_per_vcpu_mb
             )
-            run.rows(
-                (b._asdict() for b in rep.breakpoints),
-                ["fraction", "completion_drop_ms", "memory_mb"],
-                f"breakpoints_p{slug}",
-            )
+            run.rows(rep.breakpoints, ["fraction", "completion_drop_ms", "memory_mb"],
+                     f"breakpoints_p{slug}")
             for warning in rep.warnings:
                 print(f"warning: P={period}: {warning}", file=sys.stderr)
 
@@ -562,10 +547,13 @@ def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], even
     sidecar = events_path.with_name("probe_summary.json")
     if sidecar.exists():
         try:
-            return float(json.loads(run.input(str(sidecar)).read_text())["total_runtime_ms"])
+            runtime_ms = float(json.loads(run.input(str(sidecar)).read_text())["total_runtime_ms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{sidecar}: expected a JSON object with a numeric "
                            f"'total_runtime_ms'") from exc
+        if not math.isfinite(runtime_ms):
+            raise CliError(f"{sidecar}: total_runtime_ms must be finite")
+        return runtime_ms
     if not events:
         raise CliError("--runtime-ms is required when the event log is empty")
     fallback = events[-1].detected_at_ms

@@ -113,6 +113,5 @@ def ceil_to(amount: Decimal, granularity: Decimal) -> Decimal:
 
 def usd_string(amount: Decimal) -> str:
     """Serialize a USD amount as a fixed-point string with 12 fractional digits."""
-    with decimal.localcontext(CONTEXT):
-        quantized = amount.quantize(_USD_QUANTUM, rounding=decimal.ROUND_HALF_EVEN)
+    quantized = amount.quantize(_USD_QUANTUM, rounding=decimal.ROUND_HALF_EVEN, context=CONTEXT)
     return format(quantized, "f")

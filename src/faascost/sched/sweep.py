@@ -92,18 +92,6 @@ class DurationCurve(NamedTuple):
         """Largest deviation magnitude from the ideal duration."""
         return max(abs(p.relative_deviation) for p in self.points)
 
-    def csv_rows(self) -> List[dict]:
-        return [
-            {
-                "f": p.fraction,
-                "quota_ms": p.quota_ms,
-                "completion_ms": p.completion_ms,
-                "ideal_ms": p.ideal_ms,
-                "n_throttles": p.n_throttles,
-            }
-            for p in self.points
-        ]
-
 
 def duration_curve(
     task: TaskSpec,

@@ -15,6 +15,7 @@ _SUBMODULES = {
     "InflationReport": "analysis",
     "RoundingPolicy": "analysis",
     "RoundingUpStats": "analysis",
+    "check_session_gap": "analysis",
     "cold_start_differential": "analysis",
     "inflation_analysis": "analysis",
     "rounding_up_stats": "analysis",

@@ -20,16 +20,16 @@ import decimal
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .records import InvocationRecord
 from .sketch import QuantileSketch
 from ..billing import engine as billing_engine
 from ..billing.model import PlatformBillingConfig
+from ..checked import Checked
 from ..money import CONTEXT, ceil_to, dec, micros, whole_units
 
 
@@ -109,8 +109,7 @@ class BillableDistribution:
         return float(self._values[bisect.bisect_left(self._ranks, rank)])
 
 
-@dataclass
-class InflationReport:
+class InflationReport(NamedTuple):
     platform: str
     mapping: str
     n: int
@@ -122,7 +121,7 @@ class InflationReport:
     mean_inflation_mem: Optional[float]
     vcpu_s_sketch: Optional[BillableDistribution]
     gb_s_sketch: Optional[BillableDistribution]
-    flags: List[str] = field(default_factory=list)
+    flags: List[str]
 
     def as_dict(self) -> dict:
         def pct(dist: Optional[BillableDistribution]) -> Optional[dict]:
@@ -276,8 +275,7 @@ def inflation_analysis(
     )
 
 
-@dataclass
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """The correlation and its scatter sample, whose i-th point is
     ``(scatter_x[i], scatter_y[i])``: CPU and memory utilization.
 
@@ -372,8 +370,7 @@ def utilization_correlation(
     )
 
 
-@dataclass(frozen=True)
-class ColdStartDiff:
+class ColdStartDiff(NamedTuple):
     instance_key: str
     function_id: str
     init_vcpu_s: float
@@ -390,8 +387,7 @@ class ColdStartDiff:
         return self.subsequent_gb_s - self.init_gb_s
 
 
-@dataclass
-class ColdStartReport:
+class ColdStartReport(NamedTuple):
     n_records: int
     n_instances: int
     n_cold_instances: int
@@ -400,7 +396,7 @@ class ColdStartReport:
     fraction_nonpositive: Optional[float]
     diff_vcpu_s_sketch: QuantileSketch
     diffs: Optional[List[ColdStartDiff]]
-    flags: List[str] = field(default_factory=list)
+    flags: List[str]
 
     def as_dict(self) -> dict:
         out = {
@@ -436,6 +432,12 @@ class _InstanceState:
         self.vcpu_total = self.vcpu_comp = self.gb_total = self.gb_comp = 0.0
 
 
+def check_session_gap(session_gap_ms: float) -> None:
+    """Reject a session gap that is not nonnegative; infinity never splits."""
+    if not session_gap_ms >= 0:  # NaN too: no gap would compare above it
+        raise ValueError("session_gap_ms must be nonnegative")
+
+
 def cold_start_differential(
     records: Iterable[InvocationRecord],
     *,
@@ -451,10 +453,9 @@ def cold_start_differential(
     wall-clock allocation-seconds so the comparison is not skewed by any
     platform's rounding. Records without an instance_id fall back to
     per-function sessions split at cold starts or arrival gaps above
-    ``session_gap_ms``, which must be nonnegative (infinity never splits).
+    ``session_gap_ms``, which must pass :func:`check_session_gap`.
     """
-    if not session_gap_ms >= 0:  # NaN too: no gap would compare above it
-        raise ValueError("session_gap_ms must be nonnegative")
+    check_session_gap(session_gap_ms)
     instances: Dict[str, _InstanceState] = {}
     session_last: Dict[str, float] = {}
     session_idx: Dict[str, int] = {}
@@ -546,31 +547,32 @@ def cold_start_differential(
     )
 
 
-@dataclass(frozen=True)
-class RoundingPolicy:
-    """A (time granularity, cutoff, memory granularity) rounding rule, in
-    exact decimals (numbers convert through :func:`faascost.money.dec`)."""
-
+class _RoundingPolicy(NamedTuple):
     name: str
     time_granularity_ms: Decimal
     time_min_cutoff_ms: Decimal = Decimal(0)
     mem_granularity_gb: Optional[Decimal] = None
 
-    def __post_init__(self) -> None:
-        for name in ("time_granularity_ms", "time_min_cutoff_ms", "mem_granularity_gb"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, dec(value))
-        if self.time_granularity_ms <= 0:
+
+class RoundingPolicy(Checked, _RoundingPolicy):
+    """A (time granularity, cutoff, memory granularity) rounding rule, in
+    exact decimals (numbers convert through :func:`faascost.money.dec`)."""
+
+    __slots__ = ()
+
+    def _check(self):
+        name, *amounts = self
+        value = tuple.__new__(type(self), (name, *(None if a is None else dec(a) for a in amounts)))
+        if value.time_granularity_ms <= 0:
             raise ValueError("time granularity must be positive")
-        if self.time_min_cutoff_ms < 0:
+        if value.time_min_cutoff_ms < 0:
             raise ValueError("cutoff must be nonnegative")
-        if self.mem_granularity_gb is not None and self.mem_granularity_gb <= 0:
+        if value.mem_granularity_gb is not None and value.mem_granularity_gb <= 0:
             raise ValueError("memory granularity must be positive")
+        return value
 
 
-@dataclass
-class RoundingUpStats:
+class RoundingUpStats(NamedTuple):
     policy: RoundingPolicy
     n: int
     n_skipped_short: int

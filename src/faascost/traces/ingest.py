@@ -13,7 +13,6 @@ import gzip
 import io
 import math
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Dict, Iterator, Optional, Tuple, Union
 
@@ -40,14 +39,14 @@ _ZERO = 0.0
 _ZERO_CELLS = frozenset({"", "0", "0.0", "0.000000"})
 
 
-@dataclass
 class IngestStats:
     """Counters filled in while the record generator is consumed."""
 
-    rows_read: int = 0
-    records_yielded: int = 0
-    malformed_skipped: int = 0
-    zero_cpu_filtered: int = 0
+    __slots__ = ("rows_read", "records_yielded", "malformed_skipped", "zero_cpu_filtered")
+
+    def __init__(self) -> None:
+        self.rows_read = self.records_yielded = 0
+        self.malformed_skipped = self.zero_cpu_filtered = 0
 
 
 class _Sniffed(io.RawIOBase):
@@ -209,10 +208,12 @@ def ingest_trace(
                         vcpus, mem_mb = pooled
                     elif 0 < vcpus < MIN_ALLOCATION or 0 < mem_mb < MIN_ALLOCATION:
                         raise ValueError("positive allocation below MIN_ALLOCATION")
-                    record = InvocationRecord(
+                    # tuple.__new__ and one check: the constructor's path costs twice as much.
+                    record = tuple.__new__(InvocationRecord, (
                         function_id, instance, arrival, exec_ms, init_ms, cold, vcpus, mem_mb,
                         cpu_avg, mem_usage,
-                    )
+                    ))
+                    record._check()
                     if pooled is None:  # pooled once the record has checked it
                         pooled = (vcpus, mem_mb)
                         allocs[pooled] = pooled

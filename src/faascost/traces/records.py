@@ -2,17 +2,17 @@
 
 The canonical schema is this toolkit's own; real traces bind their column
 names and units through :class:`SchemaMap` so the analytics stay
-format-agnostic. An :class:`InvocationRecord` is a slotted dataclass, not a
-frozen one, so a trace held in memory costs less per row; records are
-read-only by convention, and ``dataclasses.replace`` makes a changed copy.
+format-agnostic. Both are checked ``typing.NamedTuple`` classes
+(:class:`faascost.checked.Checked`): a record is an immutable tuple of its
+ten fields, and ``_replace`` makes a checked changed copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
+from faascost.checked import Checked
 from faascost.money import MAX_AMOUNT
 
 # Multipliers into canonical units (ms for durations, MB for memory).
@@ -20,19 +20,7 @@ DURATION_UNITS = {"us": 0.001, "ms": 1.0, "s": 1000.0}
 MEMORY_UNITS = {"bytes": 1.0 / (1024.0 * 1024.0), "kb": 1.0 / 1024.0, "mb": 1.0, "gb": 1024.0}
 
 
-@dataclass(slots=True)
-class InvocationRecord:
-    """One request from a trace.
-
-    ``alloc_vcpus`` and ``alloc_memory_mb`` are the allocation as the trace
-    measured it; :class:`faascost.billing.engine.TraceBilling` turns it into
-    the exact allocation a platform grants and bills.
-    ``cpu_usage_avg_vcpus`` is the mean vCPUs consumed over the execution;
-    ``mem_usage_mb`` follows whatever convention (peak or mean) the trace
-    declares in its schema map.  The arrival time must be finite; durations,
-    allocations and usage amounts must lie in ``[0, MAX_AMOUNT)``.
-    """
-
+class _InvocationRecord(NamedTuple):
     function_id: str
     instance_id: str
     arrival_ts_ms: float
@@ -44,7 +32,22 @@ class InvocationRecord:
     cpu_usage_avg_vcpus: float
     mem_usage_mb: float
 
-    def __post_init__(self) -> None:
+
+class InvocationRecord(Checked, _InvocationRecord):
+    """One request from a trace.
+
+    ``alloc_vcpus`` and ``alloc_memory_mb`` are the allocation as the trace
+    measured it; :class:`faascost.billing.engine.TraceBilling` turns it into
+    the exact allocation a platform grants and bills.
+    ``cpu_usage_avg_vcpus`` is the mean vCPUs consumed over the execution;
+    ``mem_usage_mb`` follows whatever convention (peak or mean) the trace
+    declares in its schema map.  The arrival time must be finite; durations,
+    allocations and usage amounts must lie in ``[0, MAX_AMOUNT)``.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         # NaN fails every comparison, so each check also rejects it.
         if not math.isfinite(self.arrival_ts_ms):
             raise ValueError("arrival time must be finite")
@@ -73,8 +76,16 @@ REQUIRED_FIELDS = (
 OPTIONAL_FIELDS = ("instance_id", "init_duration", "is_cold_start")
 
 
-@dataclass(frozen=True)
-class SchemaMap:
+class _SchemaMap(NamedTuple):
+    columns: Dict[str, str]
+    duration_unit: str = "ms"
+    timestamp_unit: str = "ms"
+    memory_unit: str = "mb"
+    memory_usage_semantics: str = "unspecified"
+    delimiter: str = ","
+
+
+class SchemaMap(Checked, _SchemaMap):
     """Binds canonical record fields to trace column names, with units.
 
     ``columns`` maps canonical field name -> trace column name. Units
@@ -83,14 +94,9 @@ class SchemaMap:
     ``mem_usage`` is a peak or a mean; it is accepted and not read.
     """
 
-    columns: Dict[str, str]
-    duration_unit: str = "ms"
-    timestamp_unit: str = "ms"
-    memory_unit: str = "mb"
-    memory_usage_semantics: str = "unspecified"
-    delimiter: str = ","
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         missing = [f for f in REQUIRED_FIELDS if f not in self.columns]
         if missing:
             raise ValueError(f"schema map missing required fields: {missing}")

@@ -1,6 +1,5 @@
 """Trace analytics against hand-worked examples and naive oracles."""
 
-import dataclasses
 import decimal
 import math
 import random
@@ -246,8 +245,7 @@ def mixed_digit_records(seed, n):
     out = random_records(random.Random(seed), n)
     for i in range(0, n, 2):
         r = out[i]
-        out[i] = dataclasses.replace(
-            r,
+        out[i] = r._replace(
             exec_duration_ms=round(r.exec_duration_ms, 3),
             init_duration_ms=round(r.init_duration_ms, 3),
             cpu_usage_avg_vcpus=round(r.cpu_usage_avg_vcpus, 3),

@@ -22,6 +22,7 @@ from faascost.cli import _write_json_array, build_parser, main
 from faascost.money import dec, usd_string
 from faascost.sched import TaskSpec, closed_form_duration
 from faascost.traces import (
+    default_schema_map,
     generate_synthetic_trace,
     ingest_trace,
     utilization_correlation,
@@ -167,7 +168,7 @@ _BAD_NUMBERS = {
     "runtime-inf": (["profile", "report", "--in", "EVENTS", "--runtime-ms", "inf",
                      "--out-dir", "OUT"], "total_runtime_ms must be finite"),
     "summary-nan": (["profile", "analyze", "--in", "NAN_EVENTS", "--out-dir", "OUT"],
-                    "total_runtime_ms must be finite"),
+                    "NAN_SUMMARY: total_runtime_ms must be finite"),
     "alignment-tol-nan": (["profile", "analyze", "--in", "EVENTS", "--alignment-tol-us", "nan",
                            "--out-dir", "OUT"], "alignment_tol_us must be finite and nonnegative"),
     "mem-per-vcpu-inf": ([*_MEM_PER_VCPU, "inf"], "mem_per_vcpu_mb must be finite and positive"),
@@ -194,8 +195,44 @@ def test_bad_number_fails_cleanly(case, tmp_path, trace_csv, events_csv, capsys)
     files = {"OUT": tmp_path / "out", "TRACE": trace_csv, "EVENTS": events_csv,
              "NAN_EVENTS": nan_events}
     assert run(*[files.get(a, a) for a in argv]) == 1
+    message = message.replace("NAN_SUMMARY", str(nan_events.with_name("probe_summary.json")))
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not files["OUT"].exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("action", ["analyze", "report"])
+def test_non_finite_summary_runtime_names_the_sidecar(action, value, tmp_path, events_csv,
+                                                      capsys):
+    events = tmp_path / "events.csv"
+    events.write_bytes(events_csv.read_bytes())
+    sidecar = events.with_name("probe_summary.json")
+    sidecar.write_text(f'{{"total_runtime_ms": {value}}}')
+    out = tmp_path / "out"
+    assert run("profile", action, "--in", events, "--out-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {sidecar}: total_runtime_ms must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--session-gap-ms", "nan"], "session_gap_ms must be nonnegative"),
+    (["--roundup-ms", "0"], "time granularity must be positive"),
+], ids=["session-gap-nan", "roundup-zero"])
+def test_analyze_rejects_its_options_before_reading_the_trace(option, message, monkeypatch,
+                                                               tmp_path, trace_csv, capsys):
+    from faascost import cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ingest_trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest_trace", counting)
+    out = tmp_path / "out"
+    assert run("analyze", "--trace", trace_csv, *option, "--out-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == [] and not out.exists()
 
 
 # A wrong-typed field in each input file a command reads, and the command.
@@ -828,6 +865,8 @@ def test_python_m_imports_the_cli_once(tmp_path):
 
 
 _SWEEP = {"faascost.sched", "faascost.sched.sweep"}
+_ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
+            "_hashlib"}
 _FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics", "_hashlib"}
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
@@ -842,13 +881,12 @@ _LOADS = {
         ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
         {*_FINGERPRINT, "yaml"}),
     "bill": (["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
-             {"faascost.billing", "faascost.traces", "yaml", "dataclasses", "inspect"}),
+             {"faascost.billing", "faascost.traces", "yaml"}),
     "bill-records": (["bill", "--platform", "aws_lambda", "--records", "TRACE"],
-                     {"faascost.billing", "faascost.traces", "yaml", "_hashlib",
-                      "dataclasses", "inspect"}),
-    "analyze": (["analyze", "--trace", "TRACE"],
-                {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
-                 "_hashlib", "dataclasses", "inspect"}),
+                     {"faascost.billing", "faascost.traces", "yaml", "_hashlib"}),
+    "analyze": (["analyze", "--trace", "TRACE"], _ANALYZE),
+    # The schema's keys are checked against SchemaMap._fields.
+    "analyze-schema": (["analyze", "--trace", "TRACE", "--schema", "SCHEMA"], _ANALYZE),
     "version": (["--version"], set()),
 }
 
@@ -857,7 +895,9 @@ _LOADS = {
 def test_command_imports_only_its_layers(argv, layers, tmp_path, trace_csv, events_csv):
     reference = tmp_path / "ref.yaml"
     reference.write_text("lab:\n  period_ms: 20\n  tick_hz: 250\n")
-    files = {"TRACE": trace_csv, "EVENTS": events_csv, "REFERENCE": reference}
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(default_schema_map()._asdict()))
+    files = {"TRACE": trace_csv, "EVENTS": events_csv, "REFERENCE": reference, "SCHEMA": schema}
     argv = [str(files.get(a, a)) for a in argv]
     if argv != ["--version"]:
         argv += ["--out-dir", "tmp"]

@@ -8,7 +8,6 @@ the very same quantities for every record it keys, and ``bill --records``,
 which prices once per key, the very same rows as pricing each record.
 """
 
-import dataclasses
 import io
 import random
 from decimal import Decimal
@@ -32,6 +31,7 @@ from faascost.billing.model import (
     AllocResourceSpec,
     MissingGranularityError,
     MissingPriceError,
+    UsageResourceSpec,
     allocation,
 )
 from faascost.billing.platforms import bundled_platform_names, resolve_platform
@@ -150,9 +150,7 @@ def test_billed_resources_are_the_oracles():
 def test_grid_vcpus_are_billed_on_the_grid():
     config = resolve_platform("gcp_cloudrun_functions")
     for vcpus in GRID_VCPUS:
-        record = dataclasses.replace(
-            seeded_records(seed=1, n=1)[0], alloc_vcpus=vcpus, alloc_memory_mb=256.0
-        )
+        record = seeded_records(seed=1, n=1)[0]._replace(alloc_vcpus=vcpus, alloc_memory_mb=256.0)
         q = billable_quantities(record, config)
         assert q.alloc[VCPU] == Decimal(repr(vcpus))
         report = inflation_analysis([record], config)
@@ -269,13 +267,28 @@ def test_step_keys_cover_six_decimal_records(name):
         assert billing.seconds(key) == billing.seconds_of(record)
 
 
+@pytest.mark.parametrize("basis", ["absolute", "per_billable_second"])
+def test_step_keys_read_usage_billed_vcpus(basis):
+    # No bundled platform bills vCPU usage on wall-clock time, so the key's
+    # read of the CPU field for it is checked on a variant of AWS that does.
+    usage = UsageResourceSpec(VCPU, Decimal("0.001"), billing_basis=basis)
+    config = resolve_platform("aws_lambda")._replace(usage_resources=(usage,))
+    billing = TraceBilling(config)
+    for record in seeded_records(seed=4, n=200):
+        amounts = allocation_quantities(normalize_allocation(requested(record), config), config)
+        key = billing.key(record)
+        assert key is not None
+        assert billing.quantities(key) == billable_quantities(record, config, amounts)
+        assert billing.seconds(key) == billing.seconds_of(record)
+
+
 def test_step_keys_need_whole_units():
     config = resolve_platform("aws_lambda")
     record = seeded_records(seed=3, n=1)[0]
     assert TraceBilling(config).key(record) is not None
-    untimed = dataclasses.replace(config, time_granularity_ms=None)
+    untimed = config._replace(time_granularity_ms=None)
     assert TraceBilling(untimed).key(record) is None
-    fine = dataclasses.replace(config, time_granularity_ms=Decimal("0.0000001"))
+    fine = config._replace(time_granularity_ms=Decimal("0.0000001"))
     assert TraceBilling(fine).key(record) is None
 
 
@@ -285,9 +298,9 @@ def test_a_priced_extra_is_billed_through_the_granted_allocation():
     # for a keyed duration and for a seven-decimal one alike.
     aws = resolve_platform("aws_lambda")
     gpu = AllocResourceSpec("gpu", Decimal(1), Decimal("0.0001"))
-    config = dataclasses.replace(aws, alloc_resources=aws.alloc_resources + (gpu,))
+    config = aws._replace(alloc_resources=aws.alloc_resources + (gpu,))
     base = seeded_records(seed=5, n=1)[0]
-    finer = dataclasses.replace(base, exec_duration_ms=base.exec_duration_ms + 1.25e-7)
+    finer = base._replace(exec_duration_ms=base.exec_duration_ms + 1.25e-7)
     billing = TraceBilling(config)
     assert billing.key(base) is not None and billing.key(finer) is None
     alloc_usd = []
@@ -300,7 +313,7 @@ def test_a_priced_extra_is_billed_through_the_granted_allocation():
             breakdown = compute_cost(record, config, granted)
             assert breakdown.alloc_terms["gpu"][0] == gpus
             assert breakdown == price(billable_quantities(record, config, amounts), config)
-        alloc_usd.append(cli._bill_row(base, config, granted)["alloc_usd"])
+        alloc_usd.append(cli._bill_row(base, config, granted)[cli._BILL_COLUMNS.index("alloc_usd")])
     assert alloc_usd[0] != alloc_usd[1]
     # The row's own allocation, as granted for a trace, carries no GPU.
     assert billing.grant(base.alloc_vcpus, base.alloc_memory_mb)[1]["gpu"] == 0
@@ -320,16 +333,13 @@ def with_placeholder_prices(config):
     def filled(price):
         return PLACEHOLDER_PRICE if price is None else price
 
-    return dataclasses.replace(
-        config,
+    return config._replace(
         alloc_resources=tuple(
-            dataclasses.replace(
-                s, unit_price_usd_per_unit_second=filled(s.unit_price_usd_per_unit_second)
-            )
+            s._replace(unit_price_usd_per_unit_second=filled(s.unit_price_usd_per_unit_second))
             for s in config.alloc_resources
         ),
         usage_resources=tuple(
-            dataclasses.replace(s, unit_price_usd_per_unit=filled(s.unit_price_usd_per_unit))
+            s._replace(unit_price_usd_per_unit=filled(s.unit_price_usd_per_unit))
             for s in config.usage_resources
         ),
         invocation_fee_usd=filled(config.invocation_fee_usd),
@@ -338,8 +348,8 @@ def with_placeholder_prices(config):
 
 BILL_CONFIGS = {name: with_placeholder_prices(resolve_platform(name)) for name in GRANULAR}
 # TraceBilling cannot key this one: every record takes _bill_row.
-BILL_CONFIGS["aws_lambda_1e-7ms"] = dataclasses.replace(
-    resolve_platform("aws_lambda"), time_granularity_ms=Decimal("0.0000001")
+BILL_CONFIGS["aws_lambda_1e-7ms"] = resolve_platform("aws_lambda")._replace(
+    time_granularity_ms=Decimal("0.0000001")
 )
 
 
@@ -350,11 +360,11 @@ def bill_records(seed):
     records = []
     for record in seeded_records(seed, n=240):
         if rng.random() < 0.2:
-            record = dataclasses.replace(record, exec_duration_ms=0.0, init_duration_ms=0.0)
+            record = record._replace(exec_duration_ms=0.0, init_duration_ms=0.0)
         if rng.random() < 0.2:
             field = rng.choice(("exec_duration_ms", "init_duration_ms",
                                 "cpu_usage_avg_vcpus", "mem_usage_mb"))
-            record = dataclasses.replace(record, **{field: getattr(record, field) + 1.25e-7})
+            record = record._replace(**{field: getattr(record, field) + 1.25e-7})
         records.append(record)
     return records + records[::-1]
 
@@ -374,6 +384,8 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
                       normalize_allocation(requested(r), config) if normalize else requested(r))
         for r in records
     ]
+    # Rows are tuples in _BILL_COLUMNS order, the priced strings last.
+    assert {type(row) for row in want} == {tuple} and {len(row) for row in want} == {9}
     keys = [TraceBilling(config).key(r) for r in records]
     assert None in keys
     priced = []
