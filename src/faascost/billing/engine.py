@@ -229,18 +229,12 @@ def rounded_steps(raw: int, granularity: int, cutoff: int) -> int:
 _CPU, _CPU_MS, _MEM, _NONE = range(4)
 
 
-def _step_grid(config: PlatformBillingConfig) -> Optional[tuple]:
+def _step_grid(config: PlatformBillingConfig) -> tuple:
     """The time granularity and cutoff in whole units, and per usage-billed
     resource (resource, how to read its amount, granularity in units, in
-    Decimal); None when the config has no time granularity, or a
-    granularity or cutoff is not a whole number of units."""
-    if config.time_granularity_ms is None:
-        return None
-    scale = 10**12 if config.billable_time_kind == "cpu_time_only" else 10**6
-    granularity = whole_units(config.time_granularity_ms, scale)
-    cutoff = whole_units(config.time_min_cutoff_ms, scale)
-    if not granularity or cutoff is None:
-        return None
+    Decimal).  The granularity and cutoff are None when the config has no
+    time granularity, or a granularity or cutoff is not a whole number of
+    units."""
     usage = []
     for spec in config.usage_resources:
         if spec.resource == VCPU and spec.billing_basis == "absolute":
@@ -251,10 +245,15 @@ def _step_grid(config: PlatformBillingConfig) -> Optional[tuple]:
             how, units = _MEM, whole_units(spec.granularity * _MB_PER_GB, 10**6)
         else:
             how, units = _NONE, 1
-        if not units:
-            return None
         usage.append((spec.resource, how, units, spec.granularity))
-    return granularity, cutoff, tuple(usage)
+    usage = tuple(usage)
+    if config.time_granularity_ms is not None and all(units for _, _, units, _ in usage):
+        scale = 10**12 if config.billable_time_kind == "cpu_time_only" else 10**6
+        granularity = whole_units(config.time_granularity_ms, scale)
+        cutoff = whole_units(config.time_min_cutoff_ms, scale)
+        if granularity and cutoff is not None:
+            return granularity, cutoff, usage
+    return None, None, usage
 
 
 def _billed_s(quantities: BillableQuantities, resource: str, basis: Optional[str],
@@ -281,18 +280,19 @@ class TraceBilling:
     its :func:`allocation_quantities`, worked out once per distinct pair:
     the one place a trace allocation becomes a :class:`ResourceAllocation`.
     ``key(record)`` is the record's allocation and its billed time and usage
-    amounts as whole granularity steps: the cutoff first, then the ceiling,
-    on fields read by :func:`faascost.money.micros`.  Every record with a
-    key is billed for ``quantities(key)``, so the Decimal work is done once
-    per distinct key.  The key is None when the platform has no time
-    granularity, a granularity or cutoff is not a whole number of units, or
-    a field the platform bills is not a whole count of millionths; such a
-    record takes ``billable_quantities``.  Amounts are counted in 10^-6 ms,
-    MB or vCPU, and in 10^-12 for products of two fields (CPU-time billing,
-    absolute vCPU-ms).
+    amounts as whole granularity steps. Every record with that key is
+    billed for ``quantities(key)``, so the Decimal work is done once per
+    distinct key.  The steps are the cutoff first, then the ceiling, on
+    fields read by :func:`faascost.money.micros`, in 10^-6 ms, MB or vCPU,
+    and in 10^-12 for products of two fields (CPU-time billing, absolute
+    vCPU-ms).  A record off that grid (a field that is not a whole count of
+    millionths, or a granularity or cutoff that is not a whole number of
+    units) is keyed by its :func:`billable_quantities`, each amount divided
+    by its granularity.  A platform with no time granularity raises
+    :class:`MissingGranularityError` on the first record.
 
-    ``seconds(key)`` and ``seconds_of(record)`` are the billed (vCPU-s,
-    GB-s), each None for a resource the platform does not bill.
+    ``seconds(key)`` is the billed (vCPU-s, GB-s), each None for a resource
+    the platform does not bill.
     """
 
     __slots__ = ("config", "bills_cpu", "bills_mem", "_normalize", "_grants", "_cpu_basis",
@@ -318,7 +318,7 @@ class TraceBilling:
         self.bills_mem = config.alloc_spec(MEMORY_GB) is not None or usage_mem is not None
         self._turnaround = config.billable_time_kind == "turnaround"
         self._cpu_time = config.billable_time_kind == "cpu_time_only"
-        self._granularity, self._cutoff, self._usage = _step_grid(config) or (None, None, ())
+        self._granularity, self._cutoff, self._usage = _step_grid(config)
         # The usage fields a key reads: each at most once a record.
         hows = {how for _, how, _, _ in self._usage}
         self._reads_cpu = self._cpu_time or bool(hows & {_CPU, _CPU_MS})
@@ -336,21 +336,21 @@ class TraceBilling:
             self._grants[vcpus, memory_mb] = granted
         return granted
 
-    def key(self, record) -> Optional[tuple]:
+    def key(self, record) -> tuple:
         granularity = self._granularity
         if granularity is None:
-            return None
+            return self._exact_key(record)
         exec_units = micros(record.exec_duration_ms)
         cpu = micros(record.cpu_usage_avg_vcpus) if self._reads_cpu else 0
         mem = micros(record.mem_usage_mb) if self._reads_mem else 0
         if exec_units is None or cpu is None or mem is None:
-            return None
+            return self._exact_key(record)
         if self._cpu_time:
             raw = cpu * exec_units
         elif self._turnaround and record.init_duration_ms:
             init = micros(record.init_duration_ms)
             if init is None:
-                return None
+                return self._exact_key(record)
             raw = exec_units + init
         else:
             raw = exec_units
@@ -361,6 +361,15 @@ class TraceBilling:
         return (record.alloc_vcpus, record.alloc_memory_mb, steps,
                 *[rounded_steps(amounts[how], units, 0) for _, how, units, _ in self._usage])
 
+    def _exact_key(self, record) -> tuple:
+        """The key of a record off the integer grid, from its exact quantities."""
+        vcpus, memory_mb = record.alloc_vcpus, record.alloc_memory_mb
+        billed = billable_quantities(record, self.config, self.grant(vcpus, memory_mb)[1])
+        steps = [CONTEXT.divide(billed.time_ms, self.config.time_granularity_ms)]
+        steps += [CONTEXT.divide(billed.usage[resource], granularity)
+                  for resource, _, _, granularity in self._usage]
+        return (vcpus, memory_mb, *map(int, steps))
+
     def quantities(self, key: tuple) -> BillableQuantities:
         time_ms = CONTEXT.multiply(key[2], self.config.time_granularity_ms)
         usage = {
@@ -370,17 +379,11 @@ class TraceBilling:
         return tuple.__new__(BillableQuantities, (time_ms, self.grant(key[0], key[1])[1], usage))
 
     def seconds(self, key: tuple) -> tuple:
-        return self._seconds(self.quantities(key), self.grant(key[0], key[1])[0])
-
-    def seconds_of(self, record) -> tuple:
-        granted, amounts = self.grant(record.alloc_vcpus, record.alloc_memory_mb)
-        return self._seconds(billable_quantities(record, self.config, amounts), granted)
-
-    def _seconds(self, quantities: BillableQuantities, granted: ResourceAllocation) -> tuple:
+        quantities = self.quantities(key)
         vcpu_s = gb_s = None
         if self.bills_cpu:
             # A vCPU share granted but not priced is billed as granted.
-            allocated = quantities.alloc.get(VCPU, granted.vcpus)
+            allocated = quantities.alloc.get(VCPU, self.grant(key[0], key[1])[0].vcpus)
             vcpu_s = _billed_s(quantities, VCPU, self._cpu_basis, allocated)
         if self.bills_mem:
             allocated = quantities.alloc.get(MEMORY_GB, 0)

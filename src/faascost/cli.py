@@ -173,7 +173,7 @@ class _Run:
         path = self.target(f"{stem}.{self.args.format}")
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
             if self.args.format == "json":
-                _write_json_array(fh, (dict(zip(fieldnames, row)) for row in rows))
+                _write_json_array(fh, rows, fieldnames)
                 return
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
@@ -209,15 +209,21 @@ class _Run:
 # ---------------------------------------------------------------- helpers
 
 
-def _write_json_array(fh, rows: Iterable[dict]) -> None:
-    """``json.dumps(list(rows), indent=2, sort_keys=True)`` and a newline,
-    written one row at a time."""
-    opener = "[\n  "
+def _write_json_array(fh, rows: Iterable[Sequence], fieldnames: Sequence[str]) -> None:
+    """``json.dumps([dict(zip(fieldnames, row)) for row in rows], indent=2,
+    sort_keys=True)`` and a newline, written one row at a time; each cell is
+    a scalar."""
+    # With indent set, json.dumps runs its pure-Python encoder: the layout is
+    # built here once, and each cell is encoded on its own.
+    encode = json.JSONEncoder().encode
+    order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
+    prefixes = [(i, f"\n    {encode(fieldnames[i])}: ") for i in order]
+    opener = "[\n  {"
     for row in rows:
-        # A JSON string holds no raw newline: each line of the row is indented.
-        fh.write(opener + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n  "))
-        opener = ",\n  "
-    fh.write("[]\n" if opener == "[\n  " else "\n]\n")
+        fh.write(opener + ",".join([prefix + encode(row[i]) for i, prefix in prefixes])
+                 + "\n  }")
+        opener = ",\n  {"
+    fh.write("[]\n" if opener == "[\n  {" else "\n]\n")
 
 
 def _slug(number_text: str) -> str:
@@ -290,8 +296,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
     """:func:`_bill_row` of each record, priced once per distinct billing key.
 
     The key is the record's :class:`TraceBilling` key. Every record with
-    that key has the same billable quantities, so the same priced columns;
-    a record without a key is priced on its own.
+    that key has the same billable quantities, so the same priced columns.
     """
     billing = _cli.TraceBilling(config, normalize=normalize)
     priced: Dict[tuple, tuple] = {}
@@ -304,7 +309,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
             continue
         granted = billing.grant(record.alloc_vcpus, record.alloc_memory_mb)[0]
         row = _bill_row(record, config, granted)
-        if key is not None and len(priced) < BILL_KEYS_CAP:
+        if len(priced) < BILL_KEYS_CAP:
             # Interned, so the fee and repeated amounts are stored once.
             priced[key] = tuple(map(sys.intern, row[4:]))
         yield row
@@ -363,10 +368,12 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
     # bytecode is cached, allocates and frees about 1.7 MB; on top of a held
     # 20k-row trace that was 0.8 MB more peak RSS.
     importlib.import_module("faascost.traces.analysis")
-    # The analyses' options are checked before the trace is read, too.
+    # The analyses' options and platforms are checked before the trace is read.
     if "cold-start" in analyses:
         _cli.check_session_gap(args.session_gap_ms)
     policies = _roundup_policies(args) if "roundup" in analyses else None
+    if "inflation" in analyses:
+        configs = [run.platform(name) for name in _split_list(args.platforms)]
 
     stats = _cli.IngestStats()
     records = list(
@@ -384,7 +391,7 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
     # Each block writes its files and returns only its report.json entry, so
     # what an analysis built beyond that is freed before the next one runs.
     if "inflation" in analyses:
-        report["inflation"] = _analyze_inflation(records, args, run)
+        report["inflation"] = _analyze_inflation(records, configs, args.mapping, run)
     if "correlation" in analyses:
         report["correlation"] = _analyze_correlation(records, args, run)
     if "cold-start" in analyses:
@@ -394,12 +401,12 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
     run.json(report, "report.json")
 
 
-def _analyze_inflation(records: list, args: argparse.Namespace, run: _Run) -> List[dict]:
+def _analyze_inflation(records: list, configs: list, mapping: str, run: _Run) -> List[dict]:
     rows = []
     blocks = []
     prefixes = ("billable_vcpu_s", "billable_gb_s")
-    for name in _split_list(args.platforms):
-        rep = _cli.inflation_analysis(records, run.platform(name), mapping=args.mapping)
+    for config in configs:
+        rep = _cli.inflation_analysis(records, config, mapping=mapping)
         doc = rep.as_dict()
         blocks.append(doc)
         rows.append([doc[key] for key in _INFLATION_COLUMNS]
@@ -414,7 +421,7 @@ def _analyze_correlation(records: list, args: argparse.Namespace, run: _Run) -> 
     if corr.undefined:
         print(f"warning: correlation undefined: {corr.undefined}", file=sys.stderr)
     doc = corr.as_dict()
-    run.rows([doc.values()], list(doc), "utilization_correlation")
+    run.rows([tuple(doc.values())], list(doc), "utilization_correlation")
     if corr.scatter_x:
         run.rows(zip(corr.scatter_x, corr.scatter_y), ["cpu_utilization", "mem_utilization"],
                  "utilization_scatter")
@@ -426,7 +433,7 @@ def _analyze_cold_start(records: list, args: argparse.Namespace, run: _Run) -> d
     doc = cold.as_dict()
     row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
     row["flags"] = ";".join(doc["flags"])
-    run.rows([row.values()], list(row), "cold_start")
+    run.rows([tuple(row.values())], list(row), "cold_start")
     return doc
 
 
@@ -446,7 +453,7 @@ def _roundup_policies(args: argparse.Namespace) -> list:
 
 def _analyze_roundup(records: list, policies: list, run: _Run) -> List[dict]:
     docs = [s.as_dict() for s in _cli.rounding_up_stats(records, policies)]
-    run.rows([d.values() for d in docs], list(docs[0]), "rounding_up")
+    run.rows([tuple(d.values()) for d in docs], list(docs[0]), "rounding_up")
     return docs
 
 

@@ -69,8 +69,8 @@ def micros(value: float) -> Optional[int]:
     fractional digits that reads back as ``value``: the number ``repr``
     prints and :func:`dec` converts.  More digits, a value out of range or
     not finite give None, and so may, rarely, a value above 2**32, where
-    ``value * 1e6`` can round off the grid; None only means the caller
-    takes the Decimal path.
+    ``value * 1e6`` can round off the grid; the caller then reads ``value``
+    with :func:`dec`.
     """
     if 0 <= value < _MICROS_LIMIT:
         units = round(value * 1e6)

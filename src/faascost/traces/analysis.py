@@ -4,13 +4,13 @@ All analyses stream over an iterable of InvocationRecord in one pass with
 O(1) or O(instances) state. Billables come from the exact quantity stage
 of the billing engine, the formula the invoice uses. Per record, the
 inflation and roundup analyses work in integers: each record's durations
-and usage are read as whole millionths (:func:`faascost.money.micros`) and
-ceiled to whole granularity steps, and inflation prices each distinct key
-of steps once in decimals. Billable sums are exact and reported as
-correctly rounded floats, and billable percentiles are exact nearest ranks
-up to :data:`EXACT_KEYS_CAP` distinct keys, GK sketch estimates past it.
-Actual-usage totals and the correlation and cold-start analyses run in
-compensated floats.
+and usage are ceiled to whole granularity steps, read as whole millionths
+(:func:`faascost.money.micros`) or else as exact decimals, and inflation
+prices each distinct key of steps once in decimals. Billable sums are
+exact and reported as correctly rounded floats, and billable percentiles
+are exact nearest ranks up to :data:`EXACT_KEYS_CAP` distinct keys, GK
+sketch estimates past it. Actual-usage totals and the correlation and
+cold-start analyses run in compensated floats.
 """
 
 from __future__ import annotations
@@ -174,24 +174,22 @@ def inflation_analysis(
     Billables are what :class:`faascost.billing.engine.TraceBilling` bills
     the granted (``mapping="normalize"``) or requested (``"direct"``)
     allocation for. Each record is counted under its ``TraceBilling`` key,
-    and each distinct key is priced once; a record with no key is priced on
-    its own. Per-request billables are reported as exact nearest-rank
-    percentiles; past :data:`EXACT_KEYS_CAP` distinct keys, as
-    :data:`SKETCH_EPS` GK estimates.
+    and each distinct key is priced once. Per-request billables are reported
+    as exact nearest-rank percentiles; past :data:`EXACT_KEYS_CAP` distinct
+    keys, as :data:`SKETCH_EPS` GK estimates.
     """
     if mapping not in ("normalize", "direct"):
         raise ValueError(f"unknown mapping: {mapping!r}")
     billing = billing_engine.TraceBilling(config, normalize=mapping == "normalize")
     cpu_dist = BillableDistribution() if billing.bills_cpu else None
     mem_dist = BillableDistribution() if billing.bills_mem else None
-    # Records per billing key; a record with no key counts under
-    # (None, its billed seconds).
+    # Records per billing key.
     counts: Dict[tuple, int] = {}
 
     def fold() -> None:
         """Price each counted key once and add its count to the totals."""
         for key, count in counts.items():
-            vcpu_s, gb_s = key[1] if key[0] is None else billing.seconds(key)
+            vcpu_s, gb_s = billing.seconds(key)
             if vcpu_s is not None:
                 cpu_dist.add(vcpu_s, count)
             if gb_s is not None:
@@ -202,7 +200,8 @@ def inflation_analysis(
     cpu_total = cpu_comp = mem_total = mem_comp = 0.0
     flags: List[str] = []
     spilled = False
-    # The Decimal path's ceilings run in the wide context without entering it.
+    # The ceilings of keys off the integer grid run in the wide context
+    # without entering it.
     with decimal.localcontext(CONTEXT):
         for record in records:
             n += 1
@@ -214,8 +213,6 @@ def inflation_analysis(
             )
 
             key = billing.key(record)
-            if key is None:
-                key = (None, billing.seconds_of(record))
             count = counts.get(key)
             if count is not None:
                 counts[key] = count + 1

@@ -12,15 +12,21 @@ that are not part of the default environment:
   the current cgroup capped at quota 1.45 ms per 20 ms period.
 """
 
+import csv
+import json
 import math
 import os
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 
+from faascost import cli
 from faascost.billing import (
     compute_cost,
     fee_equivalent_walltime,
@@ -28,6 +34,7 @@ from faascost.billing import (
     resolve_platform,
 )
 from faascost.billing.model import allocation
+from faascost.money import micros
 from faascost.profiler import ProbeConfig, analyze, probe, replay_probe
 from faascost.sched import (
     BandwidthControlConfig,
@@ -40,6 +47,7 @@ from faascost.sched import (
 from faascost.traces import (
     RoundingPolicy,
     cold_start_differential,
+    default_schema_map,
     generate_synthetic_trace,
     ingest_trace,
     inflation_analysis,
@@ -360,15 +368,9 @@ def test_criterion_9_external_trace_reproduction():
     excluded, matching the published methodology.
     """
     path = os.environ[HUAWEI_ENV]
-    schema = None
     schema_path = os.environ.get("FAASCOST_HUAWEI_SCHEMA")
-    if schema_path:
-        import yaml
-
-        from faascost.traces import SchemaMap
-
-        with open(schema_path, "rb") as fh:
-            schema = SchemaMap(**yaml.safe_load(fh))
+    # Read as `faascost analyze --schema` reads it.
+    schema = cli._load_schema(Path(schema_path)) if schema_path else None
 
     def records():
         return ingest_trace(path, schema, drop_zero_cpu=True)
@@ -397,6 +399,55 @@ def test_criterion_9_external_trace_reproduction():
 
     cold = cold_start_differential(records())
     assert cold.fraction_nonpositive == pytest.approx(0.421, rel=rel)
+
+
+def test_criterion_9_schema_path_on_a_renamed_trace(tmp_path):
+    """`faascost analyze --schema`, criterion 9's schema path, on a synthetic
+    trace with renamed columns and durations in seconds: its counts and
+    planted statistics are the generator's ledger."""
+    source = tmp_path / "canonical.csv"
+    ledger = generate_synthetic_trace(source, n_records=8_000, seed=9)
+    renamed = tmp_path / "renamed.csv"
+    with open(source, newline="") as fh, open(renamed, "w", newline="") as out:
+        reader = csv.DictReader(fh)
+        writer = csv.writer(out)
+        writer.writerow([f"x_{name}" for name in reader.fieldnames])
+        for row in reader:
+            for name in ("exec_duration_ms", "init_duration_ms"):
+                row[name] = format(Decimal(row[name]).scaleb(-3), "f")
+            writer.writerow(row.values())
+    columns = {field: f"x_{name}" for field, name in default_schema_map().columns.items()}
+    schema_path = tmp_path / "schema.yaml"
+    schema_path.write_text(yaml.safe_dump({"columns": columns, "duration_unit": "s"}))
+
+    # Seconds with nine decimals read back as milliseconds off the 10^-6
+    # grid, so the billing keys of these records come from exact quantities.
+    schema = cli._load_schema(schema_path)
+    durations = [r.exec_duration_ms for r in ingest_trace(renamed, schema)]
+    assert sum(micros(d) is None for d in durations) > len(durations) // 10
+
+    out = tmp_path / "out"
+    platforms = ("aws_lambda", "gcp_cloudrun_functions")
+    assert cli.main(["analyze", "--trace", str(renamed), "--schema", str(schema_path),
+                     "--platforms", ",".join(platforms), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    n = ledger["n_records"]
+    assert report["n_records"] == n
+    assert report["ingest"] == {"rows_read": n, "malformed_skipped": 0, "zero_cpu_filtered": 0}
+    # The durations were read in seconds: the actual totals are the
+    # canonical trace's.
+    canonical = list(ingest_trace(source))
+    for name, block in zip(platforms, report["inflation"]):
+        want = inflation_analysis(canonical, resolve_platform(name))
+        assert block["n"] == n
+        assert block["actual_vcpu_s_total"] == pytest.approx(want.actual_vcpu_s_total, rel=1e-9)
+        assert block["actual_gb_s_total"] == pytest.approx(want.actual_gb_s_total, rel=1e-9)
+    assert report["correlation"]["pearson_r"] == pytest.approx(
+        ledger["realized"]["utilization_corr"], abs=1e-6
+    )
+    assert report["cold_start"]["fraction_nonpositive"] == pytest.approx(
+        ledger["realized"]["nonpositive_fraction"], abs=1e-12
+    )
 
 
 # ------------------------------------------ 10: live cgroup (gated)

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -233,6 +234,23 @@ def test_analyze_rejects_its_options_before_reading_the_trace(option, message, m
     assert run("analyze", "--trace", trace_csv, *option, "--out-dir", out) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == [] and not out.exists()
+
+
+def test_analyze_resolves_its_platforms_before_reading_the_trace(monkeypatch, tmp_path,
+                                                                 capsys):
+    from faascost import cli
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the trace was read")
+
+    monkeypatch.setattr(cli, "ingest_trace", unread)
+    out = tmp_path / "out"
+    # The trace is not there either: the platform is reported first.
+    assert run("analyze", "--trace", tmp_path / "trace.csv", "--platforms", "aws_lambda,nope",
+               "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no platform config named 'nope' in ")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 # A wrong-typed field in each input file a command reads, and the command.
@@ -713,12 +731,22 @@ def test_manifest_seed_only_for_analyze(tmp_path, trace_csv):
     assert json.loads((tmp_path / "s" / "run.json").read_text())["seed"] is None
 
 
-@pytest.mark.parametrize("rows", [[], [{}], [{"b": [1.5, "x\ny"], "a": None}, {"c": {"d": 1}}]],
-                         ids=["empty", "empty-row", "nested"])
+_JSON_CELLS = ['say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "naïve ☃ 𝄞", "",
+               None, True, False, 0, -7, 2**70, -0.0, 1e300, 5e-324, 0.1,
+               math.nan, math.inf, -math.inf]
+# Column names out of sorted order, two of them needing escapes.
+_JSON_COLUMNS = [f"c{k:02d}" for k in reversed(range(len(_JSON_CELLS) - 2))] + ['q"', "é"]
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [_JSON_CELLS[k:] + _JSON_CELLS[:k] for k in range(len(_JSON_CELLS))],
+], ids=["empty", "scalars"])
 def test_json_array_streams_the_bytes_of_one_dump(rows):
     out = io.StringIO()
-    _write_json_array(out, iter(rows))
-    assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    _write_json_array(out, iter(rows), _JSON_COLUMNS)
+    dicts = [dict(zip(_JSON_COLUMNS, row)) for row in rows]
+    assert out.getvalue() == json.dumps(dicts, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -55,6 +55,10 @@ GRANULAR = sorted(
     for name in bundled_platform_names()
     if resolve_platform(name).time_granularity_ms is not None
 )
+# Finer than 10^-6 ms: no record is on TraceBilling's integer grid.
+FINE_GRID = resolve_platform("aws_lambda")._replace(time_granularity_ms=Decimal("0.0000001"))
+KEY_CONFIGS = {name: resolve_platform(name) for name in GRANULAR}
+KEY_CONFIGS["aws_lambda_1e-7ms"] = FINE_GRID
 
 
 def seeded_records(seed, n=400):
@@ -89,30 +93,46 @@ def requested(record):
     return allocation(record.alloc_vcpus, record.alloc_memory_mb)
 
 
-def exact_totals(records, config):
-    """(vCPU-s, GB-s) sums of the engine's quantities, as exact decimals."""
+def exact_seconds(record, config):
+    """(vCPU-s, GB-s) of one record from the engine's quantities, exactly."""
     usage_cpu = config.usage_spec(VCPU)
     usage_mem = config.usage_spec(MEMORY_GB)
+    granted = normalize_allocation(requested(record), config)
+    q = billable_quantities(record, config, allocation_quantities(granted, config))
+    time_s = CONTEXT.divide(q.time_ms, 1000)
+    if usage_cpu is None:
+        cpu_s = CONTEXT.multiply(q.alloc.get(VCPU, granted.vcpus), time_s)
+    elif usage_cpu.billing_basis == "per_billable_second":
+        cpu_s = CONTEXT.multiply(q.usage[VCPU], time_s)
+    else:
+        cpu_s = CONTEXT.divide(q.usage[VCPU], 1000)  # vCPU-ms
+    if usage_mem is None:
+        mem_s = CONTEXT.multiply(q.alloc.get(MEMORY_GB, 0), time_s)
+    elif usage_mem.billing_basis == "per_billable_second":
+        mem_s = CONTEXT.multiply(q.usage[MEMORY_GB], time_s)
+    else:
+        mem_s = q.usage[MEMORY_GB]
+    return cpu_s, mem_s
+
+
+def exact_totals(records, config):
+    """(vCPU-s, GB-s) sums of the engine's quantities, as exact decimals."""
     cpu = mem = Decimal(0)
     for record in records:
-        granted = normalize_allocation(requested(record), config)
-        q = billable_quantities(record, config, allocation_quantities(granted, config))
-        time_s = CONTEXT.divide(q.time_ms, 1000)
-        if usage_cpu is None:
-            cpu_s = CONTEXT.multiply(q.alloc.get(VCPU, granted.vcpus), time_s)
-        elif usage_cpu.billing_basis == "per_billable_second":
-            cpu_s = CONTEXT.multiply(q.usage[VCPU], time_s)
-        else:
-            cpu_s = CONTEXT.divide(q.usage[VCPU], 1000)  # vCPU-ms
-        if usage_mem is None:
-            mem_s = CONTEXT.multiply(q.alloc.get(MEMORY_GB, 0), time_s)
-        elif usage_mem.billing_basis == "per_billable_second":
-            mem_s = CONTEXT.multiply(q.usage[MEMORY_GB], time_s)
-        else:
-            mem_s = q.usage[MEMORY_GB]
+        cpu_s, mem_s = exact_seconds(record, config)
         cpu = CONTEXT.add(cpu, cpu_s)
         mem = CONTEXT.add(mem, mem_s)
     return cpu, mem
+
+
+def assert_key_bills_record(billing, record):
+    """``record``'s key gives its exact quantities and billed seconds."""
+    config = billing.config
+    amounts = allocation_quantities(normalize_allocation(requested(record), config), config)
+    key = billing.key(record)
+    assert billing.quantities(key) == billable_quantities(record, config, amounts)
+    for got, want in zip(billing.seconds(key), exact_seconds(record, config)):
+        assert got is None or got == want
 
 
 def test_nine_bundled_platforms_document_a_granularity():
@@ -221,7 +241,7 @@ def ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb):
     return record
 
 
-@pytest.mark.parametrize("name", GRANULAR)
+@pytest.mark.parametrize("name", sorted(KEY_CONFIGS))
 @settings(max_examples=40, deadline=None)
 @given(
     unit=st.sampled_from(sorted(SCHEMA_UNITS)),
@@ -235,61 +255,55 @@ def ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb):
 def test_step_keys_reproduce_billable_quantities(
     name, unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb
 ):
-    config = resolve_platform(name)
-    billing = TraceBilling(config)
+    # Every record is keyed: on the integer grid, and off it (more than six
+    # decimals, cells of 2**33 and above, the 1e-7 ms grid) alike.
     record = ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb)
-    amounts = allocation_quantities(normalize_allocation(requested(record), config), config)
-    want = billable_quantities(record, config, amounts)
-    key = billing.key(record)
-    fields = (record.exec_duration_ms, record.init_duration_ms,
-              record.cpu_usage_avg_vcpus, record.mem_usage_mb)
-    if key is None:
-        # Only a field that is not a whole count of millionths sends a
-        # record down the Decimal path.
-        assert any(micros(f) is None for f in fields)
-        return
-    got = billing.quantities(key)
-    assert got.time_ms == want.time_ms
-    assert got.usage == want.usage
-    assert got == want
-    assert billing.seconds(key) == billing.seconds_of(record)
+    assert_key_bills_record(TraceBilling(KEY_CONFIGS[name]), record)
+
+
+def stepped_in_integers(monkeypatch):
+    """Fail any key that is not stepped on the integer grid."""
+
+    def off_grid(self, record):
+        raise AssertionError(f"keyed off the integer grid: {record}")
+
+    monkeypatch.setattr(TraceBilling, "_exact_key", off_grid)
 
 
 @pytest.mark.parametrize("name", GRANULAR)
-def test_step_keys_cover_six_decimal_records(name):
-    config = resolve_platform(name)
-    billing = TraceBilling(config)
+def test_step_keys_cover_six_decimal_records(name, monkeypatch):
+    stepped_in_integers(monkeypatch)
+    billing = TraceBilling(resolve_platform(name))
     for record in seeded_records(seed=3, n=200):
-        amounts = allocation_quantities(normalize_allocation(requested(record), config), config)
-        key = billing.key(record)
-        assert key is not None
-        assert billing.quantities(key) == billable_quantities(record, config, amounts)
-        assert billing.seconds(key) == billing.seconds_of(record)
+        assert_key_bills_record(billing, record)
 
 
 @pytest.mark.parametrize("basis", ["absolute", "per_billable_second"])
-def test_step_keys_read_usage_billed_vcpus(basis):
+def test_step_keys_read_usage_billed_vcpus(basis, monkeypatch):
     # No bundled platform bills vCPU usage on wall-clock time, so the key's
     # read of the CPU field for it is checked on a variant of AWS that does.
+    stepped_in_integers(monkeypatch)
     usage = UsageResourceSpec(VCPU, Decimal("0.001"), billing_basis=basis)
     config = resolve_platform("aws_lambda")._replace(usage_resources=(usage,))
     billing = TraceBilling(config)
     for record in seeded_records(seed=4, n=200):
-        amounts = allocation_quantities(normalize_allocation(requested(record), config), config)
-        key = billing.key(record)
-        assert key is not None
-        assert billing.quantities(key) == billable_quantities(record, config, amounts)
-        assert billing.seconds(key) == billing.seconds_of(record)
+        assert_key_bills_record(billing, record)
 
 
-def test_step_keys_need_whole_units():
+def test_step_keys_need_whole_units(monkeypatch):
+    # Integer steps need a grid of whole units; off it, a record is keyed by
+    # its exact quantities, and to the same key. With no time granularity
+    # the first record fails, not the construction.
     config = resolve_platform("aws_lambda")
     record = seeded_records(seed=3, n=1)[0]
-    assert TraceBilling(config).key(record) is not None
-    untimed = config._replace(time_granularity_ms=None)
-    assert TraceBilling(untimed).key(record) is None
-    fine = config._replace(time_granularity_ms=Decimal("0.0000001"))
-    assert TraceBilling(fine).key(record) is None
+    exact = TraceBilling(config)._exact_key(record)
+    assert all(type(item) is int for item in exact[2:])
+    assert_key_bills_record(TraceBilling(FINE_GRID), record)
+    untimed = TraceBilling(config._replace(time_granularity_ms=None))
+    with pytest.raises(MissingGranularityError, match="granularity not documented"):
+        untimed.key(record)
+    stepped_in_integers(monkeypatch)
+    assert TraceBilling(config).key(record) == exact
 
 
 def test_a_priced_extra_is_billed_through_the_granted_allocation():
@@ -302,7 +316,9 @@ def test_a_priced_extra_is_billed_through_the_granted_allocation():
     base = seeded_records(seed=5, n=1)[0]
     finer = base._replace(exec_duration_ms=base.exec_duration_ms + 1.25e-7)
     billing = TraceBilling(config)
-    assert billing.key(base) is not None and billing.key(finer) is None
+    assert micros(finer.exec_duration_ms) is None
+    for record in (base, finer):
+        assert billing.quantities(billing.key(record)).alloc["gpu"] == 0
     alloc_usd = []
     for gpus in (1, 2):
         asked = allocation(base.alloc_vcpus, base.alloc_memory_mb, gpu=gpus)
@@ -347,10 +363,8 @@ def with_placeholder_prices(config):
 
 
 BILL_CONFIGS = {name: with_placeholder_prices(resolve_platform(name)) for name in GRANULAR}
-# TraceBilling cannot key this one: every record takes _bill_row.
-BILL_CONFIGS["aws_lambda_1e-7ms"] = resolve_platform("aws_lambda")._replace(
-    time_granularity_ms=Decimal("0.0000001")
-)
+# Off the integer grid: every record is keyed by its exact quantities.
+BILL_CONFIGS["aws_lambda_1e-7ms"] = FINE_GRID
 
 
 def bill_records(seed):
@@ -386,8 +400,9 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
     ]
     # Rows are tuples in _BILL_COLUMNS order, the priced strings last.
     assert {type(row) for row in want} == {tuple} and {len(row) for row in want} == {9}
-    keys = [TraceBilling(config).key(r) for r in records]
-    assert None in keys
+    keys = [TraceBilling(config, normalize=normalize).key(r) for r in records]
+    fields = ("exec_duration_ms", "init_duration_ms", "cpu_usage_avg_vcpus", "mem_usage_mb")
+    assert any(micros(getattr(r, f)) is None for r in records for f in fields)
     priced = []
 
     def counted(*args):
@@ -399,11 +414,8 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
         monkeypatch.setattr(cli, "BILL_KEYS_CAP", cap)
         priced.clear()
         assert list(cli._bill_rows(records, config, normalize)) == want
-        if not any(keys):
-            assert len(priced) == len(records)
-        elif cap == 3:
+        if cap == 3:
             # Past the cap a new key is priced on its own, every time.
             assert len(priced) > len(records) // 2
         else:
-            distinct = {k for k in keys if k is not None}
-            assert len(priced) == len(distinct) + keys.count(None)
+            assert len(priced) == len(set(keys))
