@@ -19,24 +19,22 @@ Four areas, one package:
 __version__ = "0.1.0"
 
 
-def bind_on_first_read(namespace, package, owners, aliases=None):
+def bind_on_first_read(namespace, package, owners):
     """A module ``__getattr__`` (PEP 562) for the module whose globals are
     ``namespace``.
 
     The first read of a name in ``owners`` imports the module
     ``package.<owners[name]>`` and binds the name in ``namespace`` to that
-    module's attribute ``aliases.get(name, name)``; later reads find it
-    bound. Any other name raises AttributeError.
+    module's attribute of the same name; later reads find it bound. Any
+    other name raises AttributeError.
     """
     from importlib import import_module
-
-    aliases = aliases or {}
 
     def __getattr__(name):
         if name not in owners:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         module = import_module(f"{package}.{owners[name]}")
-        value = namespace[name] = getattr(module, aliases.get(name, name))
+        value = namespace[name] = getattr(module, name)
         return value
 
     return __getattr__

@@ -157,9 +157,7 @@ def _usage_amount(record, spec: UsageResourceSpec, raw_exec_ms: Decimal) -> Deci
         if spec.billing_basis == "absolute":  # consumed vCPU-milliseconds
             return CONTEXT.multiply(avg_vcpus, raw_exec_ms)
         return avg_vcpus
-    if spec.resource == MEMORY_GB:
-        return CONTEXT.multiply(dec(record.mem_usage_mb), _GB_PER_MB)
-    return Decimal(0)  # custom usage resources are not carried by records
+    return CONTEXT.multiply(dec(record.mem_usage_mb), _GB_PER_MB)  # memory_gb
 
 
 class BillableQuantities(NamedTuple):
@@ -176,9 +174,10 @@ def allocation_quantities(
     alloc: ResourceAllocation, config: PlatformBillingConfig
 ) -> Mapping[str, Decimal]:
     """Each allocation-billed resource's granted amount, rounded up; a custom
-    resource the config does not name raises :class:`UnpricedResourceError`."""
+    resource the config does not bill by allocation raises
+    :class:`UnpricedResourceError`."""
     for name in alloc.extras:
-        if config.alloc_spec(name) is None and config.usage_spec(name) is None:
+        if config.alloc_spec(name) is None:
             raise UnpricedResourceError(f"unpriced resource: {name}")
     return MappingProxyType(
         {
@@ -226,7 +225,7 @@ def rounded_steps(raw: int, granularity: int, cutoff: int) -> int:
 
 
 # How TraceBilling reads a usage-billed resource's amount.
-_CPU, _CPU_MS, _MEM, _NONE = range(4)
+_CPU, _CPU_MS, _MEM = range(3)
 
 
 def _step_grid(config: PlatformBillingConfig) -> tuple:
@@ -241,10 +240,8 @@ def _step_grid(config: PlatformBillingConfig) -> tuple:
             how, units = _CPU_MS, whole_units(spec.granularity, 10**12)
         elif spec.resource == VCPU:
             how, units = _CPU, whole_units(spec.granularity, 10**6)
-        elif spec.resource == MEMORY_GB:  # read in 10^-6 MB
+        else:  # memory_gb, read in 10^-6 MB
             how, units = _MEM, whole_units(spec.granularity * _MB_PER_GB, 10**6)
-        else:
-            how, units = _NONE, 1
         usage.append((spec.resource, how, units, spec.granularity))
     usage = tuple(usage)
     if config.time_granularity_ms is not None and all(units for _, _, units, _ in usage):
@@ -294,6 +291,11 @@ class TraceBilling:
     ``seconds(key)`` is the billed (vCPU-s, GB-s), each None for a resource
     the platform does not bill.
     """
+
+    #: Distinct keys a pass keeps. Past it, the inflation analysis takes its
+    #: billable percentiles from a GK sketch (its totals stay exact), and
+    #: ``bill --records`` prices a record with a new key on its own.
+    KEYS_CAP = 2**16
 
     __slots__ = ("config", "bills_cpu", "bills_mem", "_normalize", "_grants", "_cpu_basis",
                  "_mem_basis", "_turnaround", "_cpu_time", "_granularity", "_cutoff", "_usage",
@@ -357,7 +359,7 @@ class TraceBilling:
         steps = rounded_steps(raw, granularity, self._cutoff)
         if not self._usage:
             return record.alloc_vcpus, record.alloc_memory_mb, steps
-        amounts = {_CPU: cpu, _CPU_MS: cpu * exec_units, _MEM: mem, _NONE: 0}
+        amounts = {_CPU: cpu, _CPU_MS: cpu * exec_units, _MEM: mem}
         return (record.alloc_vcpus, record.alloc_memory_mb, steps,
                 *[rounded_steps(amounts[how], units, 0) for _, how, units, _ in self._usage])
 

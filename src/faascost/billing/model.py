@@ -27,7 +27,8 @@ from typing import Mapping, NamedTuple, Optional, Tuple, Union
 from faascost.checked import Checked
 from faascost.money import CONTEXT, MAX_AMOUNT, Number, dec, usd_string
 
-# Canonical resource identifiers. Any other string is a custom resource.
+# Canonical resource identifiers. Any other string is a custom resource,
+# billed by allocation only.
 VCPU = "vcpu"
 MEMORY_GB = "memory_gb"
 
@@ -168,7 +169,8 @@ class _UsageResourceSpec(NamedTuple):
 
 
 class UsageResourceSpec(Checked, _UsageResourceSpec):
-    """One usage-billed resource.
+    """One usage-billed resource: ``vcpu`` or ``memory_gb``, the only usage
+    a trace record carries.
 
     Units by convention: ``vcpu`` usage on the ``absolute`` basis is
     consumed vCPU-milliseconds (granularity and price per vCPU-ms);
@@ -182,6 +184,9 @@ class UsageResourceSpec(Checked, _UsageResourceSpec):
     def _check(self):
         granularity = dec(self.granularity)
         price = _price(self.unit_price_usd_per_unit)
+        if self.resource not in (VCPU, MEMORY_GB):
+            raise BillingError(f"usage of {self.resource!r} is not metered: usage is billed "
+                               f"on {VCPU} and {MEMORY_GB} only")
         if granularity <= 0:
             raise BillingError("granularity must be > 0")
         if self.billing_basis not in USAGE_BASES:

@@ -58,8 +58,7 @@ _LAYER_NAMES: Dict[str, Sequence[str]] = {
 }
 __getattr__ = bind_on_first_read(
     globals(), "faascost",
-    {name: layer for layer, names in _LAYER_NAMES.items() for name in names},
-    aliases={"analyze_events": "analyze"})
+    {name: layer for layer, names in _LAYER_NAMES.items() for name in names})
 
 
 _ANALYSES = ("inflation", "correlation", "cold-start", "roundup")
@@ -74,9 +73,6 @@ _BILL_COLUMNS = (
     "usage_usd",
     "total_usd",
 )
-#: Distinct billing keys whose priced columns ``bill --records`` keeps; a
-#: record with a new key past this many is priced on its own.
-BILL_KEYS_CAP = 2**16
 _INFLATION_COLUMNS = (
     "platform",
     "n",
@@ -309,7 +305,7 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
             continue
         granted = billing.grant(record.alloc_vcpus, record.alloc_memory_mb)[0]
         row = _bill_row(record, config, granted)
-        if len(priced) < BILL_KEYS_CAP:
+        if len(priced) < billing.KEYS_CAP:
             # Interned, so the fee and repeated amounts are stored once.
             priced[key] = tuple(map(sys.intern, row[4:]))
         yield row
@@ -373,7 +369,14 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
         _cli.check_session_gap(args.session_gap_ms)
     policies = _roundup_policies(args) if "roundup" in analyses else None
     if "inflation" in analyses:
-        configs = [run.platform(name) for name in _split_list(args.platforms)]
+        platforms = "aws_lambda" if args.platforms is None else args.platforms
+        configs = [run.platform(name) for name in _split_list(platforms)]
+        mapping = args.mapping or "normalize"
+    else:
+        for option, value in (("--platforms", args.platforms), ("--mapping", args.mapping)):
+            if value is not None:
+                raise CliError(f"{option} applies to the inflation analysis, which "
+                               f"--analyses leaves out")
 
     stats = _cli.IngestStats()
     records = list(
@@ -391,7 +394,7 @@ def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
     # Each block writes its files and returns only its report.json entry, so
     # what an analysis built beyond that is freed before the next one runs.
     if "inflation" in analyses:
-        report["inflation"] = _analyze_inflation(records, configs, args.mapping, run)
+        report["inflation"] = _analyze_inflation(records, configs, mapping, run)
     if "correlation" in analyses:
         report["correlation"] = _analyze_correlation(records, args, run)
     if "cold-start" in analyses:
@@ -712,14 +715,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--platforms",
-        default="aws_lambda",
-        help="comma list of platform configs for the inflation analysis",
+        default=None,
+        help="comma list of platform configs for the inflation analysis (default aws_lambda)",
     )
     analyze.add_argument(
         "--mapping",
         choices=("normalize", "direct"),
-        default="normalize",
-        help="how to map trace allocations onto the platform's knobs",
+        default=None,
+        help="how the inflation analysis maps trace allocations onto the platform's "
+        "knobs (default normalize)",
     )
     analyze.add_argument(
         "--session-gap-ms",

@@ -16,11 +16,10 @@ _SUBMODULES = {
     "events_from_csv": "events",
     "events_to_csv": "events",
     "SchedulerFingerprint": "fingerprint",
-    "analyze": "fingerprint",
+    "analyze_events": "fingerprint",
     "probe": "probes",
     "replay_probe": "probes",
     "PUBLISHED_PLATFORM_SCHEDULERS": "reference",
-    "ReferenceMatch": "reference",
     "ReferenceSchedParams": "reference",
     "fingerprint_report": "reference",
 }

@@ -43,10 +43,6 @@ class ThrottleEvent(Checked, _ThrottleEvent):
     def detected_at_ms(self) -> float:
         return self.detected_at_us / 1000.0
 
-    @property
-    def gap_ms(self) -> float:
-        return self.gap_us / 1000.0
-
 
 class _ProbeConfig(NamedTuple):
     exec_duration_ms: float

@@ -56,23 +56,9 @@ class SchedulerFingerprint(NamedTuple):
     durations_ms: Tuple[float, ...]
     runtimes_ms: Tuple[float, ...]
 
-    @staticmethod
-    def _hist(values: Sequence[float], bin_ms: float) -> Dict[float, int]:
-        counts = Counter(round(v / bin_ms) for v in values)
-        return {k * bin_ms: c for k, c in sorted(counts.items())}
-
-    def interval_histogram(self, bin_ms: float = 0.5) -> Dict[float, int]:
-        return self._hist(self.intervals_ms, bin_ms)
-
-    def duration_histogram(self, bin_ms: float = 0.5) -> Dict[float, int]:
-        return self._hist(self.durations_ms, bin_ms)
-
-    def runtime_histogram(self, bin_ms: float = 0.5) -> Dict[float, int]:
-        return self._hist(self.runtimes_ms, bin_ms)
-
     def interval_mode_ms(self, bin_ms: float = 1.0) -> Optional[float]:
         """Most common inter-throttle interval, histogram-binned."""
-        hist = self.interval_histogram(bin_ms)
+        hist = _histogram(self.intervals_ms, bin_ms)
         if not hist:
             return None
         best = max(hist.values())
@@ -87,10 +73,15 @@ class SchedulerFingerprint(NamedTuple):
             "tick_hz_estimate": self.tick_hz_estimate,
             "confidence": self.confidence,
             "notes": list(self.notes),
-            "interval_histogram_ms": self.interval_histogram(),
-            "duration_histogram_ms": self.duration_histogram(),
-            "runtime_histogram_ms": self.runtime_histogram(),
+            "interval_histogram_ms": _histogram(self.intervals_ms, 0.5),
+            "duration_histogram_ms": _histogram(self.durations_ms, 0.5),
+            "runtime_histogram_ms": _histogram(self.runtimes_ms, 0.5),
         }
+
+
+def _histogram(values_ms: Sequence[float], bin_ms: float) -> Dict[float, int]:
+    counts = Counter(round(v / bin_ms) for v in values_ms)
+    return {k * bin_ms: c for k, c in sorted(counts.items())}
 
 
 def _base_bin(values_us: Sequence[int]) -> Tuple[Optional[int], bool]:
@@ -142,7 +133,7 @@ def _residues_agree(values_us: Sequence[int], hz: int, tol_us: float) -> bool:
     return True
 
 
-def analyze(
+def analyze_events(
     events: Sequence[ThrottleEvent],
     total_runtime_ms: float,
     *,

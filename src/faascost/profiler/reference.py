@@ -7,7 +7,7 @@ identify which scheduler configuration a host resembles.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple
 
 from .fingerprint import SchedulerFingerprint
 
@@ -32,18 +32,6 @@ PUBLISHED_PLATFORM_SCHEDULERS: Dict[str, ReferenceSchedParams] = {
 _PERIOD_TOL_MS = 0.5
 
 
-class ReferenceMatch(NamedTuple):
-    platform: str
-    reference_period_ms: float
-    reference_tick_hz: int
-    period_matches: Optional[bool]
-    tick_matches: Optional[bool]
-
-    @property
-    def matches(self) -> bool:
-        return bool(self.period_matches) and bool(self.tick_matches)
-
-
 def fingerprint_report(
     fingerprint: SchedulerFingerprint,
     reference: Mapping[str, ReferenceSchedParams] = PUBLISHED_PLATFORM_SCHEDULERS,
@@ -53,37 +41,24 @@ def fingerprint_report(
     Period matches within 0.5 ms; tick must match exactly. Estimates the
     fingerprint lacks compare as unknown (None), never as a match.
     """
-    rows: Tuple[ReferenceMatch, ...] = tuple(
-        ReferenceMatch(
-            platform=ref.platform,
-            reference_period_ms=ref.period_ms,
-            reference_tick_hz=ref.tick_hz,
-            period_matches=(
-                None
-                if fingerprint.period_ms_estimate is None
-                else abs(fingerprint.period_ms_estimate - ref.period_ms)
-                <= _PERIOD_TOL_MS
-            ),
-            tick_matches=(
-                None
-                if fingerprint.tick_hz_estimate is None
-                else fingerprint.tick_hz_estimate == ref.tick_hz
-            ),
+    period = fingerprint.period_ms_estimate
+    tick = fingerprint.tick_hz_estimate
+    rows = []
+    for ref in reference.values():
+        period_matches = None if period is None else abs(period - ref.period_ms) <= _PERIOD_TOL_MS
+        tick_matches = None if tick is None else tick == ref.tick_hz
+        rows.append(
+            {
+                "platform": ref.platform,
+                "reference_period_ms": ref.period_ms,
+                "reference_tick_hz": ref.tick_hz,
+                "period_matches": period_matches,
+                "tick_matches": tick_matches,
+                "matches": bool(period_matches) and bool(tick_matches),
+            }
         )
-        for ref in reference.values()
-    )
     return {
         "fingerprint": fingerprint.as_dict(),
-        "rows": [
-            {
-                "platform": r.platform,
-                "reference_period_ms": r.reference_period_ms,
-                "reference_tick_hz": r.reference_tick_hz,
-                "period_matches": r.period_matches,
-                "tick_matches": r.tick_matches,
-                "matches": r.matches,
-            }
-            for r in rows
-        ],
-        "matched_platforms": [r.platform for r in rows if r.matches],
+        "rows": rows,
+        "matched_platforms": [row["platform"] for row in rows if row["matches"]],
     }

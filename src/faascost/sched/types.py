@@ -158,10 +158,6 @@ class ScheduleTimeline(Checked, _ScheduleTimeline):
     def overruns_ms(self) -> List[float]:
         return [us / US_PER_MS for us in self.overruns_us]
 
-    @property
-    def max_overrun_ms(self) -> float:
-        return max(self.overruns_ms, default=0.0)
-
     def as_dict(self) -> Dict:
         return {
             "cpu_time_ms": self.cpu_time_ms,

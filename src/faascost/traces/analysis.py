@@ -8,7 +8,7 @@ and usage are ceiled to whole granularity steps, read as whole millionths
 (:func:`faascost.money.micros`) or else as exact decimals, and inflation
 prices each distinct key of steps once in decimals. Billable sums are
 exact and reported as correctly rounded floats, and billable percentiles
-are exact nearest ranks up to :data:`EXACT_KEYS_CAP` distinct keys, GK
+are exact nearest ranks up to ``TraceBilling.KEYS_CAP`` distinct keys, GK
 sketch estimates past it. Actual-usage totals and the correlation and
 cold-start analyses run in compensated floats.
 """
@@ -150,9 +150,6 @@ class InflationReport(NamedTuple):
         }
 
 
-#: Distinct billing keys per platform past which the inflation analysis
-#: takes its billable percentiles from a GK sketch; totals stay exact.
-EXACT_KEYS_CAP = 2**16
 #: Rank error of the GK sketches: the inflation fallback and cold start.
 SKETCH_EPS = 0.005
 #: Requests shorter than this are left out of the roundup analysis.
@@ -175,7 +172,7 @@ def inflation_analysis(
     the granted (``mapping="normalize"``) or requested (``"direct"``)
     allocation for. Each record is counted under its ``TraceBilling`` key,
     and each distinct key is priced once. Per-request billables are reported
-    as exact nearest-rank percentiles; past :data:`EXACT_KEYS_CAP` distinct
+    as exact nearest-rank percentiles; past ``TraceBilling.KEYS_CAP`` distinct
     keys, as :data:`SKETCH_EPS` GK estimates.
     """
     if mapping not in ("normalize", "direct"):
@@ -218,12 +215,12 @@ def inflation_analysis(
                 counts[key] = count + 1
                 continue
             counts[key] = 1
-            if len(counts) > EXACT_KEYS_CAP:
+            if len(counts) > billing.KEYS_CAP:
                 fold()
                 if not spilled:
                     spilled = True
                     flags.append(
-                        f"more than {EXACT_KEYS_CAP} distinct billing keys: billable "
+                        f"more than {billing.KEYS_CAP} distinct billing keys: billable "
                         f"percentiles are GK estimates (eps {SKETCH_EPS})"
                     )
                     for dist in (cpu_dist, mem_dist):
@@ -287,11 +284,6 @@ class CorrelationResult(NamedTuple):
     scatter_y: array
     seed: int
     undefined: Optional[str] = None
-
-    @property
-    def scatter(self) -> List[Tuple[float, float]]:
-        """The sample as a new list of (x, y) pairs."""
-        return list(zip(self.scatter_x, self.scatter_y))
 
     def as_dict(self) -> dict:
         return {
@@ -374,14 +366,6 @@ class ColdStartDiff(NamedTuple):
     init_gb_s: float
     subsequent_vcpu_s: float
     subsequent_gb_s: float
-
-    @property
-    def diff_vcpu_s(self) -> float:
-        return self.subsequent_vcpu_s - self.init_vcpu_s
-
-    @property
-    def diff_gb_s(self) -> float:
-        return self.subsequent_gb_s - self.init_gb_s
 
 
 class ColdStartReport(NamedTuple):

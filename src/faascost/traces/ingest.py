@@ -42,10 +42,10 @@ _ZERO_CELLS = frozenset({"", "0", "0.0", "0.000000"})
 class IngestStats:
     """Counters filled in while the record generator is consumed."""
 
-    __slots__ = ("rows_read", "records_yielded", "malformed_skipped", "zero_cpu_filtered")
+    __slots__ = ("rows_read", "malformed_skipped", "zero_cpu_filtered")
 
     def __init__(self) -> None:
-        self.rows_read = self.records_yielded = 0
+        self.rows_read = 0
         self.malformed_skipped = self.zero_cpu_filtered = 0
 
 
@@ -141,7 +141,7 @@ def ingest_trace(
             # A repeated column name binds to its last occurrence.
             index = {name: i for i, name in enumerate(header)}
             for logical in REQUIRED_FIELDS:
-                column = schema_map.column(logical)
+                column = schema_map.columns.get(logical)
                 if column not in index:
                     raise ValueError(
                         f"required column {column!r} (for {logical}) not in header"
@@ -223,7 +223,6 @@ def ingest_trace(
                 if drop_zero_cpu and record.cpu_usage_avg_vcpus == 0.0:
                     stats.zero_cpu_filtered += 1
                     continue
-                stats.records_yielded += 1
                 yield record
         except (EOFError, zlib.error) as exc:
             name = getattr(source, "name", source)

@@ -10,7 +10,7 @@ ten fields, and ``_replace`` makes a checked changed copy.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple
 
 from faascost.checked import Checked
 from faascost.money import MAX_AMOUNT
@@ -112,9 +112,6 @@ class SchemaMap(Checked, _SchemaMap):
         ):
             if unit not in table:
                 raise ValueError(f"unknown unit: {unit!r}")
-
-    def column(self, field_name: str) -> Optional[str]:
-        return self.columns.get(field_name)
 
 
 def default_schema_map() -> SchemaMap:

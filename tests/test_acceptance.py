@@ -35,7 +35,7 @@ from faascost.billing import (
 )
 from faascost.billing.model import allocation
 from faascost.money import micros
-from faascost.profiler import ProbeConfig, analyze, probe, replay_probe
+from faascost.profiler import ProbeConfig, analyze_events, probe, replay_probe
 from faascost.sched import (
     BandwidthControlConfig,
     TaskSpec,
@@ -259,7 +259,7 @@ def test_criterion_7_profiler_round_trip_50_configs():
         if not _stream_identifies(result.events, p, hz):
             continue
         checked += 1
-        fp = analyze(result.events, result.total_runtime_ms)
+        fp = analyze_events(result.events, result.total_runtime_ms)
         assert fp.period_ms_estimate == float(p)
         assert fp.tick_hz_estimate == hz
         assert abs(fp.quota_ms_estimate - q_us / 1000) <= 1000 / hz
@@ -462,7 +462,7 @@ def test_criterion_10_live_probe_interval_mode():
     """Under cpu.max '1450 20000' the throttle interval mode is 20 +- 1 ms."""
     result = probe(ProbeConfig(exec_duration_ms=2000))
     assert len(result.events) >= 20, "no throttling observed; check cpu.max"
-    fp = analyze(result.events, result.total_runtime_ms)
+    fp = analyze_events(result.events, result.total_runtime_ms)
     mode = fp.interval_mode_ms(bin_ms=1.0)
     assert mode == pytest.approx(20.0, abs=1.0)
     print(f"criterion 10: interval mode {mode} ms")

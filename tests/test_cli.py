@@ -127,6 +127,26 @@ def test_bill_unknown_platform_fails(capsys):
     assert "nope_cloud" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records", [False, True], ids=["single", "records"])
+def test_bill_rejects_a_usage_resource_no_record_carries(records, tmp_path, trace_csv, capsys):
+    # A trace record carries vCPU and memory usage only: a priced gpu_ms would bill $0.
+    platform = tmp_path / "gpu.yaml"
+    platform.write_text(
+        "name: gpu\nbillable_time: {kind: execution, granularity_ms: 1}\n"
+        "alloc_resources:\n"
+        "  - {resource: memory_gb, granularity: 1, unit_price_usd_per_unit_second: 1}\n"
+        "usage_resources:\n"
+        "  - {resource: gpu_ms, granularity: 1, unit_price_usd_per_unit: 0.5}\n"
+        "invocation_fee_usd: 0\n"
+    )
+    out = tmp_path / "out"
+    argv = ["--records", trace_csv] if records else ["--mem-mb", 128, "--exec-ms", 10]
+    assert run("bill", "--platform", platform, *argv, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {platform}: ") and "'gpu_ms'" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_bill_manifest_records_inputs(tmp_path, trace_csv):
     out = tmp_path / "out"
     assert run("bill", "--platform", "aws_lambda", "--records", trace_csv,
@@ -218,7 +238,8 @@ def test_non_finite_summary_runtime_names_the_sidecar(action, value, tmp_path, e
 @pytest.mark.parametrize("option, message", [
     (["--session-gap-ms", "nan"], "session_gap_ms must be nonnegative"),
     (["--roundup-ms", "0"], "time granularity must be positive"),
-], ids=["session-gap-nan", "roundup-zero"])
+    (["--platforms", ""], "empty list argument: ''"),
+], ids=["session-gap-nan", "roundup-zero", "platforms-empty"])
 def test_analyze_rejects_its_options_before_reading_the_trace(option, message, monkeypatch,
                                                                tmp_path, trace_csv, capsys):
     from faascost import cli
@@ -251,6 +272,27 @@ def test_analyze_resolves_its_platforms_before_reading_the_trace(monkeypatch, tm
     err = capsys.readouterr().err
     assert err.startswith("error: no platform config named 'nope' in ")
     assert len(err.splitlines()) == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--analyses", "correlation", "--platforms", "aws_lambda"], "--platforms"),
+    (["--analyses", "cold-start,roundup", "--platforms", "nope"], "--platforms"),
+    (["--analyses", "correlation", "--mapping", "normalize"], "--mapping"),
+    (["--analyses", "roundup", "--mapping", "direct"], "--mapping"),
+], ids=["correlation-platforms", "bad-platform", "correlation-mapping", "roundup-mapping"])
+def test_analyze_rejects_an_option_its_analyses_ignore(argv, option, monkeypatch, tmp_path,
+                                                        trace_csv, capsys):
+    from faascost import cli
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the trace was read")
+
+    monkeypatch.setattr(cli, "ingest_trace", unread)
+    out = tmp_path / "out"
+    assert run("analyze", "--trace", trace_csv, *argv, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # A wrong-typed field in each input file a command reads, and the command.
@@ -346,7 +388,8 @@ def test_analyze_scatter_file_is_the_sample_of_pairs(tmp_path, trace_csv, fmt):
     # or one indented JSON array.
     assert run("analyze", "--trace", trace_csv, "--analyses", "correlation", "--seed", 3,
                "--format", fmt, "--out-dir", tmp_path) == 0
-    points = utilization_correlation(list(ingest_trace(trace_csv)), seed=3).scatter
+    corr = utilization_correlation(list(ingest_trace(trace_csv)), seed=3)
+    points = zip(corr.scatter_x, corr.scatter_y)
     fieldnames = ["cpu_utilization", "mem_utilization"]
     rows = [dict(zip(fieldnames, point)) for point in points]
     assert len(rows) == 100

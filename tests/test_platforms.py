@@ -159,9 +159,9 @@ billable_time: {kind: execution, granularity_ms: 1, min_cutoff_ms: 0.1}
 alloc_resources:
   - {resource: memory_gb, granularity: 0.0009765625,
      unit_price_usd_per_unit_second: "0.0000166667"}
-  - {resource: vcpu, granularity: "0.01", unit_price_usd_per_unit_second: null}
+  - {resource: gpu, granularity: "0.01", unit_price_usd_per_unit_second: null}
 usage_resources:
-  - {resource: egress, granularity: 5, unit_price_usd_per_unit: 0.1}
+  - {resource: vcpu, granularity: 5, unit_price_usd_per_unit: 0.1}
 invocation_fee_usd: 0.0000002
 knob_coupling: {kind: ratio_constrained, min_ratio: 0.125, max_ratio: 4,
                 cpu_step: "0.08", mem_step_mb: 128}
@@ -182,8 +182,8 @@ def _quoted(node):
 def test_parse_converts_every_number_form_exactly():
     doc = yaml.safe_load(_MIXED_NUMBERS)
     cfg = parse_platform_config(doc)
-    mem, vcpu = cfg.alloc_resources
-    (egress,) = cfg.usage_resources
+    mem, gpu = cfg.alloc_resources
+    (vcpu,) = cfg.usage_resources
     knobs = cfg.knob_coupling
     pairs = [
         (cfg.time_granularity_ms, 1),
@@ -191,9 +191,9 @@ def test_parse_converts_every_number_form_exactly():
         (cfg.invocation_fee_usd, 0.0000002),
         (mem.granularity, 0.0009765625),
         (mem.unit_price_usd_per_unit_second, "0.0000166667"),
-        (vcpu.granularity, "0.01"),
-        (egress.granularity, 5),
-        (egress.unit_price_usd_per_unit, 0.1),
+        (gpu.granularity, "0.01"),
+        (vcpu.granularity, 5),
+        (vcpu.unit_price_usd_per_unit, 0.1),
         (knobs.min_ratio, 0.125),
         (knobs.max_ratio, 4),
         (knobs.cpu_step, "0.08"),
@@ -201,6 +201,6 @@ def test_parse_converts_every_number_form_exactly():
     ]
     for got, value in pairs:
         assert type(got) is Decimal and got == dec(value), (got, value)
-    assert vcpu.unit_price_usd_per_unit_second is None
+    assert gpu.unit_price_usd_per_unit_second is None
     quoted = parse_platform_config(_quoted(doc))
     assert quoted == cfg and repr(quoted) == repr(cfg)

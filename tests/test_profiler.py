@@ -11,7 +11,7 @@ from faascost.profiler import (
     ProfilerError,
     SchedulerFingerprint,
     ThrottleEvent,
-    analyze,
+    analyze_events,
     events_from_csv,
     events_to_csv,
     fingerprint_report,
@@ -44,7 +44,7 @@ def test_event_validation():
         ThrottleEvent(100, 0)
     ev = ThrottleEvent(4321, 987)
     assert ev.detected_at_ms == 4.321
-    assert ev.gap_ms == 0.987
+    assert ev.gap_us == 987
 
 
 def test_csv_round_trip(tmp_path):
@@ -152,19 +152,19 @@ def test_live_probe_runs_and_validates():
 
 
 def test_analyze_empty_stream():
-    fp = analyze([], 1000)
+    fp = analyze_events([], 1000)
     assert fp.confidence == "unthrottled or unlimited"
     assert fp.period_ms_estimate is None
     assert fp.quota_ms_estimate is None
     assert fp.tick_hz_estimate is None
     assert fp.intervals_ms == ()
-    assert fp.interval_histogram() == {}
+    assert fp.as_dict()["interval_histogram_ms"] == {}
     assert fp.interval_mode_ms() is None
 
 
 def test_analyze_insufficient_events():
     events = [ThrottleEvent(20_000 * (i + 1), 16_000) for i in range(5)]
-    fp = analyze(events, 200)
+    fp = analyze_events(events, 200)
     assert fp.confidence == "insufficient events"
     assert fp.period_ms_estimate is None
     assert len(fp.durations_ms) == 5
@@ -175,15 +175,15 @@ def test_analyze_insufficient_events():
 def test_analyze_rejects_nonincreasing_timestamps():
     events = [ThrottleEvent(100, 50), ThrottleEvent(100, 50)]
     with pytest.raises(ProfilerError):
-        analyze(events, 10)
+        analyze_events(events, 10)
     with pytest.raises(ProfilerError):
-        analyze([ThrottleEvent(200, 50), ThrottleEvent(100, 50)], 10)
+        analyze_events([ThrottleEvent(200, 50), ThrottleEvent(100, 50)], 10)
 
 
 def test_analyze_is_pure():
     _, res = run_replay(500, 20, 1.45)
-    a = analyze(res.events, res.total_runtime_ms)
-    b = analyze(list(res.events), res.total_runtime_ms)
+    a = analyze_events(res.events, res.total_runtime_ms)
+    b = analyze_events(list(res.events), res.total_runtime_ms)
     assert a == b
 
 
@@ -196,7 +196,7 @@ def test_known_configs_recovered():
     ]
     for t, p, q, hz in cases:
         _, res = run_replay(t, p, q, hz=hz)
-        fp = analyze(res.events, res.total_runtime_ms)
+        fp = analyze_events(res.events, res.total_runtime_ms)
         assert fp.confidence == "ok"
         assert fp.period_ms_estimate == p
         assert fp.tick_hz_estimate == hz
@@ -205,21 +205,31 @@ def test_known_configs_recovered():
 
 def test_pathology_fingerprint_details():
     _, res = run_replay(500, 20, 1.45)
-    fp = analyze(res.events, res.total_runtime_ms)
+    fp = analyze_events(res.events, res.total_runtime_ms)
     # Bursts are tick-bounded at 4 ms, so the quota estimate must come
     # from the duty cycle, flagged as an overrun regime.
     assert 1.3 <= fp.quota_ms_estimate <= 1.6
     assert any("overrun" in n for n in fp.notes)
-    assert fp.runtime_histogram(1.0).get(4.0, 0) > 100
+    assert sum(1 for runtime in fp.runtimes_ms if round(runtime) == 4) > 100
     # Steady state throttles span three periods here.
     assert fp.interval_mode_ms() == 60.0
+
+
+def test_fingerprint_histograms_bin_each_view_at_half_a_ms():
+    fp = SchedulerFingerprint(3, 10.0, None, None, None, "insufficient events", (),
+                              (20.2, 20.3, 39.9), (1.3, 1.2, 16.0), (4.0, 3.7))
+    doc = fp.as_dict()
+    assert list(doc["interval_histogram_ms"].items()) == [(20.0, 1), (20.5, 1), (40.0, 1)]
+    assert list(doc["duration_histogram_ms"].items()) == [(1.0, 1), (1.5, 1), (16.0, 1)]
+    assert list(doc["runtime_histogram_ms"].items()) == [(3.5, 1), (4.0, 1)]
+    assert fp.interval_mode_ms() == 20.0  # 1 ms bins: 20.2 and 20.3 share one
 
 
 def test_uniform_stream_reports_caveat():
     # One throttle every two periods with identical bursts: the stream
     # is exactly periodic at 2P and nothing finer is observable.
     _, res = run_replay(500, 10, 2.0, hz=250)
-    fp = analyze(res.events, res.total_runtime_ms)
+    fp = analyze_events(res.events, res.total_runtime_ms)
     assert fp.period_ms_estimate == 20.0
     assert any("integer fraction" in n for n in fp.notes)
 
@@ -230,7 +240,7 @@ def test_ambiguous_spacing():
     for i in range(30):
         t += (10_000, 13_000, 10_000, 15_000)[i % 4]
         events.append(ThrottleEvent(t, 1_000))
-    fp = analyze(events, 500)
+    fp = analyze_events(events, 500)
     assert fp.confidence == "ambiguous"
     assert fp.period_ms_estimate is None
     assert fp.quota_ms_estimate is None
@@ -242,14 +252,14 @@ def test_tick_grid_found_without_its_phase():
     tl = simulate(TaskSpec(200), BandwidthControlConfig(period_ms=20, quota_ms=1.45),
                   tick_phase_ms="1.3")
     res = replay_probe(tl, ProbeConfig(exec_duration_ms=200))
-    fp = analyze(res.events, res.total_runtime_ms)
+    fp = analyze_events(res.events, res.total_runtime_ms)
     assert fp.tick_hz_estimate == 250
     assert any("tick grid phase is unknown" in n for n in fp.notes)
 
 
 def test_short_gap_noise_note():
     _, res = run_replay(400, 20, 19, hz=1000, threshold=500)  # 1 ms throttles
-    fp = analyze(res.events, res.total_runtime_ms)
+    fp = analyze_events(res.events, res.total_runtime_ms)
     assert any("shorter than 2 ms" in n for n in fp.notes)
 
 
@@ -269,7 +279,7 @@ def test_round_trip_random_configs():
         if not stream_identifies(res.events, p, hz):
             continue
         checked += 1
-        fp = analyze(res.events, res.total_runtime_ms)
+        fp = analyze_events(res.events, res.total_runtime_ms)
         assert fp.period_ms_estimate == float(p)
         assert fp.tick_hz_estimate == hz
         assert abs(fp.quota_ms_estimate - q_us / 1000) <= 1000 / hz

@@ -410,8 +410,8 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
         return compute_cost(*args)
 
     monkeypatch.setattr(cli, "compute_cost", counted)
-    for cap in (cli.BILL_KEYS_CAP, 3):
-        monkeypatch.setattr(cli, "BILL_KEYS_CAP", cap)
+    for cap in (TraceBilling.KEYS_CAP, 3):
+        monkeypatch.setattr(TraceBilling, "KEYS_CAP", cap)
         priced.clear()
         assert list(cli._bill_rows(records, config, normalize)) == want
         if cap == 3:

@@ -2,15 +2,19 @@
 names exists, Python blocks run."""
 
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from faascost.cli import build_parser
 
-_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_ROOT = Path(__file__).resolve().parents[1]
+_README = (_ROOT / "README.md").read_text()
 _BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", _README, flags=re.M | re.S)
 _CLI_LINES = [
     line
@@ -56,6 +60,11 @@ def test_readme_names_only_cli_options():
 
 
 @pytest.mark.parametrize("source", _PYTHON, ids=range(len(_PYTHON)))
-def test_readme_python_block_runs(source, capsys):
-    exec(compile(source, "README.md", "exec"), {})
-    assert capsys.readouterr().out
+def test_readme_python_block_runs(source, tmp_path):
+    # In a fresh interpreter on this checkout's src/, as a reader runs it, so
+    # nothing the test session imported or bound can stand in for a name.
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", source], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

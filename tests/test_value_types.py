@@ -25,7 +25,6 @@ from faascost.profiler import (
     ProbeConfig,
     ProbeResult,
     ProfilerError,
-    ReferenceMatch,
     ReferenceSchedParams,
     SchedulerFingerprint,
     ThrottleEvent,
@@ -152,12 +151,6 @@ _CASES = [
      {"platform": "aws", "period_ms": 20.0, "tick_hz": 250},
      "ReferenceSchedParams(platform='aws', period_ms=20.0, tick_hz=250, note='')",
      {"note": "lab"}, []),
-    (ReferenceMatch, ("aws", 20.0, 250, True, None),
-     {"platform": "aws", "reference_period_ms": 20.0, "reference_tick_hz": 250,
-      "period_matches": True, "tick_matches": None},
-     "ReferenceMatch(platform='aws', reference_period_ms=20.0, reference_tick_hz=250, "
-     "period_matches=True, tick_matches=None)",
-     {"tick_matches": True}, []),
     (InvocationRecord, _RECORD,
      dict(zip(InvocationRecord._fields, _RECORD)),
      "InvocationRecord(function_id='fa', instance_id='i1', arrival_ts_ms=0.5, "
@@ -218,7 +211,9 @@ _CASES = [
      {"billing_basis": "per_billable_second"},
      [({"granularity": -1}, BillingError, "granularity must be > 0"),
       ({"unit_price_usd_per_unit": -1}, BillingError, "unit price must be >= 0"),
-      ({"billing_basis": "x"}, BillingError, "unknown billing basis: 'x'")]),
+      ({"billing_basis": "x"}, BillingError, "unknown billing basis: 'x'"),
+      ({"resource": "gpu_ms"}, BillingError,
+       "usage of 'gpu_ms' is not metered: usage is billed on vcpu and memory_gb only")]),
     (PlatformBillingConfig,
      ("p", "turnaround", Decimal(1), Decimal(0), (_MEMORY,), (_VCPU,), Decimal("2E-7"),
       _PROPORTIONAL, ""),
@@ -358,8 +353,9 @@ def test_cost_breakdown_total_is_the_exact_sum_of_its_parts():
 
 def test_reports_are_named_tuples_of_their_fields():
     corr = CorrelationResult(0.5, 3, 1, array("d", [0.1, 0.2]), array("d", [0.3, 0.4]), 7)
-    assert corr.undefined is None and corr.scatter == [(0.1, 0.3), (0.2, 0.4)]
+    assert corr.undefined is None
+    assert (list(corr.scatter_x), list(corr.scatter_y)) == ([0.1, 0.2], [0.3, 0.4])
     assert corr.as_dict() == {"pearson_r": 0.5, "n": 3, "skipped": 1, "scatter_points": 2,
                               "seed": 7}
     diff = ColdStartDiff("i1", "fa", 0.25, 0.5, 1.0, 2.0)
-    assert (diff.diff_vcpu_s, diff.diff_gb_s) == (0.75, 1.5)
+    assert diff == ("i1", "fa", 0.25, 0.5, 1.0, 2.0)
