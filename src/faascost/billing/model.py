@@ -24,7 +24,7 @@ from decimal import Decimal
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple, Union
 
-from faascost.checked import Checked
+from faascost.checked import checked
 from faascost.money import CONTEXT, MAX_AMOUNT, Number, dec, usd_string
 
 # Canonical resource identifiers. Any other string is a custom resource,
@@ -70,11 +70,8 @@ class IndependentKnobs(NamedTuple):
     """Resources are set independently; requested allocation is granted as is."""
 
 
-class _CpuProportionalToMemory(NamedTuple):
-    mem_per_vcpu_mb: Decimal
-
-
-class CpuProportionalToMemory(Checked, _CpuProportionalToMemory):
+@checked
+class CpuProportionalToMemory(NamedTuple):
     """vCPUs are granted in proportion to allocated memory.
 
     ``mem_per_vcpu_mb`` is the memory that corresponds to one full vCPU.
@@ -82,7 +79,7 @@ class CpuProportionalToMemory(Checked, _CpuProportionalToMemory):
     raising memory first, so normalization never shrinks either resource.
     """
 
-    __slots__ = ()
+    mem_per_vcpu_mb: Decimal
 
     def _check(self):
         mem_per_vcpu_mb = dec(self.mem_per_vcpu_mb)
@@ -91,14 +88,11 @@ class CpuProportionalToMemory(Checked, _CpuProportionalToMemory):
         return tuple.__new__(type(self), (mem_per_vcpu_mb,))
 
 
-class _FixedCombos(NamedTuple):
-    combos: Tuple[Tuple[Decimal, Decimal], ...]
-
-
-class FixedCombos(Checked, _FixedCombos):
+@checked
+class FixedCombos(NamedTuple):
     """Only a fixed list of (vcpu, memory_mb) pairs can be allocated."""
 
-    __slots__ = ()
+    combos: Tuple[Tuple[Decimal, Decimal], ...]
 
     def _check(self):
         combos = tuple((dec(v), dec(m)) for v, m in self.combos)
@@ -112,17 +106,14 @@ class FixedCombos(Checked, _FixedCombos):
         return tuple.__new__(type(self), (combos,))
 
 
-class _RatioConstrained(NamedTuple):
+@checked
+class RatioConstrained(NamedTuple):
+    """vCPU and memory are stepped knobs bound by a vCPU : memory-GB ratio."""
+
     min_ratio: Decimal
     max_ratio: Decimal
     cpu_step: Decimal
     mem_step_mb: Decimal
-
-
-class RatioConstrained(Checked, _RatioConstrained):
-    """vCPU and memory are stepped knobs bound by a vCPU : memory-GB ratio."""
-
-    __slots__ = ()
 
     def _check(self):
         value = tuple.__new__(type(self), map(dec, self))
@@ -136,13 +127,8 @@ class RatioConstrained(Checked, _RatioConstrained):
 KnobCoupling = Union[IndependentKnobs, CpuProportionalToMemory, FixedCombos, RatioConstrained]
 
 
-class _AllocResourceSpec(NamedTuple):
-    resource: str
-    granularity: Decimal
-    unit_price_usd_per_unit_second: Optional[Decimal] = None
-
-
-class AllocResourceSpec(Checked, _AllocResourceSpec):
+@checked
+class AllocResourceSpec(NamedTuple):
     """One allocation-billed resource: granularity and price per unit-second.
 
     ``resource`` is ``vcpu``, ``memory_gb``, or a custom name; the
@@ -151,7 +137,9 @@ class AllocResourceSpec(Checked, _AllocResourceSpec):
     does not document it.
     """
 
-    __slots__ = ()
+    resource: str
+    granularity: Decimal
+    unit_price_usd_per_unit_second: Optional[Decimal] = None
 
     def _check(self):
         granularity = dec(self.granularity)
@@ -161,14 +149,8 @@ class AllocResourceSpec(Checked, _AllocResourceSpec):
         return tuple.__new__(type(self), (self.resource, granularity, price))
 
 
-class _UsageResourceSpec(NamedTuple):
-    resource: str
-    granularity: Decimal
-    unit_price_usd_per_unit: Optional[Decimal] = None
-    billing_basis: str = "absolute"
-
-
-class UsageResourceSpec(Checked, _UsageResourceSpec):
+@checked
+class UsageResourceSpec(NamedTuple):
     """One usage-billed resource: ``vcpu`` or ``memory_gb``, the only usage
     a trace record carries.
 
@@ -179,7 +161,10 @@ class UsageResourceSpec(Checked, _UsageResourceSpec):
     billable time).
     """
 
-    __slots__ = ()
+    resource: str
+    granularity: Decimal
+    unit_price_usd_per_unit: Optional[Decimal] = None
+    billing_basis: str = "absolute"
 
     def _check(self):
         granularity = dec(self.granularity)
@@ -194,7 +179,10 @@ class UsageResourceSpec(Checked, _UsageResourceSpec):
         return tuple.__new__(type(self), (self.resource, granularity, price, self.billing_basis))
 
 
-class _PlatformBillingConfig(NamedTuple):
+@checked
+class PlatformBillingConfig(NamedTuple):
+    """All billing parameters of one platform/plan."""
+
     name: str
     billable_time_kind: str
     time_granularity_ms: Optional[Decimal]
@@ -204,12 +192,6 @@ class _PlatformBillingConfig(NamedTuple):
     invocation_fee_usd: Optional[Decimal]
     knob_coupling: KnobCoupling
     notes: str = ""
-
-
-class PlatformBillingConfig(Checked, _PlatformBillingConfig):
-    """All billing parameters of one platform/plan."""
-
-    __slots__ = ()
 
     def _check(self):
         if self.billable_time_kind not in BILLABLE_TIME_KINDS:
@@ -248,19 +230,16 @@ class PlatformBillingConfig(Checked, _PlatformBillingConfig):
         return None
 
 
-class _ResourceAllocation(NamedTuple):
-    vcpus: Decimal = Decimal(0)
-    memory_mb: Decimal = Decimal(0)
-    extras: Mapping[str, Decimal] = _NO_EXTRAS
-
-
-class ResourceAllocation(Checked, _ResourceAllocation):
+@checked
+class ResourceAllocation(NamedTuple):
     """Resources granted to one sandbox: vCPUs, memory, optional extras.
 
     Each amount lies in ``[0, MAX_AMOUNT)``.
     """
 
-    __slots__ = ()
+    vcpus: Decimal = Decimal(0)
+    memory_mb: Decimal = Decimal(0)
+    extras: Mapping[str, Decimal] = _NO_EXTRAS
 
     def _check(self):
         vcpus = dec(self.vcpus)
@@ -272,14 +251,8 @@ class ResourceAllocation(Checked, _ResourceAllocation):
         return tuple.__new__(type(self), (vcpus, memory_mb, extras))
 
 
-class _CostBreakdown(NamedTuple):
-    billable_time_ms: Decimal
-    alloc_terms: Mapping[str, Tuple[Decimal, Decimal]]
-    usage_terms: Mapping[str, Tuple[Decimal, Decimal]]
-    fee_usd: Decimal
-
-
-class CostBreakdown(Checked, _CostBreakdown):
+@checked
+class CostBreakdown(NamedTuple):
     """Itemized cost of one invocation.
 
     ``alloc_terms`` / ``usage_terms`` map resource name to
@@ -288,7 +261,10 @@ class CostBreakdown(Checked, _CostBreakdown):
     12 fractional digits.
     """
 
-    __slots__ = ()
+    billable_time_ms: Decimal
+    alloc_terms: Mapping[str, Tuple[Decimal, Decimal]]
+    usage_terms: Mapping[str, Tuple[Decimal, Decimal]]
+    fee_usd: Decimal
 
     def _check(self):
         alloc_terms = MappingProxyType(dict(self.alloc_terms))

@@ -1,14 +1,13 @@
-"""A base for immutable value types that check their fields when made.
+"""A decorator for immutable value types that check their fields when made.
 
 The package's value types are ``typing.NamedTuple`` classes: they need no
-``dataclasses`` machinery at import time. A type that validates puts
-:class:`Checked` before its NamedTuple base and defines ``_check``.
+``dataclasses`` machinery at import time. A type that validates defines
+``_check`` and is decorated with :func:`checked`.
 """
 
 
-class Checked:
-    """Runs ``self._check()`` on every construction of the NamedTuple
-    subclass that lists it first.
+def checked(cls):
+    """Run ``self._check()`` on every construction of the NamedTuple ``cls``.
 
     ``_check`` raises on an invalid value and otherwise returns None, or,
     for a type whose fields are converted when made (numbers to
@@ -18,17 +17,13 @@ class Checked:
     ``__new__``; here both go through the constructor, so a changed copy is
     checked like a new value.
     """
-
-    __slots__ = ()
+    make = cls.__new__
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = make(cls, *args, **kwargs)
         converted = self._check()
         return self if converted is None else converted
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def _check(self):
-        raise NotImplementedError
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls

@@ -143,21 +143,19 @@ class _Run:
         self.config_paths.append(_cli.resolve_platform_path(name, self.args.config_dir))
         return _cli.resolve_platform(name, self.args.config_dir)
 
-    def target(self, name: str, path: Optional[Path] = None) -> Optional[Path]:
-        """The staging file of output ``name`` at ``path``, else in ``out_dir``;
-        None is stdout."""
-        if path is None:
-            if self.out_dir is None:
-                return None
-            path = self.out_dir / name
-        missing = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def target(self, name: str) -> Optional[Path]:
+        """The staging file of output ``name`` in ``out_dir``; None is stdout."""
+        if self.out_dir is None:
+            return None
+        missing = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.made_dirs.extend(reversed(missing))
+        path = self.out_dir / name
         return self.outputs.setdefault(path, path.with_name(path.name + ".partial"))
 
-    def json(self, doc, name: str, path: Optional[Path] = None) -> None:
+    def json(self, doc, name: str) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        path = self.target(name, path)
+        path = self.target(name)
         if path is None:
             sys.stdout.write(text)
         else:
@@ -184,8 +182,7 @@ class _Run:
                 "seed": getattr(self.args, "seed", None),
                 "config_paths": sorted(str(p) for p in self.config_paths),
                 "input_digests": {str(p): _sha256(p) for p in sorted(self.inputs)},
-                # Relative to out_dir, where run.json is: `--out` may point elsewhere.
-                "outputs": sorted(os.path.relpath(p, self.out_dir) for p in self.outputs),
+                "outputs": sorted(p.name for p in self.outputs),
                 "wall_time_s": round(time.monotonic() - self.started, 6),
             }
             self.json(manifest, "run.json")
@@ -312,6 +309,15 @@ def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> 
 
 
 def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
+    single = {"--mem-mb": args.mem_mb, "--vcpus": args.vcpus, "--exec-ms": args.exec_ms,
+              "--init-ms": args.init_ms, "--cpu-avg-vcpus": args.cpu_avg_vcpus,
+              "--mem-used-mb": args.mem_used_mb}
+    # Each mode rejects the options only the other one reads, before any input is read.
+    given = [option for option, value in single.items() if value is not None]
+    if args.records is not None and given:
+        raise CliError(f"{given[0]} applies to a single bill, which --records replaces")
+    if args.records is None and args.schema is not None:
+        raise CliError("--schema applies to the trace that --records names")
     config = run.platform(args.platform)
     normalize = not args.no_normalize
 
@@ -322,20 +328,23 @@ def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
         run.rows(rows, _BILL_COLUMNS, "bills")
         return
 
-    alloc = _cli.allocation(vcpus=str(args.vcpus), memory_mb=str(args.mem_mb))
+    mem_mb, vcpus, exec_ms, init_ms, cpu_avg_vcpus, mem_used_mb = (
+        default if value is None else value
+        for value, default in zip(single.values(), ("0", "0", 0.0, 0.0, 0.0, 0.0)))
+    alloc = _cli.allocation(vcpus=vcpus, memory_mb=mem_mb)
     if normalize:
         alloc = _cli.normalize_allocation(alloc, config)
     record = _cli.InvocationRecord(
         function_id="cli",
         instance_id="cli-0",
         arrival_ts_ms=0.0,
-        exec_duration_ms=args.exec_ms,
-        init_duration_ms=args.init_ms,
-        is_cold_start=args.init_ms > 0,
+        exec_duration_ms=exec_ms,
+        init_duration_ms=init_ms,
+        is_cold_start=init_ms > 0,
         alloc_vcpus=float(alloc.vcpus),
         alloc_memory_mb=float(alloc.memory_mb),
-        cpu_usage_avg_vcpus=args.cpu_avg_vcpus,
-        mem_usage_mb=args.mem_used_mb,
+        cpu_usage_avg_vcpus=cpu_avg_vcpus,
+        mem_usage_mb=mem_used_mb,
     )
     # The exact allocation is billed, not the record's floats.
     breakdown = _cli.compute_cost(record, config, alloc)
@@ -535,8 +544,8 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
 # --------------------------------------------------------------- profile
 
 
-def _write_probe_result(result, args: argparse.Namespace, run: _Run) -> None:
-    path = run.target("events.csv", None if args.out is None else Path(args.out))
+def _write_probe_result(result, run: _Run) -> None:
+    path = run.target("events.csv")
     if path is None:
         _cli.events_to_csv(result.events, sys.stdout)
         return
@@ -548,7 +557,7 @@ def _write_probe_result(result, args: argparse.Namespace, run: _Run) -> None:
         "loop_iterations": result.loop_iterations,
         "notes": list(result.notes),
     }
-    run.json(summary, "probe_summary.json", path.with_name("probe_summary.json"))
+    run.json(summary, "probe_summary.json")
 
 
 def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], events) -> float:
@@ -606,7 +615,7 @@ def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
         cfg = _cli.ProbeConfig(
             exec_duration_ms=args.duration_ms, gap_threshold_us=args.gap_threshold_us
         )
-        _write_probe_result(_cli.probe(cfg), args, run)
+        _write_probe_result(_cli.probe(cfg), run)
         return
 
     if args.action == "replay":
@@ -617,7 +626,7 @@ def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
             gap_threshold_us=args.gap_threshold_us,
         )
         result = _cli.replay_probe(timeline, cfg, step_us=args.step_us)
-        _write_probe_result(result, args, run)
+        _write_probe_result(result, run)
         return
 
     # analyze and report both start from a saved event log.
@@ -665,9 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--tick-hz", type=int, default=250, help="scheduler tick rate")
     sched.add_argument("--slice-ms", default="5", help="EEVDF slice length")
     sched.add_argument("--flavor", choices=("cfs", "eevdf"), default="cfs")
-    probe_out = argparse.ArgumentParser(add_help=False)
-    probe_out.add_argument("--gap-threshold-us", type=int, default=500)
-    probe_out.add_argument("--out", default=None, help="events CSV path")
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--gap-threshold-us", type=int, default=500)
     event_log = argparse.ArgumentParser(add_help=False)
     event_log.add_argument("--in", required=True, help="events CSV from run/replay")
     event_log.add_argument(
@@ -683,15 +691,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bill.add_argument("--platform", required=True, help="config name or YAML path")
     bill.add_argument("--records", default=None, help="trace CSV to bill in batch")
-    bill.add_argument("--mem-mb", default="0", help="allocated memory in MB")
-    bill.add_argument("--vcpus", default="0", help="allocated vCPUs")
-    bill.add_argument("--exec-ms", type=float, default=0.0, help="execution time")
-    bill.add_argument("--init-ms", type=float, default=0.0, help="init time")
+    bill.add_argument("--mem-mb", default=None, help="allocated memory in MB (default 0)")
+    bill.add_argument("--vcpus", default=None, help="allocated vCPUs (default 0)")
+    bill.add_argument("--exec-ms", type=float, default=None, help="execution time (default 0)")
+    bill.add_argument("--init-ms", type=float, default=None, help="init time (default 0)")
     bill.add_argument(
-        "--cpu-avg-vcpus", type=float, default=0.0, help="mean vCPUs consumed"
+        "--cpu-avg-vcpus", type=float, default=None, help="mean vCPUs consumed (default 0)"
     )
     bill.add_argument(
-        "--mem-used-mb", type=float, default=0.0, help="memory consumed in MB"
+        "--mem-used-mb", type=float, default=None, help="memory consumed in MB (default 0)"
     )
     bill.add_argument(
         "--no-normalize",
@@ -787,14 +795,14 @@ def build_parser() -> argparse.ArgumentParser:
     prof_sub = prof.add_subparsers(dest="action", required=True)
 
     prun = prof_sub.add_parser(
-        "run", parents=[out, probe_out], help="run the live throttle probe"
+        "run", parents=[out, probe], help="run the live throttle probe"
     )
     prun.add_argument("--duration-ms", type=float, required=True)
     prun.set_defaults(func=cmd_profile, action="run")
 
     prep = prof_sub.add_parser(
         "replay",
-        parents=[out, probe_out, sched],
+        parents=[out, probe, sched],
         help="probe a simulated timeline instead of live CPU",
     )
     prep.add_argument("--t", required=True, help="task CPU time in ms")

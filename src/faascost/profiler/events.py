@@ -12,19 +12,15 @@ import io
 import math
 from typing import IO, Iterable, List, NamedTuple, Tuple, Union
 
-from ..checked import Checked
+from ..checked import checked
 
 
 class ProfilerError(ValueError):
     """Invalid probe configuration or malformed event stream."""
 
 
-class _ThrottleEvent(NamedTuple):
-    detected_at_us: int
-    gap_us: int
-
-
-class ThrottleEvent(Checked, _ThrottleEvent):
+@checked
+class ThrottleEvent(NamedTuple):
     """One detected scheduling gap.
 
     ``detected_at_us`` is the clock reading that revealed the gap, i.e.
@@ -33,7 +29,8 @@ class ThrottleEvent(Checked, _ThrottleEvent):
     throttle by at most one probe step.
     """
 
-    __slots__ = ()
+    detected_at_us: int
+    gap_us: int
 
     def _check(self) -> None:
         if self.detected_at_us < 0 or self.gap_us <= 0:
@@ -44,19 +41,16 @@ class ThrottleEvent(Checked, _ThrottleEvent):
         return self.detected_at_us / 1000.0
 
 
-class _ProbeConfig(NamedTuple):
-    exec_duration_ms: float
-    gap_threshold_us: int = 500
-
-
-class ProbeConfig(Checked, _ProbeConfig):
+@checked
+class ProbeConfig(NamedTuple):
     """Probe knobs: how long to spin and what counts as a gap.
 
     Thresholds below 100 us are rejected; that is the scale of a clock
     read plus loop overhead, so smaller values detect the probe itself.
     """
 
-    __slots__ = ()
+    exec_duration_ms: float
+    gap_threshold_us: int = 500
 
     def _check(self) -> None:
         if not math.isfinite(self.exec_duration_ms):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple, Union
 
-from ..checked import Checked
+from ..checked import checked
 from ..money import dec
 
 Number = Union[int, float, str]
@@ -37,29 +37,19 @@ def to_us(value_ms: Number, name: str) -> int:
     return int(f)
 
 
-class _TaskSpec(NamedTuple):
-    cpu_time_ms: float
-
-
-class TaskSpec(Checked, _TaskSpec):
+@checked
+class TaskSpec(NamedTuple):
     """A CPU-bound task demanding ``cpu_time_ms`` of CPU time."""
 
-    __slots__ = ()
+    cpu_time_ms: float
 
     def _check(self) -> None:
         if dec(self.cpu_time_ms) <= 0:
             raise SchedulingError("cpu_time_ms must be positive")
 
 
-class _BandwidthControlConfig(NamedTuple):
-    period_ms: float
-    quota_ms: float
-    tick_hz: int = 250
-    slice_ms: float = 5.0
-    flavor: str = "cfs"
-
-
-class BandwidthControlConfig(Checked, _BandwidthControlConfig):
+@checked
+class BandwidthControlConfig(NamedTuple):
     """Bandwidth-control knobs: quota ``quota_ms`` per period ``period_ms``.
 
     ``tick_hz`` is the scheduler tick frequency bounding runtime accounting
@@ -70,7 +60,11 @@ class BandwidthControlConfig(Checked, _BandwidthControlConfig):
     virtual-deadline implementation).
     """
 
-    __slots__ = ()
+    period_ms: float
+    quota_ms: float
+    tick_hz: int = 250
+    slice_ms: float = 5.0
+    flavor: str = "cfs"
 
     def _check(self) -> None:
         if dec(self.period_ms) <= 0 or dec(self.quota_ms) <= 0:
@@ -107,15 +101,8 @@ class Segment(NamedTuple):
         return self.end_us / US_PER_MS
 
 
-class _ScheduleTimeline(NamedTuple):
-    cpu_time_ms: float
-    config: BandwidthControlConfig
-    segments: Tuple[Segment, ...]
-    completion_us: int
-    overruns_us: Tuple[int, ...] = ()
-
-
-class ScheduleTimeline(Checked, _ScheduleTimeline):
+@checked
+class ScheduleTimeline(NamedTuple):
     """Simulation output: contiguous running/throttled segments from t=0.
 
     ``overruns_us`` records, for each throttle, the runtime debt at that
@@ -123,7 +110,11 @@ class ScheduleTimeline(Checked, _ScheduleTimeline):
     which lagged accounting allows to build up between ticks.
     """
 
-    __slots__ = ()
+    cpu_time_ms: float
+    config: BandwidthControlConfig
+    segments: Tuple[Segment, ...]
+    completion_us: int
+    overruns_us: Tuple[int, ...] = ()
 
     def _check(self) -> None:
         prev_end = 0

@@ -29,7 +29,7 @@ from .records import InvocationRecord
 from .sketch import QuantileSketch
 from ..billing import engine as billing_engine
 from ..billing.model import PlatformBillingConfig
-from ..checked import Checked
+from ..checked import checked
 from ..money import CONTEXT, ceil_to, dec, micros, whole_units
 
 
@@ -528,18 +528,15 @@ def cold_start_differential(
     )
 
 
-class _RoundingPolicy(NamedTuple):
+@checked
+class RoundingPolicy(NamedTuple):
+    """A (time granularity, cutoff, memory granularity) rounding rule, in
+    exact decimals (numbers convert through :func:`faascost.money.dec`)."""
+
     name: str
     time_granularity_ms: Decimal
     time_min_cutoff_ms: Decimal = Decimal(0)
     mem_granularity_gb: Optional[Decimal] = None
-
-
-class RoundingPolicy(Checked, _RoundingPolicy):
-    """A (time granularity, cutoff, memory granularity) rounding rule, in
-    exact decimals (numbers convert through :func:`faascost.money.dec`)."""
-
-    __slots__ = ()
 
     def _check(self):
         name, *amounts = self

@@ -2,8 +2,8 @@
 
 The canonical schema is this toolkit's own; real traces bind their column
 names and units through :class:`SchemaMap` so the analytics stay
-format-agnostic. Both are checked ``typing.NamedTuple`` classes
-(:class:`faascost.checked.Checked`): a record is an immutable tuple of its
+format-agnostic. Both are ``typing.NamedTuple`` classes checked when made
+(:func:`faascost.checked.checked`): a record is an immutable tuple of its
 ten fields, and ``_replace`` makes a checked changed copy.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, NamedTuple
 
-from faascost.checked import Checked
+from faascost.checked import checked
 from faascost.money import MAX_AMOUNT
 
 # Multipliers into canonical units (ms for durations, MB for memory).
@@ -20,20 +20,8 @@ DURATION_UNITS = {"us": 0.001, "ms": 1.0, "s": 1000.0}
 MEMORY_UNITS = {"bytes": 1.0 / (1024.0 * 1024.0), "kb": 1.0 / 1024.0, "mb": 1.0, "gb": 1024.0}
 
 
-class _InvocationRecord(NamedTuple):
-    function_id: str
-    instance_id: str
-    arrival_ts_ms: float
-    exec_duration_ms: float
-    init_duration_ms: float
-    is_cold_start: bool
-    alloc_vcpus: float
-    alloc_memory_mb: float
-    cpu_usage_avg_vcpus: float
-    mem_usage_mb: float
-
-
-class InvocationRecord(Checked, _InvocationRecord):
+@checked
+class InvocationRecord(NamedTuple):
     """One request from a trace.
 
     ``alloc_vcpus`` and ``alloc_memory_mb`` are the allocation as the trace
@@ -45,7 +33,16 @@ class InvocationRecord(Checked, _InvocationRecord):
     allocations and usage amounts must lie in ``[0, MAX_AMOUNT)``.
     """
 
-    __slots__ = ()
+    function_id: str
+    instance_id: str
+    arrival_ts_ms: float
+    exec_duration_ms: float
+    init_duration_ms: float
+    is_cold_start: bool
+    alloc_vcpus: float
+    alloc_memory_mb: float
+    cpu_usage_avg_vcpus: float
+    mem_usage_mb: float
 
     def _check(self) -> None:
         # NaN fails every comparison, so each check also rejects it.
@@ -76,16 +73,8 @@ REQUIRED_FIELDS = (
 OPTIONAL_FIELDS = ("instance_id", "init_duration", "is_cold_start")
 
 
-class _SchemaMap(NamedTuple):
-    columns: Dict[str, str]
-    duration_unit: str = "ms"
-    timestamp_unit: str = "ms"
-    memory_unit: str = "mb"
-    memory_usage_semantics: str = "unspecified"
-    delimiter: str = ","
-
-
-class SchemaMap(Checked, _SchemaMap):
+@checked
+class SchemaMap(NamedTuple):
     """Binds canonical record fields to trace column names, with units.
 
     ``columns`` maps canonical field name -> trace column name. Units
@@ -94,7 +83,12 @@ class SchemaMap(Checked, _SchemaMap):
     ``mem_usage`` is a peak or a mean; it is accepted and not read.
     """
 
-    __slots__ = ()
+    columns: Dict[str, str]
+    duration_unit: str = "ms"
+    timestamp_unit: str = "ms"
+    memory_unit: str = "mb"
+    memory_usage_semantics: str = "unspecified"
+    delimiter: str = ","
 
     def _check(self) -> None:
         missing = [f for f in REQUIRED_FIELDS if f not in self.columns]

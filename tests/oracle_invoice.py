@@ -102,7 +102,8 @@ def reference_cost(record, config) -> dict:
         elif spec.resource == "memory_gb":
             amount = frac(record.mem_usage_mb) / 1024
         else:
-            amount = Fraction(0)
+            # A record carries no other usage: pricing it at $0 would hide the gap.
+            raise ValueError(f"no record carries usage of {spec.resource!r}")
         billed = ceil_mult(amount, frac(spec.granularity))
         usd = billed * frac(spec.unit_price_usd_per_unit)
         if spec.billing_basis == "per_billable_second":

@@ -1,9 +1,13 @@
 """Engine vs independent rational-arithmetic oracle, decimal-string exact."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
+
 from faascost.billing.engine import compute_cost
+from faascost.billing.model import UsageResourceSpec
 
 from genpairs import invoice_view, random_pair
 from oracle_invoice import reference_cost
@@ -35,3 +39,12 @@ def test_engine_matches_oracle_on_cutoff_heavy_pairs():
     rng = random.Random(77)
     for _ in range(200):
         assert_pair_matches(*random_pair(rng))
+
+
+def test_oracle_refuses_a_usage_resource_no_record_carries():
+    # UsageResourceSpec rejects such a resource; built around its check, the
+    # oracle must refuse it too rather than price it at $0.
+    record, config, alloc = random_pair(random.Random(1))
+    unmetered = tuple.__new__(UsageResourceSpec, ("gpu_ms", Decimal(1), Decimal("0.5"), "absolute"))
+    with pytest.raises(ValueError, match="'gpu_ms'"):
+        reference_cost(invoice_view(record, alloc), config._replace(usage_resources=(unmetered,)))

@@ -147,6 +147,32 @@ def test_bill_rejects_a_usage_resource_no_record_carries(records, tmp_path, trac
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--records", "TRACE", "--exec-ms", 5, "--mem-mb", 999], "--mem-mb"),
+    (["--records", "TRACE", "--vcpus", 1], "--vcpus"),
+    (["--records", "TRACE", "--init-ms", 0], "--init-ms"),
+    (["--records", "TRACE", "--cpu-avg-vcpus", 0.5], "--cpu-avg-vcpus"),
+    (["--records", "TRACE", "--mem-used-mb", 64], "--mem-used-mb"),
+    (["--mem-mb", 128, "--exec-ms", 96, "--schema", "MISSING"], "--schema"),
+], ids=["records-exec-mem", "records-vcpus", "records-init", "records-cpu", "records-mem-used",
+        "single-schema"])
+def test_bill_rejects_an_option_its_mode_ignores(argv, option, monkeypatch, tmp_path, trace_csv,
+                                                 capsys):
+    from faascost import cli
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the trace was read")
+
+    monkeypatch.setattr(cli, "ingest_trace", unread)
+    files = {"TRACE": trace_csv, "MISSING": tmp_path / "missing.yaml"}
+    out = tmp_path / "out"
+    assert run("bill", "--platform", "aws_lambda", *[files.get(a, a) for a in argv],
+               "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bill_manifest_records_inputs(tmp_path, trace_csv):
     out = tmp_path / "out"
     assert run("bill", "--platform", "aws_lambda", "--records", trace_csv,
@@ -588,7 +614,7 @@ def test_profile_replay_analyze_report_round_trip(tmp_path):
 def test_profile_analyze_runtime_fallback_warns(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("profile", "replay", "--t", "200", "--p", "20", "--q", "5",
-               "--out", out / "events.csv") == 0
+               "--out-dir", out) == 0
     # Drop the sidecar so the fallback path triggers.
     (out / "probe_summary.json").unlink()
     assert run("profile", "analyze", "--in", out / "events.csv") == 0
@@ -622,15 +648,15 @@ def test_profile_report_bad_reference_fails(tmp_path, events_csv, capsys, table,
     assert err.startswith("error: ") and "lab" in err and named in err
 
 
-def test_profile_out_creates_missing_out_dir(tmp_path):
-    events = tmp_path / "events" / "events.csv"
-    out = tmp_path / "missing"
+def test_profile_creates_a_nested_out_dir(tmp_path):
+    out = tmp_path / "missing" / "nested"
     assert run("profile", "replay", "--t", "200", "--p", "20", "--q", "5",
-               "--out", events, "--out-dir", out) == 0
-    assert (events.parent / "probe_summary.json").exists()
+               "--out-dir", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.csv", "probe_summary.json", "run.json"]
     manifest = json.loads((out / "run.json").read_text())
     # Outputs are named relative to the manifest's directory.
-    assert manifest["outputs"] == ["../events/events.csv", "../events/probe_summary.json"]
+    assert manifest["outputs"] == ["events.csv", "probe_summary.json"]
 
 
 def test_profile_replay_deterministic(tmp_path):
@@ -662,8 +688,6 @@ _MANIFEST_CASES = {
                        "--breakpoints"],
     "simulate-timeline": ["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
     "profile-replay": ["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
-    "profile-replay-out": ["profile", "replay", "--t", "200", "--p", "20", "--q", "5",
-                           "--out", "ELSEWHERE"],
     "profile-analyze": ["profile", "analyze", "--in", "EVENTS"],
     "profile-report": ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
 }
@@ -674,15 +698,11 @@ def test_manifest_matches_directory(argv, tmp_path, trace_csv, events_csv):
     reference = tmp_path / "ref.yaml"
     reference.write_text("lab:\n  period_ms: 20\n  tick_hz: 250\n")
     files = {"TRACE": trace_csv, "EVENTS": events_csv, "REFERENCE": reference}
-    elsewhere = tmp_path / "x3" / "events.csv"
     out = tmp_path / "out"
-    assert run(*[files.get(a, elsewhere if a == "ELSEWHERE" else a) for a in argv],
-               "--out-dir", out) == 0
+    assert run(*[files.get(a, a) for a in argv], "--out-dir", out) == 0
     manifest = json.loads((out / "run.json").read_text())
     # Every output is listed by its path relative to the manifest's directory.
     written = {p for p in out.iterdir() if p.name != "run.json"}
-    if "ELSEWHERE" in argv:
-        written |= {elsewhere, elsewhere.with_name("probe_summary.json")}
     assert manifest["outputs"] == sorted(manifest["outputs"])
     assert {(out / name).resolve() for name in manifest["outputs"]} == {
         p.resolve() for p in written

@@ -1,14 +1,18 @@
 """The package's value types: NamedTuples that keep the behaviour of the
 dataclasses they replaced."""
 
+import ast
+import importlib
 import math
 import re
 from array import array
 from decimal import Decimal
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
+import faascost
 from faascost.billing.model import (
     AllocResourceSpec,
     BillingError,
@@ -359,3 +363,30 @@ def test_reports_are_named_tuples_of_their_fields():
                               "seed": 7}
     diff = ColdStartDiff("i1", "fa", 0.25, 0.5, 1.0, 2.0)
     assert diff == ("i1", "fa", 0.25, 0.5, 1.0, 2.0)
+
+
+def test_every_checking_type_is_one_checked_named_tuple():
+    # A _check on a class that lacks @checked would never run.
+    package = Path(faascost.__file__).resolve().parent
+    classes = []  # (module name, class node, its bases as written)
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(("faascost", *path.relative_to(package).with_suffix("").parts))
+        classes += [(module, node, {ast.unparse(base) for base in node.bases})
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ClassDef)]
+    private = {node.name for _, node, bases in classes
+               if node.name.startswith("_") and "NamedTuple" in bases}
+    decorated = {}
+    for module, node, bases in classes:
+        assert not bases & private, (module, node.name)
+        defines_check = any(isinstance(item, ast.FunctionDef) and item.name == "_check"
+                            for item in node.body)
+        is_checked = any(ast.unparse(d) == "checked" for d in node.decorator_list)
+        assert is_checked == defines_check, (module, node.name)
+        if is_checked:
+            assert bases == {"NamedTuple"}, (module, node.name)
+            decorated[node.name] = module
+    assert len(decorated) == 16
+    for name, module in decorated.items():
+        cls = getattr(importlib.import_module(module), name)
+        assert cls.__mro__ == (cls, tuple, object)
