@@ -94,17 +94,25 @@ class CliError(ValueError):
 # ------------------------------------------------------------------- run
 
 
-def _sha256(path: Path) -> Optional[str]:
+def _digest(path: Path) -> Optional[str]:
     """The SHA-256 of a regular file; None for a pipe or a device, whose
     bytes the run has consumed and a second read would not see."""
     if not path.is_file():
         return None
-    # Imported here: OpenSSL is mapped only by a command that digests an input.
-    import hashlib
-
-    digest = hashlib.sha256()
+    # The interpreter's own SHA-256: ``hashlib`` maps OpenSSL, 3 MB of RSS
+    # that no data needs. OpenSSL hashes about five times as fast, which on
+    # a 90 MB trace is 3% of an ``analyze``. A CPython built without either
+    # module still digests, through ``hashlib``.
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    digest = sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -181,7 +189,7 @@ class _Run:
                 "tool_version": __version__,
                 "seed": getattr(self.args, "seed", None),
                 "config_paths": sorted(str(p) for p in self.config_paths),
-                "input_digests": {str(p): _sha256(p) for p in sorted(self.inputs)},
+                "input_digests": {str(p): _digest(p) for p in sorted(self.inputs)},
                 "outputs": sorted(p.name for p in self.outputs),
                 "wall_time_s": round(time.monotonic() - self.started, 6),
             }
@@ -647,8 +655,11 @@ def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every parser sets allow_abbrev=False: a prefix of an option is an error,
+    # not that option (``--out x`` would otherwise be ``--out-dir x``).
     parser = argparse.ArgumentParser(
         prog="faascost",
+        allow_abbrev=False,
         description="Serverless billing, trace analytics, CPU bandwidth "
         "simulation, and scheduler fingerprinting.",
     )
@@ -687,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     event_log.add_argument("--alignment-tol-us", type=float, default=150.0)
 
     bill = sub.add_parser(
-        "bill", parents=[out, table, inputs], help="price invocations under a platform config"
+        "bill", parents=[out, table, inputs], help="price invocations under a platform config",
+        allow_abbrev=False,
     )
     bill.add_argument("--platform", required=True, help="config name or YAML path")
     bill.add_argument("--records", default=None, help="trace CSV to bill in batch")
@@ -710,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     bill.set_defaults(func=cmd_bill)
 
     analyze = sub.add_parser(
-        "analyze", parents=[out, table, inputs], help="run trace analytics"
+        "analyze", parents=[out, table, inputs], help="run trace analytics", allow_abbrev=False
     )
     analyze.add_argument("--trace", required=True, help="trace CSV (optionally .gz)")
     analyze.add_argument(
@@ -759,7 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     sim = sub.add_parser(
-        "simulate", parents=[out, table, sched], help="CPU bandwidth-control models"
+        "simulate", parents=[out, table, sched], help="CPU bandwidth-control models",
+        allow_abbrev=False,
     )
     sim.add_argument("--t", required=True, help="task CPU time in ms")
     sim.add_argument(
@@ -791,11 +804,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.set_defaults(func=cmd_simulate)
 
-    prof = sub.add_parser("profile", help="scheduler fingerprinting")
+    prof = sub.add_parser("profile", help="scheduler fingerprinting", allow_abbrev=False)
     prof_sub = prof.add_subparsers(dest="action", required=True)
 
     prun = prof_sub.add_parser(
-        "run", parents=[out, probe], help="run the live throttle probe"
+        "run", parents=[out, probe], help="run the live throttle probe", allow_abbrev=False
     )
     prun.add_argument("--duration-ms", type=float, required=True)
     prun.set_defaults(func=cmd_profile, action="run")
@@ -804,6 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         parents=[out, probe, sched],
         help="probe a simulated timeline instead of live CPU",
+        allow_abbrev=False,
     )
     prep.add_argument("--t", required=True, help="task CPU time in ms")
     prep.add_argument("--p", required=True, help="enforcement period in ms")
@@ -812,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
     prep.set_defaults(func=cmd_profile, action="replay")
 
     pana = prof_sub.add_parser(
-        "analyze", parents=[out, event_log], help="fingerprint a saved event log"
+        "analyze", parents=[out, event_log], help="fingerprint a saved event log",
+        allow_abbrev=False,
     )
     pana.set_defaults(func=cmd_profile, action="analyze")
 
@@ -820,6 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         parents=[out, event_log],
         help="fingerprint plus comparison against published schedulers",
+        allow_abbrev=False,
     )
     prev.add_argument(
         "--reference",

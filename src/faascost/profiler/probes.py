@@ -34,6 +34,11 @@ def replay_probe(
     within one step of the resume. Iteration count is exact and bounded:
     one read per step of CPU time, which stands in for the hot loop's
     constant per-iteration work budget.
+
+    The reads are counted, not stepped through. Within a running segment
+    each read after the first comes ``step_us`` after the one before, below
+    the gap threshold, so only a segment's first read can be an event; the
+    CPU time after its last read carries into the next running segment.
     """
     # Imported here, so that importing this module loads no simulator.
     from ..sched.types import RUNNING
@@ -51,21 +56,21 @@ def replay_probe(
     for seg in timeline.segments:
         if seg.state != RUNNING:
             continue
-        pos = seg.start_us
-        remaining = seg.end_us - seg.start_us
-        while carry <= remaining:
-            pos += carry
-            remaining -= carry
-            iterations += 1
-            gap = pos - last_read
-            if gap >= cfg.gap_threshold_us:
-                if len(events) < cap:
-                    events.append(ThrottleEvent(pos, gap))
-                else:
-                    truncated = True
-            last_read = pos
-            carry = step_us
-        carry -= remaining
+        length = seg.end_us - seg.start_us
+        if carry > length:
+            carry -= length
+            continue
+        reads = (length - carry) // step_us + 1
+        first = seg.start_us + carry
+        gap = first - last_read
+        if gap >= cfg.gap_threshold_us:
+            if len(events) < cap:
+                events.append(ThrottleEvent(first, gap))
+            else:
+                truncated = True
+        iterations += reads
+        last_read = first + (reads - 1) * step_us
+        carry = step_us - (seg.end_us - last_read)
     return ProbeResult(
         events=tuple(events),
         total_runtime_ms=timeline.completion_us / 1000.0,

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 
 from faascost.billing import compute_cost, normalize_allocation, resolve_platform
 from faascost.billing.model import allocation
-from faascost.cli import _write_json_array, build_parser, main
+from faascost.cli import _digest, _write_json_array, build_parser, main
 from faascost.money import dec, usd_string
 from faascost.sched import TaskSpec, closed_form_duration
 from faascost.traces import (
@@ -869,6 +870,31 @@ def test_parser_surface():
         for flag, action in flags.items():
             spec = (action.default, action.type, action.choices)
             assert seen.setdefault(flag, spec) == spec, (command, flag)
+    # No parser takes a prefix of an option for that option.
+    parsers = [build_parser()]
+    for parser in parsers:
+        assert parser.allow_abbrev is False, parser.prog
+        parsers.extend(child for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)
+                       for child in action.choices.values())
+    assert len(parsers) == 9
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["profile", "replay", "--t", "200", "--p", "20", "--q", "5", "--out", "x/events.csv"],
+     "--out x/events.csv"),
+    (["analyze", "--trace", "TRACE", "--platform", "gcp_cloud_run", "--out-dir", "x"],
+     "--platform gcp_cloud_run"),
+], ids=["out-for-out-dir", "platform-for-platforms"])
+def test_a_prefix_of_an_option_is_rejected(argv, given, tmp_path, trace_csv, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([str(trace_csv) if a == "TRACE" else a for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"faascost: error: unrecognized arguments: {given}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _child_env() -> dict:
@@ -886,7 +912,8 @@ def test_cli_import_leaves_numpy_out():
 # ------------------------------------------------------------ lazy layers
 
 _ROOT = Path(__file__).resolve().parents[1]
-# ``_hashlib`` is OpenSSL, which only a command with an input to digest maps.
+# ``_hashlib`` is OpenSSL, which no command maps: ``run.json``'s digests come from
+# the interpreter's own SHA-256.
 _LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analysis",
            "faascost.sched", "faascost.sched.sweep", "faascost.sched.closed_form",
            "faascost.profiler", "faascost.profiler.fingerprint", "faascost.profiler.probes",
@@ -929,6 +956,21 @@ def test_manifest_digests_regular_files_and_no_stream(tmp_path, trace_csv):
                        {"/dev/stdin": hashlib.sha256(trace_csv.read_bytes()).hexdigest()}]
 
 
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib-fallback"])
+@pytest.mark.parametrize("size", [0, 1 << 16, (1 << 20) + 4097], ids=["empty", "64KiB", "1MiB+"])
+def test_digest_is_the_sha256_of_the_file(size, builtin, tmp_path, monkeypatch):
+    path = tmp_path / "input"
+    path.write_bytes(random.Random(size).randbytes(size))
+    want = hashlib.sha256(path.read_bytes()).hexdigest()
+    if not builtin:  # a CPython built without its own SHA-256 modules
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+    calls = []
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(a) or hashlib.new("sha256"))
+    assert _digest(path) == want
+    assert calls == ([] if builtin else [()])
+
+
 def test_runpy_runs_the_cli_in_a_namespace_of_its_own(tmp_path, capsys):
     # ``python -m cProfile -m faascost.cli`` runs the module this way: its
     # globals are not those of the ``__main__`` module in sys.modules.
@@ -956,9 +998,8 @@ def test_python_m_imports_the_cli_once(tmp_path):
 
 
 _SWEEP = {"faascost.sched", "faascost.sched.sweep"}
-_ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
-            "_hashlib"}
-_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics", "_hashlib"}
+_ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml"}
+_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics"}
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
                         "--breakpoints"], _SWEEP),
@@ -974,7 +1015,7 @@ _LOADS = {
     "bill": (["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
              {"faascost.billing", "faascost.traces", "yaml"}),
     "bill-records": (["bill", "--platform", "aws_lambda", "--records", "TRACE"],
-                     {"faascost.billing", "faascost.traces", "yaml", "_hashlib"}),
+                     {"faascost.billing", "faascost.traces", "yaml"}),
     "analyze": (["analyze", "--trace", "TRACE"], _ANALYZE),
     # The schema's keys are checked against SchemaMap._fields.
     "analyze-schema": (["analyze", "--trace", "TRACE", "--schema", "SCHEMA"], _ANALYZE),

@@ -4,6 +4,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faascost.profiler import (
     PUBLISHED_PLATFORM_SCHEDULERS,
@@ -19,7 +21,7 @@ from faascost.profiler import (
     replay_probe,
 )
 from faascost.sched import BandwidthControlConfig, TaskSpec, simulate
-from faascost.sched.types import THROTTLED
+from faascost.sched.types import RUNNING, THROTTLED, ScheduleTimeline, Segment
 
 
 def sim(t, p, q, hz=250, **kw):
@@ -132,6 +134,76 @@ def test_replay_skips_gaps_below_threshold():
     assert res.events == ()
     res = replay_probe(tl, ProbeConfig(exec_duration_ms=40, gap_threshold_us=500))
     assert len(res.events) > 0
+
+
+def stepping_replay(timeline, cfg, step_us):
+    """``replay_probe``'s result fields, one clock read per ``step_us`` of CPU."""
+    events, truncated, iterations, last_read = [], False, 0, 0
+    carry = step_us
+    for seg in timeline.segments:
+        if seg.state != RUNNING:
+            continue
+        pos, remaining = seg.start_us, seg.end_us - seg.start_us
+        while carry <= remaining:
+            pos += carry
+            remaining -= carry
+            iterations += 1
+            if pos - last_read >= cfg.gap_threshold_us:
+                if len(events) < cfg.max_events:
+                    events.append(ThrottleEvent(pos, pos - last_read))
+                else:
+                    truncated = True
+            last_read = pos
+            carry = step_us
+        carry -= remaining
+    return tuple(events), truncated, iterations
+
+
+def timeline_of(spans):
+    """A timeline of (length_us, running) spans laid end to end from 0."""
+    segments, start = [], 0
+    for length, running in spans:
+        segments.append(Segment(start, start + length, RUNNING if running else THROTTLED))
+        start += length
+    return ScheduleTimeline(1.0, BandwidthControlConfig(period_ms=20, quota_ms=5),
+                            tuple(segments), start)
+
+
+def replay_both_ways(spans, step, threshold, duration_ms):
+    tl = timeline_of(spans)
+    cfg = ProbeConfig(exec_duration_ms=duration_ms, gap_threshold_us=threshold)
+    res = replay_probe(tl, cfg, step_us=step)
+    assert (res.events, res.truncated, res.loop_iterations) == stepping_replay(tl, cfg, step)
+    return res
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(1, 4000), st.booleans()), min_size=1, max_size=30),
+       step=st.integers(1, 499), threshold=st.integers(500, 3000),
+       duration_ms=st.integers(1, 20))
+def test_replay_counts_the_reads_of_the_stepping_loop(spans, step, threshold, duration_ms):
+    replay_both_ways(spans, step, threshold, duration_ms)
+
+
+def test_replay_closed_form_cases():
+    # A 1 us step reads once per us of CPU.
+    res = replay_both_ways([(3000, True), (800, False), (2500, True)], 1, 500, 5)
+    assert res.loop_iterations == 5500 and res.events == (ThrottleEvent(3801, 801),)
+    # Runs of 120 and 90 us hold no read at a 300 us step: the CPU time
+    # carries, and the first read lands 90 us into the last run, 1,900 us
+    # after the start.
+    res = replay_both_ways([(120, True), (900, False), (90, True), (700, False), (400, True)],
+                           300, 500, 5)
+    assert res.loop_iterations == 2 and res.events == (ThrottleEvent(1900, 1900),)
+    # Ten throttles against a buffer of 2 (threshold 2 ms, 3 ms of runtime).
+    res = replay_both_ways([(300, True), (2500, False)] * 10 + [(300, True)], 50, 2000, 3)
+    assert len(res.events) == 2 and res.truncated
+    # Simulated timelines at each tick rate.
+    for hz in (250, 300, 1000):
+        tl = sim(120, 20, 3, hz)
+        cfg = ProbeConfig(exec_duration_ms=120)
+        res = replay_probe(tl, cfg, step_us=50)
+        assert (res.events, res.truncated, res.loop_iterations) == stepping_replay(tl, cfg, 50)
 
 
 # -------------------------------------------------------------------- probe
