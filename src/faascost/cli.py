@@ -1,5 +1,11 @@
 """Command line front end: bill, analyze, simulate, profile.
 
+This module parses the command line, and ``main`` imports the module of the
+command being run from ``faascost.commands`` and no other, so each command
+compiles only its own code where no bytecode is cached. What the commands
+share stays here: the parser, the staging of outputs with their manifest
+(``_Run``), and the helpers more than one command uses.
+
 Results are plain CSV/JSON files written into ``--out-dir``; without it a
 command with a single result writes it to stdout, and one with several
 (``analyze``, the ``simulate`` sweep) refuses to run. A command that
@@ -17,8 +23,11 @@ Each command imports only the layers it runs, so ``simulate`` starts
 without billing, traces or PyYAML, and none imports ``dataclasses``. One
 rule binds the names taken from the layers: the first read of
 ``faascost.cli.<name>`` imports that name's layer and binds the name, and
-the commands read every such name as an attribute of this module. A patch on ``faascost.cli.<name>``, made
-before or after that first read, is therefore what the commands call.
+the command modules read every such name as an attribute of this module. A
+patch on ``faascost.cli.<name>``, made before or after that first read, is
+therefore what the commands call. Run as ``python -m faascost.cli``, this
+module registers itself as ``faascost.cli`` as well, so that the command
+modules import it without compiling it again.
 """
 
 from __future__ import annotations
@@ -28,13 +37,11 @@ import csv
 import contextlib
 import importlib
 import json
-import math
 import os
 import sys
 import time
-from decimal import Decimal
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from faascost import __version__, bind_on_first_read
 
@@ -62,29 +69,6 @@ __getattr__ = bind_on_first_read(
 
 
 _ANALYSES = ("inflation", "correlation", "cold-start", "roundup")
-_BILL_COLUMNS = (
-    "function_id",
-    "instance_id",
-    "arrival_ts_ms",
-    "exec_duration_ms",
-    "billable_time_ms",
-    "fee_usd",
-    "alloc_usd",
-    "usage_usd",
-    "total_usd",
-)
-_INFLATION_COLUMNS = (
-    "platform",
-    "n",
-    "mean_inflation_cpu",
-    "mean_inflation_mem",
-    "actual_vcpu_s_total",
-    "billable_vcpu_s_total",
-    "actual_gb_s_total",
-    "billable_gb_s_total",
-)
-_SKETCH_STATS = ("mean", "p50", "p90", "p99")
-_CURVE_COLUMNS = ("f", "quota_ms", "completion_ms", "ideal_ms", "n_throttles")
 
 
 class CliError(ValueError):
@@ -227,14 +211,6 @@ def _write_json_array(fh, rows: Iterable[Sequence], fieldnames: Sequence[str]) -
     fh.write("[]\n" if opener == "[\n  {" else "\n]\n")
 
 
-def _slug(number_text: str) -> str:
-    # "2.5" -> "2_5" for filenames; trims a trailing ".0".
-    text = number_text.strip()
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text.replace(".", "_")
-
-
 def _split_list(raw: str) -> List[str]:
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
@@ -277,209 +253,6 @@ def _load_schema(source: Optional[Path]) -> Optional[SchemaMap]:
         raise CliError(f"{source}: {exc}") from exc
 
 
-# ------------------------------------------------------------------ bill
-
-
-def _bill_row(record, config, alloc) -> tuple:
-    """``record``'s row: four cells of its own, then its priced strings."""
-    breakdown = _cli.compute_cost(record, config, alloc)
-    doc = breakdown.as_dict()
-    return (
-        record.function_id, record.instance_id, record.arrival_ts_ms, record.exec_duration_ms,
-        doc["billable_time_ms"], doc["fee_usd"],
-        _cli.usd_string(sum((usd for _, usd in breakdown.alloc_terms.values()), Decimal(0))),
-        _cli.usd_string(sum((usd for _, usd in breakdown.usage_terms.values()), Decimal(0))),
-        doc["total_usd"],
-    )
-
-
-def _bill_rows(records: Iterable[InvocationRecord], config, normalize: bool) -> Iterator[tuple]:
-    """:func:`_bill_row` of each record, priced once per distinct billing key.
-
-    The key is the record's :class:`TraceBilling` key. Every record with
-    that key has the same billable quantities, so the same priced columns.
-    """
-    billing = _cli.TraceBilling(config, normalize=normalize)
-    priced: Dict[tuple, tuple] = {}
-    for record in records:
-        key = billing.key(record)
-        strings = priced.get(key)
-        if strings is not None:
-            yield (record.function_id, record.instance_id, record.arrival_ts_ms,
-                   record.exec_duration_ms, *strings)
-            continue
-        granted = billing.grant(record.alloc_vcpus, record.alloc_memory_mb)[0]
-        row = _bill_row(record, config, granted)
-        if len(priced) < billing.KEYS_CAP:
-            # Interned, so the fee and repeated amounts are stored once.
-            priced[key] = tuple(map(sys.intern, row[4:]))
-        yield row
-
-
-def cmd_bill(args: argparse.Namespace, run: _Run) -> None:
-    single = {"--mem-mb": args.mem_mb, "--vcpus": args.vcpus, "--exec-ms": args.exec_ms,
-              "--init-ms": args.init_ms, "--cpu-avg-vcpus": args.cpu_avg_vcpus,
-              "--mem-used-mb": args.mem_used_mb}
-    # Each mode rejects the options only the other one reads, before any input is read.
-    given = [option for option, value in single.items() if value is not None]
-    if args.records is not None and given:
-        raise CliError(f"{given[0]} applies to a single bill, which --records replaces")
-    if args.records is None and args.schema is not None:
-        raise CliError("--schema applies to the trace that --records names")
-    config = run.platform(args.platform)
-    normalize = not args.no_normalize
-
-    if args.records is not None:
-        records_path = run.input(args.records)
-        schema = _load_schema(run.input(args.schema))
-        rows = _bill_rows(_cli.ingest_trace(records_path, schema), config, normalize)
-        run.rows(rows, _BILL_COLUMNS, "bills")
-        return
-
-    mem_mb, vcpus, exec_ms, init_ms, cpu_avg_vcpus, mem_used_mb = (
-        default if value is None else value
-        for value, default in zip(single.values(), ("0", "0", 0.0, 0.0, 0.0, 0.0)))
-    alloc = _cli.allocation(vcpus=vcpus, memory_mb=mem_mb)
-    if normalize:
-        alloc = _cli.normalize_allocation(alloc, config)
-    record = _cli.InvocationRecord(
-        function_id="cli",
-        instance_id="cli-0",
-        arrival_ts_ms=0.0,
-        exec_duration_ms=exec_ms,
-        init_duration_ms=init_ms,
-        is_cold_start=init_ms > 0,
-        alloc_vcpus=float(alloc.vcpus),
-        alloc_memory_mb=float(alloc.memory_mb),
-        cpu_usage_avg_vcpus=cpu_avg_vcpus,
-        mem_usage_mb=mem_used_mb,
-    )
-    # The exact allocation is billed, not the record's floats.
-    breakdown = _cli.compute_cost(record, config, alloc)
-    doc = breakdown.as_dict()
-    doc["platform"] = config.name
-    doc["alloc"] = {"vcpus": str(alloc.vcpus), "memory_mb": str(alloc.memory_mb)}
-    try:
-        doc["fee_equivalent_walltime_ms"] = f"{_cli.fee_equivalent_walltime(config, alloc):.6f}"
-    except _cli.BillingError:
-        pass
-    run.json(doc, "bill.json")
-
-
-# --------------------------------------------------------------- analyze
-
-
-def cmd_analyze(args: argparse.Namespace, run: _Run) -> None:
-    run.require_dir()
-    trace_path = run.input(args.trace)
-    schema = _load_schema(run.input(args.schema))
-    analyses = _split_list(args.analyses)
-    for name in analyses:
-        if name not in _ANALYSES:
-            raise CliError(f"unknown analysis {name!r}; choose from {_ANALYSES}")
-    # Imported before the records are read. Compiling the module, when no
-    # bytecode is cached, allocates and frees about 1.7 MB; on top of a held
-    # 20k-row trace that was 0.8 MB more peak RSS.
-    importlib.import_module("faascost.traces.analysis")
-    # The analyses' options and platforms are checked before the trace is read.
-    if "cold-start" in analyses:
-        _cli.check_session_gap(args.session_gap_ms)
-    policies = _roundup_policies(args) if "roundup" in analyses else None
-    if "inflation" in analyses:
-        platforms = "aws_lambda" if args.platforms is None else args.platforms
-        configs = [run.platform(name) for name in _split_list(platforms)]
-        mapping = args.mapping or "normalize"
-    else:
-        for option, value in (("--platforms", args.platforms), ("--mapping", args.mapping)):
-            if value is not None:
-                raise CliError(f"{option} applies to the inflation analysis, which "
-                               f"--analyses leaves out")
-
-    stats = _cli.IngestStats()
-    records = list(
-        _cli.ingest_trace(trace_path, schema, drop_zero_cpu=args.drop_zero_cpu, stats=stats)
-    )
-    report: Dict[str, object] = {
-        "trace": str(trace_path),
-        "n_records": len(records),
-        "ingest": {
-            "rows_read": stats.rows_read,
-            "malformed_skipped": stats.malformed_skipped,
-            "zero_cpu_filtered": stats.zero_cpu_filtered,
-        },
-    }
-    # Each block writes its files and returns only its report.json entry, so
-    # what an analysis built beyond that is freed before the next one runs.
-    if "inflation" in analyses:
-        report["inflation"] = _analyze_inflation(records, configs, mapping, run)
-    if "correlation" in analyses:
-        report["correlation"] = _analyze_correlation(records, args, run)
-    if "cold-start" in analyses:
-        report["cold_start"] = _analyze_cold_start(records, args, run)
-    if "roundup" in analyses:
-        report["rounding_up"] = _analyze_roundup(records, policies, run)
-    run.json(report, "report.json")
-
-
-def _analyze_inflation(records: list, configs: list, mapping: str, run: _Run) -> List[dict]:
-    rows = []
-    blocks = []
-    prefixes = ("billable_vcpu_s", "billable_gb_s")
-    for config in configs:
-        rep = _cli.inflation_analysis(records, config, mapping=mapping)
-        doc = rep.as_dict()
-        blocks.append(doc)
-        rows.append([doc[key] for key in _INFLATION_COLUMNS]
-                    + [(doc[p] or {}).get(stat) for p in prefixes for stat in _SKETCH_STATS])
-    columns = [*_INFLATION_COLUMNS, *(f"{p}_{stat}" for p in prefixes for stat in _SKETCH_STATS)]
-    run.rows(rows, columns, "inflation")
-    return blocks
-
-
-def _analyze_correlation(records: list, args: argparse.Namespace, run: _Run) -> dict:
-    corr = _cli.utilization_correlation(records, seed=args.seed)
-    if corr.undefined:
-        print(f"warning: correlation undefined: {corr.undefined}", file=sys.stderr)
-    doc = corr.as_dict()
-    run.rows([tuple(doc.values())], list(doc), "utilization_correlation")
-    if corr.scatter_x:
-        run.rows(zip(corr.scatter_x, corr.scatter_y), ["cpu_utilization", "mem_utilization"],
-                 "utilization_scatter")
-    return doc
-
-
-def _analyze_cold_start(records: list, args: argparse.Namespace, run: _Run) -> dict:
-    cold = _cli.cold_start_differential(records, session_gap_ms=args.session_gap_ms)
-    doc = cold.as_dict()
-    row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
-    row["flags"] = ";".join(doc["flags"])
-    run.rows([tuple(row.values())], list(row), "cold_start")
-    return doc
-
-
-def _roundup_policies(args: argparse.Namespace) -> list:
-    policies = []
-    for gran in _split_list(args.roundup_ms):
-        name = f"{gran}ms"
-        if args.roundup_cutoff_ms > 0:
-            name += f"_min{args.roundup_cutoff_ms}ms"
-        if args.roundup_mem_gb is not None:
-            name += f"_mem{args.roundup_mem_gb}gb"
-        policies.append(
-            _cli.RoundingPolicy(name, float(gran), args.roundup_cutoff_ms, args.roundup_mem_gb)
-        )
-    return policies
-
-
-def _analyze_roundup(records: list, policies: list, run: _Run) -> List[dict]:
-    docs = [s.as_dict() for s in _cli.rounding_up_stats(records, policies)]
-    run.rows([tuple(d.values()) for d in docs], list(docs[0]), "rounding_up")
-    return docs
-
-
-# -------------------------------------------------------------- simulate
-
-
 def _bandwidth_config(args: argparse.Namespace, period_ms: str) -> BandwidthControlConfig:
     """The config of one ``--q`` timeline: quota, tick rate, slice and flavor."""
     return _cli.BandwidthControlConfig(
@@ -489,166 +262,6 @@ def _bandwidth_config(args: argparse.Namespace, period_ms: str) -> BandwidthCont
         slice_ms=args.slice_ms,
         flavor=args.flavor,
     )
-
-
-def cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
-    task = _cli.TaskSpec(cpu_time_ms=args.t)
-    periods = _split_list(args.p)
-    lagged = not args.exact_accounting
-
-    if args.q is not None:
-        # Single-run timeline mode.
-        for option, given in (("--breakpoints", args.breakpoints),
-                              ("--mem-per-vcpu-mb", args.mem_per_vcpu_mb is not None)):
-            if given:
-                raise CliError(f"{option} applies to a sweep, not to a --q timeline")
-        if len(periods) != 1:
-            raise CliError("--q takes exactly one --p value")
-        timeline = _cli.simulate(
-            task, _bandwidth_config(args, periods[0]), lagged_accounting=lagged
-        )
-        doc = timeline.as_dict()
-        doc["closed_form_completion_ms"] = _cli.closed_form_duration(
-            task, periods[0], args.q
-        )
-        doc["n_throttles"] = len(timeline.throttle_durations_us)
-        run.json(doc, "timeline.json")
-        return
-
-    if args.mem_per_vcpu_mb is not None and not args.breakpoints:
-        raise CliError("--mem-per-vcpu-mb annotates breakpoints; pass --breakpoints")
-    run.require_dir()
-    slugs: Dict[str, str] = {}  # file-name slug -> period
-    for period in periods:
-        slug = _slug(period)
-        if slug in slugs:
-            raise CliError(
-                f"--p values {slugs[slug]!r} and {period!r} both name "
-                f"duration_curve_p{slug}"
-            )
-        slugs[slug] = period
-    fractions = _cli.fraction_grid(args.grid, lo=args.f_lo)
-    for slug, period in slugs.items():
-        curve = _cli.duration_curve(
-            task,
-            period,
-            fractions,
-            tick_hz=args.tick_hz,
-            slice_ms=args.slice_ms,
-            flavor=args.flavor,
-            lagged_accounting=lagged,
-        )
-        run.rows(curve.points, _CURVE_COLUMNS, f"duration_curve_p{slug}")
-        if args.breakpoints:
-            rep = _cli.quantization_breakpoints(
-                curve, mem_per_vcpu_mb=args.mem_per_vcpu_mb
-            )
-            run.rows(rep.breakpoints, ["fraction", "completion_drop_ms", "memory_mb"],
-                     f"breakpoints_p{slug}")
-            for warning in rep.warnings:
-                print(f"warning: P={period}: {warning}", file=sys.stderr)
-
-
-# --------------------------------------------------------------- profile
-
-
-def _write_probe_result(result, run: _Run) -> None:
-    path = run.target("events.csv")
-    if path is None:
-        _cli.events_to_csv(result.events, sys.stdout)
-        return
-    _cli.events_to_csv(result.events, str(path))
-    summary = {
-        "n_events": len(result.events),
-        "total_runtime_ms": result.total_runtime_ms,
-        "truncated": result.truncated,
-        "loop_iterations": result.loop_iterations,
-        "notes": list(result.notes),
-    }
-    run.json(summary, "probe_summary.json")
-
-
-def _runtime_for(events_path: Path, run: _Run, runtime_ms: Optional[float], events) -> float:
-    if runtime_ms is not None:
-        return runtime_ms
-    sidecar = events_path.with_name("probe_summary.json")
-    if sidecar.exists():
-        try:
-            runtime_ms = float(json.loads(run.input(str(sidecar)).read_text())["total_runtime_ms"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{sidecar}: expected a JSON object with a numeric "
-                           f"'total_runtime_ms'") from exc
-        if not math.isfinite(runtime_ms):
-            raise CliError(f"{sidecar}: total_runtime_ms must be finite")
-        return runtime_ms
-    if not events:
-        raise CliError("--runtime-ms is required when the event log is empty")
-    fallback = events[-1].detected_at_ms
-    print(
-        f"warning: no --runtime-ms given; using last event time "
-        f"{fallback:.3f} ms as the total runtime",
-        file=sys.stderr,
-    )
-    return fallback
-
-
-def _load_reference(source: Optional[Path]) -> Dict[str, ReferenceSchedParams]:
-    if source is None:
-        return _cli.PUBLISHED_PLATFORM_SCHEDULERS
-    doc = _read_yaml(source)
-    if not isinstance(doc, dict):
-        raise CliError(f"{source}: reference table must map platform -> parameters")
-    table = {}
-    for platform, params in doc.items():
-        if not isinstance(params, dict):
-            raise CliError(
-                f"{source}: {platform}: expected a mapping with period_ms and tick_hz"
-            )
-        for key in ("period_ms", "tick_hz"):
-            if key not in params:
-                raise CliError(f"{source}: {platform}: missing {key!r}")
-        try:
-            period_ms, tick_hz = float(params["period_ms"]), int(params["tick_hz"])
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{source}: {platform}: period_ms and tick_hz must be numbers") from exc
-        table[platform] = _cli.ReferenceSchedParams(
-            platform=platform, period_ms=period_ms, tick_hz=tick_hz,
-            note=str(params.get("note", "")),
-        )
-    return table
-
-
-def cmd_profile(args: argparse.Namespace, run: _Run) -> None:
-    if args.action == "run":
-        cfg = _cli.ProbeConfig(
-            exec_duration_ms=args.duration_ms, gap_threshold_us=args.gap_threshold_us
-        )
-        _write_probe_result(_cli.probe(cfg), run)
-        return
-
-    if args.action == "replay":
-        task = _cli.TaskSpec(cpu_time_ms=args.t)
-        timeline = _cli.simulate(task, _bandwidth_config(args, args.p))
-        cfg = _cli.ProbeConfig(
-            exec_duration_ms=timeline.completion_ms,
-            gap_threshold_us=args.gap_threshold_us,
-        )
-        result = _cli.replay_probe(timeline, cfg, step_us=args.step_us)
-        _write_probe_result(result, run)
-        return
-
-    # analyze and report both start from a saved event log.
-    events_path = run.input(getattr(args, "in"))
-    events = _cli.events_from_csv(str(events_path))
-    runtime_ms = _runtime_for(events_path, run, args.runtime_ms, events)
-    fingerprint = _cli.analyze_events(
-        events, runtime_ms, alignment_tol_us=args.alignment_tol_us
-    )
-    if args.action == "analyze":
-        run.json(fingerprint.as_dict(), "fingerprint.json")
-    else:
-        reference = _load_reference(run.input(args.reference))
-        run.json(_cli.fingerprint_report(fingerprint, reference=reference), "report.json")
 
 
 # ---------------------------------------------------------------- parser
@@ -719,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bill the allocation exactly as given instead of mapping it "
         "to the platform's knob grid first",
     )
-    bill.set_defaults(func=cmd_bill)
 
     analyze = sub.add_parser(
         "analyze", parents=[out, table, inputs], help="run trace analytics", allow_abbrev=False
@@ -768,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drop records whose average CPU usage is exactly zero",
     )
-    analyze.set_defaults(func=cmd_analyze)
 
     sim = sub.add_parser(
         "simulate", parents=[out, table, sched], help="CPU bandwidth-control models",
@@ -802,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="annotate breakpoints with proportional-allocation memory sizes",
     )
-    sim.set_defaults(func=cmd_simulate)
 
     prof = sub.add_parser("profile", help="scheduler fingerprinting", allow_abbrev=False)
     prof_sub = prof.add_subparsers(dest="action", required=True)
@@ -811,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[out, probe], help="run the live throttle probe", allow_abbrev=False
     )
     prun.add_argument("--duration-ms", type=float, required=True)
-    prun.set_defaults(func=cmd_profile, action="run")
 
     prep = prof_sub.add_parser(
         "replay",
@@ -823,13 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--p", required=True, help="enforcement period in ms")
     prep.add_argument("--q", required=True, help="quota in ms")
     prep.add_argument("--step-us", type=int, default=50)
-    prep.set_defaults(func=cmd_profile, action="replay")
 
-    pana = prof_sub.add_parser(
+    prof_sub.add_parser(
         "analyze", parents=[out, event_log], help="fingerprint a saved event log",
         allow_abbrev=False,
     )
-    pana.set_defaults(func=cmd_profile, action="analyze")
 
     prev = prof_sub.add_parser(
         "report",
@@ -843,16 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="YAML table platform -> {period_ms, tick_hz} overriding the "
         "built-in published values",
     )
-    prev.set_defaults(func=cmd_profile, action="report")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # Only the running command's module is imported, so only its code is
+    # compiled where no bytecode is cached.
+    command = importlib.import_module(f"faascost.commands.{args.command}").command
     run = _Run(args)
     try:
-        args.func(args, run)
+        command(args, run)
         run.commit()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -863,7 +472,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    if vars(_cli) is not globals():
+    if vars(_cli) is globals():
+        # ``python -m faascost.cli``: this module is ``__main__``. It is also
+        # ``faascost.cli``, which each command module imports; unregistered,
+        # that import would compile and run this file a second time.
+        sys.modules["faascost.cli"] = _cli
+    else:
         # Run by runpy without a module of its own (``python -m cProfile -m
         # faascost.cli``): the commands read their names through the
         # imported module.

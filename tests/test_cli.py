@@ -913,11 +913,14 @@ def test_cli_import_leaves_numpy_out():
 
 _ROOT = Path(__file__).resolve().parents[1]
 # ``_hashlib`` is OpenSSL, which no command maps: ``run.json``'s digests come from
-# the interpreter's own SHA-256.
+# the interpreter's own SHA-256. Each command loads its own module of
+# ``faascost.commands`` and no other.
+_COMMANDS = tuple(f"faascost.commands.{name}"
+                  for name in ("bill", "analyze", "simulate", "profile"))
 _LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analysis",
            "faascost.sched", "faascost.sched.sweep", "faascost.sched.closed_form",
            "faascost.profiler", "faascost.profiler.fingerprint", "faascost.profiler.probes",
-           "statistics", "_hashlib", "dataclasses", "inspect")
+           "statistics", "_hashlib", "dataclasses", "inspect", *_COMMANDS)
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
@@ -985,37 +988,52 @@ def test_runpy_runs_the_cli_in_a_namespace_of_its_own(tmp_path, capsys):
     assert result.stdout == capsys.readouterr().out
 
 
-def test_python_m_imports_the_cli_once(tmp_path):
-    # -X importtime logs a module loaded by an import statement, not one
-    # loaded through importlib.import_module, as the layers are: the control
-    # is faascost.money, which the simulator's types import.
+@pytest.mark.parametrize("argv", [
+    ["bill", "--platform", "aws_lambda", "--records", "TRACE"],
+    ["analyze", "--trace", "TRACE", "--out-dir", "out"],
+    ["simulate", "--t", "10", "--p", "20", "--q", "5"],
+    ["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
+    ["profile", "report", "--in", "EVENTS"],
+], ids=["bill-records", "analyze", "simulate", "profile-replay", "profile-report"])
+def test_python_m_imports_the_cli_once(argv, tmp_path, trace_csv, events_csv):
+    # Each command module imports faascost.cli, which under -m is __main__:
+    # an import that found no faascost.cli in sys.modules would run cli.py a
+    # second time. -X importtime logs a module loaded by an import statement,
+    # not one loaded through importlib.import_module, as the layers and the
+    # command modules are: the control is faascost.checked, which each
+    # command's layers import.
+    files = {"TRACE": trace_csv, "EVENTS": events_csv}
     result = subprocess.run([sys.executable, "-X", "importtime", "-m", "faascost.cli",
-                             "simulate", "--t", "10", "--p", "20", "--q", "5"],
+                             *[str(files.get(a, a)) for a in argv]],
                             capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
                             check=True)
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
-    assert "faascost.money" in imported and "faascost.cli" not in imported
+    assert "faascost.checked" in imported and "faascost.cli" not in imported
 
 
-_SWEEP = {"faascost.sched", "faascost.sched.sweep"}
-_ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml"}
-_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics"}
+_BILL, _ANALYZE_COMMAND, _SIMULATE, _PROFILE = _COMMANDS
+_SWEEP = {"faascost.sched", "faascost.sched.sweep", _SIMULATE}
+_ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
+            _ANALYZE_COMMAND}
+_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics", _PROFILE}
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
                         "--breakpoints"], _SWEEP),
     "simulate-timeline": (["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
-                          {"faascost.sched", "faascost.sched.closed_form"}),
+                          {"faascost.sched", "faascost.sched.closed_form", _SIMULATE}),
+    # The replay configures its timeline as simulate does, without its module.
     "profile-replay": (["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
-                       {"faascost.sched", "faascost.profiler", "faascost.profiler.probes"}),
+                       {"faascost.sched", "faascost.profiler", "faascost.profiler.probes",
+                        _PROFILE}),
     "profile-analyze": (["profile", "analyze", "--in", "EVENTS"], _FINGERPRINT),
     "profile-report": (["profile", "report", "--in", "EVENTS"], _FINGERPRINT),
     "profile-report-reference": (
         ["profile", "report", "--in", "EVENTS", "--reference", "REFERENCE"],
         {*_FINGERPRINT, "yaml"}),
     "bill": (["bill", "--platform", "aws_lambda", "--mem-mb", "128", "--exec-ms", "96"],
-             {"faascost.billing", "faascost.traces", "yaml"}),
+             {"faascost.billing", "faascost.traces", "yaml", _BILL}),
     "bill-records": (["bill", "--platform", "aws_lambda", "--records", "TRACE"],
-                     {"faascost.billing", "faascost.traces", "yaml"}),
+                     {"faascost.billing", "faascost.traces", "yaml", _BILL}),
     "analyze": (["analyze", "--trace", "TRACE"], _ANALYZE),
     # The schema's keys are checked against SchemaMap._fields.
     "analyze-schema": (["analyze", "--trace", "TRACE", "--schema", "SCHEMA"], _ANALYZE),
@@ -1089,19 +1107,26 @@ print(json.dumps({{"loaded": loaded, "wrong": wrong_on_first_read + wrong_after,
         assert submodules and not submodules & set(module.__all__), name
 
 
-def test_tracer_patches_reach_the_commands(tmp_path):
+def test_tracer_patches_reach_the_commands(tmp_path, trace_csv, events_csv):
     # perfbench/tracing.py reads and replaces these names on faascost.cli
     # before any command has run; each must be readable then, and a patch
-    # must be what the command calls.
+    # must be what each command module calls.
     source = (_ROOT / "perfbench" / "tracing.py").read_text()
     names = sorted(set(re.findall(r't\.patch\(cli, "(\w+)"', source)))
     assert "simulate" in names and len(names) >= 17
+    commands = [
+        ["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
+        ["bill", "--platform", "aws_lambda", "--records", str(trace_csv)],
+        ["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
+        ["profile", "analyze", "--in", str(events_csv)],
+    ]
     code = f"""
 import json
 import faascost.sched
 from faascost import cli
 
-calls = {{"simulate": 0, "closed_form_duration": 0}}
+calls = dict.fromkeys(
+    ("simulate", "closed_form_duration", "compute_cost", "replay_probe", "analyze_events"), 0)
 
 def counting(name, fn):
     def wrapper(*args, **kwargs):
@@ -1113,12 +1138,21 @@ def counting(name, fn):
 cli.closed_form_duration = counting(
     "closed_form_duration", faascost.sched.closed_form_duration)
 unreadable = [name for name in {names!r} if not hasattr(cli, name)]
-cli.simulate = counting("simulate", cli.simulate)
-code = cli.main(["simulate", "--t", "33.1", "--p", "20", "--q", "1.45", "--out-dir", "tmp"])
-print(json.dumps({{"code": code, "unreadable": unreadable, "calls": calls}}))
+for name in ("simulate", "compute_cost", "replay_probe", "analyze_events"):
+    setattr(cli, name, counting(name, getattr(cli, name)))
+runs = []
+for i, argv in enumerate({commands!r}):
+    before = dict(calls)
+    code = cli.main([*argv, "--out-dir", f"out{{i}}"])
+    runs.append([code, sorted(name for name in calls if calls[name] > before[name])])
+print(json.dumps({{"unreadable": unreadable, "runs": runs}}))
 """
-    assert _fresh_python(code, tmp_path) == {
-        "code": 0, "unreadable": [], "calls": {"simulate": 1, "closed_form_duration": 1}}
+    assert _fresh_python(code, tmp_path) == {"unreadable": [], "runs": [
+        [0, ["closed_form_duration", "simulate"]],
+        [0, ["compute_cost"]],
+        [0, ["replay_probe", "simulate"]],
+        [0, ["analyze_events"]],
+    ]}
 
 
 _ANALYZE_LAYERS = ("ingest_trace", "inflation_analysis", "utilization_correlation",

@@ -17,8 +17,8 @@ from decimal import Decimal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faascost import cli
 from faascost.billing.platforms import resolve_platform
+from faascost.commands import bill
 from faascost.traces import (
     IngestStats,
     RoundingPolicy,
@@ -129,8 +129,8 @@ def test_hostile_traces_are_rejected_or_counted(data, drop_zero_cpu, normalize):
         for mapping in ("normalize", "direct"):
             reports.append(consume(
                 lambda: inflation_analysis(records, config, mapping=mapping).as_dict()))
-        bills = [dict(zip(cli._BILL_COLUMNS, row))
-                 for row in consume(lambda: list(cli._bill_rows(records, config, normalize))) or []]
+        bills = [dict(zip(bill._BILL_COLUMNS, row))
+                 for row in consume(lambda: list(bill._bill_rows(records, config, normalize))) or []]
         assert all(Decimal(row[name]).is_finite() for row in bills for name in BILLED)
         reports.append(bills)
     assert all(math.isfinite(x) for x in floats(reports))

@@ -35,6 +35,7 @@ from faascost.billing.model import (
     allocation,
 )
 from faascost.billing.platforms import bundled_platform_names, resolve_platform
+from faascost.commands import bill
 from faascost.money import CONTEXT, micros
 from faascost.traces import (
     InvocationRecord,
@@ -329,7 +330,7 @@ def test_a_priced_extra_is_billed_through_the_granted_allocation():
             breakdown = compute_cost(record, config, granted)
             assert breakdown.alloc_terms["gpu"][0] == gpus
             assert breakdown == price(billable_quantities(record, config, amounts), config)
-        alloc_usd.append(cli._bill_row(base, config, granted)[cli._BILL_COLUMNS.index("alloc_usd")])
+        alloc_usd.append(bill._bill_row(base, config, granted)[bill._BILL_COLUMNS.index("alloc_usd")])
     assert alloc_usd[0] != alloc_usd[1]
     # The row's own allocation, as granted for a trace, carries no GPU.
     assert billing.grant(base.alloc_vcpus, base.alloc_memory_mb)[1]["gpu"] == 0
@@ -394,8 +395,8 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
     config = BILL_CONFIGS[name]
     records = bill_records(seed=len(name))
     want = [
-        cli._bill_row(r, config,
-                      normalize_allocation(requested(r), config) if normalize else requested(r))
+        bill._bill_row(r, config,
+                       normalize_allocation(requested(r), config) if normalize else requested(r))
         for r in records
     ]
     # Rows are tuples in _BILL_COLUMNS order, the priced strings last.
@@ -413,7 +414,7 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
     for cap in (TraceBilling.KEYS_CAP, 3):
         monkeypatch.setattr(TraceBilling, "KEYS_CAP", cap)
         priced.clear()
-        assert list(cli._bill_rows(records, config, normalize)) == want
+        assert list(bill._bill_rows(records, config, normalize)) == want
         if cap == 3:
             # Past the cap a new key is priced on its own, every time.
             assert len(priced) > len(records) // 2
