@@ -228,6 +228,17 @@ def rounded_steps(raw: int, granularity: int, cutoff: int) -> int:
 _CPU, _CPU_MS, _MEM = range(3)
 
 
+def whole_time_grid(granularity: Decimal, cutoff: Decimal,
+                    scale: int) -> Optional[Tuple[int, int]]:
+    """A time granularity and cutoff in whole ``1/scale`` units, or None when
+    either is not a whole number of units."""
+    units = whole_units(granularity, scale)
+    cutoff_units = whole_units(cutoff, scale)
+    if units and cutoff_units is not None:
+        return units, cutoff_units
+    return None
+
+
 def _step_grid(config: PlatformBillingConfig) -> tuple:
     """The time granularity and cutoff in whole units, and per usage-billed
     resource (resource, how to read its amount, granularity in units, in
@@ -246,10 +257,9 @@ def _step_grid(config: PlatformBillingConfig) -> tuple:
     usage = tuple(usage)
     if config.time_granularity_ms is not None and all(units for _, _, units, _ in usage):
         scale = 10**12 if config.billable_time_kind == "cpu_time_only" else 10**6
-        granularity = whole_units(config.time_granularity_ms, scale)
-        cutoff = whole_units(config.time_min_cutoff_ms, scale)
-        if granularity and cutoff is not None:
-            return granularity, cutoff, usage
+        grid = whole_time_grid(config.time_granularity_ms, config.time_min_cutoff_ms, scale)
+        if grid is not None:
+            return (*grid, usage)
     return None, None, usage
 
 

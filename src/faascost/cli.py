@@ -132,8 +132,10 @@ class _Run:
 
     def platform(self, name: str):
         """The named platform's config; its path goes into the manifest."""
-        self.config_paths.append(_cli.resolve_platform_path(name, self.args.config_dir))
-        return _cli.resolve_platform(name, self.args.config_dir)
+        path = _cli.resolve_platform_path(name, self.args.config_dir)
+        self.config_paths.append(path)
+        # Named by the path found, the config loads without a second search.
+        return _cli.resolve_platform(str(path))
 
     def target(self, name: str) -> Optional[Path]:
         """The staging file of output ``name`` in ``out_dir``; None is stdout."""
@@ -156,9 +158,10 @@ class _Run:
     def rows(self, rows: Iterable[Sequence], fieldnames: Sequence[str], stem: str) -> None:
         """The rows, each a sequence of the ``fieldnames`` columns in order, as
         CSV or as one JSON array of objects, each row written as it comes."""
-        path = self.target(f"{stem}.{self.args.format}")
+        table_format = self.args.format or "csv"
+        path = self.target(f"{stem}.{table_format}")
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-            if self.args.format == "json":
+            if table_format == "json":
                 _write_json_array(fh, rows, fieldnames)
                 return
             writer = csv.writer(fh, lineterminator="\n")
@@ -209,6 +212,23 @@ def _write_json_array(fh, rows: Iterable[Sequence], fieldnames: Sequence[str]) -
                  + "\n  }")
         opener = ",\n  {"
     fh.write("[]\n" if opener == "[\n  {" else "\n]\n")
+
+
+def _applies_to(args: argparse.Namespace, what: str, read: bool, **defaults) -> None:
+    """Check options that one mode of a command reads and the others ignore.
+
+    Each option is named by its dest in ``defaults`` and parsed with a
+    default of None, so any value on the command line, ``0`` and ``""``
+    too, counts as given. When the running mode reads the options
+    (``read``), each one not given takes its default here. Otherwise the
+    first one given, in the order of ``defaults``, is the error
+    "<option> applies to <what>".
+    """
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif not read:
+            raise CliError(f"--{dest.replace('_', '-')} applies to {what}")
 
 
 def _split_list(raw: str) -> List[str]:
@@ -288,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--format",
         choices=("csv", "json"),
-        default="csv",
+        default=None,
         help="tabular output format (default csv)",
     )
     inputs = argparse.ArgumentParser(add_help=False)
@@ -360,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--session-gap-ms",
         type=float,
-        default=900_000.0,
-        help="idle gap that splits an instance into billing sessions",
+        default=None,
+        help="idle gap that splits an instance into billing sessions (default 900000)",
     )
     analyze.add_argument(
-        "--roundup-ms", default="1,100", help="comma list of time granularities"
+        "--roundup-ms", default=None, help="comma list of time granularities (default 1,100)"
     )
     analyze.add_argument(
-        "--roundup-cutoff-ms", type=float, default=0.0, help="minimum billed time"
+        "--roundup-cutoff-ms", type=float, default=None, help="minimum billed time (default 0)"
     )
     analyze.add_argument(
         "--roundup-mem-gb",
@@ -392,9 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--q", default=None, help="quota in ms; selects single-timeline mode"
     )
-    sim.add_argument("--grid", type=int, default=200, help="points in the f sweep")
+    sim.add_argument("--grid", type=int, default=None, help="points in the f sweep (default 200)")
     sim.add_argument(
-        "--f-lo", type=float, default=0.005, help="smallest vCPU fraction in the sweep"
+        "--f-lo", type=float, default=None,
+        help="smallest vCPU fraction in the sweep (default 0.005)"
     )
     sim.add_argument(
         "--exact-accounting",
@@ -405,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--breakpoints",
         action="store_true",
+        default=None,
         help="also emit detected quantization breakpoints per period",
     )
     sim.add_argument(

@@ -37,18 +37,18 @@ def command(args: argparse.Namespace, run: cli._Run) -> None:
     # 20k-row trace that was 0.8 MB more peak RSS.
     importlib.import_module("faascost.traces.analysis")
     # The analyses' options and platforms are checked before the trace is read.
+    left_out = "the {} analysis, which --analyses leaves out"
+    cli._applies_to(args, left_out.format("inflation"), "inflation" in analyses,
+                    platforms="aws_lambda", mapping="normalize")
+    cli._applies_to(args, left_out.format("cold-start"), "cold-start" in analyses,
+                    session_gap_ms=900_000.0)
+    cli._applies_to(args, left_out.format("roundup"), "roundup" in analyses,
+                    roundup_ms="1,100", roundup_cutoff_ms=0.0, roundup_mem_gb=None)
     if "cold-start" in analyses:
         cli.check_session_gap(args.session_gap_ms)
     policies = _roundup_policies(args) if "roundup" in analyses else None
     if "inflation" in analyses:
-        platforms = "aws_lambda" if args.platforms is None else args.platforms
-        configs = [run.platform(name) for name in cli._split_list(platforms)]
-        mapping = args.mapping or "normalize"
-    else:
-        for option, value in (("--platforms", args.platforms), ("--mapping", args.mapping)):
-            if value is not None:
-                raise CliError(f"{option} applies to the inflation analysis, which "
-                               f"--analyses leaves out")
+        configs = [run.platform(name) for name in cli._split_list(args.platforms)]
 
     stats = cli.IngestStats()
     records = list(
@@ -66,7 +66,7 @@ def command(args: argparse.Namespace, run: cli._Run) -> None:
     # Each block writes its files and returns only its report.json entry, so
     # what an analysis built beyond that is freed before the next one runs.
     if "inflation" in analyses:
-        report["inflation"] = _analyze_inflation(records, configs, mapping, run)
+        report["inflation"] = _analyze_inflation(records, configs, args.mapping, run)
     if "correlation" in analyses:
         report["correlation"] = _analyze_correlation(records, args, run)
     if "cold-start" in analyses:

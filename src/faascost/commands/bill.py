@@ -9,7 +9,6 @@ from decimal import Decimal
 from typing import Dict, Iterable, Iterator
 
 from faascost import cli
-from faascost.cli import CliError
 
 _BILL_COLUMNS = (
     "function_id",
@@ -62,42 +61,38 @@ def _bill_rows(records: Iterable[cli.InvocationRecord], config,
 
 
 def command(args: argparse.Namespace, run: cli._Run) -> None:
-    single = {"--mem-mb": args.mem_mb, "--vcpus": args.vcpus, "--exec-ms": args.exec_ms,
-              "--init-ms": args.init_ms, "--cpu-avg-vcpus": args.cpu_avg_vcpus,
-              "--mem-used-mb": args.mem_used_mb}
+    single = args.records is None
     # Each mode rejects the options only the other one reads, before any input is read.
-    given = [option for option, value in single.items() if value is not None]
-    if args.records is not None and given:
-        raise CliError(f"{given[0]} applies to a single bill, which --records replaces")
-    if args.records is None and args.schema is not None:
-        raise CliError("--schema applies to the trace that --records names")
+    cli._applies_to(args, "a single bill, which --records replaces", single,
+                    mem_mb="0", vcpus="0", exec_ms=0.0, init_ms=0.0, cpu_avg_vcpus=0.0,
+                    mem_used_mb=0.0)
+    # A --format of None is csv (see ``_Run.rows``).
+    cli._applies_to(args, "the trace that --records names", not single,
+                    schema=None, format=None)
     config = run.platform(args.platform)
     normalize = not args.no_normalize
 
-    if args.records is not None:
+    if not single:
         records_path = run.input(args.records)
         schema = cli._load_schema(run.input(args.schema))
         rows = _bill_rows(cli.ingest_trace(records_path, schema), config, normalize)
         run.rows(rows, _BILL_COLUMNS, "bills")
         return
 
-    mem_mb, vcpus, exec_ms, init_ms, cpu_avg_vcpus, mem_used_mb = (
-        default if value is None else value
-        for value, default in zip(single.values(), ("0", "0", 0.0, 0.0, 0.0, 0.0)))
-    alloc = cli.allocation(vcpus=vcpus, memory_mb=mem_mb)
+    alloc = cli.allocation(vcpus=args.vcpus, memory_mb=args.mem_mb)
     if normalize:
         alloc = cli.normalize_allocation(alloc, config)
     record = cli.InvocationRecord(
         function_id="cli",
         instance_id="cli-0",
         arrival_ts_ms=0.0,
-        exec_duration_ms=exec_ms,
-        init_duration_ms=init_ms,
-        is_cold_start=init_ms > 0,
+        exec_duration_ms=args.exec_ms,
+        init_duration_ms=args.init_ms,
+        is_cold_start=args.init_ms > 0,
         alloc_vcpus=float(alloc.vcpus),
         alloc_memory_mb=float(alloc.memory_mb),
-        cpu_usage_avg_vcpus=cpu_avg_vcpus,
-        mem_usage_mb=mem_used_mb,
+        cpu_usage_avg_vcpus=args.cpu_avg_vcpus,
+        mem_usage_mb=args.mem_used_mb,
     )
     # The exact allocation is billed, not the record's floats.
     breakdown = cli.compute_cost(record, config, alloc)

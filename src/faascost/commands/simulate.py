@@ -25,13 +25,15 @@ def command(args: argparse.Namespace, run: cli._Run) -> None:
     task = cli.TaskSpec(cpu_time_ms=args.t)
     periods = cli._split_list(args.p)
     lagged = not args.exact_accounting
+    sweep = args.q is None
+    # A --format of None is csv (see ``_Run.rows``).
+    cli._applies_to(args, "a sweep, not to a --q timeline", sweep,
+                    breakpoints=False, mem_per_vcpu_mb=None, grid=200, f_lo=0.005, format=None)
+    cli._applies_to(args, "the breakpoints that --breakpoints adds", args.breakpoints,
+                    mem_per_vcpu_mb=None)
 
-    if args.q is not None:
+    if not sweep:
         # Single-run timeline mode.
-        for option, given in (("--breakpoints", args.breakpoints),
-                              ("--mem-per-vcpu-mb", args.mem_per_vcpu_mb is not None)):
-            if given:
-                raise CliError(f"{option} applies to a sweep, not to a --q timeline")
         if len(periods) != 1:
             raise CliError("--q takes exactly one --p value")
         timeline = cli.simulate(
@@ -45,8 +47,6 @@ def command(args: argparse.Namespace, run: cli._Run) -> None:
         run.json(doc, "timeline.json")
         return
 
-    if args.mem_per_vcpu_mb is not None and not args.breakpoints:
-        raise CliError("--mem-per-vcpu-mb annotates breakpoints; pass --breakpoints")
     run.require_dir()
     slugs: Dict[str, str] = {}  # file-name slug -> period
     for period in periods:

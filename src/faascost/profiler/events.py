@@ -8,8 +8,8 @@ and replayed runs: header ``detected_at_us,gap_us``, one event per line.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from contextlib import nullcontext
 from typing import IO, Iterable, List, NamedTuple, Tuple, Union
 
 from ..checked import checked
@@ -81,25 +81,18 @@ _HEADER = ["detected_at_us", "gap_us"]
 
 
 def events_to_csv(events: Iterable[ThrottleEvent], sink: Union[str, IO[str]]) -> None:
-    """Write events in the shared CSV format."""
-
-    def write(fh: IO[str]) -> None:
+    """Write events in the shared CSV format to a path or a stream."""
+    with open(sink, "w", newline="") if isinstance(sink, str) else nullcontext(sink) as fh:
         w = csv.writer(fh)
         w.writerow(_HEADER)
         for ev in events:
             w.writerow([ev.detected_at_us, ev.gap_us])
 
-    if isinstance(sink, str):
-        with open(sink, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(sink)
-
 
 def events_from_csv(source: Union[str, IO[str]]) -> List[ThrottleEvent]:
-    """Read events back; validates the header and integer fields."""
-
-    def read(fh: IO[str]) -> List[ThrottleEvent]:
+    """Read events back from a path or a stream; validates the header and
+    integer fields."""
+    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _HEADER:
@@ -115,10 +108,3 @@ def events_from_csv(source: Union[str, IO[str]]) -> List[ThrottleEvent]:
             except ValueError as exc:
                 raise ProfilerError(f"line {lineno}: {exc}") from exc
         return out
-
-    if isinstance(source, str):
-        with open(source, newline="") as fh:
-            return read(fh)
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return read(source)
-    raise ProfilerError(f"unsupported event source: {source!r}")

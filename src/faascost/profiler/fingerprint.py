@@ -107,28 +107,19 @@ def _base_bin(values_us: Sequence[int]) -> Tuple[Optional[int], bool]:
     return base, False
 
 
-def _on_grid(values_us: Sequence[int], hz: int, tol_us: float) -> bool:
-    """True when every value sits on the hz grid anchored at zero."""
-    spacing = 1e6 / hz
-    for v in values_us:
-        r = v % spacing
-        if min(r, spacing - r) > tol_us:
-            return False
-    return True
+def _on_grid(values_us: Sequence[int], hz: int, tol_us: float, anchor_us: int = 0) -> bool:
+    """True when every value sits on the hz grid anchored at ``anchor_us``:
+    each residue modulo the hz spacing is within ``tol_us`` of the anchor's.
 
-
-def _residues_agree(values_us: Sequence[int], hz: int, tol_us: float) -> bool:
-    """True when values share one residue modulo the hz spacing.
-
-    Phase-free variant for streams whose origin is unrelated to the
-    tick grid: consistency of the residues is all that can be checked.
+    Anchored at the first value, the test is phase-free, for streams whose
+    origin is unrelated to the tick grid: consistency of the residues is
+    all that can be checked.
     """
     spacing = 1e6 / hz
-    base = values_us[0] % spacing
-    for v in values_us[1:]:
-        d = (v % spacing) - base
-        d = min(abs(d), spacing - abs(d))
-        if d > tol_us:
+    base = anchor_us % spacing
+    for v in values_us:
+        d = abs(v % spacing - base)
+        if min(d, spacing - d) > tol_us:
             return False
     return True
 
@@ -238,7 +229,7 @@ def analyze_events(
             break
     if tick_hz is None:
         for hz in _TICK_CANDIDATES_HZ:
-            if _residues_agree(starts, hz, alignment_tol_us):
+            if _on_grid(starts, hz, alignment_tol_us, anchor_us=starts[0]):
                 tick_hz = hz
                 notes.append(
                     "tick grid phase is unknown relative to the stream "

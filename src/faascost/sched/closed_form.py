@@ -13,20 +13,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..money import dec
-from .types import Number, SchedulingError, TaskSpec
+from .types import BandwidthControlConfig, Number, TaskSpec
 
 
 def closed_form_duration(task: TaskSpec, period_ms: Number, quota_ms: Number) -> float:
-    """Exact wall-clock completion in ms, ignoring accounting lag."""
+    """Exact wall-clock completion in ms, ignoring accounting lag. The period
+    and quota are checked as a :class:`BandwidthControlConfig`'s."""
+    BandwidthControlConfig(period_ms, quota_ms)
     t = Fraction(dec(task.cpu_time_ms))
     p = Fraction(dec(period_ms))
     q = Fraction(dec(quota_ms))
-    if p <= 0 or q <= 0:
-        raise SchedulingError("period and quota must be positive")
-    if q > p:
-        raise SchedulingError(
-            "quota above period means more than one core; not modeled"
-        )
     full, residue = divmod(t, q)
     if residue != 0:
         return float(full * p + residue)

@@ -567,15 +567,6 @@ class RoundingUpStats(NamedTuple):
         }
 
 
-def _int_grid(granularity: Decimal, cutoff: Decimal) -> Optional[Tuple[int, int]]:
-    """A time granularity and cutoff in whole 10^-6 ms, or None."""
-    units = whole_units(granularity, 10**6)
-    cutoff_units = whole_units(cutoff, 10**6)
-    if units is None or cutoff_units is None:
-        return None
-    return units, cutoff_units
-
-
 def rounding_up_stats(
     records: Iterable[InvocationRecord],
     policies: Sequence[RoundingPolicy],
@@ -595,7 +586,8 @@ def rounding_up_stats(
     # Each policy's time grid in 10^-6 ms, and each memory granularity's in
     # 10^-6 MB; None sends every record down the Decimal path for it.
     time_grids = [
-        _int_grid(pol.time_granularity_ms, pol.time_min_cutoff_ms) for pol in policies
+        billing_engine.whole_time_grid(pol.time_granularity_ms, pol.time_min_cutoff_ms, 10**6)
+        for pol in policies
     ]
     mem_grids = {
         gran: whole_units(gran * 1024, 10**6)

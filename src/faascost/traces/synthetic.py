@@ -28,6 +28,8 @@ _MB_PER_VCPU = 1769.0
 # The roundup analysis's floor, restated so the ledger stays an independent
 # reference for it.
 _ROUNDUP_MIN_EXEC_MS = 1.0
+# Execution durations are uniform on (0, _DURATION_MAX_MS].
+_DURATION_MAX_MS = 100.0
 _MEM_ROUNDUP_GRAN_GB = 0.125
 # zlib's default level. GzipFile's default, 9, compresses the generated CSV
 # about 4x slower for a file only 3.5% smaller.
@@ -60,7 +62,6 @@ def generate_synthetic_trace(
     nonpositive_fraction: float = 0.42,
     utilization_corr: float = 0.4,
     n_functions: int = 50,
-    duration_max_ms: float = 100.0,
 ) -> dict:
     """Write a synthetic trace CSV (gzip at level 6 if the path ends in
     .gz) and return its ledger.
@@ -70,7 +71,7 @@ def generate_synthetic_trace(
     instances get an init duration above their total execution time (drawn
     in [1.05, 2.5] of it), the rest land in [0.30, 0.95] of it, so the
     cold-start differential sign survives the 6-decimal serialization with
-    a wide margin. Execution durations are uniform on (0, duration_max_ms].
+    a wide margin. Execution durations are uniform on (0, 100] ms.
     Utilization pairs are bivariate normal around 0.5 with the requested
     correlation, clipped to (0, 1).
 
@@ -78,6 +79,9 @@ def generate_synthetic_trace(
     ingestion can be compared bit for bit), planted parameters with their
     closed-form expectations, and sample-exact statistics recomputed from
     the serialized values in an independent direct pass.
+
+    The generator needs NumPy, which the package's ``test`` extra installs
+    (``pip install -e ".[test]"``); no command of the CLI imports it.
     """
     if n_records <= 0:
         raise ValueError("n_records must be positive")
@@ -87,8 +91,6 @@ def generate_synthetic_trace(
         raise ValueError("nonpositive_fraction must be in [0, 1]")
     if not -1.0 < utilization_corr < 1.0:
         raise ValueError("utilization_corr must be in (-1, 1)")
-    if duration_max_ms <= _ROUNDUP_MIN_EXEC_MS:
-        raise ValueError("duration_max_ms must exceed the 1 ms roundup floor")
 
     # Imported here: the CLI loads this module but never generates a trace,
     # and importing NumPy costs about 0.17 s and 13 MB of start-up.
@@ -98,7 +100,7 @@ def generate_synthetic_trace(
     n_inst = (n_records + requests_per_instance - 1) // requests_per_instance
 
     # Per-record draws.
-    durations = duration_max_ms - rng.random(n_records) * duration_max_ms
+    durations = _DURATION_MAX_MS - rng.random(n_records) * _DURATION_MAX_MS
     z1 = rng.standard_normal(n_records)
     z2 = rng.standard_normal(n_records)
     rho = utilization_corr
@@ -201,7 +203,7 @@ def generate_synthetic_trace(
     # E[G*ceil(d/G) - d | d in (m, G]] = G - (m + G) / 2.
     mask = exec_parsed >= _ROUNDUP_MIN_EXEC_MS
     n_kept = int(mask.sum())
-    gran = duration_max_ms
+    gran = _DURATION_MAX_MS
     kept = exec_parsed[mask]
     roundup = np.ceil(kept / gran) * gran - kept
     mem_g = _MEM_ROUNDUP_GRAN_GB
@@ -220,7 +222,7 @@ def generate_synthetic_trace(
             "utilization_corr": float(rho),
             "nonpositive_fraction": n_nonpos / n_inst,
             "n_nonpositive_instances": int(n_nonpos),
-            "duration_distribution": f"uniform(0, {duration_max_ms}] ms",
+            "duration_distribution": f"uniform(0, {_DURATION_MAX_MS}] ms",
             "roundup_min_exec_ms": _ROUNDUP_MIN_EXEC_MS,
             "expected_time_roundup_ms": {
                 str(gran): gran - (_ROUNDUP_MIN_EXEC_MS + gran) / 2.0,

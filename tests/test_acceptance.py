@@ -57,6 +57,7 @@ from faascost.traces import (
 
 from genpairs import invoice_view, random_pair
 from oracle_invoice import reference_cost
+from oracle_profiler import stream_identifies
 from oracle_sched import oracle_completion_ms
 from oracle_traces import oracle_inflation_totals
 
@@ -213,27 +214,6 @@ def test_criterion_6_breakpoints_are_harmonic():
 # ------------------------------------------------ 7: profiler round trip
 
 
-def _stream_identifies(events, p_ms, hz, tol=150.0) -> bool:
-    """Observable identifiability: direct period evidence in the interval
-    differences plus onsets that refute every coarser candidate grid."""
-    if len(events) < 20:
-        return False
-    t = [e.detected_at_us for e in events]
-    g = [e.gap_us for e in events]
-    intervals = [b - a for a, b in zip(t, t[1:])]
-    diffs = {round(abs(b - a) / 500) for a, b in zip(intervals, intervals[1:])}
-    if round(p_ms * 2) not in diffs:
-        return False
-    starts = [ti - gi for ti, gi in zip(t, g)]
-    for cand in (100, 250, 300, 1000):
-        if cand >= hz:
-            break
-        spacing = 1e6 / cand
-        if all(min(v % spacing, spacing - v % spacing) <= tol for v in starts):
-            return False
-    return True
-
-
 def test_criterion_7_profiler_round_trip_50_configs():
     """>= 50 identifiable random configs: P and HZ exact, Q within one
     tick interval. < 30 s including rejected draws.
@@ -256,7 +236,7 @@ def test_criterion_7_profiler_round_trip_50_configs():
             ),
         )
         result = replay_probe(timeline, ProbeConfig(exec_duration_ms=t))
-        if not _stream_identifies(result.events, p, hz):
+        if not stream_identifies(result.events, p, hz):
             continue
         checked += 1
         fp = analyze_events(result.events, result.total_runtime_ms)

@@ -12,21 +12,30 @@ import os
 import pkgutil
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from faascost.billing import compute_cost, normalize_allocation, resolve_platform
+from faascost.billing import (
+    compute_cost,
+    normalize_allocation,
+    resolve_platform,
+    resolve_platform_path,
+)
 from faascost.billing.model import allocation
 from faascost.cli import _digest, _write_json_array, build_parser, main
 from faascost.money import dec, usd_string
-from faascost.sched import TaskSpec, closed_form_duration
+from faascost.profiler import ProbeConfig, events_from_csv, replay_probe
+from faascost.sched import BandwidthControlConfig, TaskSpec, closed_form_duration, simulate
 from faascost.traces import (
+    RoundingPolicy,
     default_schema_map,
     generate_synthetic_trace,
     ingest_trace,
+    rounding_up_stats,
     utilization_correlation,
 )
 
@@ -155,8 +164,9 @@ def test_bill_rejects_a_usage_resource_no_record_carries(records, tmp_path, trac
     (["--records", "TRACE", "--cpu-avg-vcpus", 0.5], "--cpu-avg-vcpus"),
     (["--records", "TRACE", "--mem-used-mb", 64], "--mem-used-mb"),
     (["--mem-mb", 128, "--exec-ms", 96, "--schema", "MISSING"], "--schema"),
+    (["--mem-mb", 128, "--exec-ms", 96, "--format", "csv"], "--format"),
 ], ids=["records-exec-mem", "records-vcpus", "records-init", "records-cpu", "records-mem-used",
-        "single-schema"])
+        "single-schema", "single-format"])
 def test_bill_rejects_an_option_its_mode_ignores(argv, option, monkeypatch, tmp_path, trace_csv,
                                                  capsys):
     from faascost import cli
@@ -266,7 +276,8 @@ def test_non_finite_summary_runtime_names_the_sidecar(action, value, tmp_path, e
     (["--session-gap-ms", "nan"], "session_gap_ms must be nonnegative"),
     (["--roundup-ms", "0"], "time granularity must be positive"),
     (["--platforms", ""], "empty list argument: ''"),
-], ids=["session-gap-nan", "roundup-zero", "platforms-empty"])
+    (["--roundup-ms", ""], "empty list argument: ''"),
+], ids=["session-gap-nan", "roundup-zero", "platforms-empty", "roundup-empty"])
 def test_analyze_rejects_its_options_before_reading_the_trace(option, message, monkeypatch,
                                                                tmp_path, trace_csv, capsys):
     from faascost import cli
@@ -306,7 +317,13 @@ def test_analyze_resolves_its_platforms_before_reading_the_trace(monkeypatch, tm
     (["--analyses", "cold-start,roundup", "--platforms", "nope"], "--platforms"),
     (["--analyses", "correlation", "--mapping", "normalize"], "--mapping"),
     (["--analyses", "roundup", "--mapping", "direct"], "--mapping"),
-], ids=["correlation-platforms", "bad-platform", "correlation-mapping", "roundup-mapping"])
+    (["--analyses", "inflation", "--roundup-ms", "1"], "--roundup-ms"),
+    (["--analyses", "correlation", "--roundup-cutoff-ms", 0], "--roundup-cutoff-ms"),
+    (["--analyses", "cold-start", "--roundup-mem-gb", 0.125], "--roundup-mem-gb"),
+    (["--analyses", "roundup", "--session-gap-ms", 5000], "--session-gap-ms"),
+], ids=["correlation-platforms", "bad-platform", "correlation-mapping", "roundup-mapping",
+        "inflation-roundup-ms", "correlation-roundup-cutoff", "cold-start-roundup-mem",
+        "roundup-session-gap"])
 def test_analyze_rejects_an_option_its_analyses_ignore(argv, option, monkeypatch, tmp_path,
                                                         trace_csv, capsys):
     from faascost import cli
@@ -556,7 +573,11 @@ def test_simulate_closed_form_breakpoints_are_the_exact_accounting_ones(tmp_path
     (["--q", "5", "--breakpoints"], "--breakpoints"),
     (["--q", "5", "--mem-per-vcpu-mb", "1769"], "--mem-per-vcpu-mb"),
     (["--grid", "10", "--mem-per-vcpu-mb", "1769"], "--mem-per-vcpu-mb"),
-], ids=["timeline-breakpoints", "timeline-mem-per-vcpu", "sweep-mem-per-vcpu"])
+    (["--q", "5", "--grid", "200"], "--grid"),
+    (["--q", "5", "--f-lo", "0.01"], "--f-lo"),
+    (["--q", "5", "--format", "json"], "--format"),
+], ids=["timeline-breakpoints", "timeline-mem-per-vcpu", "sweep-mem-per-vcpu", "timeline-grid",
+        "timeline-f-lo", "timeline-format"])
 def test_simulate_rejects_an_option_its_mode_ignores(argv, option, tmp_path, capsys):
     out = tmp_path / "out"
     assert run("simulate", "--t", "10", "--p", "20", *argv, "--out-dir", out) == 1
@@ -897,16 +918,125 @@ def test_a_prefix_of_an_option_is_rejected(argv, given, tmp_path, trace_csv, mon
     assert list(tmp_path.iterdir()) == []
 
 
+# ----------------------------------------------------- options, one by one
+
+# Each case of an option no other test passes: the command without the
+# option, the option, what to read from the output directory, and what the
+# library call returns for the option's value.
+
+
+def _config_dir_case(tmp_path, trace_csv):
+    # A copy of aws_lambda.yaml, under another platform's name, bills as AWS.
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    shutil.copy(resolve_platform_path("aws_lambda"), configs / "gcp_cloudrun_functions.yaml")
+    config = resolve_platform("aws_lambda")
+    totals = [
+        usd_string(compute_cost(record, config, normalize_allocation(
+            allocation(record.alloc_vcpus, record.alloc_memory_mb), config)).total_usd)
+        for record in ingest_trace(trace_csv)
+    ]
+    return (["bill", "--platform", "gcp_cloudrun_functions", "--records", trace_csv],
+            ["--config-dir", configs],
+            lambda out: [row["total_usd"] for row in read_rows(out / "bills.csv")], totals)
+
+
+def _slice_case(tmp_path, trace_csv):
+    timeline = simulate(TaskSpec("33.1"),
+                        BandwidthControlConfig("20", "5", slice_ms="0.5", flavor="eevdf"))
+    return (["simulate", "--t", "33.1", "--p", "20", "--q", "5", "--flavor", "eevdf"],
+            ["--slice-ms", "0.5"],
+            lambda out: json.loads((out / "timeline.json").read_text())["segments"],
+            timeline.as_dict()["segments"])
+
+
+def _replay_case(option, value):
+    def case(tmp_path, trace_csv):
+        timeline = simulate(TaskSpec("200"), BandwidthControlConfig("20", "15"))
+        knobs = {"gap_threshold_us": 500, "step_us": 50, option: value}
+        probe = ProbeConfig(timeline.completion_ms, gap_threshold_us=knobs["gap_threshold_us"])
+        events = replay_probe(timeline, probe, step_us=knobs["step_us"]).events
+        return (["profile", "replay", "--t", "200", "--p", "20", "--q", "15"],
+                ["--" + option.replace("_", "-"), value],
+                lambda out: events_from_csv(str(out / "events.csv")), list(events))
+    return case
+
+
+def _roundup_cutoff_case(tmp_path, trace_csv):
+    policies = [RoundingPolicy(f"{gran}ms_min50.0ms", float(gran), 50.0) for gran in ("1", "100")]
+    stats = rounding_up_stats(ingest_trace(trace_csv), policies)
+    return (["analyze", "--trace", trace_csv, "--analyses", "roundup"],
+            ["--roundup-cutoff-ms", 50],
+            lambda out: [(row["policy"], float(row["mean_time_roundup_ms"]))
+                         for row in read_rows(out / "rounding_up.csv")],
+            [(s.policy.name, s.mean_time_roundup_ms) for s in stats])
+
+
+def _drop_zero_cpu_case(tmp_path, trace_csv):
+    # The generator draws no zero CPU usage: every third row's is zeroed here.
+    header, *rows = trace_csv.read_text().splitlines()
+    cpu = header.split(",").index("cpu_usage_avg_vcpus")
+    for i in range(0, len(rows), 3):
+        cells = rows[i].split(",")
+        cells[cpu] = "0.000000"
+        rows[i] = ",".join(cells)
+    trace = tmp_path / "zero_cpu.csv"
+    trace.write_text("\n".join([header, *rows]) + "\n")
+    records = list(ingest_trace(trace, drop_zero_cpu=True))
+    return (["analyze", "--trace", trace, "--analyses", "correlation"], ["--drop-zero-cpu"],
+            lambda out: json.loads((out / "report.json").read_text())["correlation"],
+            utilization_correlation(records, seed=0).as_dict())
+
+
+_OPTION_CASES = {
+    "config-dir": _config_dir_case,
+    "slice-ms": _slice_case,
+    "gap-threshold-us": _replay_case("gap_threshold_us", 5500),
+    "step-us": _replay_case("step_us", 200),
+    "roundup-cutoff-ms": _roundup_cutoff_case,
+    "drop-zero-cpu": _drop_zero_cpu_case,
+}
+
+
+@pytest.mark.parametrize("case", _OPTION_CASES)
+def test_an_option_changes_the_output_as_the_library_does(case, tmp_path, trace_csv):
+    argv, option, read, expected = _OPTION_CASES[case](tmp_path, trace_csv)
+    outputs = []
+    for given in (option, []):
+        out = tmp_path / ("given" if given else "left-out")
+        assert run(*argv, *given, "--out-dir", out) == 0
+        outputs.append(read(out))
+    assert outputs[0] == expected
+    assert outputs[0] != outputs[1]
+
+
 def _child_env() -> dict:
     """The environment of a child interpreter that imports what this one does."""
     return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 
-def test_cli_import_leaves_numpy_out():
+def test_cli_import_leaves_numpy_out(tmp_path, trace_csv):
     code = "import sys, faascost.cli; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=_child_env(), check=True)
     assert result.stdout.strip() == "False"
+    # With NumPy blocked, one command of each kind runs to the end: NumPy is
+    # a requirement of the test extra only.
+    events = tmp_path / "replay" / "events.csv"
+    commands = {
+        "analyze": ["analyze", "--trace", trace_csv,
+                    "--platforms", "aws_lambda,gcp_cloudrun_functions"],
+        "bill": ["bill", "--platform", "aws_lambda", "--records", trace_csv],
+        "sweep": ["simulate", "--t", "33.1", "--p", "10,20", "--grid", "20", "--breakpoints"],
+        "replay": ["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
+        "fingerprint": ["profile", "analyze", "--in", events],
+        "report": ["profile", "report", "--in", events],
+    }
+    argvs = [[*map(str, argv), "--out-dir", str(tmp_path / name)]
+             for name, argv in commands.items()]
+    code = ("import json, sys; sys.modules['numpy'] = None; from faascost.cli import main; "
+            f"print(json.dumps([main(argv) for argv in {argvs!r}]))")
+    assert _fresh_python(code, tmp_path) == [0] * len(argvs)
 
 
 # ------------------------------------------------------------ lazy layers
