@@ -1,11 +1,8 @@
 """Cost engine: allocation normalization, billable quantities, and invoice math.
 
 ``compute_cost`` is :func:`billable_quantities` (granularities only), then
-:func:`price` (unit prices). :class:`TraceBilling` is the first stage's
-integer form for a pass over a trace, and the one rule for what a record
-is billed for in vCPU-s and GB-s: the inflation analysis uses it to do the
-Decimal work once per distinct key, and ``faascost bill --records`` to
-price each distinct key once.
+:func:`price` (unit prices). The first stage's integer form for a pass
+over a trace is :class:`faascost.billing.trace_billing.TraceBilling`.
 Records are any object with the fields of
 :class:`faascost.traces.records.InvocationRecord`: their allocation is two
 floats, made an exact :class:`ResourceAllocation` here.
@@ -16,7 +13,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from types import MappingProxyType
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional
 
 from faascost.billing.model import (
     MEMORY_GB,
@@ -36,12 +33,11 @@ from faascost.billing.model import (
     UsageResourceSpec,
     allocation,
 )
-from faascost.money import CONTEXT, Number, ceil_to, dec, micros, whole_units
+from faascost.money import CONTEXT, Number, ceil_to, dec
 
 _MS_PER_S = Decimal(1000)
 _MB_PER_GB = Decimal(1024)
 _GB_PER_MB = Decimal("0.0009765625")  # 1 GB is 1024 MB; 1 / 1024 is exact
-_S_PER_MS = Decimal("0.001")
 
 # Derived vCPU counts are floor-quantized here so that re-normalizing an
 # already-normalized allocation reproduces it exactly.
@@ -216,191 +212,6 @@ def billable_quantities(
 def _requested(record) -> ResourceAllocation:
     """The allocation ``record`` asked for, exactly as its floats read."""
     return allocation(record.alloc_vcpus, record.alloc_memory_mb)
-
-
-def rounded_steps(raw: int, granularity: int, cutoff: int) -> int:
-    """:func:`rounded_time` in integer units: the whole granularity steps
-    billed for ``raw`` once raised to the cutoff."""
-    return -(-(raw if raw > cutoff else cutoff) // granularity)
-
-
-# How TraceBilling reads a usage-billed resource's amount.
-_CPU, _CPU_MS, _MEM = range(3)
-
-
-def whole_time_grid(granularity: Decimal, cutoff: Decimal,
-                    scale: int) -> Optional[Tuple[int, int]]:
-    """A time granularity and cutoff in whole ``1/scale`` units, or None when
-    either is not a whole number of units."""
-    units = whole_units(granularity, scale)
-    cutoff_units = whole_units(cutoff, scale)
-    if units and cutoff_units is not None:
-        return units, cutoff_units
-    return None
-
-
-def _step_grid(config: PlatformBillingConfig) -> tuple:
-    """The time granularity and cutoff in whole units, and per usage-billed
-    resource (resource, how to read its amount, granularity in units, in
-    Decimal).  The granularity and cutoff are None when the config has no
-    time granularity, or a granularity or cutoff is not a whole number of
-    units."""
-    usage = []
-    for spec in config.usage_resources:
-        if spec.resource == VCPU and spec.billing_basis == "absolute":
-            how, units = _CPU_MS, whole_units(spec.granularity, 10**12)
-        elif spec.resource == VCPU:
-            how, units = _CPU, whole_units(spec.granularity, 10**6)
-        else:  # memory_gb, read in 10^-6 MB
-            how, units = _MEM, whole_units(spec.granularity * _MB_PER_GB, 10**6)
-        usage.append((spec.resource, how, units, spec.granularity))
-    usage = tuple(usage)
-    if config.time_granularity_ms is not None and all(units for _, _, units, _ in usage):
-        scale = 10**12 if config.billable_time_kind == "cpu_time_only" else 10**6
-        grid = whole_time_grid(config.time_granularity_ms, config.time_min_cutoff_ms, scale)
-        if grid is not None:
-            return (*grid, usage)
-    return None, None, usage
-
-
-def _billed_s(quantities: BillableQuantities, resource: str, basis: Optional[str],
-              allocated: Decimal) -> Decimal:
-    """Billable resource-seconds of one resource: ``allocated`` over the
-    billable time when it is billed by allocation (``basis`` None), else
-    its usage-billed amount."""
-    if basis is None:
-        return CONTEXT.multiply(CONTEXT.multiply(allocated, _S_PER_MS), quantities.time_ms)
-    amount = quantities.usage[resource]
-    if basis == "per_billable_second":
-        return CONTEXT.multiply(CONTEXT.multiply(amount, quantities.time_ms), _S_PER_MS)
-    # Absolute: vCPU time is metered in vCPU-ms; memory is taken as GB-s.
-    return CONTEXT.multiply(amount, _S_PER_MS) if resource == VCPU else amount
-
-
-class TraceBilling:
-    """What each record of a trace is billed for, and which records are
-    billed alike: :func:`billable_quantities` in integers, for a pass over
-    a trace.
-
-    ``grant(vcpus, memory_mb)`` is the granted allocation (normalized,
-    unless ``normalize`` is false) of a record's two allocation floats and
-    its :func:`allocation_quantities`, worked out once per distinct pair:
-    the one place a trace allocation becomes a :class:`ResourceAllocation`.
-    ``key(record)`` is the record's allocation and its billed time and usage
-    amounts as whole granularity steps. Every record with that key is
-    billed for ``quantities(key)``, so the Decimal work is done once per
-    distinct key.  The steps are the cutoff first, then the ceiling, on
-    fields read by :func:`faascost.money.micros`, in 10^-6 ms, MB or vCPU,
-    and in 10^-12 for products of two fields (CPU-time billing, absolute
-    vCPU-ms).  A record off that grid (a field that is not a whole count of
-    millionths, or a granularity or cutoff that is not a whole number of
-    units) is keyed by its :func:`billable_quantities`, each amount divided
-    by its granularity.  A platform with no time granularity raises
-    :class:`MissingGranularityError` on the first record.
-
-    ``seconds(key)`` is the billed (vCPU-s, GB-s), each None for a resource
-    the platform does not bill.
-    """
-
-    #: Distinct keys a pass keeps. Past it, the inflation analysis takes its
-    #: billable percentiles from a GK sketch (its totals stay exact), and
-    #: ``bill --records`` prices a record with a new key on its own.
-    KEYS_CAP = 2**16
-
-    __slots__ = ("config", "bills_cpu", "bills_mem", "_normalize", "_grants", "_cpu_basis",
-                 "_mem_basis", "_turnaround", "_cpu_time", "_granularity", "_cutoff", "_usage",
-                 "_reads_cpu", "_reads_mem")
-
-    def __init__(self, config: PlatformBillingConfig, *, normalize: bool = True) -> None:
-        self.config = config
-        self._normalize = normalize
-        self._grants: Dict[tuple, tuple] = {}
-        usage_cpu = config.usage_spec(VCPU)
-        usage_mem = config.usage_spec(MEMORY_GB)
-        self._cpu_basis = None if usage_cpu is None else usage_cpu.billing_basis
-        self._mem_basis = None if usage_mem is None else usage_mem.billing_basis
-        # CPU is billed when priced directly or when the knob coupling ties a
-        # vCPU share to every billed memory size (proportional and combo plans).
-        self.bills_cpu = (
-            config.alloc_spec(VCPU) is not None
-            or usage_cpu is not None
-            or isinstance(config.knob_coupling, (CpuProportionalToMemory, FixedCombos))
-            or config.billable_time_kind == "cpu_time_only"
-        )
-        self.bills_mem = config.alloc_spec(MEMORY_GB) is not None or usage_mem is not None
-        self._turnaround = config.billable_time_kind == "turnaround"
-        self._cpu_time = config.billable_time_kind == "cpu_time_only"
-        self._granularity, self._cutoff, self._usage = _step_grid(config)
-        # The usage fields a key reads: each at most once a record.
-        hows = {how for _, how, _, _ in self._usage}
-        self._reads_cpu = self._cpu_time or bool(hows & {_CPU, _CPU_MS})
-        self._reads_mem = _MEM in hows
-
-    def grant(self, vcpus: float, memory_mb: float
-              ) -> Tuple[ResourceAllocation, Mapping[str, Decimal]]:
-        # Keyed as a record key's first two items.
-        granted = self._grants.get((vcpus, memory_mb))
-        if granted is None:
-            alloc = allocation(vcpus, memory_mb)
-            if self._normalize:
-                alloc = normalize_allocation(alloc, self.config)
-            granted = (alloc, allocation_quantities(alloc, self.config))
-            self._grants[vcpus, memory_mb] = granted
-        return granted
-
-    def key(self, record) -> tuple:
-        granularity = self._granularity
-        if granularity is None:
-            return self._exact_key(record)
-        exec_units = micros(record.exec_duration_ms)
-        cpu = micros(record.cpu_usage_avg_vcpus) if self._reads_cpu else 0
-        mem = micros(record.mem_usage_mb) if self._reads_mem else 0
-        if exec_units is None or cpu is None or mem is None:
-            return self._exact_key(record)
-        if self._cpu_time:
-            raw = cpu * exec_units
-        elif self._turnaround and record.init_duration_ms:
-            init = micros(record.init_duration_ms)
-            if init is None:
-                return self._exact_key(record)
-            raw = exec_units + init
-        else:
-            raw = exec_units
-        steps = rounded_steps(raw, granularity, self._cutoff)
-        if not self._usage:
-            return record.alloc_vcpus, record.alloc_memory_mb, steps
-        amounts = {_CPU: cpu, _CPU_MS: cpu * exec_units, _MEM: mem}
-        return (record.alloc_vcpus, record.alloc_memory_mb, steps,
-                *[rounded_steps(amounts[how], units, 0) for _, how, units, _ in self._usage])
-
-    def _exact_key(self, record) -> tuple:
-        """The key of a record off the integer grid, from its exact quantities."""
-        vcpus, memory_mb = record.alloc_vcpus, record.alloc_memory_mb
-        billed = billable_quantities(record, self.config, self.grant(vcpus, memory_mb)[1])
-        steps = [CONTEXT.divide(billed.time_ms, self.config.time_granularity_ms)]
-        steps += [CONTEXT.divide(billed.usage[resource], granularity)
-                  for resource, _, _, granularity in self._usage]
-        return (vcpus, memory_mb, *map(int, steps))
-
-    def quantities(self, key: tuple) -> BillableQuantities:
-        time_ms = CONTEXT.multiply(key[2], self.config.time_granularity_ms)
-        usage = {
-            resource: CONTEXT.multiply(steps, granularity)
-            for steps, (resource, _, _, granularity) in zip(key[3:], self._usage)
-        }
-        return tuple.__new__(BillableQuantities, (time_ms, self.grant(key[0], key[1])[1], usage))
-
-    def seconds(self, key: tuple) -> tuple:
-        quantities = self.quantities(key)
-        vcpu_s = gb_s = None
-        if self.bills_cpu:
-            # A vCPU share granted but not priced is billed as granted.
-            allocated = quantities.alloc.get(VCPU, self.grant(key[0], key[1])[0].vcpus)
-            vcpu_s = _billed_s(quantities, VCPU, self._cpu_basis, allocated)
-        if self.bills_mem:
-            allocated = quantities.alloc.get(MEMORY_GB, 0)
-            gb_s = _billed_s(quantities, MEMORY_GB, self._mem_basis, allocated)
-        return vcpu_s, gb_s
 
 
 def _require_price(price: Optional[Decimal], what: str, config_name: str) -> Decimal:

@@ -26,8 +26,9 @@ USD_PLACES = 12
 
 _USD_QUANTUM = Decimal(1).scaleb(-USD_PLACES)
 _ZERO = Decimal(0)
-# Below 2**33 adjacent floats lie less than 10^-6 apart.
-_MICROS_LIMIT = 2.0**33
+#: :func:`micros` reads values below this bound, where adjacent floats lie
+#: less than 10^-6 apart.
+MICROS_LIMIT = 2.0**33
 
 Number = Union[Decimal, int, str, float]
 
@@ -72,7 +73,7 @@ def micros(value: float) -> Optional[int]:
     ``value * 1e6`` can round off the grid; the caller then reads ``value``
     with :func:`dec`.
     """
-    if 0 <= value < _MICROS_LIMIT:
+    if 0 <= value < MICROS_LIMIT:
         units = round(value * 1e6)
         if units / 1e6 == value:
             return units

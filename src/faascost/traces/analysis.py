@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .records import InvocationRecord
 from .sketch import QuantileSketch
-from ..billing import engine as billing_engine
+from ..billing import engine as billing_engine, trace_billing
 from ..billing.model import PlatformBillingConfig
 from ..checked import checked
 from ..money import CONTEXT, ceil_to, dec, micros, whole_units
@@ -168,7 +168,7 @@ def inflation_analysis(
     resource-seconds, so heavy requests weigh in proportionally. Resources
     the platform does not bill are reported as None.
 
-    Billables are what :class:`faascost.billing.engine.TraceBilling` bills
+    Billables are what :class:`faascost.billing.trace_billing.TraceBilling` bills
     the granted (``mapping="normalize"``) or requested (``"direct"``)
     allocation for. Each record is counted under its ``TraceBilling`` key,
     and each distinct key is priced once. Per-request billables are reported
@@ -177,7 +177,7 @@ def inflation_analysis(
     """
     if mapping not in ("normalize", "direct"):
         raise ValueError(f"unknown mapping: {mapping!r}")
-    billing = billing_engine.TraceBilling(config, normalize=mapping == "normalize")
+    billing = trace_billing.TraceBilling(config, normalize=mapping == "normalize")
     cpu_dist = BillableDistribution() if billing.bills_cpu else None
     mem_dist = BillableDistribution() if billing.bills_mem else None
     # Records per billing key.
@@ -197,19 +197,30 @@ def inflation_analysis(
     cpu_total = cpu_comp = mem_total = mem_comp = 0.0
     flags: List[str] = []
     spilled = False
+    key_of = billing.key
     # The ceilings of keys off the integer grid run in the wide context
     # without entering it.
     with decimal.localcontext(CONTEXT):
         for record in records:
             n += 1
-            exec_s = record.exec_duration_ms / 1000.0
-            cpu_ms = record.cpu_usage_avg_vcpus * record.exec_duration_ms
-            cpu_total, cpu_comp = _neumaier(cpu_total, cpu_comp, cpu_ms / 1000.0)
-            mem_total, mem_comp = _neumaier(
-                mem_total, mem_comp, record.mem_usage_mb / 1024.0 * exec_s
-            )
+            # The two actual-usage sums take _neumaier's step, inline.
+            exec_ms = record.exec_duration_ms
+            x = record.cpu_usage_avg_vcpus * exec_ms / 1000.0
+            t = cpu_total + x
+            if abs(cpu_total) >= abs(x):
+                cpu_comp += (cpu_total - t) + x
+            else:
+                cpu_comp += (x - t) + cpu_total
+            cpu_total = t
+            x = record.mem_usage_mb / 1024.0 * (exec_ms / 1000.0)
+            t = mem_total + x
+            if abs(mem_total) >= abs(x):
+                mem_comp += (mem_total - t) + x
+            else:
+                mem_comp += (x - t) + mem_total
+            mem_total = t
 
-            key = billing.key(record)
+            key = key_of(record)
             count = counts.get(key)
             if count is not None:
                 counts[key] = count + 1
@@ -434,10 +445,12 @@ def cold_start_differential(
     wall-clock allocation-seconds so the comparison is not skewed by any
     platform's rounding. Records without an instance_id fall back to
     per-function sessions split at cold starts or arrival gaps above
-    ``session_gap_ms``, which must pass :func:`check_session_gap`.
+    ``session_gap_ms``, which must pass :func:`check_session_gap`. A
+    session is keyed by its (function id, index), apart from every instance
+    id; its ``instance_key`` in ``diffs`` reads ``"<function id>#s<index>"``.
     """
     check_session_gap(session_gap_ms)
-    instances: Dict[str, _InstanceState] = {}
+    instances: Dict[object, _InstanceState] = {}
     session_last: Dict[str, float] = {}
     session_idx: Dict[str, int] = {}
     n_records = 0
@@ -456,7 +469,7 @@ def cold_start_differential(
             ):
                 session_idx[fid] = session_idx.get(fid, -1) + 1
             session_last[fid] = record.arrival_ts_ms
-            key = f"{fid}#s{session_idx[fid]}"
+            key = fid, session_idx[fid]
 
         vcpus = record.alloc_vcpus
         mem_gb = record.alloc_memory_mb / 1024.0
@@ -503,6 +516,8 @@ def cold_start_differential(
         if diff_vcpu_s <= 0.0 and subsequent_gb_s - state.init_gb_s <= 0.0:
             n_nonpositive += 1
         if diffs is not None:
+            if isinstance(key, tuple):
+                key = f"{key[0]}#s{key[1]}"
             diffs.append(ColdStartDiff(key, state.function_id, state.init_vcpu_s,
                                        state.init_gb_s, subsequent_vcpu_s, subsequent_gb_s))
 
@@ -586,7 +601,7 @@ def rounding_up_stats(
     # Each policy's time grid in 10^-6 ms, and each memory granularity's in
     # 10^-6 MB; None sends every record down the Decimal path for it.
     time_grids = [
-        billing_engine.whole_time_grid(pol.time_granularity_ms, pol.time_min_cutoff_ms, 10**6)
+        trace_billing.whole_time_grid(pol.time_granularity_ms, pol.time_min_cutoff_ms, 10**6)
         for pol in policies
     ]
     mem_grids = {
@@ -614,7 +629,7 @@ def rounding_up_stats(
             for i, grid in enumerate(time_grids):
                 if grid is not None and exec_micros is not None:
                     granularity, cutoff = grid
-                    steps = billing_engine.rounded_steps(exec_micros, granularity, cutoff)
+                    steps = trace_billing.rounded_steps(exec_micros, granularity, cutoff)
                     time_units[i] += steps * granularity - exec_micros
                     continue
                 if exec_ms is None:
@@ -630,7 +645,7 @@ def rounding_up_stats(
             mem_gb = None
             for gran, grid in mem_grids.items():
                 if grid is not None and exec_micros is not None and mem_micros is not None:
-                    steps = billing_engine.rounded_steps(mem_micros, grid, 0)
+                    steps = trace_billing.rounded_steps(mem_micros, grid, 0)
                     mem_units[gran] += (steps * grid - mem_micros) * exec_micros
                     continue
                 if mem_gb is None:

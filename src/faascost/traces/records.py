@@ -25,7 +25,7 @@ class InvocationRecord(NamedTuple):
     """One request from a trace.
 
     ``alloc_vcpus`` and ``alloc_memory_mb`` are the allocation as the trace
-    measured it; :class:`faascost.billing.engine.TraceBilling` turns it into
+    measured it; :class:`faascost.billing.trace_billing.TraceBilling` turns it into
     the exact allocation a platform grants and bills.
     ``cpu_usage_avg_vcpus`` is the mean vCPUs consumed over the execution;
     ``mem_usage_mb`` follows whatever convention (peak or mean) the trace

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faascost.billing.engine import TraceBilling, rounded_time
+from faascost.billing.engine import rounded_time
 from faascost.billing.model import (
     AllocResourceSpec,
     CpuProportionalToMemory,
@@ -19,6 +19,7 @@ from faascost.billing.model import (
     PlatformBillingConfig,
     UsageResourceSpec,
 )
+from faascost.billing.trace_billing import TraceBilling
 from faascost.money import CONTEXT, ceil_to, dec
 from faascost.traces import (
     InvocationRecord,
@@ -549,6 +550,20 @@ def test_cold_start_sessionization_fallback():
     assert rep.n_cold_instances == 2
     first = rep.diffs[0]
     assert first.subsequent_vcpu_s == pytest.approx(0.02, abs=1e-12)
+
+
+def test_cold_start_sessions_stay_apart_from_instance_ids():
+    # g's instance id reads like f's first session key, and is another instance.
+    rows = [
+        rec(10.0, init_ms=5.0, cold=True, iid="", fid="f", ts=0.0),
+        rec(10.0, cold=False, iid="f#s0", fid="g", ts=1.0),
+    ]
+    rep = cold_start_differential(rows, collect=True)
+    assert rep.n_instances == 2
+    assert rep.n_warm_only_instances == 1
+    (first,) = rep.diffs
+    assert (first.instance_key, first.function_id) == ("f#s0", "f")
+    assert first.subsequent_vcpu_s == pytest.approx(0.01, abs=1e-12)
 
 
 def test_cold_start_zero_init_flagged():

@@ -13,12 +13,11 @@ import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faascost import cli
 from faascost.billing.engine import (
-    TraceBilling,
     allocation_quantities,
     billable_quantities,
     compute_cost,
@@ -35,6 +34,7 @@ from faascost.billing.model import (
     allocation,
 )
 from faascost.billing.platforms import bundled_platform_names, resolve_platform
+from faascost.billing.trace_billing import TraceBilling
 from faascost.commands import bill
 from faascost.money import CONTEXT, micros
 from faascost.traces import (
@@ -224,6 +224,29 @@ cells = st.one_of(
 )
 
 
+def key_edge_examples(test):
+    """Examples that take each early exit of a key on every platform that
+    reads the field: -0.0 cells (which ingest accepts and ``st.floats``
+    never draws), and each field at 2**33, just below it and off the 10^-6
+    grid, the others on it. An off-grid init is read under turnaround
+    billing only, an off-grid CPU under CPU-time and usage billing only.
+    Each off-grid value lies 10^-7 past a step boundary (100 ms of
+    execution, or of a 10 ms execution and its init; 1 ms of CPU time over
+    10 ms; 128 MB), so a key that rounded it onto the grid would bill one
+    step less."""
+    base = dict(unit="ms", exec_ms=10.0, init_ms=1.0, cpu=0.5, mem_used=64.0,
+                vcpus=0.5, mem_mb=128.0)
+    rows = [dict(base, exec_ms=-0.0, init_ms=-0.0, cpu=-0.0, mem_used=-0.0)]
+    off_grid = {"exec_ms": 100.0000001, "init_ms": 90.0000001, "cpu": 0.10000001,
+                "mem_used": 128.0000001}
+    for field, off in off_grid.items():
+        for value in (2.0**33, 8589934591.999999, off):
+            rows.append(dict(base, **{field: value}))
+    for row in rows:
+        test = example(**row)(test)
+    return test
+
+
 def ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb):
     """One record read back through ingest, the cells written in ``unit``."""
     per_ms = _MS_IN_UNIT.get(unit, 1.0)
@@ -253,6 +276,7 @@ def ingested_record(unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb):
     vcpus=st.sampled_from(GRID_VCPUS + (0.5, 1.0, 0.333333)),
     mem_mb=st.sampled_from((128.0, 256.0, 1769.0, 2048.0)),
 )
+@key_edge_examples
 def test_step_keys_reproduce_billable_quantities(
     name, unit, exec_ms, init_ms, cpu, mem_used, vcpus, mem_mb
 ):
