@@ -36,9 +36,7 @@ from faascost.billing.model import (
     PlatformBillingConfig,
     RatioConstrained,
     ResourceAllocation,
-    UnpricedResourceError,
     UsageResourceSpec,
-    allocation,
 )
 from faascost.billing.platforms import (
     bundled_platform_names,
@@ -60,9 +58,7 @@ __all__ = [
     "RatioConstrained",
     "ResourceAllocation",
     "TraceBilling",
-    "UnpricedResourceError",
     "UsageResourceSpec",
-    "allocation",
     "billable_time",
     "bundled_platform_names",
     "compute_cost",

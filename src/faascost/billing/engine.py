@@ -16,7 +16,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from faascost.billing.model import (
-    MEMORY_GB,
     VCPU,
     AllocResourceSpec,
     BillingError,
@@ -29,9 +28,7 @@ from faascost.billing.model import (
     PlatformBillingConfig,
     RatioConstrained,
     ResourceAllocation,
-    UnpricedResourceError,
     UsageResourceSpec,
-    allocation,
 )
 from faascost.money import CONTEXT, Number, ceil_to, dec
 
@@ -77,7 +74,7 @@ def _normalize_proportional(
     vcpus = (mem / coupling.mem_per_vcpu_mb).quantize(
         _VCPU_QUANTUM, rounding=decimal.ROUND_FLOOR
     )
-    return ResourceAllocation(vcpus, mem, requested.extras)
+    return ResourceAllocation(vcpus, mem)
 
 
 def _normalize_combos(
@@ -85,7 +82,7 @@ def _normalize_combos(
 ) -> ResourceAllocation:
     for vcpu, mem in coupling.combos:  # sorted by memory ascending
         if mem >= requested.memory_mb and vcpu >= requested.vcpus:
-            return ResourceAllocation(vcpu, mem, requested.extras)
+            return ResourceAllocation(vcpu, mem)
     raise BillingError("allocation exceeds platform maximum")
 
 
@@ -95,7 +92,7 @@ def _normalize_ratio(
     vcpus = ceil_to(requested.vcpus, coupling.cpu_step) if requested.vcpus else Decimal(0)
     mem = ceil_to(requested.memory_mb, coupling.mem_step_mb) if requested.memory_mb else Decimal(0)
     if vcpus == 0 and mem == 0:
-        return ResourceAllocation(Decimal(0), Decimal(0), requested.extras)
+        return ResourceAllocation()
     for _ in range(_RATIO_FIX_LIMIT):
         mem_gb = mem / _MB_PER_GB
         if vcpus > 0 and (mem_gb == 0 or vcpus / mem_gb > coupling.max_ratio):
@@ -105,7 +102,7 @@ def _normalize_ratio(
             # Too little CPU per GB: raise vCPUs (memory is never lowered).
             vcpus = ceil_to(coupling.min_ratio * mem_gb, coupling.cpu_step)
         else:
-            return ResourceAllocation(vcpus, mem, requested.extras)
+            return ResourceAllocation(vcpus, mem)
     raise BillingError("cannot satisfy ratio constraints with these steps")
 
 
@@ -142,9 +139,7 @@ def billable_time(
 def _alloc_amount(alloc: ResourceAllocation, spec: AllocResourceSpec) -> Decimal:
     if spec.resource == VCPU:
         return alloc.vcpus
-    if spec.resource == MEMORY_GB:
-        return CONTEXT.multiply(alloc.memory_mb, _GB_PER_MB)
-    return alloc.extras.get(spec.resource, Decimal(0))
+    return CONTEXT.multiply(alloc.memory_mb, _GB_PER_MB)  # memory_gb
 
 
 def _usage_amount(record, spec: UsageResourceSpec, raw_exec_ms: Decimal) -> Decimal:
@@ -169,12 +164,7 @@ class BillableQuantities(NamedTuple):
 def allocation_quantities(
     alloc: ResourceAllocation, config: PlatformBillingConfig
 ) -> Mapping[str, Decimal]:
-    """Each allocation-billed resource's granted amount, rounded up; a custom
-    resource the config does not bill by allocation raises
-    :class:`UnpricedResourceError`."""
-    for name in alloc.extras:
-        if config.alloc_spec(name) is None:
-            raise UnpricedResourceError(f"unpriced resource: {name}")
+    """Each allocation-billed resource's granted amount, rounded up."""
     return MappingProxyType(
         {
             spec.resource: ceil_to(_alloc_amount(alloc, spec), spec.granularity)
@@ -211,7 +201,7 @@ def billable_quantities(
 
 def _requested(record) -> ResourceAllocation:
     """The allocation ``record`` asked for, exactly as its floats read."""
-    return allocation(record.alloc_vcpus, record.alloc_memory_mb)
+    return ResourceAllocation(record.alloc_vcpus, record.alloc_memory_mb)
 
 
 def _require_price(price: Optional[Decimal], what: str, config_name: str) -> Decimal:
@@ -255,8 +245,7 @@ def compute_cost(
     record, config: PlatformBillingConfig, alloc: Optional[ResourceAllocation] = None
 ) -> CostBreakdown:
     """Itemized cost of one invocation under ``config``; ``alloc`` is the granted
-    allocation (see :func:`normalize_allocation`), by default the record's.
-    Custom resources reach the invoice only through ``alloc``'s extras."""
+    allocation (see :func:`normalize_allocation`), by default the record's."""
     # Entered once here, not by each ceil_to, which enters it unless it is current.
     with decimal.localcontext(CONTEXT):
         granted = allocation_quantities(_requested(record) if alloc is None else alloc, config)

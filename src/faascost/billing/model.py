@@ -27,8 +27,7 @@ from typing import Mapping, NamedTuple, Optional, Tuple, Union
 from faascost.checked import checked
 from faascost.money import CONTEXT, MAX_AMOUNT, Number, dec, usd_string
 
-# Canonical resource identifiers. Any other string is a custom resource,
-# billed by allocation only.
+# The resources a trace record carries, and so the only ones billed.
 VCPU = "vcpu"
 MEMORY_GB = "memory_gb"
 
@@ -37,15 +36,10 @@ BILLABLE_TIME_KINDS = ("execution", "turnaround", "cpu_time_only")
 USAGE_BASES = ("absolute", "per_billable_second")
 
 _MAX_AMOUNT = Decimal(MAX_AMOUNT)
-_NO_EXTRAS: Mapping[str, Decimal] = MappingProxyType({})
 
 
 class BillingError(ValueError):
     """Base class for billing model and engine errors."""
-
-
-class UnpricedResourceError(BillingError):
-    """A record carries a resource the platform config does not price."""
 
 
 class MissingPriceError(BillingError):
@@ -64,6 +58,13 @@ def _price(value: Optional[Number]) -> Optional[Decimal]:
     if price < 0:
         raise BillingError("unit price must be >= 0")
     return price
+
+
+def _metered(resource: str, billed_by: str) -> None:
+    """Reject a resource no record carries: billed, it would cost $0 unseen."""
+    if resource not in (VCPU, MEMORY_GB):
+        raise BillingError(f"{billed_by} of {resource!r} is not metered: {billed_by} is billed "
+                           f"on {VCPU} and {MEMORY_GB} only")
 
 
 class IndependentKnobs(NamedTuple):
@@ -131,10 +132,10 @@ KnobCoupling = Union[IndependentKnobs, CpuProportionalToMemory, FixedCombos, Rat
 class AllocResourceSpec(NamedTuple):
     """One allocation-billed resource: granularity and price per unit-second.
 
-    ``resource`` is ``vcpu``, ``memory_gb``, or a custom name; the
-    granularity and price are in that resource's unit (vCPUs or GB).
-    ``unit_price_usd_per_unit_second`` may be ``None`` when the platform
-    does not document it.
+    ``resource`` is ``vcpu`` or ``memory_gb``, the only allocation a trace
+    record carries; the granularity and price are in that resource's unit
+    (vCPUs or GB). ``unit_price_usd_per_unit_second`` may be ``None`` when
+    the platform does not document it.
     """
 
     resource: str
@@ -144,6 +145,7 @@ class AllocResourceSpec(NamedTuple):
     def _check(self):
         granularity = dec(self.granularity)
         price = _price(self.unit_price_usd_per_unit_second)
+        _metered(self.resource, "allocation")
         if granularity <= 0:
             raise BillingError("granularity must be > 0")
         return tuple.__new__(type(self), (self.resource, granularity, price))
@@ -169,9 +171,7 @@ class UsageResourceSpec(NamedTuple):
     def _check(self):
         granularity = dec(self.granularity)
         price = _price(self.unit_price_usd_per_unit)
-        if self.resource not in (VCPU, MEMORY_GB):
-            raise BillingError(f"usage of {self.resource!r} is not metered: usage is billed "
-                               f"on {VCPU} and {MEMORY_GB} only")
+        _metered(self.resource, "usage")
         if granularity <= 0:
             raise BillingError("granularity must be > 0")
         if self.billing_basis not in USAGE_BASES:
@@ -232,23 +232,21 @@ class PlatformBillingConfig(NamedTuple):
 
 @checked
 class ResourceAllocation(NamedTuple):
-    """Resources granted to one sandbox: vCPUs, memory, optional extras.
+    """Resources granted to one sandbox: vCPUs and memory.
 
-    Each amount lies in ``[0, MAX_AMOUNT)``.
+    Each amount is converted by :func:`~faascost.money.dec` and lies in
+    ``[0, MAX_AMOUNT)``.
     """
 
     vcpus: Decimal = Decimal(0)
     memory_mb: Decimal = Decimal(0)
-    extras: Mapping[str, Decimal] = _NO_EXTRAS
 
     def _check(self):
         vcpus = dec(self.vcpus)
         memory_mb = dec(self.memory_mb)
-        extras = MappingProxyType({k: dec(v) for k, v in self.extras.items()})
-        amounts = (vcpus, memory_mb, *extras.values())
-        if not all(0 <= v < _MAX_AMOUNT for v in amounts):
+        if not (0 <= vcpus < _MAX_AMOUNT and 0 <= memory_mb < _MAX_AMOUNT):
             raise BillingError("allocation amounts must be >= 0 and below 2**53")
-        return tuple.__new__(type(self), (vcpus, memory_mb, extras))
+        return tuple.__new__(type(self), (vcpus, memory_mb))
 
 
 @checked
@@ -300,8 +298,3 @@ class CostBreakdown(NamedTuple):
             "fee_usd": usd_string(self.fee_usd),
             "total_usd": usd_string(self.total_usd),
         }
-
-
-def allocation(vcpus: Number = 0, memory_mb: Number = 0, **extras: Number) -> ResourceAllocation:
-    """Convenience constructor accepting plain numbers."""
-    return ResourceAllocation(dec(vcpus), dec(memory_mb), {k: dec(v) for k, v in extras.items()})

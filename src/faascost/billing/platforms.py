@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import yaml
 
@@ -36,56 +36,69 @@ from faascost.billing.model import (
 
 CONFIG_DIR_ENV = "FAASCOST_CONFIG_DIR"
 
+_TOP_KEYS = ("name", "billable_time", "alloc_resources", "usage_resources",
+             "invocation_fee_usd", "knob_coupling", "notes")
+_COUPLINGS = {"independent": IndependentKnobs, "fixed_combos": FixedCombos,
+              "cpu_proportional_to_memory": CpuProportionalToMemory,
+              "ratio_constrained": RatioConstrained}
+
+
+def _known(raw: dict, where: str, keys: Tuple[str, ...], required: Tuple[str, ...]) -> dict:
+    """``raw``, a mapping that holds every key in ``required`` and none not in
+    ``keys``: a misspelt key would otherwise read as absent."""
+    if not isinstance(raw, dict):
+        raise BillingError(f"expected a mapping {where}")
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise BillingError(f"unknown keys {where}: {unknown}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise BillingError(f"platform config missing field: {missing[0]!r}")
+    return raw
+
+
+def _specs(doc: dict, key: str, spec: type) -> tuple:
+    """Spec list ``key`` as ``spec`` values: each entry names a resource and
+    its granularity, and has no key that is not a field of ``spec``."""
+    required = ("resource", "granularity")
+    return tuple(spec(**_known(raw, f"in {key}[{i}]", spec._fields, required))
+                 for i, raw in enumerate(doc.get(key) or ()))
+
 
 def _parse_coupling(raw: dict) -> KnobCoupling:
     kind = raw.get("kind")
-    if kind == "independent":
-        return IndependentKnobs()
-    if kind == "cpu_proportional_to_memory":
-        return CpuProportionalToMemory(raw["mem_per_vcpu_mb"])
-    if kind == "fixed_combos":
-        return FixedCombos(tuple((c["vcpu"], c["memory_mb"]) for c in raw["combos"]))
-    if kind == "ratio_constrained":
-        return RatioConstrained(
-            raw["min_ratio"], raw["max_ratio"], raw["cpu_step"], raw["mem_step_mb"]
-        )
-    raise BillingError(f"unknown knob coupling kind: {kind!r}")
+    cls = _COUPLINGS.get(kind)
+    if cls is None:
+        raise BillingError(f"unknown knob coupling kind: {kind!r}")
+    _known(raw, f"in knob_coupling of kind {kind!r}", ("kind", *cls._fields), cls._fields)
+    if cls is FixedCombos:
+        pair = ("vcpu", "memory_mb")
+        combos = [_known(c, f"in knob_coupling combos[{i}]", pair, pair)
+                  for i, c in enumerate(raw["combos"])]
+        return FixedCombos(tuple((c["vcpu"], c["memory_mb"]) for c in combos))
+    return cls(*(raw[field] for field in cls._fields))
 
 
 def parse_platform_config(doc: dict) -> PlatformBillingConfig:
-    """Build a :class:`PlatformBillingConfig` from a parsed YAML document."""
+    """Build a :class:`PlatformBillingConfig` from a parsed YAML document.
+
+    A key the config does not define is rejected wherever it is.
+    """
     try:
-        time_doc = doc["billable_time"]
-        alloc = tuple(
-            AllocResourceSpec(
-                resource=spec["resource"],
-                granularity=spec["granularity"],
-                unit_price_usd_per_unit_second=spec.get("unit_price_usd_per_unit_second"),
-            )
-            for spec in doc.get("alloc_resources") or ()
-        )
-        usage = tuple(
-            UsageResourceSpec(
-                resource=spec["resource"],
-                granularity=spec["granularity"],
-                unit_price_usd_per_unit=spec.get("unit_price_usd_per_unit"),
-                billing_basis=spec.get("billing_basis", "absolute"),
-            )
-            for spec in doc.get("usage_resources") or ()
-        )
+        _known(doc, "at top level", _TOP_KEYS, ("billable_time", "name"))
+        time_doc = _known(doc["billable_time"], "in billable_time",
+                          ("kind", "granularity_ms", "min_cutoff_ms"), ("kind",))
         return PlatformBillingConfig(
             name=doc["name"],
             billable_time_kind=time_doc["kind"],
             time_granularity_ms=time_doc.get("granularity_ms"),
             time_min_cutoff_ms=time_doc.get("min_cutoff_ms", 0),
-            alloc_resources=alloc,
-            usage_resources=usage,
+            alloc_resources=_specs(doc, "alloc_resources", AllocResourceSpec),
+            usage_resources=_specs(doc, "usage_resources", UsageResourceSpec),
             invocation_fee_usd=doc.get("invocation_fee_usd"),
             knob_coupling=_parse_coupling(doc.get("knob_coupling") or {"kind": "independent"}),
             notes=doc.get("notes", ""),
         )
-    except KeyError as exc:
-        raise BillingError(f"platform config missing field: {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise BillingError(f"platform config field of the wrong type: {exc}") from exc
 

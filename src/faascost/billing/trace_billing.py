@@ -27,7 +27,6 @@ from faascost.billing.model import (
     FixedCombos,
     PlatformBillingConfig,
     ResourceAllocation,
-    allocation,
 )
 from faascost.money import CONTEXT, MICROS_LIMIT, whole_units
 
@@ -218,7 +217,7 @@ class TraceBilling:
         # Keyed as a record key's first two items.
         granted = self._grants.get((vcpus, memory_mb))
         if granted is None:
-            alloc = allocation(vcpus, memory_mb)
+            alloc = ResourceAllocation(vcpus, memory_mb)
             if self._normalize:
                 # Through the module, where a caller may have wrapped it.
                 alloc = engine.normalize_allocation(alloc, self.config)

@@ -51,7 +51,7 @@ _cli = sys.modules[__name__]
 #: first read.
 _LAYER_NAMES: Dict[str, Sequence[str]] = {
     "money": ("usd_string",),
-    "billing": ("BillingError", "TraceBilling", "allocation", "compute_cost",
+    "billing": ("BillingError", "ResourceAllocation", "TraceBilling", "compute_cost",
                 "fee_equivalent_walltime", "normalize_allocation", "resolve_platform",
                 "resolve_platform_path"),
     "traces": ("IngestStats", "InvocationRecord", "RoundingPolicy", "SchemaMap",

@@ -79,7 +79,7 @@ def command(args: argparse.Namespace, run: cli._Run) -> None:
         run.rows(rows, _BILL_COLUMNS, "bills")
         return
 
-    alloc = cli.allocation(vcpus=args.vcpus, memory_mb=args.mem_mb)
+    alloc = cli.ResourceAllocation(vcpus=args.vcpus, memory_mb=args.mem_mb)
     if normalize:
         alloc = cli.normalize_allocation(alloc, config)
     record = cli.InvocationRecord(

@@ -71,10 +71,16 @@ def _load_reference(source: Optional[Path]) -> Dict[str, cli.ReferenceSchedParam
         for key in ("period_ms", "tick_hz"):
             if key not in params:
                 raise CliError(f"{source}: {platform}: missing {key!r}")
+        period, tick = params["period_ms"], params["tick_hz"]
         try:
-            period_ms, tick_hz = float(params["period_ms"]), int(params["tick_hz"])
-        except (TypeError, ValueError) as exc:
+            period_ms, tick_hz = float(period), int(tick)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"{source}: {platform}: period_ms and tick_hz must be numbers") from exc
+        # A bool reads as 0 or 1, and int() truncates a fractional tick rate.
+        if isinstance(period, bool) or not (math.isfinite(period_ms) and period_ms > 0):
+            raise CliError(f"{source}: {platform}: period_ms must be finite and positive")
+        if isinstance(tick, bool) or tick_hz <= 0 or isinstance(tick, float) and tick != tick_hz:
+            raise CliError(f"{source}: {platform}: tick_hz must be a positive whole number")
         table[platform] = cli.ReferenceSchedParams(
             platform=platform, period_ms=period_ms, tick_hz=tick_hz,
             note=str(params.get("note", "")),

@@ -79,15 +79,13 @@ class SchemaMap(NamedTuple):
 
     ``columns`` maps canonical field name -> trace column name. Units
     declare what the trace stores; values are converted to canonical units
-    (ms, MB) during ingestion. ``memory_usage_semantics`` says whether
-    ``mem_usage`` is a peak or a mean; it is accepted and not read.
+    (ms, MB) during ingestion.
     """
 
     columns: Dict[str, str]
     duration_unit: str = "ms"
     timestamp_unit: str = "ms"
     memory_unit: str = "mb"
-    memory_usage_semantics: str = "unspecified"
     delimiter: str = ","
 
     def _check(self) -> None:

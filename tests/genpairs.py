@@ -45,8 +45,8 @@ def _amount(rng: random.Random, hi: int, places: int) -> Decimal:
 
 def random_pair(rng: random.Random):
     """One random (InvocationRecord, PlatformBillingConfig) pair, and the
-    exact allocation to bill, with its custom extras: the record holds only
-    its vCPU and memory floats, which read back as the same decimals."""
+    exact allocation to bill: the record's vCPU and memory floats read back
+    as the same decimals."""
     kind = rng.choice(["execution", "turnaround", "cpu_time_only"])
 
     alloc_specs = []
@@ -62,11 +62,6 @@ def random_pair(rng: random.Random):
             AllocResourceSpec("vcpu", Decimal(rng.choice(_RES_GRANS)), Decimal(rng.choice(_PRICES)))
         )
         used.add("vcpu")
-    has_gpu = rng.random() < 0.25
-    if has_gpu:
-        alloc_specs.append(
-            AllocResourceSpec("gpu", Decimal(rng.choice(_RES_GRANS)), Decimal(rng.choice(_PRICES)))
-        )
     if "vcpu" not in used and rng.random() < 0.5:
         usage_specs.append(
             UsageResourceSpec(
@@ -97,7 +92,6 @@ def random_pair(rng: random.Random):
         knob_coupling=IndependentKnobs(),
     )
 
-    extras = {"gpu": _amount(rng, 4, 2)} if has_gpu else {}
     # Drawn in the record's field order, which fixes what each seed yields.
     head = dict(
         function_id=f"f{rng.randrange(100)}",
@@ -107,11 +101,7 @@ def random_pair(rng: random.Random):
         init_duration_ms=float(_amount(rng, 2000, 3)),
         is_cold_start=rng.random() < 0.3,
     )
-    alloc = ResourceAllocation(
-        vcpus=_amount(rng, 4, 2),
-        memory_mb=_amount(rng, 10240, 1),
-        extras=extras,
-    )
+    alloc = ResourceAllocation(vcpus=_amount(rng, 4, 2), memory_mb=_amount(rng, 10240, 1))
     record = InvocationRecord(
         **head,
         alloc_vcpus=float(alloc.vcpus),

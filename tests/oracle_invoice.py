@@ -18,9 +18,9 @@ Transcribed contract (one invocation):
 
 Amounts are derived from the record exactly as documented by the engine's
 public contract: alloc vcpu -> alloc.vcpus, alloc memory_gb ->
-alloc.memory_mb/1024, custom -> alloc.extras; usage vcpu (absolute) ->
-cpu_usage_avg_vcpus * exec_duration_ms, usage vcpu (per billable second) ->
-cpu_usage_avg_vcpus, usage memory_gb -> mem_usage_mb/1024.
+alloc.memory_mb/1024; usage vcpu (absolute) -> cpu_usage_avg_vcpus *
+exec_duration_ms, usage vcpu (per billable second) -> cpu_usage_avg_vcpus,
+usage memory_gb -> mem_usage_mb/1024.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ def reference_cost(record, config) -> dict:
         elif spec.resource == "memory_gb":
             amount = frac(record.alloc.memory_mb) / 1024
         else:
-            amount = frac(record.alloc.extras.get(spec.resource, 0))
+            # A record carries no other allocation: pricing it at $0 would hide the gap.
+            raise ValueError(f"no record carries an allocation of {spec.resource!r}")
         billed = ceil_mult(amount, frac(spec.granularity))
         usd = billed * billable_s * frac(spec.unit_price_usd_per_unit_second)
         alloc_terms[spec.resource] = usd

@@ -33,7 +33,7 @@ from faascost.billing import (
     normalize_allocation,
     resolve_platform,
 )
-from faascost.billing.model import allocation
+from faascost.billing.model import ResourceAllocation
 from faascost.money import micros
 from faascost.profiler import ProbeConfig, analyze_events, probe, replay_probe
 from faascost.sched import (
@@ -91,7 +91,7 @@ def test_criterion_1_billing_matches_oracle_on_1e4_pairs():
 def test_criterion_2_fee_equivalent_walltime_128mb():
     """The AWS-style fee equals the charge for 96 ms +- 0.5 ms at 128 MB."""
     config = resolve_platform("aws_lambda")
-    alloc = normalize_allocation(allocation(memory_mb=128), config)
+    alloc = normalize_allocation(ResourceAllocation(memory_mb=128), config)
     walltime = float(fee_equivalent_walltime(config, alloc))
     assert walltime == pytest.approx(96.0, abs=0.5)
     print(f"criterion 2: fee-equivalent walltime {walltime:.4f} ms")
@@ -270,7 +270,7 @@ def test_criterion_8_inflation_means_match_oracle(big_trace):
             # The records share a handful of allocations: grant each once.
             asked = (rec.alloc_vcpus, rec.alloc_memory_mb)
             if asked not in granted:
-                mapped = normalize_allocation(allocation(*asked), config)
+                mapped = normalize_allocation(ResourceAllocation(*asked), config)
                 granted[asked] = float(mapped.vcpus), float(mapped.memory_mb)
             return granted[asked]
 

@@ -25,7 +25,7 @@ from faascost.billing import (
     resolve_platform,
     resolve_platform_path,
 )
-from faascost.billing.model import allocation
+from faascost.billing.model import ResourceAllocation
 from faascost.cli import _digest, _write_json_array, build_parser, main
 from faascost.money import dec, usd_string
 from faascost.profiler import ProbeConfig, events_from_csv, replay_probe
@@ -100,7 +100,7 @@ def test_bill_batch_matches_library(tmp_path, trace_csv):
 
     config = resolve_platform("aws_lambda")
     for row, record in zip(rows, ingest_trace(trace_csv)):
-        asked = allocation(record.alloc_vcpus, record.alloc_memory_mb)
+        asked = ResourceAllocation(record.alloc_vcpus, record.alloc_memory_mb)
         breakdown = compute_cost(record, config, normalize_allocation(asked, config))
         assert row["function_id"] == record.function_id
         assert row["billable_time_ms"] == str(breakdown.billable_time_ms)
@@ -139,22 +139,27 @@ def test_bill_unknown_platform_fails(capsys):
 
 @pytest.mark.parametrize("records", [False, True], ids=["single", "records"])
 def test_bill_rejects_a_usage_resource_no_record_carries(records, tmp_path, trace_csv, capsys):
-    # A trace record carries vCPU and memory usage only: a priced gpu_ms would bill $0.
+    # A trace record carries vCPU and memory only: priced gpu_ms usage or a
+    # priced gpu allocation would bill $0.
     platform = tmp_path / "gpu.yaml"
-    platform.write_text(
-        "name: gpu\nbillable_time: {kind: execution, granularity_ms: 1}\n"
-        "alloc_resources:\n"
-        "  - {resource: memory_gb, granularity: 1, unit_price_usd_per_unit_second: 1}\n"
-        "usage_resources:\n"
-        "  - {resource: gpu_ms, granularity: 1, unit_price_usd_per_unit: 0.5}\n"
-        "invocation_fee_usd: 0\n"
-    )
-    out = tmp_path / "out"
     argv = ["--records", trace_csv] if records else ["--mem-mb", 128, "--exec-ms", 10]
-    assert run("bill", "--platform", platform, *argv, "--out-dir", out) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {platform}: ") and "'gpu_ms'" in err
-    assert err.count("\n") == 1 and not out.exists()
+    for resource, spec in [
+        ("gpu_ms", "usage_resources:\n"
+                   "  - {resource: gpu_ms, granularity: 1, unit_price_usd_per_unit: 0.5}\n"),
+        ("gpu", "  - {resource: gpu, granularity: 1, unit_price_usd_per_unit_second: 0.5}\n"),
+    ]:
+        platform.write_text(
+            "name: gpu\nbillable_time: {kind: execution, granularity_ms: 1}\n"
+            "invocation_fee_usd: 0\n"
+            "alloc_resources:\n"
+            "  - {resource: memory_gb, granularity: 1, unit_price_usd_per_unit_second: 1}\n"
+            + spec
+        )
+        out = tmp_path / "out"
+        assert run("bill", "--platform", platform, *argv, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {platform}: ") and f"{resource!r} is not metered" in err
+        assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -350,6 +355,23 @@ _WRONG_TYPED = {
     "platform-alloc-resources-int": (
         "p.yaml", "name: p\nbillable_time:\n  kind: execution\nalloc_resources: 5\n",
         ["bill", "--platform", "BAD", "--exec-ms", 1]),
+    # A key the config does not define, at each place it may stand, in a
+    # config that bills with the key left out.
+    **{f"platform-unknown-key-{place}": (
+        "p.yaml", "name: p\ninvocation_fee_usd: 0\nbillable_time: {kind: execution, " + text,
+        ["bill", "--platform", "BAD", "--exec-ms", 1])
+       for place, text in [
+           ("top", "granularity_ms: 1}\nmin_cutoff_ms: 100\n"),
+           ("billable-time", "granularity_ms: 1, min_cutof_ms: 100}\n"),
+           ("alloc", "granularity_ms: 1}\n"
+                     "alloc_resources: [{resource: vcpu, granularity: 1, price: 1}]\n"),
+           ("usage", "granularity_ms: 1}\n"
+                     "usage_resources: [{resource: vcpu, granularity: 1, basis: absolute}]\n"),
+           ("coupling", "granularity_ms: 1}\n"
+                        "knob_coupling: {kind: independent, mem_per_vcpu_mb: 1769}\n"),
+           ("combo", "granularity_ms: 1}\nknob_coupling: {kind: fixed_combos,\n"
+                     "  combos: [{vcpu: 1, memory_mb: 128, gpu: 1}]}\n"),
+       ]},
     "schema-columns-int": (
         "schema.yaml", "columns: 5\n", ["analyze", "--trace", "TRACE", "--schema", "BAD"]),
     "reference-period-list": (
@@ -661,7 +683,14 @@ def test_profile_report_custom_reference(tmp_path):
 @pytest.mark.parametrize("table, named", [
     ("lab:\n  tick_hz: 300\n", "period_ms"),
     ("lab: 50\n", "mapping"),
-], ids=["missing-key", "not-a-mapping"])
+    ("lab:\n  period_ms: 20\n  tick_hz: 250.9\n", "tick_hz"),
+    ("lab:\n  period_ms: 20\n  tick_hz: true\n", "tick_hz"),
+    ("lab:\n  period_ms: 20\n  tick_hz: 0\n", "tick_hz"),
+    ("lab:\n  period_ms: 20\n  tick_hz: .inf\n", "tick_hz"),
+    ("lab:\n  period_ms: -20\n  tick_hz: 250\n", "period_ms"),
+    ("lab:\n  period_ms: .nan\n  tick_hz: 250\n", "period_ms"),
+], ids=["missing-key", "not-a-mapping", "fractional-tick", "bool-tick", "zero-tick", "inf-tick",
+        "negative-period", "nan-period"])
 def test_profile_report_bad_reference_fails(tmp_path, events_csv, capsys, table, named):
     reference = tmp_path / "ref.yaml"
     reference.write_text(table)
@@ -933,7 +962,7 @@ def _config_dir_case(tmp_path, trace_csv):
     config = resolve_platform("aws_lambda")
     totals = [
         usd_string(compute_cost(record, config, normalize_allocation(
-            allocation(record.alloc_vcpus, record.alloc_memory_mb), config)).total_usd)
+            ResourceAllocation(record.alloc_vcpus, record.alloc_memory_mb), config)).total_usd)
         for record in ingest_trace(trace_csv)
     ]
     return (["bill", "--platform", "gcp_cloudrun_functions", "--records", trace_csv],

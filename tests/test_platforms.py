@@ -1,5 +1,6 @@
 """Bundled platform configs: schema, invariants, and lookup order."""
 
+import re
 from decimal import Decimal
 
 import pytest
@@ -10,13 +11,14 @@ from faascost.billing.model import (
     BillingError,
     MissingGranularityError,
     MissingPriceError,
-    allocation,
+    ResourceAllocation,
 )
 from faascost.billing.platforms import (
     CONFIG_DIR_ENV,
     bundled_platform_names,
     parse_platform_config,
     resolve_platform,
+    resolve_platform_path,
 )
 from faascost.money import dec
 from faascost.traces.records import InvocationRecord
@@ -59,6 +61,32 @@ def test_all_bundled_configs_load():
         assert cfg.name == name
 
 
+def _mappings(doc):
+    """Each mapping of a platform document, with the place its errors name."""
+    yield "at top level", doc
+    yield "in billable_time", doc["billable_time"]
+    for key in ("alloc_resources", "usage_resources"):
+        for i, spec in enumerate(doc.get(key) or ()):
+            yield f"in {key}[{i}]", spec
+    coupling = doc["knob_coupling"]
+    yield f"in knob_coupling of kind {coupling['kind']!r}", coupling
+    for i, combo in enumerate(coupling.get("combos", ())):
+        yield f"in knob_coupling combos[{i}]", combo
+
+
+def test_an_unknown_key_is_rejected_where_it_stands():
+    # Read as absent, a misspelt key would bill with its default.
+    for name in bundled_platform_names():
+        doc = yaml.safe_load(resolve_platform_path(name).read_text())
+        for where, mapping in _mappings(doc):
+            mapping["min_cutof_ms"] = 100
+            with pytest.raises(BillingError,
+                               match=re.escape(f"unknown keys {where}: ['min_cutof_ms']")):
+                parse_platform_config(doc)
+            del mapping["min_cutof_ms"]
+        assert parse_platform_config(doc) == resolve_platform(name)
+
+
 def test_aws_per_second_price_at_1769mb():
     cfg = resolve_platform("aws_lambda")
     price = cfg.alloc_resources[0].unit_price_usd_per_unit_second
@@ -83,7 +111,7 @@ def test_gcp_per_second_price_at_1vcpu_1769mb():
 
 def test_gcp_fee_equivalent_at_half_vcpu_512mb():
     cfg = resolve_platform("gcp_cloudrun_functions")
-    got = fee_equivalent_walltime(cfg, allocation("0.5", 512))
+    got = fee_equivalent_walltime(cfg, ResourceAllocation("0.5", 512))
     assert abs(got - Decimal("30.19")) < Decimal("0.01")
 
 
@@ -159,9 +187,8 @@ billable_time: {kind: execution, granularity_ms: 1, min_cutoff_ms: 0.1}
 alloc_resources:
   - {resource: memory_gb, granularity: 0.0009765625,
      unit_price_usd_per_unit_second: "0.0000166667"}
-  - {resource: gpu, granularity: "0.01", unit_price_usd_per_unit_second: null}
 usage_resources:
-  - {resource: vcpu, granularity: 5, unit_price_usd_per_unit: 0.1}
+  - {resource: vcpu, granularity: "0.01", unit_price_usd_per_unit: null}
 invocation_fee_usd: 0.0000002
 knob_coupling: {kind: ratio_constrained, min_ratio: 0.125, max_ratio: 4,
                 cpu_step: "0.08", mem_step_mb: 128}
@@ -182,7 +209,7 @@ def _quoted(node):
 def test_parse_converts_every_number_form_exactly():
     doc = yaml.safe_load(_MIXED_NUMBERS)
     cfg = parse_platform_config(doc)
-    mem, gpu = cfg.alloc_resources
+    (mem,) = cfg.alloc_resources
     (vcpu,) = cfg.usage_resources
     knobs = cfg.knob_coupling
     pairs = [
@@ -191,9 +218,7 @@ def test_parse_converts_every_number_form_exactly():
         (cfg.invocation_fee_usd, 0.0000002),
         (mem.granularity, 0.0009765625),
         (mem.unit_price_usd_per_unit_second, "0.0000166667"),
-        (gpu.granularity, "0.01"),
-        (vcpu.granularity, 5),
-        (vcpu.unit_price_usd_per_unit, 0.1),
+        (vcpu.granularity, "0.01"),
         (knobs.min_ratio, 0.125),
         (knobs.max_ratio, 4),
         (knobs.cpu_step, "0.08"),
@@ -201,6 +226,6 @@ def test_parse_converts_every_number_form_exactly():
     ]
     for got, value in pairs:
         assert type(got) is Decimal and got == dec(value), (got, value)
-    assert gpu.unit_price_usd_per_unit_second is None
+    assert vcpu.unit_price_usd_per_unit is None
     quoted = parse_platform_config(_quoted(doc))
     assert quoted == cfg and repr(quoted) == repr(cfg)

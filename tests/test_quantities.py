@@ -22,16 +22,14 @@ from faascost.billing.engine import (
     billable_quantities,
     compute_cost,
     normalize_allocation,
-    price,
 )
 from faascost.billing.model import (
     MEMORY_GB,
     VCPU,
-    AllocResourceSpec,
     MissingGranularityError,
     MissingPriceError,
+    ResourceAllocation,
     UsageResourceSpec,
-    allocation,
 )
 from faascost.billing.platforms import bundled_platform_names, resolve_platform
 from faascost.billing.trace_billing import TraceBilling
@@ -91,7 +89,7 @@ def seeded_records(seed, n=400):
 
 def requested(record):
     """The exact allocation a record's two floats read as."""
-    return allocation(record.alloc_vcpus, record.alloc_memory_mb)
+    return ResourceAllocation(record.alloc_vcpus, record.alloc_memory_mb)
 
 
 def exact_seconds(record, config):
@@ -329,36 +327,6 @@ def test_step_keys_need_whole_units(monkeypatch):
         untimed.key(record)
     stepped_in_integers(monkeypatch)
     assert TraceBilling(config).key(record) == exact
-
-
-def test_a_priced_extra_is_billed_through_the_granted_allocation():
-    # A trace row holds only its vCPU and memory floats, so a custom resource
-    # reaches the invoice only in the exact allocation handed to compute_cost:
-    # for a keyed duration and for a seven-decimal one alike.
-    aws = resolve_platform("aws_lambda")
-    gpu = AllocResourceSpec("gpu", Decimal(1), Decimal("0.0001"))
-    config = aws._replace(alloc_resources=aws.alloc_resources + (gpu,))
-    base = seeded_records(seed=5, n=1)[0]
-    finer = base._replace(exec_duration_ms=base.exec_duration_ms + 1.25e-7)
-    billing = TraceBilling(config)
-    assert micros(finer.exec_duration_ms) is None
-    for record in (base, finer):
-        assert billing.quantities(billing.key(record)).alloc["gpu"] == 0
-    alloc_usd = []
-    for gpus in (1, 2):
-        asked = allocation(base.alloc_vcpus, base.alloc_memory_mb, gpu=gpus)
-        granted = normalize_allocation(asked, config)
-        amounts = allocation_quantities(granted, config)
-        assert amounts["gpu"] == gpus
-        for record in (base, finer):
-            breakdown = compute_cost(record, config, granted)
-            assert breakdown.alloc_terms["gpu"][0] == gpus
-            assert breakdown == price(billable_quantities(record, config, amounts), config)
-        alloc_usd.append(bill._bill_row(base, config, granted)[bill._BILL_COLUMNS.index("alloc_usd")])
-    assert alloc_usd[0] != alloc_usd[1]
-    # The row's own allocation, as granted for a trace, carries no GPU.
-    assert billing.grant(base.alloc_vcpus, base.alloc_memory_mb)[1]["gpu"] == 0
-    assert compute_cost(base, config).alloc_terms["gpu"] == (0, 0)
 
 
 # The keyed bill path: `bill --records` prices each distinct billing key

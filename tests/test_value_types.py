@@ -8,7 +8,6 @@ import re
 from array import array
 from decimal import Decimal
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 
@@ -169,9 +168,9 @@ _CASES = [
       ({"alloc_memory_mb": 2.0**53}, ValueError, _ALLOCATION),
       ({"cpu_usage_avg_vcpus": math.nan}, ValueError, _USAGE),
       ({"mem_usage_mb": 2.0**53}, ValueError, _USAGE)]),
-    (SchemaMap, (_COLUMNS, "ms", "ms", "mb", "unspecified", ","), {"columns": _COLUMNS},
+    (SchemaMap, (_COLUMNS, "ms", "ms", "mb", ","), {"columns": _COLUMNS},
      f"SchemaMap(columns={_COLUMNS!r}, duration_unit='ms', timestamp_unit='ms', "
-     "memory_unit='mb', memory_usage_semantics='unspecified', delimiter=',')",
+     "memory_unit='mb', delimiter=',')",
      {"duration_unit": "s"},
      [({"columns": {"function_id": "f"}}, ValueError,
        "schema map missing required fields: ['arrival_ts', 'exec_duration', 'alloc_vcpus', "
@@ -207,7 +206,9 @@ _CASES = [
      "unit_price_usd_per_unit_second=Decimal('0.00001'))",
      {"unit_price_usd_per_unit_second": None},
      [({"granularity": 0}, BillingError, "granularity must be > 0"),
-      ({"unit_price_usd_per_unit_second": -1}, BillingError, "unit price must be >= 0")]),
+      ({"unit_price_usd_per_unit_second": -1}, BillingError, "unit price must be >= 0"),
+      ({"resource": "gpu"}, BillingError,
+       "allocation of 'gpu' is not metered: allocation is billed on vcpu and memory_gb only")]),
     (UsageResourceSpec, ("vcpu", Decimal(1), None, "absolute"),
      {"resource": "vcpu", "granularity": Decimal(1)},
      "UsageResourceSpec(resource='vcpu', granularity=Decimal('1'), "
@@ -236,13 +237,12 @@ _CASES = [
       ({"invocation_fee_usd": -1}, BillingError, "invocation_fee_usd must be >= 0"),
       ({"usage_resources": (_VCPU._replace(resource="memory_gb"),)}, BillingError,
        "each resource may appear in at most one spec list")]),
-    (ResourceAllocation, (Decimal(1), Decimal(128), {}),
+    (ResourceAllocation, (Decimal(1), Decimal(128)),
      {"vcpus": Decimal(1), "memory_mb": Decimal(128)},
-     "ResourceAllocation(vcpus=Decimal('1'), memory_mb=Decimal('128'), extras=mappingproxy({}))",
-     {"extras": {"gpu": 1}},
+     "ResourceAllocation(vcpus=Decimal('1'), memory_mb=Decimal('128'))",
+     {"memory_mb": 256},
      [({"vcpus": -1}, BillingError, _ALLOCATION),
       ({"memory_mb": 2**53}, BillingError, _ALLOCATION),
-      ({"extras": {"gpu": -1}}, BillingError, _ALLOCATION),
       ({"vcpus": math.inf}, ValueError, "non-finite amount: inf")]),
     (CostBreakdown,
      (Decimal(100), {"memory_gb": (Decimal("0.125"), Decimal("2E-7"))}, {}, Decimal("2E-7")),
@@ -326,11 +326,10 @@ def test_numbers_convert_to_decimals_on_every_construction():
         assert {type(x) for x in made[1:]} == {Decimal}
     assert policy._replace(time_min_cutoff_ms=1.5).time_min_cutoff_ms == Decimal("1.5")
 
-    alloc = ResourceAllocation(1, "128.5", {"gpu": 2})
-    assert (alloc.vcpus, alloc.memory_mb) == (Decimal(1), Decimal("128.5"))
-    assert type(alloc.extras) is MappingProxyType and alloc.extras == {"gpu": Decimal(2)}
-    assert {type(x) for x in (alloc.vcpus, alloc.memory_mb, alloc.extras["gpu"])} == {Decimal}
-    assert ResourceAllocation() == (0, 0, {})
+    alloc = ResourceAllocation(1, "128.5")
+    assert alloc == (Decimal(1), Decimal("128.5"))
+    assert {type(x) for x in alloc} == {Decimal}
+    assert ResourceAllocation() == (0, 0)
 
     config = PlatformBillingConfig("p", "execution", "0.5", 0, [_MEMORY], [], 0.0000002,
                                    IndependentKnobs())
