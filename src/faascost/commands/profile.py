@@ -71,6 +71,10 @@ def _load_reference(source: Optional[Path]) -> Dict[str, cli.ReferenceSchedParam
         for key in ("period_ms", "tick_hz"):
             if key not in params:
                 raise CliError(f"{source}: {platform}: missing {key!r}")
+        unknown = [key for key in params if key not in ("period_ms", "tick_hz")]
+        if unknown:
+            raise CliError(f"{source}: {platform}: unknown keys {unknown}: an entry "
+                           "takes period_ms and tick_hz only")
         period, tick = params["period_ms"], params["tick_hz"]
         try:
             period_ms, tick_hz = float(period), int(tick)
@@ -81,10 +85,7 @@ def _load_reference(source: Optional[Path]) -> Dict[str, cli.ReferenceSchedParam
             raise CliError(f"{source}: {platform}: period_ms must be finite and positive")
         if isinstance(tick, bool) or tick_hz <= 0 or isinstance(tick, float) and tick != tick_hz:
             raise CliError(f"{source}: {platform}: tick_hz must be a positive whole number")
-        table[platform] = cli.ReferenceSchedParams(
-            platform=platform, period_ms=period_ms, tick_hz=tick_hz,
-            note=str(params.get("note", "")),
-        )
+        table[platform] = cli.ReferenceSchedParams(platform, period_ms, tick_hz)
     return table
 
 

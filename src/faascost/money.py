@@ -81,9 +81,16 @@ def micros(value: float) -> Optional[int]:
 
 
 def whole_units(amount: Decimal, scale: int) -> Optional[int]:
-    """``amount * scale`` as an int when that is a whole number, else None."""
-    with decimal.localcontext(CONTEXT):
-        units = amount * scale
+    """``amount * scale`` as an int when that is a whole number, else None.
+
+    A product that :data:`CONTEXT` would round is not whole: it is None too.
+    """
+    with decimal.localcontext(CONTEXT) as ctx:
+        ctx.traps[decimal.Inexact] = True
+        try:
+            units = amount * scale
+        except decimal.Inexact:
+            return None
     if units != units.to_integral_value():
         return None
     return int(units)

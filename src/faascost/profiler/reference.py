@@ -16,17 +16,15 @@ class ReferenceSchedParams(NamedTuple):
     platform: str
     period_ms: float
     tick_hz: int
-    note: str = ""
 
 
 PUBLISHED_PLATFORM_SCHEDULERS: Dict[str, ReferenceSchedParams] = {
-    "aws": ReferenceSchedParams(
-        "aws", 20.0, 250, "quota scales with configured memory at ~1769 MB per vCPU"
-    ),
-    "gcp": ReferenceSchedParams(
-        "gcp", 100.0, 1000, "quota follows the allocated CPU fraction"
-    ),
-    "ibm": ReferenceSchedParams("ibm", 10.0, 250, "fixed cap regardless of memory"),
+    # Quota scales with configured memory at ~1769 MB per vCPU.
+    "aws": ReferenceSchedParams("aws", 20.0, 250),
+    # Quota follows the allocated CPU fraction.
+    "gcp": ReferenceSchedParams("gcp", 100.0, 1000),
+    # Fixed cap regardless of memory.
+    "ibm": ReferenceSchedParams("ibm", 10.0, 250),
 }
 
 _PERIOD_TOL_MS = 0.5

@@ -9,10 +9,11 @@ that reproduces the long, uneven throttle intervals seen under small
 quotas.
 
 All times are integer microseconds. Events at the same instant resolve in
-a fixed order: completion, tick, slice mark, refill. Only running time is
-stepped event by event: a throttled span costs O(1) however many refills
-and ticks it covers, because the refill that lifts it and the first tick
-after it are both closed-form.
+a fixed order: completion, tick, eevdf slice mark, refill. Only running
+time is stepped event by event: a throttled span costs O(1) however many
+refills and ticks it covers, because the refill that lifts it and the
+first tick after it are both closed-form. Exact (continuous) accounting
+steps nothing: it is :func:`quota_delivery`'s closed form.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ def _first_tick_after(t: int, phase: int, hz: int) -> int:
     return -((phase - t - 1) * hz // _US)
 
 
+def quota_delivery(cpu, period, quota):
+    """Exact accounting in closed form: ``(full, completion)``.
+
+    Each period grants the whole quota at its start, so the task runs the
+    quota in ``full`` periods and the rest of its demand in the next (the
+    formula is in :mod:`.closed_form`). Integer microseconds, or Decimals
+    under :data:`faascost.money.CONTEXT`, keep the result exact.
+    """
+    full, residue = divmod(cpu, quota)
+    if not residue:
+        full, residue = full - 1, quota
+    return full, full * period + residue
+
+
 def _run(
     remaining: int,
     period: int,
@@ -56,7 +71,7 @@ def _run(
     lagged_accounting: bool,
     eevdf: bool,
 ) -> Tuple[int, List[int], List[int]]:
-    """The event loop: returns completion, switch times and overruns.
+    """Completion, switch times and overruns.
 
     The switch times alternate between states: the task runs from
     ``switches[0] == 0``, is throttled from ``switches[1]``, runs again
@@ -64,11 +79,20 @@ def _run(
     began is not recorded, so every piece has positive length and
     ``len(switches) // 2`` counts the throttles.
 
-    ``slice_us`` is read only under lagged accounting; continuous
-    accounting pins the slice to the full quota.
+    Without lagged accounting the answer is :func:`quota_delivery`'s: the
+    task is throttled from ``k * period + quota`` to ``(k + 1) * period``
+    in each full period, never at ``quota == period``, and never overruns.
+    Only lagged accounting runs the event loop and reads ``slice_us``,
+    ``hz``, ``phase`` and ``eevdf``.
     """
     if not lagged_accounting:
-        slice_us = quota
+        full, completion = quota_delivery(remaining, period, quota)
+        if quota == period:
+            return completion, [0], []
+        switches = [0] * (2 * full + 1)
+        switches[1::2] = range(quota, full * period, period)
+        switches[2::2] = range(period, (full + 1) * period, period)
+        return completion, switches, []
     local = 0
     global_pool = quota
     tick_index = 1
@@ -84,20 +108,14 @@ def _run(
     global_pool -= take
 
     while True:
-        completion_t = last_account + remaining
-        event_t, kind = completion_t, _DONE
-        if lagged_accounting:
-            if next_tick < event_t or (next_tick == event_t and _TICK < kind):
-                event_t, kind = next_tick, _TICK
-            if eevdf:
-                mark = last_account + slice_us
-                if mark < event_t or (mark == event_t and _MARK < kind):
-                    event_t, kind = mark, _MARK
-        else:
-            mark = last_account + local
-            if mark < event_t or (mark == event_t and _MARK < kind):
-                event_t, kind = mark, _MARK
-        if next_refill < event_t or (next_refill == event_t and _REFILL < kind):
+        # Candidates in the same-instant order: a later kind wins only
+        # strictly earlier.
+        event_t, kind = last_account + remaining, _DONE
+        if next_tick < event_t:
+            event_t, kind = next_tick, _TICK
+        if eevdf and last_account + slice_us < event_t:
+            event_t, kind = last_account + slice_us, _MARK
+        if next_refill < event_t:
             event_t, kind = next_refill, _REFILL
 
         t = event_t
@@ -141,9 +159,8 @@ def _run(
         if resume > t:
             switches.append(t)
             switches.append(resume)
-        if lagged_accounting:
-            tick_index = max(tick_index, _first_tick_after(resume, phase, hz))
-            next_tick = phase + tick_index * _US // hz
+        tick_index = max(tick_index, _first_tick_after(resume, phase, hz))
+        next_tick = phase + tick_index * _US // hz
 
 
 def simulate(
@@ -157,9 +174,12 @@ def simulate(
 
     With ``lagged_accounting`` (the default), runtime is charged only at
     scheduler ticks, at completion, and (eevdf flavor) after each slice of
-    consumption. Disabling it charges runtime continuously with the slice
-    pinned to the full quota, which makes completion match the closed form
-    exactly; that mode exists as a cross-check, not as a kernel model.
+    consumption. Disabling it charges runtime continuously, so each period
+    delivers exactly its quota: that timeline is the closed form of
+    :func:`quota_delivery`, evaluated without stepping, and the tick, slice
+    and flavor play no part. It is the ideal of quota delivery, not a
+    kernel model; ``tests/oracle_sched.py`` steps it period by period as
+    an independent cross-check.
     """
     remaining = to_us(task.cpu_time_ms, "cpu_time_ms")
     period = to_us(config.period_ms, "period_ms")

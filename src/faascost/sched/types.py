@@ -6,11 +6,10 @@ conservation holds exactly; these types carry the conversions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple, Union
 
 from ..checked import checked
-from ..money import dec
+from ..money import dec, whole_units
 
 Number = Union[int, float, str]
 
@@ -29,12 +28,12 @@ def to_us(value_ms: Number, name: str) -> int:
     is exactly 1450 us. Sub-microsecond residue is rejected rather than
     silently rounded.
     """
-    f = Fraction(dec(value_ms)) * US_PER_MS
-    if f.denominator != 1:
+    us = whole_units(dec(value_ms), US_PER_MS)
+    if us is None:
         raise SchedulingError(
             f"{name} must be a whole number of microseconds, got {value_ms!r} ms"
         )
-    return int(f)
+    return us
 
 
 @checked

@@ -689,8 +689,10 @@ def test_profile_report_custom_reference(tmp_path):
     ("lab:\n  period_ms: 20\n  tick_hz: .inf\n", "tick_hz"),
     ("lab:\n  period_ms: -20\n  tick_hz: 250\n", "period_ms"),
     ("lab:\n  period_ms: .nan\n  tick_hz: 250\n", "period_ms"),
+    ("lab: {period_ms: 20, tick_hz: 250, notes: fixed cap}\n", "notes"),
+    ("lab: {period_ms: 20, tick_hz: 250, note: fixed cap}\n", "note"),
 ], ids=["missing-key", "not-a-mapping", "fractional-tick", "bool-tick", "zero-tick", "inf-tick",
-        "negative-period", "nan-period"])
+        "negative-period", "nan-period", "unknown-key", "note"])
 def test_profile_report_bad_reference_fails(tmp_path, events_csv, capsys, table, named):
     reference = tmp_path / "ref.yaml"
     reference.write_text(table)
@@ -1079,7 +1081,7 @@ _COMMANDS = tuple(f"faascost.commands.{name}"
 _LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analysis",
            "faascost.sched", "faascost.sched.sweep", "faascost.sched.closed_form",
            "faascost.profiler", "faascost.profiler.fingerprint", "faascost.profiler.probes",
-           "statistics", "_hashlib", "dataclasses", "inspect", *_COMMANDS)
+           "statistics", "fractions", "_hashlib", "dataclasses", "inspect", *_COMMANDS)
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
@@ -1172,9 +1174,12 @@ def test_python_m_imports_the_cli_once(argv, tmp_path, trace_csv, events_csv):
 
 _BILL, _ANALYZE_COMMAND, _SIMULATE, _PROFILE = _COMMANDS
 _SWEEP = {"faascost.sched", "faascost.sched.sweep", _SIMULATE}
+# ``fractions`` comes with ``faascost.traces.analysis`` and with ``statistics``:
+# the sched commands, whose exact arithmetic is in integers and Decimals, load none.
 _ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
-            _ANALYZE_COMMAND}
-_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics", _PROFILE}
+            "fractions", _ANALYZE_COMMAND}
+_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics",
+                "fractions", _PROFILE}
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
                         "--breakpoints"], _SWEEP),

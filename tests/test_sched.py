@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faascost.sched import (
@@ -24,7 +24,7 @@ from faascost.sched import (
 from faascost.sched.simulator import _first_tick_after
 from faascost.sched.types import RUNNING, THROTTLED
 
-from oracle_sched import oracle_completion_ms, oracle_ideal_ms
+from oracle_sched import oracle_completion_ms, oracle_exact_segments_us, oracle_ideal_ms
 
 
 # Millisecond values with at most 3 decimals stay exact in microseconds.
@@ -157,6 +157,43 @@ def test_continuous_accounting_matches_closed_form():
             closed_form_duration(TaskSpec(t), p, q), abs=1e-9
         )
         assert tl.overruns_us == ()
+
+
+@given(
+    tpq=bounded_triples(),
+    hz=st.sampled_from([1, 250, 300, 1000, 1_000_000]),
+    slice_us=st.integers(min_value=1, max_value=20_000),
+    flavor=st.sampled_from(["cfs", "eevdf"]),
+    phase_us=st.integers(min_value=0, max_value=20_000),
+)
+@example(tpq=(33.1, 20, 20), hz=250, slice_us=5_000, flavor="cfs", phase_us=0)  # Q == P
+@example(tpq=(20, 20, 10), hz=250, slice_us=5_000, flavor="cfs", phase_us=0)  # T = 2Q
+@example(tpq=(0.5, 20, 1.45), hz=250, slice_us=5_000, flavor="eevdf", phase_us=0)  # T < Q
+@example(tpq=(0.05, 20, 0.001), hz=1000, slice_us=1, flavor="cfs", phase_us=0)  # Q = 1 us
+@example(tpq=(33.1, 20, 1.45), hz=300, slice_us=2_000, flavor="eevdf", phase_us=1_234)
+@settings(deadline=None)
+def test_exact_accounting_is_the_period_stepping_timeline(tpq, hz, slice_us, flavor, phase_us):
+    # Exact accounting is evaluated in closed form, whatever the tick,
+    # slice, flavor and tick phase; the oracle steps it period by period.
+    t, p, q = tpq
+    cfg = BandwidthControlConfig(
+        period_ms=p, quota_ms=q, tick_hz=hz, slice_ms=slice_us / 1000, flavor=flavor
+    )
+    tl = simulate(TaskSpec(t), cfg, lagged_accounting=False, tick_phase_ms=phase_us / 1000)
+    segments, completion = oracle_exact_segments_us(
+        round(t * 1000), round(p * 1000), round(q * 1000)
+    )
+    assert [tuple(seg) for seg in tl.segments] == segments
+    assert tl.completion_us == completion
+    assert Fraction(completion, 1000) == oracle_completion_ms(t, p, q)
+    assert tl.overruns_us == ()
+    (pt,) = duration_curve(
+        TaskSpec(t), p, [q / p], tick_hz=hz, slice_ms=slice_us / 1000, flavor=flavor,
+        lagged_accounting=False,
+    ).points
+    assert pt.quota_ms == q
+    assert pt.completion_ms == completion / 1000
+    assert pt.n_throttles == sum(state == THROTTLED for _, _, state in segments)
 
 
 def test_full_quota_never_throttles():
@@ -376,6 +413,9 @@ def test_config_validation():
     with pytest.raises(SchedulingError):
         # Sub-microsecond values are rejected, not silently rounded.
         simulate(TaskSpec(10.00005), BandwidthControlConfig(period_ms=20, quota_ms=5))
+    with pytest.raises(SchedulingError):
+        # Past the 200 digits of money.CONTEXT too.
+        simulate(TaskSpec("10." + "0" * 250 + "1"), BandwidthControlConfig(20, 5))
 
 
 # --------------------------------------------------------------------- sweeps
@@ -478,7 +518,7 @@ def test_curve_points_match_oracle_spot_checks():
 )
 @settings(max_examples=80, deadline=None)
 def test_curve_points_equal_simulate_runs(t, p, n, lo, slice_us, hz, flavor, lagged):
-    # duration_curve and simulate share one event loop; every point must
+    # duration_curve and simulate share one _run; every point must
     # be the run simulate() gives at the point's quota.
     if lagged and hz == 1_000_000:
         t = min(t, 2_000)  # one event per microsecond

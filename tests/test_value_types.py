@@ -150,10 +150,10 @@ _CASES = [
      "quota_ms_estimate=None, tick_hz_estimate=None, confidence='insufficient events', "
      "notes=(), intervals_ms=(), durations_ms=(36.0,), runtimes_ms=())",
      {"tick_hz_estimate": 250}, []),
-    (ReferenceSchedParams, ("aws", 20.0, 250, ""),
+    (ReferenceSchedParams, ("aws", 20.0, 250),
      {"platform": "aws", "period_ms": 20.0, "tick_hz": 250},
-     "ReferenceSchedParams(platform='aws', period_ms=20.0, tick_hz=250, note='')",
-     {"note": "lab"}, []),
+     "ReferenceSchedParams(platform='aws', period_ms=20.0, tick_hz=250)",
+     {"tick_hz": 1000}, []),
     (InvocationRecord, _RECORD,
      dict(zip(InvocationRecord._fields, _RECORD)),
      "InvocationRecord(function_id='fa', instance_id='i1', arrival_ts_ms=0.5, "
