@@ -10,12 +10,13 @@ Results are plain CSV/JSON files written into ``--out-dir``; without it a
 command with a single result writes it to stdout, and one with several
 (``analyze``, the ``simulate`` sweep) refuses to run. A command that
 succeeds with an output directory also writes ``run.json`` there: the
-subcommand, resolved config paths, the seed (``analyze`` only; null for
-the rest), SHA-256 digests of every input file, the output paths relative
-to that directory and the tool version, so a result directory is
-self-describing. Files are written under a ``.partial`` name and take their
-final names only when the command succeeds, so a command that fails leaves
-no output file, no manifest and no directory of its own making. Given
+subcommand, resolved config paths, the seed (null unless ``analyze`` runs
+the correlation analysis, the one that reads it), SHA-256 digests of every
+input file, the output paths relative to that directory and the tool
+version, so a result directory is self-describing. Files are written under
+a ``.partial`` name and take their final names only when the command
+succeeds, so a command that fails leaves no output file, no manifest and no
+directory of its own making. Given
 identical inputs and seed, output files are byte-identical across reruns;
 the manifest's ``wall_time_s`` field is the one exception.
 
@@ -220,15 +221,16 @@ def _applies_to(args: argparse.Namespace, what: str, read: bool, **defaults) -> 
     Each option is named by its dest in ``defaults`` and parsed with a
     default of None, so any value on the command line, ``0`` and ``""``
     too, counts as given. When the running mode reads the options
-    (``read``), each one not given takes its default here. Otherwise the
-    first one given, in the order of ``defaults``, is the error
-    "<option> applies to <what>".
+    (``read``), each one not given takes its default here, and otherwise
+    stays None. When it does not, the first one given, in the order of
+    ``defaults``, is the error "<option> applies to <what>".
     """
     for dest, default in defaults.items():
-        if getattr(args, dest) is None:
+        if getattr(args, dest) is not None:
+            if not read:
+                raise CliError(f"--{dest.replace('_', '-')} applies to {what}")
+        elif read:
             setattr(args, dest, default)
-        elif not read:
-            raise CliError(f"--{dest.replace('_', '-')} applies to {what}")
 
 
 def _split_list(raw: str) -> List[str]:
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--trace", required=True, help="trace CSV (optionally .gz)")
     analyze.add_argument(
-        "--seed", type=int, default=0, help="seed of the scatter sample (default 0)"
+        "--seed", type=int, default=None, help="seed of the scatter sample (default 0)"
     )
     analyze.add_argument(
         "--analyses",

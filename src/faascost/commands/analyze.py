@@ -39,7 +39,8 @@ def command(args: argparse.Namespace, run: cli._Run) -> None:
     # The analyses' options and platforms are checked before the trace is read.
     left_out = "the {} analysis, which --analyses leaves out"
     cli._applies_to(args, left_out.format("inflation"), "inflation" in analyses,
-                    platforms="aws_lambda", mapping="normalize")
+                    platforms="aws_lambda", mapping="normalize", config_dir=None)
+    cli._applies_to(args, left_out.format("correlation"), "correlation" in analyses, seed=0)
     cli._applies_to(args, left_out.format("cold-start"), "cold-start" in analyses,
                     session_gap_ms=900_000.0)
     cli._applies_to(args, left_out.format("roundup"), "roundup" in analyses,

@@ -12,14 +12,19 @@ All times are integer microseconds. Events at the same instant resolve in
 a fixed order: completion, tick, eevdf slice mark, refill. Only running
 time is stepped event by event: a throttled span costs O(1) however many
 refills and ticks it covers, because the refill that lifts it and the
-first tick after it are both closed-form. Exact (continuous) accounting
-steps nothing: it is :func:`quota_delivery`'s closed form.
+first tick after it are both closed-form.
+
+Exact (continuous) accounting steps nothing. :func:`quota_delivery` is its
+one formula, which :func:`simulate`, the exact sweep points and
+:func:`closed_form_duration` all evaluate.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import decimal
+from typing import List, Tuple
 
+from ..money import CONTEXT, dec
 from .types import (
     RUNNING,
     THROTTLED,
@@ -48,51 +53,57 @@ def _first_tick_after(t: int, phase: int, hz: int) -> int:
 
 
 def quota_delivery(cpu, period, quota):
-    """Exact accounting in closed form: ``(full, completion)``.
+    """Exact accounting in closed form: ``(throttles, completion)``.
 
-    Each period grants the whole quota at its start, so the task runs the
-    quota in ``full`` periods and the rest of its demand in the next (the
-    formula is in :mod:`.closed_form`). Integer microseconds, or Decimals
+    Each period grants the whole quota at its start. A task demanding T
+    runs Q in each of floor(T/Q) full periods and the residue in the
+    next, except when T divides evenly, where the last period only runs Q:
+
+        completion = floor(T/Q) * P + (T mod Q)      if T mod Q != 0
+        completion = (floor(T/Q) - 1) * P + Q        otherwise
+
+    Below the period, the task is throttled from ``k * P + Q`` to
+    ``(k + 1) * P`` in each full period k. A quota equal to the period
+    never throttles: each quota runs out at the refill that renews it, and
+    the task runs straight through. Integer microseconds, or Decimals
     under :data:`faascost.money.CONTEXT`, keep the result exact.
     """
     full, residue = divmod(cpu, quota)
     if not residue:
         full, residue = full - 1, quota
-    return full, full * period + residue
+    return (0 if quota == period else full), full * period + residue
+
+
+def closed_form_duration(task: TaskSpec, period_ms: Number, quota_ms: Number) -> float:
+    """Exact wall-clock completion in ms, ignoring accounting lag.
+
+    This is :func:`quota_delivery` on the decimal milliseconds as given,
+    so no value need be a whole microsecond. The period and quota are
+    checked as a :class:`BandwidthControlConfig`'s.
+    """
+    BandwidthControlConfig(period_ms, quota_ms)
+    with decimal.localcontext(CONTEXT):
+        _, completion = quota_delivery(dec(task.cpu_time_ms), dec(period_ms), dec(quota_ms))
+    return float(completion)
 
 
 def _run(
     remaining: int,
     period: int,
     quota: int,
-    slice_us: Optional[int],
+    slice_us: int,
     hz: int,
     phase: int,
-    lagged_accounting: bool,
     eevdf: bool,
 ) -> Tuple[int, List[int], List[int]]:
-    """Completion, switch times and overruns.
+    """Lagged accounting's completion, switch times and overruns.
 
     The switch times alternate between states: the task runs from
     ``switches[0] == 0``, is throttled from ``switches[1]``, runs again
     from ``switches[2]``, and so on. A throttle lifted at the instant it
     began is not recorded, so every piece has positive length and
     ``len(switches) // 2`` counts the throttles.
-
-    Without lagged accounting the answer is :func:`quota_delivery`'s: the
-    task is throttled from ``k * period + quota`` to ``(k + 1) * period``
-    in each full period, never at ``quota == period``, and never overruns.
-    Only lagged accounting runs the event loop and reads ``slice_us``,
-    ``hz``, ``phase`` and ``eevdf``.
     """
-    if not lagged_accounting:
-        full, completion = quota_delivery(remaining, period, quota)
-        if quota == period:
-            return completion, [0], []
-        switches = [0] * (2 * full + 1)
-        switches[1::2] = range(quota, full * period, period)
-        switches[2::2] = range(period, (full + 1) * period, period)
-        return completion, switches, []
     local = 0
     global_pool = quota
     tick_index = 1
@@ -175,29 +186,29 @@ def simulate(
     With ``lagged_accounting`` (the default), runtime is charged only at
     scheduler ticks, at completion, and (eevdf flavor) after each slice of
     consumption. Disabling it charges runtime continuously, so each period
-    delivers exactly its quota: that timeline is the closed form of
-    :func:`quota_delivery`, evaluated without stepping, and the tick, slice
-    and flavor play no part. It is the ideal of quota delivery, not a
-    kernel model; ``tests/oracle_sched.py`` steps it period by period as
-    an independent cross-check.
+    delivers exactly its quota: the timeline is filled from
+    :func:`quota_delivery`'s throttles, and the tick, slice and flavor play
+    no part. It is the ideal of quota delivery, not a kernel model.
+    ``tests/oracle_sched.py`` steps both modes on its own, lagged
+    accounting µs by µs and exact accounting period by period.
     """
     remaining = to_us(task.cpu_time_ms, "cpu_time_ms")
     period = to_us(config.period_ms, "period_ms")
     quota = to_us(config.quota_ms, "quota_ms")
-    slice_us = to_us(config.slice_ms, "slice_ms") if lagged_accounting else None
     phase = to_us(tick_phase_ms, "tick_phase_ms")
     if phase < 0:
         raise SchedulingError("tick_phase_ms must be >= 0")
-    completion, switches, overruns = _run(
-        remaining,
-        period,
-        quota,
-        slice_us,
-        config.tick_hz,
-        phase,
-        lagged_accounting,
-        config.flavor == "eevdf",
-    )
+    if lagged_accounting:
+        slice_us = to_us(config.slice_ms, "slice_ms")
+        completion, switches, overruns = _run(
+            remaining, period, quota, slice_us, config.tick_hz, phase, config.flavor == "eevdf"
+        )
+    else:
+        throttles, completion = quota_delivery(remaining, period, quota)
+        switches = [0] * (2 * throttles + 1)
+        switches[1::2] = range(quota, throttles * period, period)
+        switches[2::2] = range(period, (throttles + 1) * period, period)
+        overruns = []
     ends = switches[1:] + [completion]
     return ScheduleTimeline(
         cpu_time_ms=float(task.cpu_time_ms),

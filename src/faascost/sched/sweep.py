@@ -14,7 +14,7 @@ from decimal import Decimal
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..money import dec
-from .simulator import _run
+from .simulator import _run, quota_delivery
 from .types import (
     US_PER_MS,
     BandwidthControlConfig,
@@ -127,26 +127,26 @@ def duration_curve(
         flavor=flavor,
     )
     cpu_us = to_us(task.cpu_time_ms, "cpu_time_ms")
-    slice_us = to_us(slice_ms, "slice_ms") if lagged_accounting else None
+    if lagged_accounting:
+        slice_us = to_us(slice_ms, "slice_ms")
+        eevdf = config.flavor == "eevdf"
     points: List[CurvePoint] = []
     for f, quota_us in zip(fractions, quotas):
-        completion_us, switches, _ = _run(
-            cpu_us,
-            period_us,
-            quota_us,
-            slice_us,
-            config.tick_hz,
-            0,  # tick phase
-            lagged_accounting,
-            config.flavor == "eevdf",
-        )
+        if lagged_accounting:
+            # Ticks from phase 0, as in a default simulate() run.
+            completion_us, switches, _ = _run(
+                cpu_us, period_us, quota_us, slice_us, config.tick_hz, 0, eevdf
+            )
+            n_throttles = len(switches) // 2
+        else:
+            n_throttles, completion_us = quota_delivery(cpu_us, period_us, quota_us)
         points.append(
             CurvePoint(
                 fraction=f,
                 quota_ms=quota_us / 1000.0,
                 completion_ms=completion_us / US_PER_MS,
                 ideal_ms=ideal_ms(task, period_us, quota_us),
-                n_throttles=len(switches) // 2,
+                n_throttles=n_throttles,
             )
         )
     return DurationCurve(

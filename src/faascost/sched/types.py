@@ -104,9 +104,9 @@ class Segment(NamedTuple):
 class ScheduleTimeline(NamedTuple):
     """Simulation output: contiguous running/throttled segments from t=0.
 
-    ``overruns_us`` records, for each throttle, the runtime debt at that
-    moment: CPU consumed beyond what had been acquired from the quota,
-    which lagged accounting allows to build up between ticks.
+    ``overruns_us`` records, for each charge that finds the local pool in
+    debt, that debt: CPU consumed beyond what had been acquired from the
+    quota, which lagged accounting allows to build up between charges.
     """
 
     cpu_time_ms: float

@@ -21,7 +21,6 @@ import math
 import random
 from array import array
 from decimal import Decimal
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -92,9 +91,11 @@ class BillableDistribution:
         self._ranks = list(accumulate(self._counts[v] for v in self._values))
 
     def mean(self) -> float:
+        # The 200-digit quotient lies far closer to the exact mean than any
+        # tie between two floats, so float() rounds it as the exact mean.
         if self.n == 0:
             raise ValueError("no values")
-        return float(Fraction(self.total) / self.n)
+        return float(CONTEXT.divide(self.total, self.n))
 
     def query(self, q: float) -> float:
         """The nearest-rank value at quantile ``q``: the smallest value with
@@ -656,24 +657,19 @@ def rounding_up_stats(
     if n == 0:
         raise ValueError("no records at or above the execution-time floor")
 
-    def mean_mem(gran: Decimal) -> float:
-        gb_ms = Fraction(mem_sums[gran]) + Fraction(mem_units[gran], 1024 * 10**12)
-        return float(gb_ms / (1000 * n))
-
-    return [
-        RoundingUpStats(
-            policy=pol,
-            n=n,
-            n_skipped_short=n_short,
-            mean_time_roundup_ms=float(
-                (Fraction(time_sums[i]) + Fraction(time_units[i], 10**6)) / n
-            ),
-            mean_mem_roundup_gb_s=(
-                mean_mem(pol.mem_granularity_gb)
-                if pol.mem_granularity_gb is not None
-                else None
-            ),
-        )
-        for i, pol in enumerate(policies)
-    ]
-
+    # Each exact sum is divided once, as in BillableDistribution.mean.
+    with decimal.localcontext(CONTEXT):
+        mean_mems = {
+            gran: float((mem_sums[gran] + Decimal(mem_units[gran]) / 1024 / 10**12) / 1000 / n)
+            for gran in mem_grids
+        }
+        return [
+            RoundingUpStats(
+                policy=pol,
+                n=n,
+                n_skipped_short=n_short,
+                mean_time_roundup_ms=float((time_sums[i] + Decimal(time_units[i]) / 10**6) / n),
+                mean_mem_roundup_gb_s=mean_mems.get(pol.mem_granularity_gb),
+            )
+            for i, pol in enumerate(policies)
+        ]

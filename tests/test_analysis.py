@@ -680,3 +680,21 @@ def test_roundup_integer_and_decimal_paths_agree_exactly():
             assert got.mean_mem_roundup_gb_s == float(
                 Fraction(mem_sum) / (1000 * len(kept))
             )
+
+
+# 1 + 2**-53, the tie between 1.0 and the next float, times 3.
+_TIE_TIMES_3 = (2**53 + 1) * 5**53 * 3
+
+
+@given(units=st.integers(min_value=0, max_value=10**30),
+       exponent=st.integers(min_value=-30, max_value=5),
+       n=st.integers(min_value=1, max_value=10**12))
+@example(units=_TIE_TIMES_3, exponent=-53, n=3)  # the quotient is the tie: 1.0
+@example(units=_TIE_TIMES_3 + 1, exponent=-53, n=3)  # just above it
+@example(units=_TIE_TIMES_3 - 1, exponent=-53, n=3)  # just below it
+@settings(max_examples=500)
+def test_context_quotient_rounds_as_the_exact_mean(units, exponent, n):
+    # The means divide exact Decimal sums once under CONTEXT; float() of the
+    # 200-digit quotient must be float() of the exact rational.
+    total = Decimal(f"{units}E{exponent}")
+    assert float(CONTEXT.divide(total, n)) == float(Fraction(total) / n)

@@ -326,9 +326,11 @@ def test_analyze_resolves_its_platforms_before_reading_the_trace(monkeypatch, tm
     (["--analyses", "correlation", "--roundup-cutoff-ms", 0], "--roundup-cutoff-ms"),
     (["--analyses", "cold-start", "--roundup-mem-gb", 0.125], "--roundup-mem-gb"),
     (["--analyses", "roundup", "--session-gap-ms", 5000], "--session-gap-ms"),
+    (["--analyses", "inflation", "--seed", 5], "--seed"),
+    (["--analyses", "correlation", "--config-dir", "/nonexistent"], "--config-dir"),
 ], ids=["correlation-platforms", "bad-platform", "correlation-mapping", "roundup-mapping",
         "inflation-roundup-ms", "correlation-roundup-cutoff", "cold-start-roundup-mem",
-        "roundup-session-gap"])
+        "roundup-session-gap", "inflation-seed", "correlation-config-dir"])
 def test_analyze_rejects_an_option_its_analyses_ignore(argv, option, monkeypatch, tmp_path,
                                                         trace_csv, capsys):
     from faascost import cli
@@ -841,10 +843,16 @@ def test_failed_command_removes_the_directories_it_made(table_format, tmp_path, 
 
 def test_manifest_seed_only_for_analyze(tmp_path, trace_csv):
     assert run("analyze", "--trace", trace_csv, "--seed", 5, "--out-dir", tmp_path / "a") == 0
+    # The seed is the correlation analysis's: 0 when it runs unseeded, null
+    # when it does not run.
+    assert run("analyze", "--trace", trace_csv, "--analyses", "correlation",
+               "--out-dir", tmp_path / "c") == 0
+    assert run("analyze", "--trace", trace_csv, "--analyses", "inflation,roundup",
+               "--out-dir", tmp_path / "i") == 0
     assert run("simulate", "--t", "33.1", "--p", "20", "--q", "1.45",
                "--out-dir", tmp_path / "s") == 0
-    assert json.loads((tmp_path / "a" / "run.json").read_text())["seed"] == 5
-    assert json.loads((tmp_path / "s" / "run.json").read_text())["seed"] is None
+    seeds = [json.loads((tmp_path / d / "run.json").read_text())["seed"] for d in "acis"]
+    assert seeds == [5, 0, None, None]
 
 
 _JSON_CELLS = ['say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "naïve ☃ 𝄞", "",
@@ -1079,9 +1087,9 @@ _ROOT = Path(__file__).resolve().parents[1]
 _COMMANDS = tuple(f"faascost.commands.{name}"
                   for name in ("bill", "analyze", "simulate", "profile"))
 _LAYERS = ("yaml", "faascost.billing", "faascost.traces", "faascost.traces.analysis",
-           "faascost.sched", "faascost.sched.sweep", "faascost.sched.closed_form",
-           "faascost.profiler", "faascost.profiler.fingerprint", "faascost.profiler.probes",
-           "statistics", "fractions", "_hashlib", "dataclasses", "inspect", *_COMMANDS)
+           "faascost.sched", "faascost.sched.sweep", "faascost.profiler",
+           "faascost.profiler.fingerprint", "faascost.profiler.probes", "statistics",
+           "fractions", "_hashlib", "dataclasses", "inspect", *_COMMANDS)
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
@@ -1174,17 +1182,17 @@ def test_python_m_imports_the_cli_once(argv, tmp_path, trace_csv, events_csv):
 
 _BILL, _ANALYZE_COMMAND, _SIMULATE, _PROFILE = _COMMANDS
 _SWEEP = {"faascost.sched", "faascost.sched.sweep", _SIMULATE}
-# ``fractions`` comes with ``faascost.traces.analysis`` and with ``statistics``:
-# the sched commands, whose exact arithmetic is in integers and Decimals, load none.
+# ``fractions`` comes with ``statistics``, which only the fingerprint loads: the
+# other commands, whose exact arithmetic is in integers and Decimals, load none.
 _ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
-            "fractions", _ANALYZE_COMMAND}
+            _ANALYZE_COMMAND}
 _FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics",
                 "fractions", _PROFILE}
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
                         "--breakpoints"], _SWEEP),
     "simulate-timeline": (["simulate", "--t", "33.1", "--p", "20", "--q", "1.45"],
-                          {"faascost.sched", "faascost.sched.closed_form", _SIMULATE}),
+                          {"faascost.sched", _SIMULATE}),
     # The replay configures its timeline as simulate does, without its module.
     "profile-replay": (["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
                        {"faascost.sched", "faascost.profiler", "faascost.profiler.probes",

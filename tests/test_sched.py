@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,7 +25,12 @@ from faascost.sched import (
 from faascost.sched.simulator import _first_tick_after
 from faascost.sched.types import RUNNING, THROTTLED
 
-from oracle_sched import oracle_completion_ms, oracle_exact_segments_us, oracle_ideal_ms
+from oracle_sched import (
+    oracle_completion_ms,
+    oracle_exact_segments_us,
+    oracle_ideal_ms,
+    oracle_lagged_run_us,
+)
 
 
 # Millisecond values with at most 3 decimals stay exact in microseconds.
@@ -194,6 +200,84 @@ def test_exact_accounting_is_the_period_stepping_timeline(tpq, hz, slice_us, fla
     assert pt.quota_ms == q
     assert pt.completion_ms == completion / 1000
     assert pt.n_throttles == sum(state == THROTTLED for _, _, state in segments)
+
+
+@st.composite
+def lagged_triples(draw):
+    # Demand, period and quota in us. The oracle steps each running us and
+    # each refill, so demand stays below 20 ms and 200 quotas.
+    q_us = draw(st.integers(min_value=1, max_value=50_000))
+    p_us = draw(st.integers(min_value=q_us, max_value=100_000))
+    t_us = draw(st.integers(min_value=1, max_value=min(20_000, q_us * 200)))
+    return t_us, p_us, q_us
+
+
+@given(
+    tpq=lagged_triples(),
+    hz=st.sampled_from([100, 250, 300, 1000]),
+    slice_us=st.integers(min_value=1, max_value=20_000),
+    flavor=st.sampled_from(["cfs", "eevdf"]),
+    phase_us=st.integers(min_value=0, max_value=20_000),
+)
+# A tick at a refill: the 4 ms tick throttles, and the refill at that
+# instant repays only part of the debt, so the task runs again at 8 ms.
+@example(tpq=(10_000, 4_000, 2_000), hz=250, slice_us=5_000, flavor="cfs", phase_us=0)
+# A tick at a refill that repays the whole debt: no throttle has length.
+@example(tpq=(10_000, 4_000, 3_000), hz=250, slice_us=5_000, flavor="cfs", phase_us=0)
+# A completion at a tick, in debt: the completion charges it, not the tick.
+@example(tpq=(4_000, 20_000, 1_450), hz=250, slice_us=5_000, flavor="cfs", phase_us=0)
+# A slice mark at a tick, under eevdf.
+@example(tpq=(10_000, 20_000, 5_000), hz=250, slice_us=4_000, flavor="eevdf", phase_us=0)
+# 300 Hz ticks from a 2 ms phase: 5.333, 8.666, 12 ms, ...
+@example(tpq=(33_100, 20_000, 1_450), hz=300, slice_us=5_000, flavor="cfs", phase_us=2_000)
+# Q == P: each throttle, at a tick on a refill, ends at that refill.
+@example(tpq=(20_000, 5_000, 5_000), hz=1000, slice_us=5_000, flavor="cfs", phase_us=0)
+@settings(deadline=None)
+def test_lagged_accounting_is_the_microsecond_stepping_timeline(
+    tpq, hz, slice_us, flavor, phase_us
+):
+    # The event loop against an oracle that steps every running
+    # microsecond: segments, completion and every overrun.
+    t, p, q = tpq
+    cfg = BandwidthControlConfig(
+        period_ms=p / 1000, quota_ms=q / 1000, tick_hz=hz, slice_ms=slice_us / 1000,
+        flavor=flavor,
+    )
+    tl = simulate(TaskSpec(t / 1000), cfg, tick_phase_ms=phase_us / 1000)
+    segments, completion, overruns = oracle_lagged_run_us(
+        t, p, q, slice_us, hz, phase_us, flavor == "eevdf"
+    )
+    assert [tuple(seg) for seg in tl.segments] == segments
+    assert tl.completion_us == completion
+    assert list(tl.overruns_us) == overruns
+    if phase_us == 0:
+        (pt,) = duration_curve(
+            TaskSpec(t / 1000), p / 1000, [q / p], tick_hz=hz, slice_ms=slice_us / 1000,
+            flavor=flavor,
+        ).points
+        assert pt.completion_ms == completion / 1000
+        assert pt.n_throttles == sum(state == THROTTLED for _, _, state in segments)
+
+
+def test_exact_point_allocates_nothing_per_throttle():
+    # A 1 us quota at P = 20 ms: a 1 s task throttles 999,999 times, which
+    # an exact curve point counts without listing them.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        (pt,) = duration_curve(TaskSpec(1000), 20, [0.00005], lagged_accounting=False).points
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert pt.quota_ms == 0.001
+    assert pt.n_throttles == 999_999
+    assert pt.completion_ms == closed_form_duration(TaskSpec(1000), 20, "0.001")
+    assert pt.completion_ms == 19_999_980.001
+    assert peak < 1 << 20
 
 
 def test_full_quota_never_throttles():
@@ -518,8 +602,8 @@ def test_curve_points_match_oracle_spot_checks():
 )
 @settings(max_examples=80, deadline=None)
 def test_curve_points_equal_simulate_runs(t, p, n, lo, slice_us, hz, flavor, lagged):
-    # duration_curve and simulate share one _run; every point must
-    # be the run simulate() gives at the point's quota.
+    # duration_curve and simulate share _run and quota_delivery; every
+    # point must be the run simulate() gives at the point's quota.
     if lagged and hz == 1_000_000:
         t = min(t, 2_000)  # one event per microsecond
     grid = fraction_grid(n, lo=lo)
