@@ -178,7 +178,10 @@ class TraceBilling:
     record.
 
     ``seconds(key)`` is the billed (vCPU-s, GB-s), each None for a resource
-    the platform does not bill.
+    the platform does not bill. When the platform bills no usage-based
+    resource, it is the allocation's seconds per time step, worked out once
+    per allocation, times the key's step count: the products are exact, so
+    this is the same Decimal as pricing the key's quantities.
     """
 
     #: Distinct keys a pass keeps. Past it, the inflation analysis takes its
@@ -187,12 +190,15 @@ class TraceBilling:
     KEYS_CAP = 2**16
 
     __slots__ = ("config", "bills_cpu", "bills_mem", "key", "_normalize", "_grants",
-                 "_cpu_basis", "_mem_basis", "_usage")
+                 "_cpu_basis", "_mem_basis", "_usage", "_step_s")
 
     def __init__(self, config: PlatformBillingConfig, *, normalize: bool = True) -> None:
         self.config = config
         self._normalize = normalize
         self._grants: Dict[tuple, tuple] = {}
+        # Billed (vCPU-s, GB-s) of one time step, per allocation, when no
+        # resource is billed by usage.
+        self._step_s: Dict[tuple, tuple] = {}
         usage_cpu = config.usage_spec(VCPU)
         usage_mem = config.usage_spec(MEMORY_GB)
         self._cpu_basis = None if usage_cpu is None else usage_cpu.billing_basis
@@ -243,6 +249,18 @@ class TraceBilling:
         return tuple.__new__(BillableQuantities, (time_ms, self.grant(key[0], key[1])[1], usage))
 
     def seconds(self, key: tuple) -> tuple:
+        if self._usage:
+            return self._priced(key)
+        step_s = self._step_s.get((key[0], key[1]))
+        if step_s is None:
+            step_s = self._step_s[key[0], key[1]] = self._priced((key[0], key[1], 1))
+        vcpu_s, gb_s = step_s
+        steps = key[2]
+        return (None if vcpu_s is None else CONTEXT.multiply(vcpu_s, steps),
+                None if gb_s is None else CONTEXT.multiply(gb_s, steps))
+
+    def _priced(self, key: tuple) -> tuple:
+        """``seconds(key)`` from the key's billable quantities."""
         quantities = self.quantities(key)
         vcpu_s = gb_s = None
         if self.bills_cpu:

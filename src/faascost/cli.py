@@ -154,14 +154,15 @@ class _Run:
         if path is None:
             sys.stdout.write(text)
         else:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
 
     def rows(self, rows: Iterable[Sequence], fieldnames: Sequence[str], stem: str) -> None:
         """The rows, each a sequence of the ``fieldnames`` columns in order, as
         CSV or as one JSON array of objects, each row written as it comes."""
         table_format = self.args.format or "csv"
         path = self.target(f"{stem}.{table_format}")
-        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+        with sink as fh:
             if table_format == "json":
                 _write_json_array(fh, rows, fieldnames)
                 return

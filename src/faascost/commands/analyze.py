@@ -82,9 +82,14 @@ def _analyze_inflation(records: list, configs: list, mapping: str,
     rows = []
     blocks = []
     prefixes = ("billable_vcpu_s", "billable_gb_s")
+    # The consumed totals do not depend on the platform: the first pass sums
+    # them and every later pass takes them from it.
+    actual = None
     for config in configs:
-        rep = cli.inflation_analysis(records, config, mapping=mapping)
-        doc = rep.as_dict()
+        # The report is dropped at once: only its doc is held while the next
+        # pass runs, not its exact value distributions.
+        doc = cli.inflation_analysis(records, config, mapping=mapping, actual=actual).as_dict()
+        actual = doc["actual_vcpu_s_total"], doc["actual_gb_s_total"]
         blocks.append(doc)
         rows.append([doc[key] for key in _INFLATION_COLUMNS]
                     + [(doc[p] or {}).get(stat) for p in prefixes for stat in _SKETCH_STATS])

@@ -38,7 +38,8 @@ def _runtime_for(events_path: Path, run: cli._Run, runtime_ms: Optional[float],
     sidecar = events_path.with_name("probe_summary.json")
     if sidecar.exists():
         try:
-            runtime_ms = float(json.loads(run.input(str(sidecar)).read_text())["total_runtime_ms"])
+            text = run.input(str(sidecar)).read_text(encoding="utf-8")
+            runtime_ms = float(json.loads(text)["total_runtime_ms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{sidecar}: expected a JSON object with a numeric "
                            f"'total_runtime_ms'") from exc

@@ -82,7 +82,8 @@ _HEADER = ["detected_at_us", "gap_us"]
 
 def events_to_csv(events: Iterable[ThrottleEvent], sink: Union[str, IO[str]]) -> None:
     """Write events in the shared CSV format to a path or a stream."""
-    with open(sink, "w", newline="") if isinstance(sink, str) else nullcontext(sink) as fh:
+    is_path = isinstance(sink, str)
+    with open(sink, "w", encoding="utf-8", newline="") if is_path else nullcontext(sink) as fh:
         w = csv.writer(fh)
         w.writerow(_HEADER)
         for ev in events:
@@ -92,7 +93,8 @@ def events_to_csv(events: Iterable[ThrottleEvent], sink: Union[str, IO[str]]) ->
 def events_from_csv(source: Union[str, IO[str]]) -> List[ThrottleEvent]:
     """Read events back from a path or a stream; validates the header and
     integer fields."""
-    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
+    is_path = isinstance(source, str)
+    with open(source, encoding="utf-8", newline="") if is_path else nullcontext(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _HEADER:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from statistics import median
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .events import ProfilerError, ThrottleEvent
@@ -77,6 +76,17 @@ class SchedulerFingerprint(NamedTuple):
             "duration_histogram_ms": _histogram(self.durations_ms, 0.5),
             "runtime_histogram_ms": _histogram(self.runtimes_ms, 0.5),
         }
+
+
+def _median(values: Sequence[int]) -> float:
+    """The middle of the sorted values, or the mean of the two middle ones
+    for an even count: ``statistics.median``, without loading ``statistics``
+    and, through it, ``fractions``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _histogram(values_ms: Sequence[float], bin_ms: float) -> Dict[float, int]:
@@ -241,7 +251,7 @@ def analyze_events(
 
     total_us = total_runtime_ms * 1000.0
     duty = max(0.0, min(1.0, (total_us - sum(g)) / total_us))
-    med_runtime = median(runtimes) if runtimes else 0.0
+    med_runtime = _median(runtimes) if runtimes else 0.0
     quota_us = min(med_runtime, period_us * duty)
     if quota_us <= 0:
         quota_us = med_runtime or None

@@ -1,16 +1,17 @@
 """Trace analytics: inflation, utilization correlation, cold starts, rounding.
 
 All analyses stream over an iterable of InvocationRecord in one pass with
-O(1) or O(instances) state. Billables come from the exact quantity stage
-of the billing engine, the formula the invoice uses. Per record, the
-inflation and roundup analyses work in integers: each record's durations
-and usage are ceiled to whole granularity steps, read as whole millionths
-(:func:`faascost.money.micros`) or else as exact decimals, and inflation
-prices each distinct key of steps once in decimals. Billable sums are
-exact and reported as correctly rounded floats, and billable percentiles
-are exact nearest ranks up to ``TraceBilling.KEYS_CAP`` distinct keys, GK
-sketch estimates past it. Actual-usage totals and the correlation and
-cold-start analyses run in compensated floats.
+O(1) or O(instances) state; inflation reads a chunk of records at a time
+and counts each chunk's billing keys in C. Billables come from the exact
+quantity stage of the billing engine, the formula the invoice uses. Per
+record, the inflation and roundup analyses work in integers: each record's
+durations and usage are ceiled to whole granularity steps, read as whole
+millionths (:func:`faascost.money.micros`) or else as exact decimals, and
+inflation prices each distinct key of steps once in decimals. Billable
+sums are exact and reported as correctly rounded floats, and billable
+percentiles are exact nearest ranks up to ``TraceBilling.KEYS_CAP``
+distinct keys, GK sketch estimates past it. Actual-usage totals and the
+correlation and cold-start analyses run in Neumaier-compensated floats.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import decimal
 import math
 import random
 from array import array
+from collections import Counter
 from decimal import Decimal
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .records import InvocationRecord
@@ -29,18 +31,7 @@ from .sketch import QuantileSketch
 from ..billing import engine as billing_engine, trace_billing
 from ..billing.model import PlatformBillingConfig
 from ..checked import checked
-from ..money import CONTEXT, ceil_to, dec, micros, whole_units
-
-
-def _neumaier(total: float, comp: float, x: float) -> Tuple[float, float]:
-    """One step of Neumaier compensated summation: the (total, compensation)
-    pair after adding ``x``. The sum is ``total + comp``."""
-    t = total + x
-    if abs(total) >= abs(x):
-        comp += (total - t) + x
-    else:
-        comp += (x - t) + total
-    return t, comp
+from ..money import CONTEXT, MICROS_LIMIT, ceil_to, dec, whole_units
 
 
 class BillableDistribution:
@@ -155,6 +146,8 @@ class InflationReport(NamedTuple):
 SKETCH_EPS = 0.005
 #: Requests shorter than this are left out of the roundup analysis.
 ROUNDUP_MIN_EXEC_MS = 1.0
+#: Records the inflation analysis reads and counts at a time.
+_CHUNK = 4096
 
 
 def inflation_analysis(
@@ -162,6 +155,7 @@ def inflation_analysis(
     config: PlatformBillingConfig,
     *,
     mapping: str = "normalize",
+    actual: Optional[Tuple[float, float]] = None,
 ) -> InflationReport:
     """Aggregate billable-to-actual resource inflation under a platform.
 
@@ -175,6 +169,11 @@ def inflation_analysis(
     and each distinct key is priced once. Per-request billables are reported
     as exact nearest-rank percentiles; past ``TraceBilling.KEYS_CAP`` distinct
     keys, as :data:`SKETCH_EPS` GK estimates.
+
+    ``actual`` is the consumed (vCPU-s, GB-s) totals, ``actual_vcpu_s_total``
+    and ``actual_gb_s_total``, of an earlier report on the same records. They
+    do not depend on the platform, so a pass given them takes them as they
+    are and does not sum them again.
     """
     if mapping not in ("normalize", "direct"):
         raise ValueError(f"unknown mapping: {mapping!r}")
@@ -182,7 +181,7 @@ def inflation_analysis(
     cpu_dist = BillableDistribution() if billing.bills_cpu else None
     mem_dist = BillableDistribution() if billing.bills_mem else None
     # Records per billing key.
-    counts: Dict[tuple, int] = {}
+    counts: Counter = Counter()
 
     def fold() -> None:
         """Price each counted key once and add its count to the totals."""
@@ -199,45 +198,58 @@ def inflation_analysis(
     flags: List[str] = []
     spilled = False
     key_of = billing.key
+    cap = billing.KEYS_CAP
+    records = iter(records)
     # The ceilings of keys off the integer grid run in the wide context
     # without entering it.
     with decimal.localcontext(CONTEXT):
-        for record in records:
-            n += 1
-            # The two actual-usage sums take _neumaier's step, inline.
-            exec_ms = record.exec_duration_ms
-            x = record.cpu_usage_avg_vcpus * exec_ms / 1000.0
-            t = cpu_total + x
-            if abs(cpu_total) >= abs(x):
-                cpu_comp += (cpu_total - t) + x
-            else:
-                cpu_comp += (x - t) + cpu_total
-            cpu_total = t
-            x = record.mem_usage_mb / 1024.0 * (exec_ms / 1000.0)
-            t = mem_total + x
-            if abs(mem_total) >= abs(x):
-                mem_comp += (mem_total - t) + x
-            else:
-                mem_comp += (x - t) + mem_total
-            mem_total = t
+        while True:
+            chunk = list(islice(records, _CHUNK))
+            if not chunk:
+                break
+            n += len(chunk)
+            if actual is None:
+                # Neumaier's compensated sums: every term and total is
+                # nonnegative, so |total| >= |x| reads total >= x.
+                for record in chunk:
+                    exec_ms = record.exec_duration_ms
+                    x = record.cpu_usage_avg_vcpus * exec_ms / 1000.0
+                    t = cpu_total + x
+                    if cpu_total >= x:
+                        cpu_comp += (cpu_total - t) + x
+                    else:
+                        cpu_comp += (x - t) + cpu_total
+                    cpu_total = t
+                    x = record.mem_usage_mb / 1024.0 * (exec_ms / 1000.0)
+                    t = mem_total + x
+                    if mem_total >= x:
+                        mem_comp += (mem_total - t) + x
+                    else:
+                        mem_comp += (x - t) + mem_total
+                    mem_total = t
 
-            key = key_of(record)
-            count = counts.get(key)
-            if count is not None:
-                counts[key] = count + 1
+            if len(counts) + len(chunk) <= cap:
+                # No record of the chunk can pass the cap: count in C.
+                counts.update(map(key_of, chunk))
                 continue
-            counts[key] = 1
-            if len(counts) > billing.KEYS_CAP:
-                fold()
-                if not spilled:
-                    spilled = True
-                    flags.append(
-                        f"more than {billing.KEYS_CAP} distinct billing keys: billable "
-                        f"percentiles are GK estimates (eps {SKETCH_EPS})"
-                    )
-                    for dist in (cpu_dist, mem_dist):
-                        if dist is not None:
-                            dist.spill()
+            for record in chunk:
+                key = key_of(record)
+                count = counts.get(key)
+                if count is not None:
+                    counts[key] = count + 1
+                    continue
+                counts[key] = 1
+                if len(counts) > cap:
+                    fold()
+                    if not spilled:
+                        spilled = True
+                        flags.append(
+                            f"more than {cap} distinct billing keys: billable "
+                            f"percentiles are GK estimates (eps {SKETCH_EPS})"
+                        )
+                        for dist in (cpu_dist, mem_dist):
+                            if dist is not None:
+                                dist.spill()
         fold()
 
     if n == 0:
@@ -245,8 +257,9 @@ def inflation_analysis(
     for dist in (cpu_dist, mem_dist):
         if dist is not None:
             dist.close()
-    actual_cpu = cpu_total + cpu_comp
-    actual_mem = mem_total + mem_comp
+    if actual is None:
+        actual = cpu_total + cpu_comp, mem_total + mem_comp
+    actual_cpu, actual_mem = actual
 
     def ratio(bill: Optional[float], a: float, label: str) -> Optional[float]:
         if bill is None:
@@ -340,11 +353,40 @@ def utilization_correlation(
         x = record.cpu_usage_avg_vcpus / vcpus
         y = record.mem_usage_mb / mem_mb
         n += 1
-        sx, cx = _neumaier(sx, cx, x)
-        sy, cy = _neumaier(sy, cy, y)
-        sxx, cxx = _neumaier(sxx, cxx, x * x)
-        syy, cyy = _neumaier(syy, cyy, y * y)
-        sxy, cxy = _neumaier(sxy, cxy, x * y)
+        # Neumaier steps, as in inflation_analysis: x and y are nonnegative.
+        t = sx + x
+        if sx >= x:
+            cx += (sx - t) + x
+        else:
+            cx += (x - t) + sx
+        sx = t
+        t = sy + y
+        if sy >= y:
+            cy += (sy - t) + y
+        else:
+            cy += (y - t) + sy
+        sy = t
+        v = x * x
+        t = sxx + v
+        if sxx >= v:
+            cxx += (sxx - t) + v
+        else:
+            cxx += (v - t) + sxx
+        sxx = t
+        v = y * y
+        t = syy + v
+        if syy >= v:
+            cyy += (syy - t) + v
+        else:
+            cyy += (v - t) + syy
+        syy = t
+        v = x * y
+        t = sxy + v
+        if sxy >= v:
+            cxy += (sxy - t) + v
+        else:
+            cxy += (v - t) + sxy
+        sxy = t
         if len(xs) < max_scatter:
             xs.append(x)
             ys.append(y)
@@ -411,7 +453,7 @@ class ColdStartReport(NamedTuple):
 
 class _InstanceState:
     """One instance's init billables and its two execution sums, each a
-    :func:`_neumaier` (total, compensation) pair kept in its own slots."""
+    Neumaier (total, compensation) pair kept in its own slots."""
 
     __slots__ = ("function_id", "cold_first", "init_vcpu_s", "init_gb_s",
                  "vcpu_total", "vcpu_comp", "gb_total", "gb_comp")
@@ -485,12 +527,23 @@ def cold_start_differential(
             )
             instances[key] = state
         exec_s = record.exec_duration_ms / 1000.0
-        state.vcpu_total, state.vcpu_comp = _neumaier(
-            state.vcpu_total, state.vcpu_comp, vcpus * exec_s
-        )
-        state.gb_total, state.gb_comp = _neumaier(
-            state.gb_total, state.gb_comp, mem_gb * exec_s
-        )
+        # Neumaier steps, as in inflation_analysis: every term is nonnegative.
+        x = vcpus * exec_s
+        total = state.vcpu_total
+        t = total + x
+        if total >= x:
+            state.vcpu_comp += (total - t) + x
+        else:
+            state.vcpu_comp += (x - t) + total
+        state.vcpu_total = t
+        x = mem_gb * exec_s
+        total = state.gb_total
+        t = total + x
+        if total >= x:
+            state.gb_comp += (total - t) + x
+        else:
+            state.gb_comp += (x - t) + total
+        state.gb_total = t
 
     if n_records == 0:
         raise ValueError("no records")
@@ -621,11 +674,19 @@ def rounding_up_stats(
 
     with decimal.localcontext(CONTEXT):
         for record in records:
-            if record.exec_duration_ms < ROUNDUP_MIN_EXEC_MS:
+            value = record.exec_duration_ms
+            if value < ROUNDUP_MIN_EXEC_MS:
                 n_short += 1
                 continue
             n += 1
-            exec_micros = micros(record.exec_duration_ms)
+            # Each cell is read as micros() reads it, inline, as in
+            # TraceBilling's key function; the execution time is at least
+            # ROUNDUP_MIN_EXEC_MS here, so never negative.
+            exec_micros = None
+            if value < MICROS_LIMIT:
+                exec_micros = round(value * 1e6)
+                if exec_micros / 1e6 != value:
+                    exec_micros = None
             exec_ms = None
             for i, grid in enumerate(time_grids):
                 if grid is not None and exec_micros is not None:
@@ -642,7 +703,12 @@ def rounding_up_stats(
                 time_sums[i] += billable - exec_ms
             if not mem_grids:
                 continue
-            mem_micros = micros(record.mem_usage_mb)
+            value = record.mem_usage_mb
+            mem_micros = None
+            if 0.0 <= value < MICROS_LIMIT:
+                mem_micros = round(value * 1e6)
+                if mem_micros / 1e6 != value:
+                    mem_micros = None
             mem_gb = None
             for gran, grid in mem_grids.items():
                 if grid is not None and exec_micros is not None and mem_micros is not None:

@@ -180,7 +180,9 @@ def oracle_pearson(records):
 
 class NeumaierSum:
     """Neumaier compensated summation, step by step as the analytics first
-    wrote it: their compensated sums must equal this one bit for bit."""
+    wrote it, comparing ``abs()`` of the total and the term: their
+    compensated sums, which compare the two without ``abs()``, must equal
+    this one bit for bit."""
 
     def __init__(self):
         self._total = 0.0

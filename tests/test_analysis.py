@@ -21,6 +21,7 @@ from faascost.billing.model import (
 )
 from faascost.billing.trace_billing import TraceBilling
 from faascost.money import CONTEXT, ceil_to, dec
+from faascost.traces import analysis as traces_analysis
 from faascost.traces import (
     InvocationRecord,
     RoundingPolicy,
@@ -309,6 +310,42 @@ def test_inflation_falls_back_to_the_sketch_past_the_key_cap(monkeypatch):
             assert lo - slack <= target <= hi + slack, q
 
 
+@pytest.mark.parametrize(
+    "make_config", [proportional_config, cpu_time_config, consumed_memory_config]
+)
+def test_inflation_counts_in_chunks_as_record_by_record(monkeypatch, make_config):
+    # A chunk is counted in C only when none of its records can pass the key
+    # cap, so the spill to the sketch comes at the same record: 16 keys and
+    # chunks of 7 mix the two ways of counting, and chunks of 1 are the
+    # record-by-record count.
+    records = mixed_digit_records(seed=12, n=600)
+    config = make_config()
+    monkeypatch.setattr(TraceBilling, "KEYS_CAP", 16)
+    # Per run, the values counted at each spill: where each fold came.
+    spill = traces_analysis.BillableDistribution.spill
+    spills = []
+    monkeypatch.setattr(traces_analysis.BillableDistribution, "spill",
+                        lambda dist: spills[-1].append(dist.n) or spill(dist))
+    reports = []
+    for chunk in (1, 7):
+        spills.append([])
+        monkeypatch.setattr(traces_analysis, "_CHUNK", chunk)
+        reports.append(inflation_analysis(records, config, mapping="direct"))
+    one, seven = reports
+    assert any("GK" in flag for flag in seven.flags)
+    assert spills[1] == spills[0]
+    bare = dict(vcpu_s_sketch=None, gb_s_sketch=None)
+    assert seven._replace(**bare) == one._replace(**bare)
+    for got, want in ((seven.vcpu_s_sketch, one.vcpu_s_sketch),
+                      (seven.gb_s_sketch, one.gb_s_sketch)):
+        if want is None:
+            assert got is None
+            continue
+        assert (got.total, len(got), got.mean()) == (want.total, len(want), want.mean())
+        for q in (0.5, 0.9, 0.99):
+            assert got.query(q) == want.query(q), q
+
+
 # utilization_correlation
 
 
@@ -426,19 +463,22 @@ def test_cold_start_fraction_and_warm_only():
     assert rep.fraction_nonpositive == pytest.approx(0.5)
 
 
-_exec_ms = st.floats(min_value=0.0, max_value=2.0**40)
+# Cells a record accepts: -0.0 passes its ">= 0" check.
+_zero_or_more = st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=1.0))
+_exec_ms = st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=2.0**52 + 2.0**51))
 _sum_rows = st.lists(
     st.tuples(
         _exec_ms,
         st.sampled_from(["a", "b", "c"]),
         st.sampled_from([0.083, 1.0, 3.0, 64.0]),
         st.sampled_from([128.0, 1769.0, 10240.0]),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
+        _zero_or_more,
+        _zero_or_more,
     ),
     min_size=1,
     max_size=40,
 )
+_SUBNORMAL = 5e-324
 
 
 @settings(max_examples=200, deadline=None)
@@ -446,10 +486,23 @@ _sum_rows = st.lists(
 # Memory utilization variance whose product with the CPU variance underflows.
 @example([(0.0, "a", 0.083, 128.0, 0.0, 2.4489991711572115e-157),
           (0.0, "a", 0.083, 128.0, 0.5, 2.4489991711572115e-157)])
+# -0.0 cells, also as the first term of a sum.
+@example([(-0.0, "a", 1.0, 128.0, -0.0, -0.0), (3.0, "a", 1.0, 128.0, 0.5, -0.0),
+          (-0.0, "b", 3.0, 1769.0, 0.25, 0.5), (5.0, "b", 3.0, 1769.0, -0.0, 0.75)])
+# Subnormal terms beside normal ones, and after them.
+@example([(_SUBNORMAL, "a", 1.0, 128.0, _SUBNORMAL, 0.5),
+          (1.0, "a", 1.0, 128.0, 0.5, _SUBNORMAL),
+          (_SUBNORMAL, "a", 64.0, 10240.0, 1.0, _SUBNORMAL * 3)])
+# Terms near 2**52, where the next float is 1 apart and a small term is
+# lost from the total into the compensation, in both orders.
+@example([(2.0**52 - 1.0, "a", 1.0, 128.0, 1.0, 1.0), (0.75, "a", 1.0, 128.0, 1.0, 1.0),
+          (2.0**52 + 3.0, "a", 1.0, 128.0, 1.0, 1.0), (1.5, "b", 3.0, 1769.0, 0.3, 0.6),
+          (2.0**52, "b", 3.0, 1769.0, 0.1, 0.9)])
 def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
     # Inflation's actual totals, the correlation's five sums and each cold
-    # start instance's two sums all take the step the analytics first wrote
-    # as _Sum.add; the per-instance pairs live in flat slots.
+    # start instance's two sums take Neumaier's step inline, comparing the
+    # total with the term without abs(): every term is nonnegative. The
+    # reference is the step as first written, with abs().
     records = [
         rec(exec_ms, cpu=cpu * vcpus, mem_used=mem * mem_mb, vcpus=vcpus, mem_mb=mem_mb,
             init_ms=1.0, cold=True, iid=iid, ts=float(i))

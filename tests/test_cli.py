@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1078,6 +1079,39 @@ def test_cli_import_leaves_numpy_out(tmp_path, trace_csv):
     assert _fresh_python(code, tmp_path) == [0] * len(argvs)
 
 
+def test_text_files_are_utf8_whatever_the_locale(tmp_path, trace_csv):
+    # Ingest reads UTF-8, so a non-ASCII function id must reach bills.csv in
+    # UTF-8 too. With each use of the locale's encoding an error, every
+    # command that writes or reads back text runs to the end.
+    trace = tmp_path / "trace.csv"
+    header, *rows = trace_csv.read_text(encoding="utf-8").splitlines()
+    trace.write_text("\n".join([header, *("fünc-λ-" + row for row in rows)]) + "\n",
+                     encoding="utf-8")
+    replay = tmp_path / "replay"
+    commands = [
+        ["bill", "--platform", "aws_lambda", "--records", trace],
+        ["analyze", "--trace", trace, "--analyses", "inflation,correlation,cold-start,roundup",
+         "--platforms", "aws_lambda,gcp_cloudrun_functions"],
+        ["profile", "replay", "--t", "200", "--p", "20", "--q", "5"],
+        # Reads the replay's probe_summary.json beside its events.
+        ["profile", "analyze", "--in", replay / "events.csv"],
+    ]
+    names = ["bill", "analyze", "replay", "fingerprint"]
+    argvs = [[*map(str, argv), "--out-dir", str(tmp_path / name)]
+             for name, argv in zip(names, commands)]
+    code = ("import json; from faascost.cli import main; "
+            f"print(json.dumps([main(argv) for argv in {argvs!r}]))")
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", code], capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0] * len(argvs)
+    with open(tmp_path / "bill" / "bills.csv", encoding="utf-8", newline="") as fh:
+        bills = list(csv.DictReader(fh))
+    assert len(bills) == len(rows)
+    assert all(b["function_id"].startswith("fünc-λ-f") for b in bills)
+
+
 # ------------------------------------------------------------ lazy layers
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -1182,12 +1216,11 @@ def test_python_m_imports_the_cli_once(argv, tmp_path, trace_csv, events_csv):
 
 _BILL, _ANALYZE_COMMAND, _SIMULATE, _PROFILE = _COMMANDS
 _SWEEP = {"faascost.sched", "faascost.sched.sweep", _SIMULATE}
-# ``fractions`` comes with ``statistics``, which only the fingerprint loads: the
-# other commands, whose exact arithmetic is in integers and Decimals, load none.
+# No command loads ``fractions`` or ``statistics``: exact arithmetic is in
+# integers and Decimals, and the fingerprint takes its median by hand.
 _ANALYZE = {"faascost.billing", "faascost.traces", "faascost.traces.analysis", "yaml",
             _ANALYZE_COMMAND}
-_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", "statistics",
-                "fractions", _PROFILE}
+_FINGERPRINT = {"faascost.profiler", "faascost.profiler.fingerprint", _PROFILE}
 _LOADS = {
     "simulate-sweep": (["simulate", "--t", "10", "--p", "5,20", "--grid", "10",
                         "--breakpoints"], _SWEEP),
@@ -1350,6 +1383,33 @@ def test_tracer_patches_reach_every_analysis(monkeypatch, tmp_path, trace_csv):
                "--analyses", "inflation,correlation,cold-start,roundup",
                "--platforms", "aws_lambda,gcp_cloudrun_functions") == 0
     assert calls == {**dict.fromkeys(_ANALYZE_LAYERS, 1), "inflation_analysis": 2}
+
+
+def test_analyze_frees_each_inflation_report_before_the_next_pass(monkeypatch, tmp_path,
+                                                                  trace_csv):
+    # A report holds its exact value distributions, up to KEYS_CAP values
+    # each: analyze keeps only its doc, and hands its consumed totals on.
+    from faascost import cli
+
+    analyze = cli.inflation_analysis
+    held = []
+    actuals = []
+
+    def wrapper(records, config, **kwargs):
+        assert [ref() for ref in held] == [None] * len(held), config.name
+        actuals.append(kwargs.get("actual"))
+        report = analyze(records, config, **kwargs)
+        held[:] = [weakref.ref(d) for d in (report.vcpu_s_sketch, report.gb_s_sketch)
+                   if d is not None]
+        if len(actuals) == 1:
+            actuals.append((report.actual_vcpu_s_total, report.actual_gb_s_total))
+        return report
+
+    monkeypatch.setattr(cli, "inflation_analysis", wrapper)
+    assert run("analyze", "--trace", trace_csv, "--out-dir", tmp_path,
+               "--platforms", "aws_lambda,gcp_cloudrun_functions,cloudflare_workers") == 0
+    first, totals, *later = actuals
+    assert first is None and later == [totals, totals]
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,7 @@
 
 import io
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from faascost.profiler import (
     probe,
     replay_probe,
 )
+from faascost.profiler.fingerprint import _median
 from faascost.sched import BandwidthControlConfig, TaskSpec, simulate
 from faascost.sched.types import RUNNING, THROTTLED, ScheduleTimeline, Segment
 
@@ -297,6 +299,15 @@ def test_fingerprint_histograms_bin_each_view_at_half_a_ms():
     assert list(doc["duration_histogram_ms"].items()) == [(1.0, 1), (1.5, 1), (16.0, 1)]
     assert list(doc["runtime_histogram_ms"].items()) == [(3.5, 1), (4.0, 1)]
     assert fp.interval_mode_ms() == 20.0  # 1 ms bins: 20.2 and 20.3 share one
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 10**9), st.floats(0.5, 1e9)), min_size=1))
+def test_median_is_the_statistics_median(runtimes):
+    # Burst runtimes are ints; the quota estimate's median must be
+    # statistics.median's value and type, so fingerprint.json stays as it was.
+    got, want = _median(runtimes), statistics.median(runtimes)
+    assert (got, type(got)) == (want, type(want))
 
 
 def test_uniform_stream_reports_caveat():

@@ -153,6 +153,17 @@ def test_inflation_totals_are_the_engines_exact_sums(name):
     assert report.n == len(records)
 
 
+@pytest.mark.parametrize("name", GRANULAR)
+def test_inflation_given_the_consumed_totals_equals_a_fresh_pass(name):
+    # analyze hands the first platform's consumed totals to every later one.
+    config = resolve_platform(name)
+    records = seeded_records(seed=7, n=300)
+    fresh = inflation_analysis(records, config)
+    actual = fresh.actual_vcpu_s_total, fresh.actual_gb_s_total
+    for given in (records, (r for r in records)):
+        assert inflation_analysis(given, config, actual=actual).as_dict() == fresh.as_dict()
+
+
 def test_billed_resources_are_the_oracles():
     # Which resources each platform bills: priced ones, and a vCPU share
     # tied to memory by the knob coupling or metered as CPU time.
