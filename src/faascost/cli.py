@@ -37,6 +37,7 @@ import argparse
 import csv
 import contextlib
 import importlib
+import io
 import json
 import os
 import sys
@@ -106,9 +107,9 @@ class _Run:
     """One command's inputs and outputs, and the ``run.json`` that lists them.
 
     Outputs go into ``--out-dir``, made on first write, or to stdout when
-    there is none. Files are staged as ``<name>.partial`` beside their final
-    paths, for :meth:`commit` to rename or :meth:`discard` to delete, with
-    the directories made for them.
+    there is none, as UTF-8 whatever the locale. Files are staged as
+    ``<name>.partial`` beside their final paths, for :meth:`commit` to
+    rename or :meth:`discard` to delete, with the directories made for them.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -119,6 +120,8 @@ class _Run:
         self.inputs: List[Path] = []
         self.outputs: Dict[Path, Path] = {}  # final path -> staging file
         self.made_dirs: List[Path] = []  # parents before children
+        if self.out_dir is None and isinstance(sys.stdout, io.TextIOWrapper):
+            sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
 
     def require_dir(self) -> None:
         if self.out_dir is None:

@@ -1,17 +1,19 @@
 """Trace analytics: inflation, utilization correlation, cold starts, rounding.
 
 All analyses stream over an iterable of InvocationRecord in one pass with
-O(1) or O(instances) state; inflation reads a chunk of records at a time
-and counts each chunk's billing keys in C. Billables come from the exact
-quantity stage of the billing engine, the formula the invoice uses. Per
-record, the inflation and roundup analyses work in integers: each record's
-durations and usage are ceiled to whole granularity steps, read as whole
-millionths (:func:`faascost.money.micros`) or else as exact decimals, and
-inflation prices each distinct key of steps once in decimals. Billable
-sums are exact and reported as correctly rounded floats, and billable
-percentiles are exact nearest ranks up to ``TraceBilling.KEYS_CAP``
-distinct keys, GK sketch estimates past it. Actual-usage totals and the
-correlation and cold-start analyses run in Neumaier-compensated floats.
+O(1) or O(instances) state. Inflation and correlation read ``_CHUNK``
+records at a time: inflation counts each chunk's billing keys in C, and
+:func:`_neumaier` runs their compensated sums over each chunk's terms.
+Billables come from the exact quantity stage of the billing engine, the
+formula the invoice uses. Per record, the inflation and roundup analyses
+work in integers: each record's durations and usage are ceiled to whole
+granularity steps, read as whole millionths (:func:`faascost.money.micros`)
+or else as exact decimals, and inflation prices each distinct key of steps
+once in decimals. Billable sums are exact and reported as correctly rounded
+floats, and billable percentiles are exact nearest ranks up to
+``TraceBilling.KEYS_CAP`` distinct keys, GK sketch estimates past it.
+Actual-usage totals and the correlation and cold-start analyses run in
+Neumaier-compensated floats.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import bisect
 import decimal
 import math
+import operator
 import random
 from array import array
 from collections import Counter
@@ -146,8 +149,22 @@ class InflationReport(NamedTuple):
 SKETCH_EPS = 0.005
 #: Requests shorter than this are left out of the roundup analysis.
 ROUNDUP_MIN_EXEC_MS = 1.0
-#: Records the inflation analysis reads and counts at a time.
+#: Records inflation and correlation read at a time.
 _CHUNK = 4096
+
+
+def _neumaier(total: float, comp: float, terms: Iterable[float]) -> Tuple[float, float]:
+    """Neumaier's compensated summation of ``terms``, in order, onto the
+    (total, compensation) pair; the sum is ``total + comp``. Every term and
+    total is nonnegative, so ``|total| >= |x|`` reads ``total >= x``."""
+    for x in terms:
+        t = total + x
+        if total >= x:
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total, comp
 
 
 def inflation_analysis(
@@ -203,53 +220,28 @@ def inflation_analysis(
     # The ceilings of keys off the integer grid run in the wide context
     # without entering it.
     with decimal.localcontext(CONTEXT):
-        while True:
-            chunk = list(islice(records, _CHUNK))
-            if not chunk:
-                break
+        # A chunk holds at most one record more than the room left under the
+        # cap, so only its last record can pass it: the fold and spill come
+        # at the record that passes the cap.
+        while chunk := list(islice(records, min(_CHUNK, cap + 1 - len(counts)))):
             n += len(chunk)
             if actual is None:
-                # Neumaier's compensated sums: every term and total is
-                # nonnegative, so |total| >= |x| reads total >= x.
-                for record in chunk:
-                    exec_ms = record.exec_duration_ms
-                    x = record.cpu_usage_avg_vcpus * exec_ms / 1000.0
-                    t = cpu_total + x
-                    if cpu_total >= x:
-                        cpu_comp += (cpu_total - t) + x
-                    else:
-                        cpu_comp += (x - t) + cpu_total
-                    cpu_total = t
-                    x = record.mem_usage_mb / 1024.0 * (exec_ms / 1000.0)
-                    t = mem_total + x
-                    if mem_total >= x:
-                        mem_comp += (mem_total - t) + x
-                    else:
-                        mem_comp += (x - t) + mem_total
-                    mem_total = t
-
-            if len(counts) + len(chunk) <= cap:
-                # No record of the chunk can pass the cap: count in C.
-                counts.update(map(key_of, chunk))
-                continue
-            for record in chunk:
-                key = key_of(record)
-                count = counts.get(key)
-                if count is not None:
-                    counts[key] = count + 1
-                    continue
-                counts[key] = 1
-                if len(counts) > cap:
-                    fold()
-                    if not spilled:
-                        spilled = True
-                        flags.append(
-                            f"more than {cap} distinct billing keys: billable "
-                            f"percentiles are GK estimates (eps {SKETCH_EPS})"
-                        )
-                        for dist in (cpu_dist, mem_dist):
-                            if dist is not None:
-                                dist.spill()
+                cpu_total, cpu_comp = _neumaier(cpu_total, cpu_comp, [
+                    r.cpu_usage_avg_vcpus * r.exec_duration_ms / 1000.0 for r in chunk])
+                mem_total, mem_comp = _neumaier(mem_total, mem_comp, [
+                    r.mem_usage_mb / 1024.0 * (r.exec_duration_ms / 1000.0) for r in chunk])
+            counts.update(map(key_of, chunk))
+            if len(counts) > cap:
+                fold()
+                if not spilled:
+                    spilled = True
+                    flags.append(
+                        f"more than {cap} distinct billing keys: billable "
+                        f"percentiles are GK estimates (eps {SKETCH_EPS})"
+                    )
+                    for dist in (cpu_dist, mem_dist):
+                        if dist is not None:
+                            dist.spill()
         fold()
 
     if n == 0:
@@ -343,58 +335,29 @@ def utilization_correlation(
     xs = array("d")
     ys = array("d")
     rng = random.Random(seed)
+    records = iter(records)
 
-    for record in records:
-        vcpus = record.alloc_vcpus
-        mem_mb = record.alloc_memory_mb
-        if vcpus <= 0.0 or mem_mb <= 0.0:
-            skipped += 1
-            continue
-        x = record.cpu_usage_avg_vcpus / vcpus
-        y = record.mem_usage_mb / mem_mb
-        n += 1
-        # Neumaier steps, as in inflation_analysis: x and y are nonnegative.
-        t = sx + x
-        if sx >= x:
-            cx += (sx - t) + x
-        else:
-            cx += (x - t) + sx
-        sx = t
-        t = sy + y
-        if sy >= y:
-            cy += (sy - t) + y
-        else:
-            cy += (y - t) + sy
-        sy = t
-        v = x * x
-        t = sxx + v
-        if sxx >= v:
-            cxx += (sxx - t) + v
-        else:
-            cxx += (v - t) + sxx
-        sxx = t
-        v = y * y
-        t = syy + v
-        if syy >= v:
-            cyy += (syy - t) + v
-        else:
-            cyy += (v - t) + syy
-        syy = t
-        v = x * y
-        t = sxy + v
-        if sxy >= v:
-            cxy += (sxy - t) + v
-        else:
-            cxy += (v - t) + sxy
-        sxy = t
-        if len(xs) < max_scatter:
-            xs.append(x)
-            ys.append(y)
-        else:
-            j = rng.randrange(n)
+    while chunk := list(islice(records, _CHUNK)):
+        kept = [r for r in chunk if r.alloc_vcpus > 0.0 and r.alloc_memory_mb > 0.0]
+        skipped += len(chunk) - len(kept)
+        x_chunk = [r.cpu_usage_avg_vcpus / r.alloc_vcpus for r in kept]
+        y_chunk = [r.mem_usage_mb / r.alloc_memory_mb for r in kept]
+        sx, cx = _neumaier(sx, cx, x_chunk)
+        sy, cy = _neumaier(sy, cy, y_chunk)
+        sxx, cxx = _neumaier(sxx, cxx, map(operator.mul, x_chunk, x_chunk))
+        syy, cyy = _neumaier(syy, cyy, map(operator.mul, y_chunk, y_chunk))
+        sxy, cxy = _neumaier(sxy, cxy, map(operator.mul, x_chunk, y_chunk))
+        # The reservoir fills by slices; once full, the i-th point of the
+        # chunk is the (n + i + 1)-th kept record and draws its slot.
+        room = max(0, max_scatter - len(xs))
+        xs.fromlist(x_chunk[:room])
+        ys.fromlist(y_chunk[:room])
+        for i in range(room, len(x_chunk)):
+            j = rng.randrange(n + i + 1)
             if j < max_scatter:
-                xs[j] = x
-                ys[j] = y
+                xs[j] = x_chunk[i]
+                ys[j] = y_chunk[i]
+        n += len(x_chunk)
 
     r = undefined = None
     sx, sy, sxx, syy, sxy = sx + cx, sy + cy, sxx + cxx, syy + cyy, sxy + cxy
@@ -453,7 +416,11 @@ class ColdStartReport(NamedTuple):
 
 class _InstanceState:
     """One instance's init billables and its two execution sums, each a
-    Neumaier (total, compensation) pair kept in its own slots."""
+    :func:`_neumaier` (total, compensation) pair kept in its own slots.
+
+    :func:`cold_start_differential` takes ``_neumaier``'s step inline, one
+    term at a time: its terms arrive one per record and instance, and a call
+    per term made that pass about 30% slower on a 20k-row trace."""
 
     __slots__ = ("function_id", "cold_first", "init_vcpu_s", "init_gb_s",
                  "vcpu_total", "vcpu_comp", "gb_total", "gb_comp")
@@ -527,7 +494,7 @@ def cold_start_differential(
             )
             instances[key] = state
         exec_s = record.exec_duration_ms / 1000.0
-        # Neumaier steps, as in inflation_analysis: every term is nonnegative.
+        # _neumaier's step, inline, as _InstanceState says.
         x = vcpus * exec_s
         total = state.vcpu_total
         t = total + x

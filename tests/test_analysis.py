@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -314,10 +315,11 @@ def test_inflation_falls_back_to_the_sketch_past_the_key_cap(monkeypatch):
     "make_config", [proportional_config, cpu_time_config, consumed_memory_config]
 )
 def test_inflation_counts_in_chunks_as_record_by_record(monkeypatch, make_config):
-    # A chunk is counted in C only when none of its records can pass the key
-    # cap, so the spill to the sketch comes at the same record: 16 keys and
-    # chunks of 7 mix the two ways of counting, and chunks of 1 are the
-    # record-by-record count.
+    # Every chunk is counted in C. A chunk holds at most one record more than
+    # the room left under the key cap, so the spill to the sketch comes at
+    # the same record whatever _CHUNK is. With 16 keys, chunks of 7 fall
+    # short of the cap, 16 are at it, 17 one past it and 4096 far past it;
+    # chunks of 1 count record by record.
     records = mixed_digit_records(seed=12, n=600)
     config = make_config()
     monkeypatch.setattr(TraceBilling, "KEYS_CAP", 16)
@@ -327,23 +329,24 @@ def test_inflation_counts_in_chunks_as_record_by_record(monkeypatch, make_config
     monkeypatch.setattr(traces_analysis.BillableDistribution, "spill",
                         lambda dist: spills[-1].append(dist.n) or spill(dist))
     reports = []
-    for chunk in (1, 7):
+    for chunk in (1, 7, 16, 17, 4096):
         spills.append([])
         monkeypatch.setattr(traces_analysis, "_CHUNK", chunk)
         reports.append(inflation_analysis(records, config, mapping="direct"))
-    one, seven = reports
-    assert any("GK" in flag for flag in seven.flags)
-    assert spills[1] == spills[0]
+    one, *chunked = reports
     bare = dict(vcpu_s_sketch=None, gb_s_sketch=None)
-    assert seven._replace(**bare) == one._replace(**bare)
-    for got, want in ((seven.vcpu_s_sketch, one.vcpu_s_sketch),
-                      (seven.gb_s_sketch, one.gb_s_sketch)):
-        if want is None:
-            assert got is None
-            continue
-        assert (got.total, len(got), got.mean()) == (want.total, len(want), want.mean())
-        for q in (0.5, 0.9, 0.99):
-            assert got.query(q) == want.query(q), q
+    for report, chunk_spills in zip(chunked, spills[1:]):
+        assert any("GK" in flag for flag in report.flags)
+        assert chunk_spills == spills[0]
+        assert report._replace(**bare) == one._replace(**bare)
+        for got, want in ((report.vcpu_s_sketch, one.vcpu_s_sketch),
+                          (report.gb_s_sketch, one.gb_s_sketch)):
+            if want is None:
+                assert got is None
+                continue
+            assert (got.total, len(got), got.mean()) == (want.total, len(want), want.mean())
+            for q in (0.5, 0.9, 0.99):
+                assert got.query(q) == want.query(q), q
 
 
 # utilization_correlation
@@ -399,17 +402,22 @@ def test_correlation_reservoir_bounded_and_deterministic():
     assert (a.scatter_x, a.scatter_y) == (b.scatter_x, b.scatter_y)
 
 
-@pytest.mark.parametrize("max_scatter", [0, 1, 50, 299, 300, 1000])
+@pytest.mark.parametrize("max_scatter", [-1, 0, 1, 50, 299, 300, 1000])
 @pytest.mark.parametrize("seed", [0, 9])
-def test_correlation_scatter_equals_the_tuple_reservoir(max_scatter, seed):
+def test_correlation_scatter_equals_the_tuple_reservoir(monkeypatch, max_scatter, seed):
     # Below, at and above the cap, the arrays hold the points, in the order,
-    # that a list of (x, y) tuples fed by the same random draws holds.
+    # that a list of (x, y) tuples fed by the same random draws holds. The
+    # reservoir fills by slices of a chunk, then draws point by point: with
+    # chunks of 7 it fills partway through a later chunk, and with the
+    # default the 301 records are one chunk.
     records = random_records(random.Random(seed + 40), 300)
     records.insert(17, rec(10.0, vcpus=0.0, mem_mb=0.0, mem_used=0.0, cpu=0.0))
     expected = oracle_scatter(records, max_scatter, seed)
-    got = utilization_correlation(records, max_scatter=max_scatter, seed=seed)
-    assert list(zip(got.scatter_x, got.scatter_y)) == expected
-    assert got.as_dict()["scatter_points"] == len(expected)
+    for chunk in (7, traces_analysis._CHUNK):
+        monkeypatch.setattr(traces_analysis, "_CHUNK", chunk)
+        got = utilization_correlation(records, max_scatter=max_scatter, seed=seed)
+        assert list(zip(got.scatter_x, got.scatter_y)) == expected, chunk
+        assert got.as_dict()["scatter_points"] == len(expected)
 
 
 def test_correlation_scatter_point_costs_at_most_20_bytes():
@@ -499,10 +507,12 @@ _SUBNORMAL = 5e-324
           (2.0**52 + 3.0, "a", 1.0, 128.0, 1.0, 1.0), (1.5, "b", 3.0, 1769.0, 0.3, 0.6),
           (2.0**52, "b", 3.0, 1769.0, 0.1, 0.9)])
 def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
-    # Inflation's actual totals, the correlation's five sums and each cold
-    # start instance's two sums take Neumaier's step inline, comparing the
-    # total with the term without abs(): every term is nonnegative. The
-    # reference is the step as first written, with abs().
+    # Inflation's actual totals and the correlation's five sums run through
+    # _neumaier a chunk at a time, and each cold start instance's two sums
+    # take its step inline; both compare the total with the term without
+    # abs(): every term is nonnegative. The reference is the step as first
+    # written, with abs(). Chunks of 1 and 2 carry totals and compensations
+    # across chunks.
     records = [
         rec(exec_ms, cpu=cpu * vcpus, mem_used=mem * mem_mb, vcpus=vcpus, mem_mb=mem_mb,
             init_ms=1.0, cold=True, iid=iid, ts=float(i))
@@ -525,21 +535,22 @@ def test_compensated_sums_equal_the_reference_bit_for_bit(rows):
         vcpu_sum.add(r.alloc_vcpus * exec_s)
         gb_sum.add(r.alloc_memory_mb / 1024.0 * exec_s)
 
-    report = inflation_analysis(records, proportional_config(), mapping="direct")
-    assert report.actual_vcpu_s_total.hex() == actual_cpu.value().hex()
-    assert report.actual_gb_s_total.hex() == actual_mem.value().hex()
-
     n = len(records)
     var_x = n * sxx.value() - sx.value() ** 2
     var_y = n * syy.value() - sy.value() ** 2
-    if n < 2 or var_x <= 0.0 or var_y <= 0.0:
-        undefined = utilization_correlation(records)
-        assert undefined.pearson_r is None and undefined.undefined
-    else:
-        r = (n * sxy.value() - sx.value() * sy.value()) / (
-            math.sqrt(var_x) * math.sqrt(var_y)
-        )
-        assert utilization_correlation(records).pearson_r.hex() == r.hex()
+    for chunk in (1, 2, traces_analysis._CHUNK):
+        with mock.patch.object(traces_analysis, "_CHUNK", chunk):
+            report = inflation_analysis(records, proportional_config(), mapping="direct")
+            correlation = utilization_correlation(records)
+        assert report.actual_vcpu_s_total.hex() == actual_cpu.value().hex()
+        assert report.actual_gb_s_total.hex() == actual_mem.value().hex()
+        if n < 2 or var_x <= 0.0 or var_y <= 0.0:
+            assert correlation.pearson_r is None and correlation.undefined
+        else:
+            r = (n * sxy.value() - sx.value() * sy.value()) / (
+                math.sqrt(var_x) * math.sqrt(var_y)
+            )
+            assert correlation.pearson_r.hex() == r.hex()
 
     cold = cold_start_differential(records, collect=True)
     got = {d.instance_key: (d.subsequent_vcpu_s, d.subsequent_gb_s) for d in cold.diffs}

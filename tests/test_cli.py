@@ -1110,6 +1110,15 @@ def test_text_files_are_utf8_whatever_the_locale(tmp_path, trace_csv):
         bills = list(csv.DictReader(fh))
     assert len(bills) == len(rows)
     assert all(b["function_id"].startswith("fünc-λ-f") for b in bills)
+    # Under an ASCII locale, with UTF-8 mode and locale coercion off, a table
+    # written to stdout holds the bytes of the file under --out-dir.
+    env = {**_child_env(), "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "faascost.cli", *map(str, commands[0])],
+        capture_output=True, env=env, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (tmp_path / "bill" / "bills.csv").read_bytes()
 
 
 # ------------------------------------------------------------ lazy layers
