@@ -3,7 +3,9 @@
 It is :func:`faascost.billing.engine.billable_quantities` for a pass over a
 trace, and the one rule for what a record is billed for in vCPU-s and GB-s:
 the inflation analysis uses it to do the Decimal work once per distinct
-key, and ``faascost bill --records`` to price each distinct key once.
+key, and ``faascost bill --records`` to price each distinct key once, a
+later key of an allocation as its steps times the allocation's one-step
+price when the platform bills no usage.
 It sits apart from ``engine.py`` so that neither module's compile raises
 the peak RSS of a command (see :mod:`faascost.billing`).
 """
@@ -23,6 +25,7 @@ from faascost.billing.engine import (
 from faascost.billing.model import (
     MEMORY_GB,
     VCPU,
+    CostBreakdown,
     CpuProportionalToMemory,
     FixedCombos,
     PlatformBillingConfig,
@@ -182,6 +185,12 @@ class TraceBilling:
     resource, it is the allocation's seconds per time step, worked out once
     per allocation, times the key's step count: the products are exact, so
     this is the same Decimal as pricing the key's quantities.
+
+    ``step_cost(vcpus, memory_mb)`` is :func:`~faascost.billing.engine.price`
+    of one time step of the allocation, worked out once per allocation. When
+    the platform bills no usage-based resource, a key's invoice is linear in
+    its steps: billable time and each allocation term are the steps times
+    this one step's, and the fee is the same.
     """
 
     #: Distinct keys a pass keeps. Past it, the inflation analysis takes its
@@ -190,7 +199,7 @@ class TraceBilling:
     KEYS_CAP = 2**16
 
     __slots__ = ("config", "bills_cpu", "bills_mem", "key", "_normalize", "_grants",
-                 "_cpu_basis", "_mem_basis", "_usage", "_step_s")
+                 "_cpu_basis", "_mem_basis", "_usage", "_step_s", "_step_cost")
 
     def __init__(self, config: PlatformBillingConfig, *, normalize: bool = True) -> None:
         self.config = config
@@ -199,6 +208,8 @@ class TraceBilling:
         # Billed (vCPU-s, GB-s) of one time step, per allocation, when no
         # resource is billed by usage.
         self._step_s: Dict[tuple, tuple] = {}
+        # Priced one time step, per allocation.
+        self._step_cost: Dict[tuple, CostBreakdown] = {}
         usage_cpu = config.usage_spec(VCPU)
         usage_mem = config.usage_spec(MEMORY_GB)
         self._cpu_basis = None if usage_cpu is None else usage_cpu.billing_basis
@@ -258,6 +269,13 @@ class TraceBilling:
         steps = key[2]
         return (None if vcpu_s is None else CONTEXT.multiply(vcpu_s, steps),
                 None if gb_s is None else CONTEXT.multiply(gb_s, steps))
+
+    def step_cost(self, vcpus: float, memory_mb: float) -> CostBreakdown:
+        cost = self._step_cost.get((vcpus, memory_mb))
+        if cost is None:
+            cost = engine.price(self.quantities((vcpus, memory_mb, 1)), self.config)
+            self._step_cost[vcpus, memory_mb] = cost
+        return cost
 
     def _priced(self, key: tuple) -> tuple:
         """``seconds(key)`` from the key's billable quantities."""

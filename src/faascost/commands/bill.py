@@ -9,6 +9,7 @@ from decimal import Decimal
 from typing import Dict, Iterable, Iterator
 
 from faascost import cli
+from faascost.money import CONTEXT
 
 _BILL_COLUMNS = (
     "function_id",
@@ -23,6 +24,14 @@ _BILL_COLUMNS = (
 )
 
 
+def _usd_sum(terms) -> Decimal:
+    """The exact sum of a :class:`CostBreakdown` term mapping's USD amounts."""
+    total = Decimal(0)
+    for _, usd in terms.values():
+        total = CONTEXT.add(total, usd)
+    return total
+
+
 def _bill_row(record, config, alloc) -> tuple:
     """``record``'s row: four cells of its own, then its priced strings."""
     breakdown = cli.compute_cost(record, config, alloc)
@@ -30,10 +39,23 @@ def _bill_row(record, config, alloc) -> tuple:
     return (
         record.function_id, record.instance_id, record.arrival_ts_ms, record.exec_duration_ms,
         doc["billable_time_ms"], doc["fee_usd"],
-        cli.usd_string(sum((usd for _, usd in breakdown.alloc_terms.values()), Decimal(0))),
-        cli.usd_string(sum((usd for _, usd in breakdown.usage_terms.values()), Decimal(0))),
+        cli.usd_string(_usd_sum(breakdown.alloc_terms)),
+        cli.usd_string(_usd_sum(breakdown.usage_terms)),
         doc["total_usd"],
     )
+
+
+def _stepped_strings(step, steps: int, fixed: tuple) -> tuple:
+    """The priced strings of :func:`_bill_row` for a key ``steps`` time steps
+    long, from ``step``, the cost of one step of its allocation on a platform
+    that bills no usage, and ``fixed``, the fee and usage cells of every key
+    there. The products are exact under ``CONTEXT``."""
+    alloc_usd = CONTEXT.multiply(_usd_sum(step.alloc_terms), steps)
+    # No time is billed as 0, whatever the granularity's exponent, as ceil_to gives it.
+    time_ms = CONTEXT.multiply(step.billable_time_ms, steps) if steps else 0
+    fee, usage = fixed
+    return (str(time_ms), fee, cli.usd_string(alloc_usd), usage,
+            cli.usd_string(CONTEXT.add(step.fee_usd, alloc_usd)))
 
 
 def _bill_rows(records: Iterable[cli.InvocationRecord], config,
@@ -42,22 +64,36 @@ def _bill_rows(records: Iterable[cli.InvocationRecord], config,
 
     The key is the record's :class:`TraceBilling` key. Every record with
     that key has the same billable quantities, so the same priced columns.
+    The engine prices the first key of each granted allocation. When the
+    platform bills no usage, a later key of that allocation is priced as
+    its steps times the allocation's one-step cost
+    (:meth:`TraceBilling.step_cost`); otherwise the engine prices it too.
     """
     billing = cli.TraceBilling(config, normalize=normalize)
     priced: Dict[tuple, tuple] = {}
+    # Granted allocations with a key priced by the engine; None when the
+    # platform bills usage, and the engine prices every key.
+    stepped = None if config.usage_resources else set()
+    fixed = None
     for record in records:
         key = billing.key(record)
         strings = priced.get(key)
-        if strings is not None:
-            yield (record.function_id, record.instance_id, record.arrival_ts_ms,
-                   record.exec_duration_ms, *strings)
-            continue
-        granted = billing.grant(record.alloc_vcpus, record.alloc_memory_mb)[0]
-        row = _bill_row(record, config, granted)
-        if len(priced) < billing.KEYS_CAP:
-            # Interned, so the fee and repeated amounts are stored once.
-            priced[key] = tuple(map(sys.intern, row[4:]))
-        yield row
+        if strings is None:
+            vcpus, memory_mb = record.alloc_vcpus, record.alloc_memory_mb
+            granted = billing.grant(vcpus, memory_mb)[0]
+            if stepped is not None and granted in stepped:
+                strings = _stepped_strings(billing.step_cost(vcpus, memory_mb), key[2], fixed)
+            else:
+                strings = _bill_row(record, config, granted)[4:]
+                if stepped is not None:
+                    stepped.add(granted)
+                    # The fee and usage cells, the same for every key.
+                    fixed = sys.intern(strings[1]), sys.intern(strings[3])
+            if len(priced) < billing.KEYS_CAP:
+                # Interned, so the fee and repeated amounts are stored once.
+                strings = priced[key] = tuple(map(sys.intern, strings))
+        yield (record.function_id, record.instance_id, record.arrival_ts_ms,
+               record.exec_duration_ms, *strings)
 
 
 def command(args: argparse.Namespace, run: cli._Run) -> None:

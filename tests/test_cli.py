@@ -40,6 +40,9 @@ from faascost.traces import (
     utilization_correlation,
 )
 
+from genpairs import invoice_view
+from oracle_invoice import reference_cost
+
 
 @pytest.fixture(scope="module")
 def trace_csv(tmp_path_factory) -> Path:
@@ -131,6 +134,32 @@ def test_bill_records_normalizes_each_allocation_once(tmp_path, trace_csv, monke
         assert sorted(calls) == sorted(allocs)
     else:
         assert calls == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-normalize"]], ids=["normalize", "no-normalize"])
+def test_bill_records_adds_large_terms_exactly(tmp_path, flags):
+    # Allocation terms of more than 28 significant digits: summed in the
+    # default context, alloc_usd would round below the exact charge. The
+    # second row's key is priced in closed form from the first's allocation.
+    trace = tmp_path / "big.csv"
+    trace.write_text(
+        "function_id,instance_id,arrival_ts_ms,exec_duration_ms,init_duration_ms,"
+        "is_cold_start,alloc_vcpus,alloc_memory_mb,cpu_usage_avg_vcpus,mem_usage_mb\n"
+        "f,i,0.0,76543455,0,false,0,6083302011230385,0,0\n"
+        "f,i,1.0,76543456,0,false,0,6083302011230385,0,0\n"
+    )
+    assert run("bill", "--platform", "aws_lambda", "--records", trace, *flags,
+               "--out-dir", tmp_path / "out") == 0
+    rows = read_rows(tmp_path / "out" / "bills.csv")
+    config = resolve_platform("aws_lambda")
+    for row, record in zip(rows, ingest_trace(trace), strict=True):
+        alloc = ResourceAllocation(record.alloc_vcpus, record.alloc_memory_mb)
+        if not flags:
+            alloc = normalize_allocation(alloc, config)
+        want = reference_cost(invoice_view(record, alloc), config)
+        assert [row["alloc_usd"]] == list(want["alloc_terms"].values())
+        assert row["total_usd"] == want["total_usd"]
+    assert rows[0]["alloc_usd"] == "7578741618195.474689536341"
 
 
 def test_bill_unknown_platform_fails(capsys):

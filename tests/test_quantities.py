@@ -34,7 +34,7 @@ from faascost.billing.model import (
 from faascost.billing.platforms import bundled_platform_names, resolve_platform
 from faascost.billing.trace_billing import TraceBilling
 from faascost.commands import bill
-from faascost.money import CONTEXT, micros
+from faascost.money import CONTEXT, MICROS_LIMIT, micros
 from faascost.traces import (
     InvocationRecord,
     SchemaMap,
@@ -397,11 +397,9 @@ def test_placeholders_leave_priced_platforms_alone():
 def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
     config = BILL_CONFIGS[name]
     records = bill_records(seed=len(name))
-    want = [
-        bill._bill_row(r, config,
-                       normalize_allocation(requested(r), config) if normalize else requested(r))
-        for r in records
-    ]
+    granted = [normalize_allocation(requested(r), config) if normalize else requested(r)
+               for r in records]
+    want = [bill._bill_row(r, config, alloc) for r, alloc in zip(records, granted)]
     # Rows are tuples in _BILL_COLUMNS order, the priced strings last.
     assert {type(row) for row in want} == {tuple} and {len(row) for row in want} == {9}
     keys = [TraceBilling(config, normalize=normalize).key(r) for r in records]
@@ -418,8 +416,72 @@ def test_keyed_bill_rows_equal_bill_row(name, normalize, monkeypatch):
         monkeypatch.setattr(TraceBilling, "KEYS_CAP", cap)
         priced.clear()
         assert list(bill._bill_rows(records, config, normalize)) == want
-        if cap == 3:
+        if not config.usage_resources:
+            # The engine prices the first key of each granted allocation, and
+            # each later key is its steps times that allocation's one step.
+            assert len(priced) == len(set(granted)) < len(set(keys))
+        elif cap == 3:
             # Past the cap a new key is priced on its own, every time.
             assert len(priced) > len(records) // 2
         else:
             assert len(priced) == len(set(keys))
+
+
+ALLOCATION_ONLY = sorted(name for name, config in BILL_CONFIGS.items()
+                         if not config.usage_resources)
+
+
+def stepped_bill_examples(test):
+    """Examples at the edges of a key's step count: zero steps; exactly on a
+    step (1 ms and 100 ms) and 1 µs over it; azure_functions_flex's 1,000 ms
+    cutoff, 1 µs either side; a turnaround of 300 ms, 250.25 of it
+    execution; an execution just below MICROS_LIMIT and at it; and a row
+    whose allocation term has more than 28 significant digits, which a
+    product rounded to 28 digits bills 10^-12 USD short."""
+    base = dict(exec_ms=10.0, init_ms=0.0, vcpus=1.0, mem_mb=1769.0, normalize=True)
+    rows = [dict(base, exec_ms=value) for value in (
+        0.0, 1.0, 1.001, 100.0, 100.001, 999.999, 1000.0, 1000.001,
+        MICROS_LIMIT - 1e-6, MICROS_LIMIT)]
+    rows += [dict(base, exec_ms=250.25, init_ms=49.75),
+             dict(base, exec_ms=76543455.0, vcpus=0.0, mem_mb=6083302011230385.0,
+                  normalize=False)]
+    for row in rows:
+        test = example(**row)(test)
+    return test
+
+
+@pytest.mark.parametrize("name", ALLOCATION_ONLY)
+@settings(max_examples=40, deadline=None)
+@given(
+    exec_ms=cells,
+    init_ms=cells,
+    vcpus=st.sampled_from(GRID_VCPUS + (0.5, 1.0, 0.333333)),
+    mem_mb=st.sampled_from((128.0, 256.0, 1769.0, 2048.0)),
+    normalize=st.booleans(),
+)
+@stepped_bill_examples
+def test_stepped_bill_rows_equal_bill_row(name, exec_ms, init_ms, vcpus, mem_mb, normalize):
+    # A record's key is priced by the engine when it comes first in its
+    # allocation, and as its steps times the allocation's one step when it
+    # comes after the 1 ms anchor: the row is _bill_row's either way.
+    config = BILL_CONFIGS[name]
+    record = InvocationRecord(
+        function_id="f", instance_id="i", arrival_ts_ms=0.0, exec_duration_ms=exec_ms,
+        init_duration_ms=init_ms, is_cold_start=bool(init_ms), alloc_vcpus=vcpus,
+        alloc_memory_mb=mem_mb, cpu_usage_avg_vcpus=0.0, mem_usage_mb=0.0,
+    )
+    anchor = record._replace(exec_duration_ms=1.0, init_duration_ms=0.0)
+    granted = normalize_allocation(requested(record), config) if normalize else requested(record)
+    priced = []
+
+    def counted(*args):
+        priced.append(args)
+        return compute_cost(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "compute_cost", counted)
+        for records in ([record, anchor], [anchor, record]):
+            want = [bill._bill_row(r, config, granted) for r in records]
+            priced.clear()
+            assert list(bill._bill_rows(records, config, normalize)) == want
+            assert len(priced) == 1
